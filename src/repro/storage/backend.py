@@ -39,7 +39,12 @@ is the canonical implementation) must provide:
 * the bitmap index scan — ``blocks_intersecting``, ``blocks_matching``;
 * row access — ``column`` (full column, physical order), ``gather``
   (one column for given row ids), ``coordinates`` and
-  ``coordinates_of`` (the coordinate matrix, whole or per-row).
+  ``coordinates_of`` (the coordinate matrix, whole or per-row);
+* the fused region scan — ``scan_region(lows, highs, columns)``
+  returning ``(block_ids, rows, coordinates, values)``: what
+  ``blocks_matching``, ``coordinates_of(rows)`` and one
+  ``gather(c, rows)`` per requested column return, in one call, which
+  is what a window read costs (one statement on a SQL backend).
 """
 
 from __future__ import annotations

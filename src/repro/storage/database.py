@@ -288,26 +288,26 @@ class Database:
         """
         table = self.table(table_name)
         start = self.clock.now
-        # Exact bitmap index scan: only pages holding matching tuples.
-        blocks, matching_rows = table.blocks_matching(lows, highs)
+        # Exact bitmap index scan — only pages holding matching tuples —
+        # fused with those tuples' coordinates and objective columns: one
+        # backend call (one SQL statement) per region scan.
+        columns = _objective_columns(objectives)
+        scan = table.scan_region(lows, highs, columns)
         integ = self._integrity.get(table_name)
         lost: list[int] = []
         lost_rows = np.empty(0, dtype=np.int64)
         if integ is not None and integ.quarantined:
             # Already-quarantined pages (earlier scans or scrub) are gone.
-            blocks, matching_rows, dropped, rows_dropped = _strip_blocks(
-                table, blocks, matching_rows, integ.quarantined
-            )
+            scan, dropped, rows_dropped = _strip_blocks(table, scan, integ.quarantined)
             lost.extend(int(b) for b in dropped)
             lost_rows = rows_dropped
         try:
-            self._buffers[table_name].access(blocks)
+            self._buffers[table_name].access(scan[0])
         except CorruptBlockError as err:
-            blocks, matching_rows, dropped, rows_dropped = _strip_blocks(
-                table, blocks, matching_rows, err.block_ids
-            )
+            scan, dropped, rows_dropped = _strip_blocks(table, scan, err.block_ids)
             lost.extend(int(b) for b in dropped)
             lost_rows = np.concatenate([lost_rows, rows_dropped])
+        blocks, matching_rows, coords, values = scan
 
         degraded: tuple[int, ...] = ()
         if lost_rows.size and integ is not None:
@@ -331,7 +331,7 @@ class Database:
             lows,
             highs,
             objectives,
-            rows_in_box=True,
+            scanned=(coords, dict(zip(columns, values))),
             want_arrays=want_arrays,
         )
         self._install_cell_summaries(table_name, grid, cells, arrays)
@@ -445,16 +445,24 @@ class Database:
         lows: Sequence[float],
         highs: Sequence[float],
         objectives: Sequence[ContentObjective],
-        rows_in_box: bool = False,
+        scanned: tuple[np.ndarray, dict[str, np.ndarray]] | None = None,
         want_arrays: bool = False,
     ) -> tuple[dict[int, dict[str, CellStats]], tuple | None]:
+        """Group ``rows`` by grid cell and reduce each objective per cell.
+
+        ``scanned`` is ``(coordinates, {column: values})`` of exactly
+        ``rows`` when a region scan already fetched them — and thereby
+        proved every row lies in the box; without it coordinates are
+        looked up and filtered here, and columns gathered on demand.
+        """
         empty = ({}, (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), {}) if want_arrays else None)
-        if rows_in_box:
-            # The bitmap scan already proved every row lies in the box.
+        fetched: dict[str, np.ndarray] = {}
+        if scanned is not None:
             if rows.size == 0:
                 return empty
             in_rows = rows
-            flat = cell_flat_ids(table.coordinates_of(rows), grid)
+            coords, fetched = scanned
+            flat = cell_flat_ids(coords, grid)
         else:
             coords = table.coordinates_of(rows)
             mask = np.ones(rows.size, dtype=bool)
@@ -468,6 +476,7 @@ class Database:
         if not valid.all():
             in_rows = in_rows[valid]
             flat = flat[valid]
+            fetched = {name: column[valid] for name, column in fetched.items()}
         if in_rows.size == 0:
             return empty
 
@@ -488,7 +497,7 @@ class Database:
         inverse = np.empty(sorted_flat.size, dtype=np.int64)
         inverse[order] = np.cumsum(boundary) - 1
 
-        columns = _RowColumns(table, in_rows)
+        columns = _RowColumns(table, in_rows, fetched)
         per_objective: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for objective in objectives:
             if not objective.aggregate.needs_values:
@@ -519,16 +528,26 @@ class Database:
         return out, None
 
 
+def _objective_columns(objectives: Sequence[ContentObjective]) -> tuple[str, ...]:
+    """Columns the aggregation of ``objectives`` will read, sorted."""
+    names: set[str] = set()
+    for objective in objectives:
+        if objective.aggregate.needs_values:
+            names |= objective.columns()
+    return tuple(sorted(names))
+
+
 class _RowColumns(dict):
     """Lazy per-row column gather for expression evaluation.
 
     Aggregation only touches the columns an objective expression
     references; gathering the rest of the schema up front is wasted work
-    on the read hot path, so columns materialize on first access.
+    on the read hot path, so columns a region scan did not already fetch
+    materialize on first access.
     """
 
-    def __init__(self, table: HeapTable, rows: np.ndarray) -> None:
-        super().__init__()
+    def __init__(self, table: HeapTable, rows: np.ndarray, fetched: Mapping[str, np.ndarray]) -> None:
+        super().__init__(fetched)
         self._table = table
         self._rows = rows
 
@@ -540,19 +559,23 @@ class _RowColumns(dict):
 
 def _strip_blocks(
     table: HeapTable,
-    blocks: np.ndarray,
-    rows: np.ndarray,
+    scan: tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]],
     bad: Sequence[int] | set,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Drop quarantined blocks (and their rows) from one bitmap scan.
+) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Drop quarantined blocks (and their rows) from one region scan.
 
-    Returns ``(kept_blocks, kept_rows, dropped_blocks, dropped_rows)`` —
-    dropped rows are the matching tuples this scan can no longer deliver.
+    ``scan`` is a ``scan_region`` result.  Returns ``(kept_scan,
+    dropped_blocks, dropped_rows)`` — one row mask filters rows,
+    coordinates and values alike, so they stay aligned; dropped rows
+    are the matching tuples this scan can no longer deliver.
     """
+    blocks, rows, coords, values = scan
     bad_arr = np.fromiter((int(b) for b in bad), dtype=np.int64, count=len(bad))
     drop_mask = np.isin(blocks, bad_arr)
     dropped = blocks[drop_mask]
     if dropped.size == 0:
-        return blocks, rows, dropped, np.empty(0, dtype=np.int64)
+        return scan, dropped, np.empty(0, dtype=np.int64)
     row_drop = np.isin(rows // table.tuples_per_block, dropped)
-    return blocks[~drop_mask], rows[~row_drop], dropped, rows[row_drop]
+    keep = ~row_drop
+    kept = (blocks[~drop_mask], rows[keep], coords[keep], tuple(v[keep] for v in values))
+    return kept, dropped, rows[row_drop]

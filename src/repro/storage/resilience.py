@@ -537,7 +537,10 @@ class ResilientBackend(StorageBackend):
                 try:
                     result = primary()
                 except BackendError as err:
+                    # A fault of the real store, not a drawn one: same
+                    # taxonomy, same counters, same retry path.
                     failed_kind = err.kind
+                    self._inc(f"storage.backend.faults.{failed_kind}")
             elif fault == "torn_install" and self._arm_tear():
                 # Actually tear the journaled install mid-protocol so the
                 # kill-point recovery path is exercised, not just modeled.
@@ -545,6 +548,11 @@ class ResilientBackend(StorageBackend):
                     result = primary()
                 except BackendError as err:
                     failed_kind = err.kind
+                else:
+                    # The install wrote nothing, so there was nothing to
+                    # tear: take the trigger back and model the fault.
+                    self.inner.disarm_install_tear()
+                    failed_kind = fault
             else:
                 failed_kind = fault
             if failed_kind is None:
@@ -765,6 +773,10 @@ class ResilientTable:
     def blocks_matching(self, lows, highs) -> tuple[np.ndarray, np.ndarray]:
         """Exact bitmap-index scan: ``(block_ids, matching_rows)``."""
         return self._read("blocks_matching", "blocks_matching", lows, highs)
+
+    def scan_region(self, lows, highs, columns=()) -> tuple:
+        """Fused region scan, guarded (and mirrored) as one operation."""
+        return self._read("scan_region", "scan_region", lows, highs, columns)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ResilientTable({self.name!r}, primary={self._primary!r})"

@@ -14,10 +14,13 @@ becomes three SQLite objects:
 
 The handle executes region scans and row gathers as SQL — the bitmap
 index scan is a range predicate over the coordinate columns, block ids
-derive from ``rid`` — while the per-cell aggregation stays in the shared
-numpy code of :mod:`repro.storage.database`, which guarantees the
-float-accumulation order (and therefore every byte of every result) is
-identical to the simulator's.  Values round-trip bit-exactly: SQLite
+derive from ``rid``, and :meth:`SQLiteTable.scan_region` puts the
+coordinates and the objective columns in the same statement's select
+list, so one window read is one statement — while the per-cell
+aggregation stays in the shared numpy code of
+:mod:`repro.storage.database`, which guarantees the float-accumulation
+order (and therefore every byte of every result) is identical to the
+simulator's.  Values round-trip bit-exactly: SQLite
 REALs are IEEE doubles; NaNs (which SQLite would coerce to NULL) are
 stored as NULL explicitly and restored to NaN on read.
 
@@ -35,11 +38,20 @@ any point between those transactions (fault injection via
 :meth:`SQLiteBackend.arm_install_tear`, or a real crash) leaves a
 pending journal row that the next matching install — or simply
 reopening the file — rolls forward, with the originally recorded counts,
-so dedup accounting never drifts from the simulator oracle.
+so dedup accounting never drifts from the simulator oracle.  An install
+that would change nothing — every cell and every stat row already
+stored, no matching intent pending — returns its counts without writing:
+there is nothing a crash could tear.
+
+The driver's ``sqlite3.OperationalError`` (locked file, I/O error) leaves
+this module as :class:`~repro.errors.BackendError`, the taxonomy the
+resilience layer retries and degrades on.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
 import re
@@ -48,7 +60,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, TornWriteError
+from ..errors import BackendError, ConfigError, TornWriteError
 from .backend import StorageBackend
 from .table import HeapTable, TableSchema
 
@@ -61,6 +73,48 @@ _IN_CHUNK = 500
 
 def _quoted(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
+
+
+# Primary result codes of SQLITE_BUSY and SQLITE_LOCKED.
+_LOCK_CODES = (5, 6)
+
+
+def _driver_errors(method):
+    """Re-raise the driver's ``OperationalError`` as :class:`BackendError`.
+
+    A locked file or an I/O error is a fault of the store, not of the
+    caller, so it crosses the backend boundary in the taxonomy the
+    resilience layer retries and degrades on: lock contention is
+    ``busy``, anything else (I/O error, vanished or read-only file) is
+    ``disconnect``.  Wraps whole public methods, so lazily stepped
+    cursors and commits are covered too.
+    """
+
+    def translating(*args, **kwargs):
+        try:
+            return method(*args, **kwargs)
+        except sqlite3.OperationalError as err:
+            # Python < 3.11 carries no result code, only the message.
+            code = getattr(err, "sqlite_errorcode", None)
+            locked = "locked" in str(err) if code is None else (code & 0xFF) in _LOCK_CODES
+            raise BackendError(
+                f"sqlite: {err}", kind="busy" if locked else "disconnect"
+            ) from err
+
+    # ``functools.wraps`` minus ``__wrapped__``: the ledger's tracer reads
+    # that attribute as "a trace wrapper is still installed here" and
+    # refuses to time.  The signature is pinned instead, for the docs.
+    functools.update_wrapper(translating, method)
+    del translating.__wrapped__
+    translating.__signature__ = inspect.signature(method)
+    return translating
+
+
+def _in_chunks(ids: Sequence[int]):
+    """``(placeholders, chunk)`` pairs, each ``IN`` list under the cap."""
+    for start in range(0, len(ids), _IN_CHUNK):
+        chunk = ids[start : start + _IN_CHUNK]
+        yield ",".join("?" * len(chunk)), chunk
 
 
 def _to_sql(value: float):
@@ -103,8 +157,7 @@ class SQLiteTable:
         """Create the coordinate index on first range query, not at bind.
 
         Bulk load stays index-free (a large constant saved on every
-        build); the first ``blocks_matching`` pays for the one-time
-        build.  ``IF NOT EXISTS`` makes this idempotent across handles
+        build); the first region scan pays for the one-time build.  ``IF NOT EXISTS`` makes this idempotent across handles
         reopened from the catalog.
         """
         if self._coord_indexed:
@@ -135,6 +188,7 @@ class SQLiteTable:
 
     # -- row access ---------------------------------------------------------------
 
+    @_driver_errors
     def column(self, name: str) -> np.ndarray:
         """Full column in physical order, via one ordered SELECT."""
         self._check_column(name)
@@ -145,11 +199,13 @@ class SQLiteTable:
             (_from_sql(v) for (v,) in cur), dtype=float, count=self._num_rows
         )
 
+    @_driver_errors
     def gather(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Values of one column for the given row ids (order-aligned)."""
         self._check_column(name)
         return self._fetch_rows((name,), rows)[:, 0]
 
+    @_driver_errors
     def coordinates(self) -> np.ndarray:
         """``(num_rows, ndim)`` coordinate matrix in physical order."""
         cols = ", ".join(_quoted(c) for c in self.schema.coordinate_columns)
@@ -160,6 +216,7 @@ class SQLiteTable:
                 out[i, d] = _from_sql(v)
         return out
 
+    @_driver_errors
     def coordinates_of(self, rows: np.ndarray) -> np.ndarray:
         """``(len(rows), ndim)`` coordinate rows for the given row ids."""
         return self._fetch_rows(self.schema.coordinate_columns, rows)
@@ -183,9 +240,7 @@ class SQLiteTable:
         col_sql = ", ".join(_quoted(c) for c in columns)
         out = np.empty((uniq.size, len(columns)), dtype=float)
         pos = 0
-        for start in range(0, uniq.size, _IN_CHUNK):
-            chunk = uniq[start : start + _IN_CHUNK]
-            marks = ",".join("?" * chunk.size)
+        for marks, chunk in _in_chunks(uniq):
             cur = self._conn.execute(
                 f"SELECT {col_sql} FROM {self._data_sql} "
                 f"WHERE rid IN ({marks}) ORDER BY rid",
@@ -223,6 +278,7 @@ class SQLiteTable:
         offsets = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
         return np.repeat(starts, counts) + offsets
 
+    @_driver_errors
     def block_mbrs(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-block MBRs read back from the ``sw_mbr`` side table."""
         lo_cols = ", ".join(f"lo{d}" for d in range(self.ndim))
@@ -240,6 +296,7 @@ class SQLiteTable:
 
     # -- bitmap "index scan" -----------------------------------------------------
 
+    @_driver_errors
     def blocks_intersecting(self, lows: Sequence[float], highs: Sequence[float]) -> np.ndarray:
         """Sorted block ids whose MBR intersects the half-open box (SQL)."""
         if len(lows) != self.ndim or len(highs) != self.ndim:
@@ -256,6 +313,7 @@ class SQLiteTable:
         )
         return np.fromiter((b for (b,) in cur), dtype=np.int64)
 
+    @_driver_errors
     def blocks_matching(
         self, lows: Sequence[float], highs: Sequence[float]
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -266,9 +324,55 @@ class SQLiteTable:
         exactly when every coordinate lies in the half-open box, and its
         block necessarily passes the MBR prefilter.
         """
+        fetched = self._select_region(lows, highs, ())
+        matching = np.fromiter((r for (r,) in fetched), dtype=np.int64, count=len(fetched))
+        return self._blocks_of(matching), matching
+
+    @_driver_errors
+    def scan_region(
+        self,
+        lows: Sequence[float],
+        highs: Sequence[float],
+        columns: Sequence[str] = (),
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        """One region scan as one statement: rids, coordinates, columns.
+
+        Returns ``(block_ids, rows, coordinates, values)`` as
+        :meth:`HeapTable.scan_region` does, bit for bit: the box
+        predicate of :meth:`blocks_matching` with the coordinate and the
+        requested columns in the select list, so the tuples a window
+        read aggregates cross the backend seam once.
+        """
+        for name in columns:
+            self._check_column(name)
+        coord_columns = self.schema.coordinate_columns
+        fetched = self._select_region(lows, highs, (*coord_columns, *columns))
+        ndim = self.ndim
+        if not fetched:
+            return (
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.int64),
+                np.empty((0, ndim), dtype=float),
+                tuple(np.empty(0, dtype=float) for _ in columns),
+            )
+        # Transposed decode: one numpy conversion per column (NULL comes
+        # back as None and converts to NaN), rids straight to int64.
+        by_column = list(zip(*fetched))
+        rows = np.array(by_column[0], dtype=np.int64)
+        coords = np.empty((rows.size, ndim), dtype=float)
+        for d in range(ndim):
+            coords[:, d] = by_column[1 + d]
+        values = tuple(np.array(c, dtype=float) for c in by_column[1 + ndim :])
+        return self._blocks_of(rows), rows, coords, values
+
+    def _select_region(
+        self, lows: Sequence[float], highs: Sequence[float], columns: Sequence[str]
+    ) -> list[tuple]:
+        """``rid`` plus ``columns`` of every tuple in the box, by rid."""
         if len(lows) != self.ndim or len(highs) != self.ndim:
             raise ValueError("query box dimensionality mismatch")
         self._ensure_coord_index()
+        select = ", ".join(["rid", *(_quoted(c) for c in columns)])
         where = " AND ".join(
             f"({_quoted(c)} >= ? AND {_quoted(c)} < ?)"
             for c in self.schema.coordinate_columns
@@ -276,17 +380,19 @@ class SQLiteTable:
         params: list[float] = []
         for d in range(self.ndim):
             params.extend((float(lows[d]), float(highs[d])))
-        cur = self._conn.execute(
-            f"SELECT rid FROM {self._data_sql} WHERE {where} ORDER BY rid", params
-        )
-        matching = np.fromiter((r for (r,) in cur), dtype=np.int64)
-        bids = matching // self.tuples_per_block
+        return self._conn.execute(
+            f"SELECT {select} FROM {self._data_sql} WHERE {where} ORDER BY rid", params
+        ).fetchall()
+
+    def _blocks_of(self, sorted_rows: np.ndarray) -> np.ndarray:
+        """Distinct block ids of ascending row ids (run boundaries)."""
+        bids = sorted_rows // self.tuples_per_block
         if bids.size:
             keep = np.empty(bids.size, dtype=bool)
             keep[0] = True
             np.not_equal(bids[1:], bids[:-1], out=keep[1:])
             bids = bids[keep]
-        return bids, matching
+        return bids
 
     def _check_column(self, name: str) -> None:
         if name not in self.schema.columns:
@@ -347,6 +453,7 @@ class SQLiteBackend(StorageBackend):
 
     # -- table lifecycle -----------------------------------------------------
 
+    @_driver_errors
     def bind_table(self, table: HeapTable) -> SQLiteTable:
         """Load a heap table into the store (replacing any prior binding)."""
         name = table.name
@@ -437,6 +544,7 @@ class SQLiteBackend(StorageBackend):
         )
         self._handles.pop(name, None)
 
+    @_driver_errors
     def handle(self, name: str) -> SQLiteTable:
         """The handle of a bound table (rebuilt from the catalog if needed)."""
         if name in self._handles:
@@ -454,6 +562,7 @@ class SQLiteBackend(StorageBackend):
         self._handles[name] = handle
         return handle
 
+    @_driver_errors
     def table_names(self) -> tuple[str, ...]:
         cur = self._conn.execute("SELECT name FROM sw_tables ORDER BY name")
         return tuple(n for (n,) in cur)
@@ -464,6 +573,7 @@ class SQLiteBackend(StorageBackend):
 
     # -- installed cell summaries -------------------------------------------
 
+    @_driver_errors
     def install_cells(
         self,
         table_name: str,
@@ -507,6 +617,11 @@ class SQLiteBackend(StorageBackend):
             return int(installed), int(deduped)
         installed = self._count_new(table_name, gkey, ids)
         deduped = attempts - installed
+        if installed == 0 and self._stats_present(table_name, gkey, stats_rows):
+            # Every cell and every stat row is already stored.  A write
+            # that changes nothing needs no crash protection: no journal
+            # row, no commit, no kill point.
+            return 0, attempts
         # Intent: the full payload plus its counts hit durable storage
         # before any data row does, so every later tear rolls forward.
         with self._conn:
@@ -527,22 +642,43 @@ class SQLiteBackend(StorageBackend):
             )
         return installed, deduped
 
+    def _count_present(self, scoped: str, scope: Sequence, ids: Sequence[int]) -> int:
+        """How many of the distinct ``ids`` have a row in ``<table> WHERE <scope>``."""
+        present = 0
+        for marks, chunk in _in_chunks(ids):
+            present += int(
+                self._conn.execute(
+                    f"SELECT COUNT(*) FROM {scoped} AND flat_id IN ({marks})",
+                    [*scope, *chunk],
+                ).fetchone()[0]
+            )
+        return present
+
     def _count_new(self, table_name: str, gkey: str, ids: Sequence[int]) -> int:
         """How many distinct ids are not yet installed (chunked lookups)."""
         uniq = sorted(set(ids))
-        present = 0
-        for start in range(0, len(uniq), _IN_CHUNK):
-            chunk = uniq[start : start + _IN_CHUNK]
-            marks = ",".join("?" * len(chunk))
-            present += int(
-                self._conn.execute(
-                    "SELECT COUNT(*) FROM sw_cell_installs"
-                    " WHERE table_name = ? AND grid_key = ?"
-                    f" AND flat_id IN ({marks})",
-                    [table_name, gkey, *chunk],
-                ).fetchone()[0]
+        return len(uniq) - self._count_present(
+            "sw_cell_installs WHERE table_name = ? AND grid_key = ?",
+            (table_name, gkey),
+            uniq,
+        )
+
+    def _stats_present(
+        self, table_name: str, gkey: str, stats_rows: Sequence[tuple]
+    ) -> bool:
+        """Whether every ``(flat_id, objective)`` stat row is already stored."""
+        by_objective: dict[str, set[int]] = {}
+        for flat_id, key, *_ in stats_rows:
+            by_objective.setdefault(key, set()).add(flat_id)
+        return all(
+            self._count_present(
+                "sw_cell_stats WHERE table_name = ? AND grid_key = ? AND objective = ?",
+                (table_name, gkey, key),
+                sorted(cells),
             )
-        return len(uniq) - present
+            == len(cells)
+            for key, cells in by_objective.items()
+        )
 
     def _apply_install(
         self,
@@ -625,6 +761,14 @@ class SQLiteBackend(StorageBackend):
         """
         self._install_kill = int(after_points)
 
+    def disarm_install_tear(self) -> None:
+        """Take back an armed tear that no install has reached yet.
+
+        An install that changes nothing never reaches a journal point,
+        so it leaves the trigger armed for whichever install comes next.
+        """
+        self._install_kill = None
+
     def _install_point(self, label: str) -> None:
         if self._install_kill is None:
             return
@@ -633,6 +777,7 @@ class SQLiteBackend(StorageBackend):
             self._install_kill = None
             raise TornWriteError(label)
 
+    @_driver_errors
     def installed_cell_count(self, table_name: str, gkey: str | None = None) -> int:
         if gkey is not None:
             cur = self._conn.execute(
@@ -647,6 +792,7 @@ class SQLiteBackend(StorageBackend):
             )
         return int(cur.fetchone()[0])
 
+    @_driver_errors
     def install_state(self, table_name: str) -> dict:
         installs: dict[str, list[int]] = {}
         for gkey, flat_id in self._conn.execute(
@@ -666,6 +812,7 @@ class SQLiteBackend(StorageBackend):
         ]
         return {"installs": installs, "stats": stats}
 
+    @_driver_errors
     def restore_install_state(self, table_name: str, state: dict) -> None:
         with self._conn:
             self._conn.execute(
@@ -687,6 +834,7 @@ class SQLiteBackend(StorageBackend):
                 ((table_name, *row) for row in state["stats"]),
             )
 
+    @_driver_errors
     def fetch_cell_summaries(
         self, table_name: str, gkey: str, flat_ids: Sequence[int] | None = None
     ) -> dict[int, dict[str, tuple[int, float, float, float]]]:
@@ -699,21 +847,24 @@ class SQLiteBackend(StorageBackend):
             "SELECT flat_id, objective, tuples, total, minimum, maximum "
             "FROM sw_cell_stats WHERE table_name = ? AND grid_key = ?"
         )
-        params: list = [table_name, gkey]
-        if flat_ids is not None:
-            marks = ",".join("?" * len(flat_ids))
-            sql += f" AND flat_id IN ({marks})"
-            params.extend(int(c) for c in flat_ids)
+        if flat_ids is None:
+            queries = [("", [])]
+        else:
+            queries = [
+                (f" AND flat_id IN ({marks})", chunk)
+                for marks, chunk in _in_chunks(sorted({int(c) for c in flat_ids}))
+            ]
         out: dict[int, dict[str, tuple[int, float, float, float]]] = {}
-        for flat_id, key, count, total, minimum, maximum in self._conn.execute(
-            sql, params
-        ):
-            out.setdefault(int(flat_id), {})[key] = (
-                int(count),
-                _from_sql(total),
-                _from_sql(minimum),
-                _from_sql(maximum),
-            )
+        for restriction, chunk in queries:
+            for flat_id, key, count, total, minimum, maximum in self._conn.execute(
+                sql + restriction, [table_name, gkey, *chunk]
+            ):
+                out.setdefault(int(flat_id), {})[key] = (
+                    int(count),
+                    _from_sql(total),
+                    _from_sql(minimum),
+                    _from_sql(maximum),
+                )
         return out
 
     # -- description ---------------------------------------------------------

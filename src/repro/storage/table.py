@@ -253,6 +253,25 @@ class HeapTable:
             bids = bids[keep]
         return bids, matching
 
+    def scan_region(
+        self,
+        lows: Sequence[float],
+        highs: Sequence[float],
+        columns: Sequence[str] = (),
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        """One region scan: the bitmap scan plus what aggregation reads.
+
+        Returns ``(block_ids, rows, coordinates, values)``: the first two
+        are :meth:`blocks_matching`'s, ``coordinates`` is
+        ``coordinates_of(rows)`` and ``values`` holds ``gather(c, rows)``
+        for each requested column, in request order (a name may repeat,
+        and may be a coordinate column).  A remote backend answers all of
+        it with one statement instead of one round trip per piece.
+        """
+        block_ids, rows = self.blocks_matching(lows, highs)
+        values = tuple(self.gather(name, rows) for name in columns)
+        return block_ids, rows, self._coords[rows], values
+
     def _build_block_mbrs(self) -> tuple[np.ndarray, np.ndarray]:
         coords = self.coordinates()
         mins = np.empty((self._num_blocks, self.ndim), dtype=float)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from .golden_cases import _workload, event_jsonable, results_jsonable
@@ -391,3 +391,123 @@ def test_quarantined_gather_parity(backend_pair):
             ref_vals = ref_handle.gather(column, rows)
             cand_vals = cand_handle.gather(column, rows)
             assert np.array_equal(ref_vals, cand_vals, equal_nan=True)
+
+
+# -- the fused region scan ----------------------------------------------------
+
+
+column_lists = st.lists(st.sampled_from(["value", "x", "y"]), max_size=4)
+
+
+@given(table=table_params, box=box_params, columns=column_lists)
+@example(table=(1, 300, 16, True), box=(0.0, 0.0, 10.0, 10.0), columns=["value"])
+@example(table=(2, 300, 16, True), box=(9.0, 9.0, 0.5, 0.5), columns=["value", "value"])
+@example(table=(3, 300, 7, False), box=(2.0, 3.0, 4.0, 5.0), columns=["x", "value", "y"])
+@example(table=(4, 300, 16, True), box=(0.0, 0.0, 10.0, 10.0), columns=[])
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+def test_scan_region_bit_identical(backend_pair, table, box, columns):
+    """``scan_region`` on SQLite equals ``HeapTable``'s bit for bit.
+
+    The pinned examples are the whole-table box over NaN values, a
+    column named twice, coordinate columns requested as values, and no
+    columns at all; ``_EMPTY_BOX`` below adds the box nothing lies in.
+    """
+    heap = _random_table(*table)
+    x0, y0, w, h = box
+    boxes = [([x0, y0], [min(x0 + w, 10.0), min(y0 + h, 10.0)]), _EMPTY_BOX]
+    ref_db, cand_db = backend_pair.databases(heap)
+    for lows, highs in boxes:
+        ref = ref_db.table(heap.name).scan_region(lows, highs, columns)
+        cand = cand_db.table(heap.name).scan_region(lows, highs, columns)
+        assert len(ref[3]) == len(cand[3]) == len(columns)
+        for ref_part, cand_part in zip((*ref[:3], *ref[3]), (*cand[:3], *cand[3])):
+            assert ref_part.dtype == cand_part.dtype
+            assert ref_part.shape == cand_part.shape
+            assert ref_part.tobytes() == cand_part.tobytes()
+        # The fused call is the old three, in one: same rows, same bytes.
+        blocks, rows = heap.blocks_matching(lows, highs)
+        assert np.array_equal(cand[0], blocks) and np.array_equal(cand[1], rows)
+        assert cand[2].tobytes() == heap.coordinates_of(rows).tobytes()
+        for name, values in zip(columns, cand[3]):
+            assert values.tobytes() == heap.gather(name, rows).tobytes()
+
+
+_EMPTY_BOX = ([20.0, 20.0], [30.0, 30.0])
+
+
+def test_scan_region_rejects_bad_requests(backend_pair):
+    heap = _random_table(5, 100, 16, False)
+    for db in backend_pair.databases(heap):
+        handle = db.table(heap.name)
+        with pytest.raises(KeyError, match="no column 'nope'"):
+            handle.scan_region([0.0, 0.0], [1.0, 1.0], ["nope"])
+        with pytest.raises(ValueError, match="dimensionality"):
+            handle.scan_region([0.0], [1.0], [])
+
+
+def _oracle_cells(heap, grid, lows, highs, lost_blocks):
+    """Per-cell ``(count, sum, min, max)`` of ``value``, row by row."""
+    x, y, value = (np.asarray(heap.column(c)) for c in ("x", "y", "value"))
+    cells: dict[int, list[float]] = {}
+    for row in range(heap.num_rows):
+        if row // heap.tuples_per_block in lost_blocks:
+            continue
+        if not (lows[0] <= x[row] < highs[0] and lows[1] <= y[row] < highs[1]):
+            continue
+        cell = grid.flat_id(grid.cell_of_point((x[row], y[row])))
+        cells.setdefault(cell, []).append(float(value[row]))
+    out = {}
+    for cell, vals in cells.items():
+        total = 0.0
+        for v in vals:  # not sum(): 3.12 compensates, the engine does not
+            total += v
+        out[cell] = (len(vals), total, min(vals), max(vals))
+    return out
+
+
+def test_post_quarantine_scan_keeps_rows_coordinates_values_aligned(backend_pair):
+    """Stripped rows take their coordinates and values with them.
+
+    A scheduled unrepairable block is hit mid-scan (the
+    ``CorruptBlockError`` strip) and is already quarantined on the
+    repeat (the up-front strip).  Both backends must agree bitwise, and
+    match a row-by-row oracle that never saw the fused scan — one mask
+    misapplied to coordinates or values would shift every later row
+    into the wrong cell or pair it with the wrong value.
+    """
+    from repro.storage import StorageFaultPlan
+
+    heap = _random_table(21, 480, 16, False)
+    grid = Grid(Rect.from_bounds([(0.0, 10.0), (0.0, 10.0)]), (2.0, 2.0))
+    lows, highs = [1.0, 0.5], [9.5, 8.0]
+    objectives = [ContentObjective.of("avg", col("value"))]
+    plan = StorageFaultPlan(
+        seed=0,
+        corrupt_blocks=((3, "bitrot"), (11, "lost")),
+        max_rereads=0,
+        replicas=0,
+    )
+    fingerprints = []
+    for db in backend_pair.databases(heap):
+        db.attach_integrity(plan)
+        scans = [
+            db.range_cell_aggregates(heap.name, grid, lows, highs, objectives)
+            for _ in range(2)
+        ]
+        assert scans[0].lost_blocks == scans[1].lost_blocks == (3, 11)
+        assert sorted(db.integrity(heap.name).quarantined) == [3, 11]
+        fingerprints.append([_scan_fingerprint(scan) for scan in scans])
+        expected = _oracle_cells(heap, grid, lows, highs, {3, 11})
+        for scan in scans:
+            got = {
+                cell: (s.count, s.total, s.minimum, s.maximum)
+                for cell, entry in scan.cells.items()
+                for key, s in entry.items()
+                if key != COUNT_KEY
+            }
+            assert got == expected
+    assert fingerprints[0] == fingerprints[1]

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core import SearchConfig, SWEngine
 from repro.core.trace import EventKind, SearchTrace
-from repro.errors import ConfigError, TornWriteError
+from repro.errors import BackendError, ConfigError, TornWriteError
 from repro.obs import InvariantAuditor, MetricsRegistry
 from repro.storage import (
     BACKEND_FAULT_KINDS,
@@ -389,6 +389,144 @@ def test_torn_install_retry_resumes_pending_journal(tmp_path):
     # The journal is empty again; a reopen recovers nothing.
     backend.close()
     assert SQLiteBackend(path).recovered_installs == 0
+
+
+# -- installs that change nothing write nothing -------------------------------
+
+
+def _journal_rows(backend) -> int:
+    return backend._conn.execute("SELECT COUNT(*) FROM sw_install_journal").fetchone()[0]
+
+
+def test_noop_install_skips_journal_and_leaves_tear_armed(tmp_path):
+    """Every cell and stat row already stored: simulator counts, no write."""
+    backend = SQLiteBackend(str(tmp_path / "noop.db"))
+    backend.bind_table(_heap())
+    ids, stats = _journal_payload()
+    oracle = SimulatorBackend()
+    oracle.bind_table(_heap())
+    assert backend.install_cells("jt", "g", ids, stats) == oracle.install_cells("jt", "g", ids)
+    before = backend._conn.total_changes
+
+    backend.arm_install_tear(1)
+    assert backend.install_cells("jt", "g", ids, stats) == oracle.install_cells("jt", "g", ids)
+    assert backend.install_cells("jt", "g", ids[:7], stats[:7]) == (0, 7)
+    assert _journal_rows(backend) == 0
+    assert backend._conn.total_changes == before, "a no-op install must not write"
+    # The trigger is unspent: the next install that does write tears.
+    with pytest.raises(TornWriteError, match="intent"):
+        backend.install_cells("jt", "g", [max(ids) + 1])
+    assert backend.install_cells("jt", "g", [max(ids) + 1]) == (1, 0)
+
+
+def test_known_cells_under_new_objective_still_journal(tmp_path):
+    """No new cell, but new stat rows: the journaled path, rows persisted."""
+    path = str(tmp_path / "objective.db")
+    backend = SQLiteBackend(path)
+    backend.bind_table(_heap())
+    ids = list(range(40))
+    backend.install_cells("jt", "g", ids, [(i, "avg:v", 1, 1.0, 1.0, 1.0) for i in ids])
+    other = [(i, "avg:w", 2, float(i), 0.5, float(i)) for i in ids]
+    backend.arm_install_tear(1)
+    with pytest.raises(TornWriteError, match="intent"):
+        backend.install_cells("jt", "g", ids, other)
+    assert _journal_rows(backend) == 1
+    backend.close()
+    reopened = SQLiteBackend(path)
+    assert reopened.recovered_installs == 1
+    stored = reopened.fetch_cell_summaries("jt", "g")
+    assert all(set(stored[i]) == {"avg:v", "avg:w"} for i in ids)
+    assert stored[7]["avg:w"] == (2, 7.0, 0.5, 7.0)
+    # One missing stat row is enough to leave the short cut.
+    before = reopened._conn.total_changes
+    assert reopened.install_cells(
+        "jt", "g", ids, other + [(3, "avg:z", 1, 0.0, 0.0, 0.0)]
+    ) == (0, len(ids))
+    assert reopened._conn.total_changes > before
+    assert "avg:z" in reopened.fetch_cell_summaries("jt", "g", [3])[3]
+
+
+def test_pending_journal_rolls_forward_before_the_short_cut(tmp_path):
+    """A torn install's payload is re-applied even once its rows all exist."""
+    backend = SQLiteBackend(str(tmp_path / "pending.db"))
+    backend.bind_table(_heap())
+    ids, stats = _journal_payload()
+    # Tear at the commit point: every row applied, journal row pending.
+    backend.arm_install_tear(7)
+    with pytest.raises(TornWriteError, match="commit"):
+        backend.install_cells("jt", "g", ids, stats)
+    assert _journal_rows(backend) == 1
+    assert backend.installed_cell_count("jt", "g") == len(ids)
+    # The identical payload finds the intent first and reports the counts
+    # recorded against the pre-intent state, not "all deduplicated".
+    assert backend.install_cells("jt", "g", ids, stats) == (len(ids), 0)
+    assert _journal_rows(backend) == 0
+    assert backend.install_cells("jt", "g", ids, stats) == (0, len(ids))
+
+
+def test_torn_fault_on_noop_install_is_modelled_not_leaked():
+    """A torn_install drawn for an install with nothing to tear.
+
+    The guard arms the tear, the install changes nothing and returns, so
+    the guard must take the trigger back (or the next, unfaulted install
+    would tear) and count the attempt as the failure the plan asked for.
+    """
+    heap = _heap()
+    inner = SQLiteBackend()
+    registry = MetricsRegistry()
+    # Guarded ops: bind(0), install(1), install(2: torn), its retry(3), install(4).
+    plan = BackendFaultPlan(seed=0, scheduled=((2, "torn_install"),))
+    backend = ResilientBackend(inner, plan, metrics=registry)
+    backend.bind_table(heap)
+    assert backend.install_cells("jt", "g", [1, 2, 3]) == (3, 0)
+    assert backend.install_cells("jt", "g", [1, 2, 3]) == (0, 3)
+    assert inner._install_kill is None
+    assert backend.install_cells("jt", "g", [4]) == (1, 0)
+    stats = backend.stats()
+    assert (stats["injected_faults"], stats["retries"], stats["failures"]) == (1, 1, 0)
+    assert inner.installed_cell_count("jt", "g") == 4
+    audit = InvariantAuditor(registry).report()
+    assert audit["ok"], audit["violations"]
+
+
+# -- real driver errors take the injected faults' path ------------------------
+
+
+def test_locked_database_is_retried_then_served_from_the_mirror(tmp_path):
+    """A second connection's exclusive lock degrades the run, never raises."""
+    import sqlite3
+
+    golden, _, _ = _run()
+    path = str(tmp_path / "locked.db")
+    database = make_database(_DATASET, "cluster", backend=f"sqlite:{path}")
+    registry = MetricsRegistry()
+    database.attach_metrics(registry)
+    database.attach_resilience(BackendFaultPlan(seed=0))  # injects nothing
+    inner = database.backend.inner
+    inner._conn.execute("PRAGMA busy_timeout = 0")  # fail fast, not after 5 s
+    engine = SWEngine(database, _DATASET.name, sample_fraction=0.1)
+    before = database.backend.stats()
+    locker = sqlite3.connect(path)
+    try:
+        locker.execute("BEGIN EXCLUSIVE")
+        with pytest.raises(BackendError, match="locked") as raised:
+            inner.handle(_DATASET.name).column("x")
+        assert raised.value.kind == "busy"
+        trace = SearchTrace()
+        report = engine.execute(_QUERY, SearchConfig(alpha=1.0), trace=trace)
+    finally:
+        locker.rollback()
+        locker.close()
+    assert report.outcome == "degraded"
+    assert _result_set(report) == _result_set(golden)
+    stats = database.backend.stats()
+    assert stats["retries"] > 0 and stats["fallback_reads"] > 0
+    assert stats["successes"] == before["successes"], "nothing reached the locked file"
+    assert {e.detail["fault"] for e in trace.events(EventKind.BACKEND_RETRY)} == {"busy"}
+    audit = InvariantAuditor(registry).report()
+    assert audit["ok"], audit["violations"]
+    # The lock is gone: the store answers again.
+    assert inner.handle(_DATASET.name).column("x").size == inner.handle(_DATASET.name).num_rows
 
 
 def test_torn_installs_under_engine_keep_parity(tmp_path):

@@ -214,6 +214,24 @@ def test_sqlite_persists_cell_stats():
         )
 
 
+def test_fetch_cell_summaries_chunks_a_long_id_list():
+    """40 000 ids in one call: more than a stock build's SQL variable cap."""
+    import sqlite3
+
+    backend = SQLiteBackend()
+    if hasattr(backend._conn, "setlimit"):  # distro builds raise the cap
+        backend._conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 32_766)
+    backend.bind_table(_table())
+    gkey = grid_key(GRID)
+    wanted = list(range(0, 80_000, 2))
+    backend.install_cells(
+        "t", gkey, [10, 11, 39_998], [(c, "v", 1, 1.5, 1.5, 1.5) for c in (10, 11, 39_998)]
+    )
+    stored = backend.fetch_cell_summaries("t", gkey, wanted)
+    assert stored == {10: {"v": (1, 1.5, 1.5, 1.5)}, 39_998: {"v": (1, 1.5, 1.5, 1.5)}}
+    assert backend.fetch_cell_summaries("t", gkey, []) == {}
+
+
 def test_install_state_round_trip():
     """Checkpoint capture of the install record reproduces the dedup split.
 
