@@ -5,9 +5,11 @@ results and presenting them to the user" (Section 5).  Execution is a
 conservative discrete-event simulation: every worker has its own clock
 (its database's clock); the coordinator repeatedly steps the worker with
 the earliest actionable time, fast-forwarding idle workers to their next
-message arrival.  "The total query time is essentially dominated by the
-total disk time of the slowest worker" — which is exactly what the
-simulation yields.
+message arrival.  The loop is event-driven: next action times sit in a
+ready queue and are re-evaluated only for the workers an event can have
+affected (DESIGN.md Section 9, "Event loop").  "The total query time is
+essentially dominated by the total disk time of the slowest worker" —
+which is exactly what the simulation yields.
 
 Fault tolerance (see DESIGN.md Sections 9 and 14).  A :class:`FaultPlan`
 on the config turns the run into a chaos experiment: fail-stop crashes
@@ -414,21 +416,40 @@ def run_distributed(
     exceeded = False
     interrupted = False
     checkpoint_state: dict | None = None
+
+    # The ready queue: each actionable worker's ``(next_time, _STEP, wid)``
+    # plus the stamp that entry was pushed under.  An entry is live while
+    # its stamp is still the worker's current one; re-evaluating a worker
+    # bumps the stamp, so superseded entries are skipped when they surface.
+    # ``Worker.next_time`` reads only the worker's own state and its inbox
+    # head, so after a step only the stepper and the recipients of what it
+    # sent are re-evaluated; fault events mutate workers from outside
+    # (crash, fence, deadline rewrites, adoption) and refresh everyone.
+    ready: list[tuple[float, int, int, int]] = []
+    stamps = [0] * config.num_workers
+
+    def refresh(wids) -> None:
+        for wid in wids:
+            stamps[wid] += 1
+            t = workers[wid].next_time()
+            if t is not None:
+                heapq.heappush(ready, (t, _STEP, wid, stamps[wid]))
+
+    everyone = range(config.num_workers)
+    refresh(everyone)
     while True:
-        actionable = [
-            (t, _STEP, wid)
-            for wid, w in enumerate(workers)
-            if (t := w.next_time()) is not None
-        ]
-        if not actionable and not fault_events:
-            break
+        while ready and ready[0][3] != stamps[ready[0][2]]:
+            heapq.heappop(ready)
         # Pending fault events must drain even when every worker is
         # momentarily quiescent — a crash of an already-done worker still
         # needs its detection and ownership hand-off to be recorded.
-        candidates = actionable + (fault_events[:1] if fault_events else [])
-        t, kind, wid = min(candidates)
+        if fault_events and (not ready or fault_events[0] < ready[0]):
+            t, kind, wid = heapq.heappop(fault_events)
+        elif ready:
+            t, kind, wid, _ = heapq.heappop(ready)
+        else:
+            break
         if kind == _CRASH:
-            heapq.heappop(fault_events)
             worker = workers[wid]
             done_at_death[wid] = worker.is_done()
             crashed.append(wid)
@@ -442,7 +463,6 @@ def run_distributed(
                 heapq.heappush(fault_events, (t + timeout, _CHECK, -1))
                 check_scheduled = True
         elif kind == _PART:
-            heapq.heappop(fault_events)
             part = injector.plan.partitions[wid]
             phase = "cut" if t == part.start_s else "heal"
             if metrics is not None and phase == "cut":
@@ -456,7 +476,6 @@ def run_distributed(
                     phase=phase,
                 )
         elif kind == _CHECK:
-            heapq.heappop(fault_events)
             check_scheduled = False
             declared_now = _liveness_tick(t, liveness, injector, workers, metrics)
             if declared_now:
@@ -512,6 +531,8 @@ def run_distributed(
                 )
                 interrupted = True
                 break
+        touched = network.drain_recipients()
+        refresh(touched | {wid} if kind == _STEP else everyone)
 
     live = [w for w in workers if not w.crashed]
     stuck = [w.worker_id for w in live if not w.is_done()]

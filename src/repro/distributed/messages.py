@@ -66,6 +66,13 @@ class Network:
     Ties in arrival time are broken by send order (a monotone sequence
     number), so delivery order is deterministic even at equal
     timestamps and with zero-latency cost models.
+
+    The network also keeps a *recipient record*: the set of workers whose
+    inbox it changed from outside (a delivery, a dead worker's purge, a
+    restore) since :meth:`drain_recipients` was last called.  The
+    coordinator's event loop drains it after every step to learn whose
+    next action time may have moved; nobody else has to, because the
+    record is a set of worker ids and so never outgrows the cluster.
     """
 
     def __init__(self, num_workers: int, cost_model: CostModel, injector=None) -> None:
@@ -77,6 +84,7 @@ class Network:
         self._seq = itertools.count()
         self._msg_ids = itertools.count()
         self._dead: set[int] = set()
+        self._recipients: set[int] = set()
         self.messages_sent = 0
         self.cells_shipped = 0
         self.messages_lost = 0
@@ -132,6 +140,7 @@ class Network:
             if m is not None:
                 m.inc("net.messages_lost")
             return
+        self._recipients.add(to)
         for extra in copies:
             arrival = sent_at + latency + extra
             heapq.heappush(
@@ -146,6 +155,7 @@ class Network:
         if self.metrics is not None and dropped:
             self.metrics.inc("net.messages_lost", float(dropped))
         self._inboxes[worker].clear()
+        self._recipients.add(worker)
 
     def is_dead(self, worker: int) -> bool:
         """Whether the worker has been marked crashed."""
@@ -167,6 +177,12 @@ class Network:
     def pending(self, worker: int) -> int:
         """Messages still in flight toward a worker."""
         return len(self._inboxes[worker])
+
+    def drain_recipients(self) -> set[int]:
+        """Workers whose inbox changed from outside since the last drain."""
+        recipients = self._recipients
+        self._recipients = set()
+        return recipients
 
     # -- checkpoint support ------------------------------------------------------
 
@@ -207,6 +223,8 @@ class Network:
         self._seq = itertools.count(int(state["next_seq"]))
         self._msg_ids = itertools.count(int(state["next_msg_id"]))
         self._dead = {int(w) for w in state["dead"]}
+        # Derived, never serialised: every inbox was just replaced.
+        self._recipients = set(range(len(self._inboxes)))
         self.messages_sent = int(state["messages_sent"])
         self.cells_shipped = int(state["cells_shipped"])
         self.messages_lost = int(state["messages_lost"])

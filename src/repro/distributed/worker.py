@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -136,6 +137,11 @@ class Worker:
         self.recovered_anchors = 0
         self.lost_windows: dict[Window, set[Cell]] = {}
         self._outstanding: dict[int, _Outstanding] = {}
+        # Earliest ``_due_time`` over ``_outstanding`` (``inf`` when empty),
+        # derived on demand by ``_next_due``; ``None`` means an insert, a
+        # delete or a ``deadline``/``hedged`` edit has made it stale.
+        # Never serialised.
+        self._earliest_due: float | None = math.inf
         self._seen_msg_ids: set[int] = set()
         self._lost_cells: set[Cell] = set()
 
@@ -172,20 +178,25 @@ class Worker:
         self.data.clock.advance_to(timestamp)
 
     def next_time(self) -> float | None:
-        """Earliest time this worker can act, or ``None`` if quiescent."""
+        """Earliest time this worker can act, or ``None`` if quiescent.
+
+        Reads only this worker's own state and the head of its own inbox
+        — the invariant the coordinator's ready queue rests on: the
+        answer can change only when this worker steps, is sent a message,
+        or is mutated by a coordinator-side fault event.
+        """
         if self.crashed:
             return None
-        arrival = self.network.earliest_arrival(self.worker_id)
-        if arrival is not None and arrival <= self.now:
-            return self.now
+        now = self.now
         if len(self.queue) > 0 or self._pending:
-            return self.now
-        times = [arrival] if arrival is not None else []
-        if self._outstanding:
-            times.append(min(self._due_time(o) for o in self._outstanding.values()))
-        if not times:
+            return now
+        wake = self._next_due()
+        arrival = self.network.earliest_arrival(self.worker_id)
+        if arrival is not None and arrival < wake:
+            wake = arrival
+        if wake == math.inf:
             return None
-        return max(self.now, min(times))
+        return max(now, wake)
 
     def _due_time(self, entry: _Outstanding) -> float:
         """When an outstanding request next needs attention (hedge or retry)."""
@@ -193,6 +204,15 @@ class Worker:
         if hedge > 0.0 and not entry.hedged:
             return min(entry.deadline, entry.sent_at + hedge)
         return entry.deadline
+
+    def _next_due(self) -> float:
+        """Earliest :meth:`_due_time` over ``_outstanding``; ``inf`` if none."""
+        due = self._earliest_due
+        if due is None:
+            due = self._earliest_due = min(
+                map(self._due_time, self._outstanding.values()), default=math.inf
+            )
+        return due
 
     def is_done(self) -> bool:
         """No queue work, parked windows, pending requests, or in-flight mail.
@@ -283,9 +303,16 @@ class Worker:
         # requester's retransmission re-routes them.  This cannot happen
         # under correct routing — ownership is always a subset of the
         # local data range — but a lossy run is exactly when to be sure.
-        cells = [c for c in request.cells if self.data_lo <= c[0] < self.data_hi]
-        ready = [c for c in cells if self.data.is_cell_read(c)]
-        waiting = {c for c in cells if not self.data.is_cell_read(c)}
+        data_lo, data_hi = self.data_lo, self.data_hi
+        is_cell_read = self.data.is_cell_read
+        ready: list[Cell] = []
+        waiting: set[Cell] = set()
+        for cell in request.cells:
+            if data_lo <= cell[0] < data_hi:
+                if is_cell_read(cell):
+                    ready.append(cell)
+                else:
+                    waiting.add(cell)
         if ready:
             self._respond(request.requester, ready)
         if waiting:
@@ -301,6 +328,7 @@ class Worker:
             entry.cells -= answered
             if not entry.cells:
                 del self._outstanding[msg_id]
+                self._earliest_due = None
         freed = []
         for window, missing in self._waiting.items():
             missing -= answered
@@ -347,14 +375,18 @@ class Worker:
 
     def _check_timeouts(self) -> None:
         """Retransmit expired requests; hedge silent-but-unexpired ones."""
+        now = self.now
+        if self._next_due() > now:
+            return  # no deadline has passed and no hedge has come due
         self._check_hedges()
         expired = [
             msg_id
             for msg_id, entry in self._outstanding.items()
-            if entry.deadline <= self.now
+            if entry.deadline <= now
         ]
         for msg_id in expired:
             entry = self._outstanding.pop(msg_id)
+            self._earliest_due = None
             cells = {c for c in entry.cells if not self.data.is_cell_read(c)}
             if not cells:
                 continue
@@ -364,7 +396,7 @@ class Worker:
             if self.trace is not None:
                 self.trace.record(
                     EventKind.RETRY,
-                    self.now,
+                    now,
                     detail_worker=self.worker_id,
                     owner=entry.owner,
                     cells=len(cells),
@@ -385,35 +417,23 @@ class Worker:
         hedge = self.cost_model.hedge_delay_s()
         if hedge <= 0.0:
             return
+        now = self.now
         due = [
             entry
             for entry in self._outstanding.values()
             if not entry.hedged
-            and entry.sent_at + hedge <= self.now < entry.deadline
+            and entry.sent_at + hedge <= now < entry.deadline
         ]
         for entry in due:
             entry.hedged = True
+            self._earliest_due = None
             target = self._hedge_target(entry)
             if target is None:
                 continue
             self.hedges += 1
             if self.metrics is not None:
                 self.metrics.inc("dist.hedges")
-            cells = tuple(sorted(entry.cells))
-            msg_id = self.network.next_msg_id()
-            self.network.send(
-                target,
-                CellRequest(self.worker_id, cells, msg_id, entry.attempt),
-                self.now,
-            )
-            self._outstanding[msg_id] = _Outstanding(
-                owner=target,
-                cells=set(cells),
-                deadline=self.now + self.cost_model.retry_timeout_s(entry.attempt),
-                attempt=entry.attempt,
-                sent_at=self.now,
-                hedged=True,
-            )
+            self._send_request(target, sorted(entry.cells), entry.attempt, hedged=True)
 
     def _hedge_target(self, entry: _Outstanding) -> int | None:
         """An alternate live worker covering every cell, else the owner."""
@@ -461,19 +481,27 @@ class Worker:
         if local:
             self._unpark_windows_touching(local)
         for owner, owned in by_owner.items():
-            msg_id = self.network.next_msg_id()
-            self.network.send(
-                owner,
-                CellRequest(self.worker_id, tuple(owned), msg_id, attempt),
-                self.now,
-            )
-            self._outstanding[msg_id] = _Outstanding(
-                owner=owner,
-                cells=set(owned),
-                deadline=self.now + self.cost_model.retry_timeout_s(attempt),
-                attempt=attempt,
-                sent_at=self.now,
-            )
+            self._send_request(owner, owned, attempt)
+
+    def _send_request(
+        self, owner: int, cells: Sequence[Cell], attempt: int, hedged: bool = False
+    ) -> None:
+        """Transmit one cell request and start its retransmission timer."""
+        now = self.now
+        msg_id = self.network.next_msg_id()
+        self.network.send(
+            owner, CellRequest(self.worker_id, tuple(cells), msg_id, attempt), now
+        )
+        entry = self._outstanding[msg_id] = _Outstanding(
+            owner=owner,
+            cells=set(cells),
+            deadline=now + self.cost_model.retry_timeout_s(attempt),
+            attempt=attempt,
+            sent_at=now,
+            hedged=hedged,
+        )
+        if self._earliest_due is not None:
+            self._earliest_due = min(self._earliest_due, self._due_time(entry))
 
     def _mark_cells_lost(self, cells: Iterable[Cell]) -> None:
         """Give up on cells whose owning slab has no surviving worker."""
@@ -520,9 +548,11 @@ class Worker:
         for peer in dead:
             if self._pending.pop(peer, None) is not None:
                 touched = True
+        now = self.now
         for entry in self._outstanding.values():
             if entry.owner in dead:
-                entry.deadline = self.now
+                entry.deadline = now
+                self._earliest_due = None
                 touched = True
         return touched
 
@@ -678,6 +708,7 @@ class Worker:
             int(requester): cell_set(cells) for requester, cells in state["pending"]
         }
         self._outstanding = {}
+        self._earliest_due = None
         for entry in state["outstanding"]:
             # Length-flexible: pre-hedging checkpoints have 5 fields.
             msg_id, owner, cells, deadline, attempt = entry[:5]
@@ -809,12 +840,23 @@ class Worker:
 
     def _remote_cells(self, window: Window) -> list[Cell]:
         """Unread cells of the window outside the local data range."""
-        cells = []
-        for cell in window.iter_cells():
-            if cell[0] >= self.data_hi or cell[0] < self.data_lo:
-                if not self.data.is_cell_read(cell):
-                    cells.append(cell)
-        return cells
+        lo0, hi0 = window.lo[0], window.hi[0]
+        data_lo, data_hi = self.data_lo, self.data_hi
+        if data_lo <= lo0 and hi0 <= data_hi:
+            return []
+        # Only the columns below and above the local range, in the
+        # window's own row-major order (dimension 0 is the major one).
+        is_cell_read = self.data.is_cell_read
+        rest = [range(l, u) for l, u in zip(window.lo[1:], window.hi[1:])]
+        return [
+            cell
+            for columns in (
+                range(lo0, min(hi0, data_lo)),
+                range(max(lo0, data_hi), hi0),
+            )
+            for cell in itertools.product(columns, *rest)
+            if not is_cell_read(cell)
+        ]
 
     def _explore(self, window: Window) -> None:
         if self.metrics is not None:

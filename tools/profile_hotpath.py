@@ -23,6 +23,13 @@ that is the kernel layer's exactness contract.
 so per-call overhead dominates over interpreter warm-up; the reported
 wall time is the minimum of the K runs, measured outside cProfile to
 stay honest about instrumentation overhead.
+
+``--distributed N`` profiles the distributed tier instead: one warm-up,
+then the cProfile top-N of one N-worker ``run_distributed`` on the
+performance ledger's ``dist16`` input (seed 5), with the report's own
+counters beside it so the profile can be matched to a ledger run::
+
+    python tools/profile_hotpath.py --distributed 16 [--top N] [--sort ...]
 """
 
 from __future__ import annotations
@@ -85,6 +92,38 @@ def _span_rows(counters: dict) -> list[list[str]]:
     return rows
 
 
+def _profile_distributed(workers: int, top: int, sort: str) -> int:
+    """cProfile one ``run_distributed`` on the ledger's ``dist16`` input."""
+    from benchmarks.ledger.workloads import Dist16
+    from repro.distributed import DistributedConfig, run_distributed
+
+    workload = Dist16(scratch="")
+    workload.generate(5)  # the ledger's default seed
+    config = DistributedConfig(num_workers=workers, overlap="no_overlap")
+    t0 = time.perf_counter()
+    run_distributed(workload.dataset, workload.query, config)  # warm-up
+    wall = time.perf_counter() - t0
+
+    profile = cProfile.Profile()
+    report = profile.runcall(run_distributed, workload.dataset, workload.query, config)
+    stream = io.StringIO()
+    pstats.Stats(profile, stream=stream).sort_stats(sort).print_stats(top)
+
+    print(f"== distributed profile ({workers} workers, dist16 input) ==")
+    print(
+        f"warm-up wall time: {wall:.4f}s   results: {report.num_results}   "
+        f"simulated completion: {report.total_time_s:.6f}s"
+    )
+    print(
+        f"explored: {sum(report.worker_explored)}   "
+        f"messages: {report.messages_sent}   cells shipped: {report.cells_shipped}"
+    )
+    print()
+    print(f"== cProfile top {top} by {sort} ==")
+    print(stream.getvalue())
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--top", type=int, default=25, help="functions to print (default 25)")
@@ -102,7 +141,15 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="profile the scalar oracle path instead of the kernel path",
     )
+    parser.add_argument(
+        "--distributed",
+        type=int,
+        metavar="N",
+        help="profile one N-worker run_distributed on the ledger's dist16 input instead",
+    )
     args = parser.parse_args(argv)
+    if args.distributed is not None:
+        return _profile_distributed(args.distributed, args.top, args.sort)
     use_kernels = not args.naive
 
     # Wall time first, un-instrumented: cProfile roughly doubles the cost
