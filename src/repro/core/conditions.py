@@ -19,7 +19,8 @@ normalizer ``k`` (Section 4.2) from a list of conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -39,22 +40,35 @@ __all__ = [
 ]
 
 
-class ComparisonOp(Enum):
-    """Algebraic comparison operators supported in conditions."""
+def _ne(left: float, right: float) -> bool:
+    """``!=`` with SQL-like NaN handling (``nan != x`` is True in Python)."""
+    return left != right and left == left and right == right
 
-    LT = "<"
-    LE = "<="
-    GT = ">"
-    GE = ">="
-    EQ = "="
-    NE = "!="
+
+class ComparisonOp(Enum):
+    """Algebraic comparison operators supported in conditions.
+
+    ``op.value`` is the symbol; ``op.test`` is the comparison as a plain
+    callable for hot loops.  NaN operands never satisfy: the ordered
+    comparisons and ``=`` are False on NaN already, ``!=`` guards it.
+    """
+
+    LT = "<", operator.lt
+    LE = "<=", operator.le
+    GT = ">", operator.gt
+    GE = ">=", operator.ge
+    EQ = "=", operator.eq
+    NE = "!=", _ne
+
+    def __new__(cls, symbol: str, test: Callable[[float, float], bool]):
+        member = object.__new__(cls)
+        member._value_ = symbol
+        member.test = test
+        return member
 
     def apply(self, left: float, right: float) -> bool:
         """Evaluate ``left op right``; NaN operands never satisfy."""
-        if math.isnan(left) or math.isnan(right):
-            return False
-        fn: Callable[[float, float], bool] = _OP_FUNCS[self]
-        return fn(left, right)
+        return self.test(left, right)
 
     @classmethod
     def parse(cls, symbol: str) -> "ComparisonOp":
@@ -65,16 +79,6 @@ class ComparisonOp(Enum):
             if op.value == symbol:
                 return op
         raise ValueError(f"unknown comparison operator {symbol!r}")
-
-
-_OP_FUNCS: dict[ComparisonOp, Callable[[float, float], bool]] = {
-    ComparisonOp.LT: lambda a, b: a < b,
-    ComparisonOp.LE: lambda a, b: a <= b,
-    ComparisonOp.GT: lambda a, b: a > b,
-    ComparisonOp.GE: lambda a, b: a >= b,
-    ComparisonOp.EQ: lambda a, b: a == b,
-    ComparisonOp.NE: lambda a, b: a != b,
-}
 
 
 class ShapeKind(Enum):
@@ -118,25 +122,24 @@ class ContentObjective:
     """An aggregate of an attribute expression over a window's tuples.
 
     ``avg(brightness)`` is ``ContentObjective(get_aggregate("avg"),
-    col("brightness"))``.
+    col("brightness"))``.  ``key`` (the expression's ``repr``, ``"*"``
+    without one) indexes the cached per-cell statistics; it is derived
+    once at construction.
     """
 
     aggregate: Aggregate
     expr: Expr | None
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.aggregate.needs_values and self.expr is None:
             raise ValueError(f"{self.aggregate.name}() requires an attribute expression")
+        object.__setattr__(self, "key", repr(self.expr) if self.expr is not None else "*")
 
     @classmethod
     def of(cls, aggregate_name: str, expr: Expr | None = None) -> "ContentObjective":
         """Build from an aggregate name and optional expression."""
         return cls(get_aggregate(aggregate_name), expr)
-
-    @property
-    def key(self) -> str:
-        """Stable identifier used to index cached per-cell statistics."""
-        return repr(self.expr) if self.expr is not None else "*"
 
     def columns(self) -> frozenset[str]:
         """Attributes referenced by the objective."""
@@ -157,7 +160,7 @@ class ShapeCondition:
 
     def evaluate(self, window: Window) -> bool:
         """Exact truth value of the condition for ``window``."""
-        return self.op.apply(self.objective.value(window), self.value)
+        return self.op.test(self.objective.value(window), self.value)
 
     def objective_value(self, window: Window) -> float:
         """The shape objective's exact value."""
@@ -182,7 +185,7 @@ class ContentCondition:
 
     def evaluate_value(self, objective_value: float) -> bool:
         """Truth value given the (exact) objective value."""
-        return self.op.apply(objective_value, self.value)
+        return self.op.test(objective_value, self.value)
 
     @property
     def anti_monotone(self) -> bool:
@@ -218,20 +221,36 @@ class ConditionSet:
       unconstrained);
     * ``max_cardinality``: tightest bound implied by ``card`` and ``len``
       conditions — this is the paper's ``k`` when present.
+
+    ``shape_conditions`` and ``content_conditions`` hold the two kinds in
+    declaration order, split once at construction (the search reads one
+    of them per explored window).
     """
 
     conditions: tuple[Condition, ...]
     ndim: int
+    shape_conditions: tuple[ShapeCondition, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    content_conditions: tuple[ContentCondition, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        for cond in self.conditions:
-            if isinstance(cond, ShapeCondition):
-                obj = cond.objective
-                if obj.kind is ShapeKind.LENGTH and not (0 <= obj.dim < self.ndim):  # type: ignore[operator]
-                    raise ValueError(
-                        f"len condition references dimension {obj.dim}, "
-                        f"but the query has {self.ndim} dimensions"
-                    )
+        shape = tuple(c for c in self.conditions if isinstance(c, ShapeCondition))
+        for cond in shape:
+            obj = cond.objective
+            if obj.kind is ShapeKind.LENGTH and not (0 <= obj.dim < self.ndim):  # type: ignore[operator]
+                raise ValueError(
+                    f"len condition references dimension {obj.dim}, "
+                    f"but the query has {self.ndim} dimensions"
+                )
+        object.__setattr__(self, "shape_conditions", shape)
+        object.__setattr__(
+            self,
+            "content_conditions",
+            tuple(c for c in self.conditions if isinstance(c, ContentCondition)),
+        )
 
     @classmethod
     def of(cls, conditions: Iterable[Condition], ndim: int) -> "ConditionSet":
@@ -243,16 +262,6 @@ class ConditionSet:
 
     def __len__(self) -> int:
         return len(self.conditions)
-
-    @property
-    def shape_conditions(self) -> tuple[ShapeCondition, ...]:
-        """Only the shape-based conditions."""
-        return tuple(c for c in self.conditions if isinstance(c, ShapeCondition))
-
-    @property
-    def content_conditions(self) -> tuple[ContentCondition, ...]:
-        """Only the content-based conditions."""
-        return tuple(c for c in self.conditions if isinstance(c, ContentCondition))
 
     def content_objectives(self) -> tuple[ContentObjective, ...]:
         """Distinct content objectives, in first-appearance order."""
@@ -322,7 +331,10 @@ class ConditionSet:
 
     def shape_satisfied(self, window: Window) -> bool:
         """Whether all shape conditions hold for ``window`` (exact)."""
-        return all(c.evaluate(window) for c in self.shape_conditions)
+        for cond in self.shape_conditions:
+            if not cond.evaluate(window):
+                return False
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "ConditionSet(" + ", ".join(repr(c) for c in self.conditions) + ")"

@@ -187,7 +187,7 @@ class DataManager:
 
     def box(self, window: Window) -> tuple[slice, ...]:
         """Numpy slice tuple covering the window's cells."""
-        return tuple(slice(l, u) for l, u in zip(window.lo, window.hi))
+        return tuple(map(slice, window.lo, window.hi))
 
     def is_read(self, window: Window) -> bool:
         """Whether every cell of the window is cached."""
@@ -228,6 +228,27 @@ class DataManager:
         if not self.is_read(window):
             raise ValueError(f"window {window!r} has unread cells; read it first")
         return self._reduce(objective, window)
+
+    def exact_values(self, conditions, window: Window) -> dict[str, float] | None:
+        """Exact validation of content conditions over a fully read window.
+
+        ``conditions`` are ``(condition, repr(condition.objective))`` pairs
+        in declaration order.  Returns ``{label: value}`` when every
+        condition holds and ``None`` at the first one that fails.  The
+        window is checked for unread cells once and each distinct
+        objective is reduced once — an interval predicate (``avg(v) > a
+        AND avg(v) < b``) shares one reduction.
+        """
+        if not self.is_read(window):
+            raise ValueError(f"window {window!r} has unread cells; read it first")
+        values: dict[str, float] = {}
+        for cond, label in conditions:
+            value = values.get(label)
+            if value is None:
+                value = values[label] = self._reduce(cond.objective, window)
+            if not cond.evaluate_value(value):
+                return None
+        return values
 
     def _reduce(self, objective: ContentObjective, window: Window) -> float:
         if self.use_kernels:

@@ -401,7 +401,11 @@ class DataKernels:
         return np.array([float(arr[box].sum()) for box in self._boxes(lows, his)])
 
     def fully_read_bounds(self, lows: np.ndarray, his: np.ndarray) -> np.ndarray:
-        """Batch :meth:`is_read` over ``(P, d)`` bound arrays."""
+        """Batch :meth:`is_read` over ``(P, d)`` bound arrays.
+
+        Nothing in the package calls it since validation went scalar; it
+        stays because the performance ledger's trace names it.
+        """
         if self._stamp == self._data.version:
             card = np.prod(his - lows, axis=1)
             return self._read_sat.box_sums(lows, his) >= card  # type: ignore[union-attr]

@@ -79,8 +79,8 @@ def _bucket_order(entry: _BucketEntry) -> tuple:
 
 
 # Below this many rows a bulk array push feeds the pending heap instead of
-# re-merging (lexsorting) the whole sorted block: per-step neighbor batches
-# are a handful of rows, and an O(n log n) merge per step would dwarf them.
+# re-merging (lexsorting) the whole sorted block: an O(n log n) merge would
+# dwarf a handful of rows (a small slab's seeds, a late refresh).
 _BULK_MERGE_MIN = 32
 
 
@@ -356,8 +356,9 @@ class SpillableQueue:
         """Up to ``k`` head entries as ``(priority, lo, hi, version)``.
 
         A non-destructive look at the in-memory head (buckets excluded)
-        in pop order — the search's speculative batch-validation peeks
-        through this without materializing a single :class:`Window`.
+        in pop order, without materializing a single :class:`Window`.
+        Nothing in the package calls it since validation went scalar; it
+        stays because the performance ledger's trace names it.
         """
         out: list[tuple] = []
         end = min(self._blk_seq.size, self._blk_pos + k)

@@ -52,13 +52,9 @@ from .pqueue import SpillableQueue
 from .query import ResultWindow, SWQuery
 from .trace import EventKind, SearchTrace
 from .utility import UtilityModel
-from .window import Window, batch_neighbor_bounds
+from .window import Window, neighbor_bounds
 
 __all__ = ["SearchConfig", "SearchStats", "SearchRun", "HeuristicSearch"]
-
-# How many upcoming head entries one speculative validation batch covers
-# (the popped window plus up to this many fully-read peers).
-_VALIDATE_BATCH = 8
 
 
 @dataclass
@@ -263,26 +259,12 @@ class HeuristicSearch:
         # encoding of lo/hi against the grid shape) — far smaller than a
         # set of Window objects over 10^5-10^6 candidates.
         self._generated: set[int] = set()
-        self._key_bound = math.prod(shape) * math.prod(s + 1 for s in shape)
-        # Batch-path scratch: grid geometry as arrays, and the memo of
-        # speculatively batch-validated fully-read windows (window key ->
-        # (qualifies, objective_values)); see _prevalidate.
-        self._shape_arr = np.asarray(shape, dtype=np.int64)
-        self._max_lengths_arr = np.asarray(self._max_lengths, dtype=np.int64)
-        self._check_memo: dict[int, tuple[bool, dict | None]] = {}
         # Objective labels are stable per query — computing repr() per
         # validation is pure overhead on the hot path.
         self._cond_labels = [
             (cond, repr(cond.objective))
             for cond in query.conditions.content_conditions
         ]
-        # Speculative validation back-off: when peeked frontier heads are
-        # never fully read, stop paying the peek/screen cost for a while
-        # (doubling, capped).  Pure scheduling — a skipped speculation
-        # just means the scalar oracle validates that pop instead, which
-        # is byte-identical.
-        self._prevalidate_skip = 0
-        self._prevalidate_backoff = 0
         self._last_read_region: Window | None = None
         self._results: list[ResultWindow] = []
         self._start_time = 0.0
@@ -721,10 +703,8 @@ class HeuristicSearch:
         # Array path: skip materializing one Window per placement — the
         # frontier takes the packed bounds directly.  Windows are only
         # irreplaceable for per-window noise keying.
-        array_path = (
-            self.data.noise is None
-            and isinstance(self.queue, SpillableQueue)
-            and self._key_bound < 1 << 62
+        array_path = self.data.noise is None and isinstance(
+            self.queue, SpillableQueue
         )
         if array_path:
             windows = None
@@ -773,43 +753,30 @@ class HeuristicSearch:
             return lambda benefits: (benefits + 1.0) / 2.0
         return None
 
-    def _window_key(self, window: Window) -> int:
-        """Packed mixed-radix encoding of (lo, hi) against the grid shape."""
-        return window.key(self.grid.shape)
-
-    def _window_keys(self, lows: np.ndarray, lengths: Sequence[int]) -> list[int]:
-        """Batch :meth:`_window_key` over fixed-shape placements."""
-        if self._key_bound >= 1 << 62:
-            return [
-                self._window_key(Window(pos, tuple(p + l for p, l in zip(pos, lengths))))
-                for pos in map(tuple, lows.tolist())
-            ]
-        his = lows + np.asarray(lengths, dtype=lows.dtype)
-        return self._window_keys_for_bounds(lows, his)
-
-    def _window_keys_for_bounds(self, lows: np.ndarray, his: np.ndarray) -> list[int]:
-        """Batch :meth:`_window_key` over packed ``(lo, hi)`` bound arrays.
-
-        int64 packing only — callers must check ``_key_bound < 1 << 62``
-        (the scalar ``Window.key`` covers the arbitrary-precision case).
-        """
+    def _key_of_bounds(self, lo: Sequence[int], hi: Sequence[int]) -> int:
+        """``Window.key`` over packed bounds without building the Window."""
         shape = self.grid.shape
-        keys = np.zeros(len(lows), dtype=np.int64)
-        for d in range(len(shape)):
-            keys = keys * shape[d] + lows[:, d]
-        for d in range(len(shape)):
-            keys = keys * (shape[d] + 1) + his[:, d]
-        return keys.tolist()
+        key = 0
+        for radix, low in zip(shape, lo):
+            key = key * radix + low
+        for radix, high in zip(shape, hi):
+            key = key * (radix + 1) + high
+        return key
 
-    def _push_window(self, window: Window) -> None:
-        key = self._window_key(window)
+    def _push_bounds(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> None:
+        """Score and enqueue the window ``[lo, hi)`` unless already generated."""
+        key = self._key_of_bounds(lo, hi)
         if key in self._generated:
             return
         self._generated.add(key)
-        self._push_unregistered(window)
+        self._push_unregistered(Window.unchecked(lo, hi))
 
     def _push_unregistered(self, window: Window) -> None:
-        """Push without dedup registration (seed placements only)."""
+        """Score and enqueue without consulting the dedup set.
+
+        For seed placements, which never register, and for neighbours
+        :meth:`_push_bounds` has just registered.
+        """
         self.queue.push(self._utility(window), window, self.data.version)
         self.stats.generated += 1
         if self._mc_estimates is not None:
@@ -900,43 +867,12 @@ class HeuristicSearch:
         return result
 
     def _check_window(self, window: Window) -> ResultWindow | None:
-        """UpdateResult(): exact validation of every condition.
-
-        On the kernel path, validation outcomes of fully-read windows are
-        batched speculatively: validating this window also validates up
-        to ``_VALIDATE_BATCH`` upcoming fully-read head entries through
-        one kernel reduction per condition, memoized until they pop.
-        Exact values of fully-read windows are immutable (cells only
-        transition unread -> read), so a memo hit is byte-identical to
-        recomputing — the result's emission time still comes from the
-        clock at exploration.
-        """
-        if self._batch_expand_ok():
-            key = self._window_key(window)
-            hit = self._check_memo.pop(key, None)
-            if hit is None:
-                if self._prevalidate_skip > 0:
-                    self._prevalidate_skip -= 1
-                elif self.data.is_read(window):
-                    hit = self._prevalidate(window)
-            if hit is not None:
-                qualifies, objective_values = hit
-                if not qualifies:
-                    return None
-                return ResultWindow(
-                    window=window,
-                    bounds=window.rect(self.grid),
-                    objective_values=dict(objective_values),
-                    time=self.data.clock.now - self._start_time,
-                )
+        """UpdateResult(): exact validation of every condition."""
         if not self.query.conditions.shape_satisfied(window):
             return None
-        objective_values: dict[str, float] = {}
-        for cond, label in self._cond_labels:
-            value = self.data.exact_value(cond.objective, window)
-            objective_values[label] = value
-            if not cond.evaluate_value(value):
-                return None
+        objective_values = self.data.exact_values(self._cond_labels, window)
+        if objective_values is None:
+            return None
         return ResultWindow(
             window=window,
             bounds=window.rect(self.grid),
@@ -944,118 +880,18 @@ class HeuristicSearch:
             time=self.data.clock.now - self._start_time,
         )
 
-    def _key_of_bounds(self, lo: Sequence[int], hi: Sequence[int]) -> int:
-        """``Window.key`` over packed bounds without building the Window."""
-        shape = self.grid.shape
-        key = 0
-        for d in range(len(shape)):
-            key = key * shape[d] + lo[d]
-        for d in range(len(shape)):
-            key = key * (shape[d] + 1) + hi[d]
-        return key
-
-    def _prevalidate(self, window: Window) -> tuple[bool, dict | None] | None:
-        """Batch-validate ``window`` plus upcoming fully-read head entries.
-
-        Peeks (non-destructively) at the next few frontier entries, keeps
-        those whose cells are all cached, and runs one exact kernel
-        reduction per condition across the whole batch.  The extras land
-        in ``_check_memo``; this window's own outcome is returned.
-
-        When no peeked entry is fully read there is nothing to batch:
-        returns ``None`` (the caller validates through the scalar oracle)
-        and backs off speculation for a doubling number of pops, so
-        workloads whose frontier heads are never cached stop paying the
-        peek cost.
-        """
-        memo = self._check_memo
-        seen = {self._window_key(window)}
-        cand: list[tuple[int, tuple, tuple]] = []
-        for _, lo, hi, _version in self.queue.peek_bounds(_VALIDATE_BATCH):
-            k = self._key_of_bounds(lo, hi)
-            if k in memo or k in seen:
-                continue
-            seen.add(k)
-            cand.append((k, lo, hi))
-        if cand:
-            lows = np.array([c[1] for c in cand], dtype=np.int64)
-            his = np.array([c[2] for c in cand], dtype=np.int64)
-            read = self.data.kernels.fully_read_bounds(lows, his)
-            cand = [c for c, r in zip(cand, read.tolist()) if r]
-        if not cand:
-            self._prevalidate_backoff = min(self._prevalidate_backoff * 2 + 1, 64)
-            self._prevalidate_skip = self._prevalidate_backoff
-            return None
-        self._prevalidate_backoff = 0
-        lows = np.array([window.lo] + [c[1] for c in cand], dtype=np.int64)
-        his = np.array([window.hi] + [c[2] for c in cand], dtype=np.int64)
-        outcomes = self._check_bounds_exact(lows, his)
-        for (k, _, _), outcome in zip(cand, outcomes[1:]):
-            memo[k] = outcome
-        return outcomes[0]
-
-    def _check_bounds_exact(
-        self, lows: np.ndarray, his: np.ndarray
-    ) -> list[tuple[bool, dict | None]]:
-        """Exact validation outcomes for fully-read packed bounds.
-
-        Per row: ``(qualifies, objective_values)`` exactly as the scalar
-        :meth:`_check_window` would compute them — shape first, then
-        content conditions in declaration order with the same
-        short-circuit (a failing row keeps no value dict).
-        """
-        conditions = self.query.conditions
-        conds = [cond for cond, _ in self._cond_labels]
-        rows = list(zip(lows.tolist(), his.tolist()))
-        shape_ok = [
-            conditions.shape_satisfied(Window.unchecked(tuple(lo), tuple(hi)))
-            for lo, hi in rows
-        ]
-        content_rows = np.flatnonzero(shape_ok)
-        values_by_cond: list[np.ndarray] = []
-        if content_rows.size and conds:
-            sub_lo = lows[content_rows]
-            sub_hi = his[content_rows]
-            kern = self.data.kernels
-            values_memo: dict = {}
-            for cond in conds:
-                memo_key = (cond.objective.aggregate.name, cond.objective.key)
-                values = values_memo.get(memo_key)
-                if values is None:
-                    values = kern.reduce_bounds(cond.objective, sub_lo, sub_hi)
-                    values_memo[memo_key] = values
-                values_by_cond.append(values)
-        outcomes: list[tuple[bool, dict | None]] = []
-        pos = 0
-        for i in range(len(rows)):
-            if not shape_ok[i]:
-                outcomes.append((False, None))
-                continue
-            qualifies = True
-            objective_values: dict[str, float] = {}
-            for j, (cond, label) in enumerate(self._cond_labels):
-                value = float(values_by_cond[j][pos])
-                objective_values[label] = value
-                if not cond.evaluate_value(value):
-                    qualifies = False
-                    break
-            pos += 1
-            outcomes.append((qualifies, objective_values if qualifies else None))
-        return outcomes
-
     def _batch_expand_ok(self) -> bool:
-        """Whether the array-native expand/validate/refresh paths apply.
+        """Whether the array-native frontier refresh applies.
 
-        They require the kernel reductions (``use_kernels``), no noise
-        model (perturbation is keyed per Window object), int64-packable
-        dedup keys, and the SoA frontier (STATIC diversification swaps in
+        It requires the kernel reductions (``use_kernels``), no noise
+        model (perturbation is keyed per Window object) and the SoA
+        frontier (STATIC diversification swaps in
         :class:`SubAreaQueues`).  Anything else falls back to the scalar
         oracle — the same pattern the seeding path has used since PR 1.
         """
         return (
             self.data.use_kernels
             and self.data.noise is None
-            and self._key_bound < 1 << 62
             and isinstance(self.queue, SpillableQueue)
         )
 
@@ -1064,76 +900,12 @@ class HeuristicSearch:
         if self._prune_conditions and self._violates_anti_monotone(window):
             self.stats.pruned_extensions += 1
             return
-        if self._batch_expand_ok() and self._generate_neighbors_batch(window):
-            return
-        max_card = self._max_card
-        for neighbor in window.neighbors(self.grid):
-            grew_dim = next(
-                d for d in range(window.ndim) if neighbor.length(d) != window.length(d)
-            )
-            if neighbor.length(grew_dim) > self._max_lengths[grew_dim]:
-                self.stats.capped_extensions += 1
-                continue
-            if max_card is not None and neighbor.cardinality > max_card:
-                self.stats.capped_extensions += 1
-                continue
-            self._push_window(neighbor)
-
-    def _generate_neighbors_batch(self, window: Window) -> bool:
-        """Vectorized GetNeighbors(): all admissible neighbors in one pass.
-
-        Candidate bounds come out of :func:`batch_neighbor_bounds` in the
-        scalar iterator's order; grid/shape/cardinality caps are masks;
-        dedup uses the packed int64 keys; utilities evaluate through
-        ``UtilityModel.bounds_profile``; and the survivors enter the
-        frontier through one ``push_many_arrays``.  Every value, counter
-        and tie order is identical to the scalar loop.  Returns ``False``
-        to fall back when the jump policy's benefit modifier cannot be
-        batched or a mid-batch spill could occur (the scalar path updates
-        the spill threshold between pushes; the batch must not differ).
-        """
-        modifier = self._batch_benefit_modifier()
-        if modifier is None:
-            return False
-        ndim = window.ndim
-        if len(self.queue) + 2 * ndim > self.config.effective_head_capacity:
-            return False
-        lows, his, dims, in_grid = batch_neighbor_bounds(window, self._shape_arr)
-        lens = np.asarray(window.lengths, dtype=np.int64)
-        grown = lens[dims] + 1
-        ok = grown <= self._max_lengths_arr[dims]
-        if self._max_card is not None:
-            new_cards = (window.cardinality // lens[dims]) * grown
-            ok &= new_cards <= self._max_card
-        admissible = in_grid & ok
-        self.stats.capped_extensions += int((in_grid & ~ok).sum())
-        if not admissible.any():
-            return True
-        lows = lows[admissible]
-        his = his[admissible]
-        keys = self._window_keys_for_bounds(lows, his)
-        generated = self._generated
-        fresh = [i for i, k in enumerate(keys) if k not in generated]
-        if not fresh:
-            return True
-        for i in fresh:
-            generated.add(keys[i])
-        if len(fresh) != len(keys):
-            idx = np.asarray(fresh)
-            lows = lows[idx]
-            his = his[idx]
-        n = len(fresh)
-        benefits, cost_terms = self.utility_model.bounds_profile(lows, his)
-        modified = modifier(benefits)
-        s = self.utility_model.s
-        utilities = s * modified + (1.0 - s) * cost_terms
-        self.queue.push_many_arrays(utilities, modified, lows, his, self.data.version)
-        self.stats.estimates += n
-        self.stats.generated += n
-        if self._mc_estimates is not None:
-            self._mc_estimates.value += float(n)
-            self._mc_generated.value += float(n)
-        return True
+        bounds, capped = neighbor_bounds(
+            window.lo, window.hi, self.grid.shape, self._max_lengths, self._max_card
+        )
+        self.stats.capped_extensions += capped
+        for lo, hi in bounds:
+            self._push_bounds(lo, hi)
 
     def _violates_anti_monotone(self, window: Window) -> bool:
         if not self.data.is_read(window):

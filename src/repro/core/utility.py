@@ -28,7 +28,6 @@ from .conditions import (
     ComparisonOp,
     ConditionSet,
     ContentCondition,
-    ShapeCondition,
     ShapeKind,
 )
 from .datamanager import DataManager
@@ -61,6 +60,8 @@ def _op_mask(op: ComparisonOp, values: np.ndarray, threshold: float) -> np.ndarr
 class _ContentEntry:
     condition: ContentCondition
     eps: float
+    #: Conditions over one objective share this key — and one estimate.
+    memo_key: str
 
 
 class UtilityModel:
@@ -86,8 +87,18 @@ class UtilityModel:
                 eps = default_eps(cond, data.objective_grids(cond.objective.key), self._n)
             if eps <= 0:
                 raise ValueError(f"eps for condition {cond!r} must be positive, got {eps}")
-            self._content.append(_ContentEntry(cond, eps))
-        self._shape = conditions.shape_conditions
+            self._content.append(_ContentEntry(cond, eps, repr(cond.objective)))
+        # Shape values are exact; their natural precision is the grid
+        # extent in the relevant dimension (the cell count for ``card``).
+        self._shape = [
+            (
+                cond,
+                float(grid.shape[cond.objective.dim])  # type: ignore[index]
+                if cond.objective.kind is ShapeKind.LENGTH
+                else float(self._m),
+            )
+            for cond in conditions.shape_conditions
+        ]
 
     @property
     def k(self) -> float:
@@ -102,24 +113,32 @@ class UtilityModel:
 
     def benefit(self, window: Window) -> float:
         """``B_w``: minimum per-condition benefit, in [0, 1]."""
-        benefit = 1.0
-        for cond in self._shape:
-            benefit = min(benefit, self._shape_benefit(cond, window))
-            if benefit == 0.0:
-                return 0.0
+        benefit = self._shape_benefit(window)
+        if benefit == 0.0:
+            return 0.0
         # Interval predicates (``avg(v) > a AND avg(v) < b``) share one
         # objective; estimate it once per window, not per condition.
-        memo: dict | None = {} if len(self._content) > 1 else None
+        estimates: dict[str, float] = {}
         for entry in self._content:
-            benefit = min(benefit, self._content_benefit(entry, window, memo))
-            if benefit == 0.0:
+            cond = entry.condition
+            estimate = estimates.get(entry.memo_key)
+            if estimate is None:
+                estimate = estimates[entry.memo_key] = self.data.estimate(
+                    cond.objective, window
+                )
+            if math.isnan(estimate):
                 return 0.0
+            if not cond.op.test(estimate, cond.value):
+                benefit = min(
+                    benefit, max(0.0, 1.0 - abs(estimate - cond.value) / entry.eps)
+                )
+                if benefit == 0.0:
+                    return 0.0
         return benefit
 
     def utility(self, window: Window) -> float:
         """``U_w = s*B + (1-s)*(1 - min(C/k, 1))``."""
-        cost_term = 1.0 - min(self.cost(window) / self._k, 1.0)
-        return self.s * self.benefit(window) + (1.0 - self.s) * cost_term
+        return self.utility_with_benefit(window, self.benefit(window))
 
     def utility_with_benefit(self, window: Window, benefit: float) -> float:
         """Utility using an externally modified benefit (diversification)."""
@@ -164,23 +183,17 @@ class UtilityModel:
             if windows
             else Window.unchecked(tuple(0 for _ in lengths), tuple(lengths))
         )
-        shape_benefit = 1.0
-        for cond in self._shape:
-            shape_benefit = min(shape_benefit, self._shape_benefit(cond, rep))
-            if shape_benefit == 0.0:
-                break
+        shape_benefit = self._shape_benefit(rep)
         benefits = np.full(cost_terms.shape, shape_benefit, dtype=np.float64)
         if shape_benefit > 0.0:
             estimates_memo: dict = {}
             for entry in self._content:
-                objective = entry.condition.objective
-                memo_key = (objective.aggregate.name, objective.key)
-                estimates = estimates_memo.get(memo_key)
+                estimates = estimates_memo.get(entry.memo_key)
                 if estimates is None:
                     estimates = kern.placement_estimates(
-                        objective, lengths, windows, anchor_slab
+                        entry.condition.objective, lengths, windows, anchor_slab
                     )
-                    estimates_memo[memo_key] = estimates
+                    estimates_memo[entry.memo_key] = estimates
                 np.minimum(
                     benefits, self._content_benefits(entry, estimates), out=benefits
                 )
@@ -211,13 +224,11 @@ class UtilityModel:
 
         benefits = np.ones(len(lows), dtype=np.float64)
         lengths = his - lows
-        for cond in self._shape:
+        for cond, eps in self._shape:
             if cond.objective.kind is ShapeKind.LENGTH:
                 values = lengths[:, cond.objective.dim].astype(np.float64)
-                eps = float(self.data.grid.shape[cond.objective.dim])  # type: ignore[index]
             else:
                 values = np.prod(lengths, axis=1).astype(np.float64)
-                eps = float(self._m)
             satisfied = _op_mask(cond.op, values, cond.value)
             if satisfied.all():
                 continue  # per-row benefit is 1.0 — min() is a no-op
@@ -232,12 +243,12 @@ class UtilityModel:
         if benefits.any():
             estimates_memo: dict = {}
             for entry in self._content:
-                objective = entry.condition.objective
-                memo_key = (objective.aggregate.name, objective.key)
-                estimates = estimates_memo.get(memo_key)
+                estimates = estimates_memo.get(entry.memo_key)
                 if estimates is None:
-                    estimates = kern.reduce_bounds(objective, lows, his)
-                    estimates_memo[memo_key] = estimates
+                    estimates = kern.reduce_bounds(
+                        entry.condition.objective, lows, his
+                    )
+                    estimates_memo[entry.memo_key] = estimates
                 np.minimum(
                     benefits, self._content_benefits(entry, estimates), out=benefits
                 )
@@ -258,30 +269,13 @@ class UtilityModel:
 
     # -- per-condition benefits -------------------------------------------------
 
-    def _shape_benefit(self, cond: ShapeCondition, window: Window) -> float:
-        value = cond.objective_value(window)
-        if cond.op.apply(value, cond.value):
-            return 1.0
-        if cond.objective.kind is ShapeKind.LENGTH:
-            eps = float(self.data.grid.shape[cond.objective.dim])  # type: ignore[index]
-        else:
-            eps = float(self._m)
-        return max(0.0, 1.0 - abs(value - cond.value) / eps)
-
-    def _content_benefit(
-        self, entry: _ContentEntry, window: Window, memo: dict | None = None
-    ) -> float:
-        objective = entry.condition.objective
-        if memo is None:
-            estimate = self.data.estimate(objective, window)
-        else:
-            key = (objective.aggregate.name, objective.key)
-            estimate = memo.get(key)
-            if estimate is None:
-                estimate = self.data.estimate(objective, window)
-                memo[key] = estimate
-        if math.isnan(estimate):
-            return 0.0
-        if entry.condition.evaluate_value(estimate):
-            return 1.0
-        return max(0.0, 1.0 - abs(estimate - entry.condition.value) / entry.eps)
+    def _shape_benefit(self, window: Window) -> float:
+        """Minimum benefit over the shape conditions (exact, no data access)."""
+        benefit = 1.0
+        for cond, eps in self._shape:
+            value = cond.objective.value(window)
+            if not cond.op.test(value, cond.value):
+                benefit = min(benefit, max(0.0, 1.0 - abs(value - cond.value) / eps))
+                if benefit == 0.0:
+                    break
+        return benefit

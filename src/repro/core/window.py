@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .geometry import Rect
 from .grid import Grid
@@ -92,12 +91,12 @@ class Window:
     @property
     def lengths(self) -> tuple[int, ...]:
         """Per-dimension lengths in cells."""
-        return tuple(u - l for l, u in zip(self.lo, self.hi))
+        return tuple(map(operator.sub, self.hi, self.lo))
 
     @property
     def cardinality(self) -> int:
         """``card(w)``: the number of cells in the window."""
-        return math.prod(self.lengths)
+        return math.prod(map(operator.sub, self.hi, self.lo))
 
     @property
     def anchor(self) -> tuple[int, ...]:
@@ -196,8 +195,7 @@ class Window:
         same cells, so the key is the window's *canonical identity* —
         the search's dedup set and the serving layer's cross-session
         result deduplication both key on it.  Python integers are
-        unbounded, so the packing never overflows; for vectorised
-        batches see ``HeuristicSearch._window_keys``.
+        unbounded, so the packing never overflows.
         """
         if len(shape) != self.ndim:
             raise ValueError(
@@ -239,46 +237,47 @@ class Window:
         return f"W[{spans}]"
 
 
-def batch_neighbor_bounds(window: Window, shape: Sequence[int]):
-    """All ``2 * ndim`` one-step neighbor candidates as packed arrays.
+def neighbor_bounds(
+    lo: tuple[int, ...],
+    hi: tuple[int, ...],
+    shape: Sequence[int],
+    max_lengths: Sequence[int],
+    max_card: int | None,
+) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
+    """Admissible one-step neighbors of the box ``[lo, hi)`` as plain bounds.
 
-    Returns ``(lows, his, dims, in_grid)``: ``(2d,)``-row bound arrays,
-    the dimension each row extends, and a mask of rows that stay inside
-    ``shape``.  Row order is the canonical order of :meth:`Window.neighbors`
-    — dim 0 LEFT, dim 0 RIGHT, dim 1 LEFT, ... — so the rows selected by
-    ``in_grid`` are exactly the windows the scalar iterator yields, in the
-    same order.  This is the geometry half of the batched neighbor
-    expansion; the search layers pruning masks on top.
+    Walks the candidates in :meth:`Window.neighbors` order — dim 0 LEFT,
+    dim 0 RIGHT, dim 1 LEFT, ... — and returns ``(bounds, capped)``: the
+    ``(lo, hi)`` pairs that stay inside ``shape`` and under the
+    ``max_lengths`` / ``max_card`` caps, plus how many in-grid candidates
+    a cap rejected.  Both directions of a dimension grow the same length,
+    so each cap is one integer comparison per dimension and no
+    :class:`Window` is built for a candidate the caller may still drop
+    (capped here, deduplicated or owned elsewhere there).  This is the
+    expansion step both search loops share.
     """
-    lo = np.asarray(window.lo, dtype=np.int64)
-    hi = np.asarray(window.hi, dtype=np.int64)
-    d = lo.size
-    dims, left, left_rows, left_dims, right_rows, right_dims = _neighbor_template(d)
-    lows = np.broadcast_to(lo, (2 * d, d)).copy()
-    his = np.broadcast_to(hi, (2 * d, d)).copy()
-    lows[left_rows, left_dims] -= 1
-    his[right_rows, right_dims] += 1
-    shape_arr = np.asarray(shape, dtype=np.int64)
-    in_grid = np.where(left, lo[dims] > 0, hi[dims] < shape_arr[dims])
-    return lows, his, dims, in_grid
+    bounds = []
+    capped = 0
+    card = math.prod(map(operator.sub, hi, lo)) if max_card is not None else 0
+    for d, (l, h) in enumerate(zip(lo, hi)):
+        left = l > 0
+        right = h < shape[d]
+        if not (left or right):
+            continue
+        length = h - l
+        if length >= max_lengths[d] or (
+            max_card is not None and card // length * (length + 1) > max_card
+        ):
+            capped += left + right
+            continue
+        if left:
+            bounds.append((lo[:d] + (l - 1,) + lo[d + 1 :], hi))
+        if right:
+            bounds.append((lo, hi[:d] + (h + 1,) + hi[d + 1 :]))
+    return bounds, capped
 
 
-_NEIGHBOR_TEMPLATES: dict[int, tuple] = {}
-
-
-def _neighbor_template(d: int) -> tuple:
-    """Cached index arrays for the ``2 * d`` canonical neighbor rows."""
-    tpl = _NEIGHBOR_TEMPLATES.get(d)
-    if tpl is None:
-        rows = np.arange(2 * d)
-        dims = rows // 2
-        left = (rows % 2) == 0
-        tpl = (dims, left, rows[left], dims[left], rows[~left], dims[~left])
-        _NEIGHBOR_TEMPLATES[d] = tpl
-    return tpl
-
-
-__all__.append("batch_neighbor_bounds")
+__all__.append("neighbor_bounds")
 
 
 def enumerate_windows(grid: Grid, max_lengths: Sequence[int] | None = None) -> Iterator[Window]:

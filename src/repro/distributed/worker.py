@@ -56,7 +56,7 @@ from ..core.query import ResultWindow, SWQuery
 from ..core.search import SearchConfig, SearchStats
 from ..core.trace import EventKind, SearchTrace
 from ..core.utility import UtilityModel
-from ..core.window import Window
+from ..core.window import Window, neighbor_bounds
 from ..costs import CostModel
 from ..errors import ProtocolError
 from .messages import Cell, CellRequest, CellResponse, Network
@@ -122,6 +122,10 @@ class Worker:
         self._max_lengths = query.conditions.max_lengths(shape)
         self._max_card = query.conditions.max_cardinality(shape)
         self._generated: set[Window] = set()
+        self._cond_labels = [
+            (cond, repr(cond.objective))
+            for cond in query.conditions.content_conditions
+        ]
         self._last_read_region: Window | None = None
 
         # Remote-cell machinery.
@@ -975,12 +979,9 @@ class Worker:
     def _validate(self, window: Window) -> ResultWindow | None:
         if not self.query.conditions.shape_satisfied(window):
             return None
-        objective_values: dict[str, float] = {}
-        for cond in self.query.conditions.content_conditions:
-            value = self.data.exact_value(cond.objective, window)
-            objective_values[repr(cond.objective)] = value
-            if not cond.evaluate_value(value):
-                return None
+        objective_values = self.data.exact_values(self._cond_labels, window)
+        if objective_values is None:
+            return None
         return ResultWindow(
             window=window,
             bounds=window.rect(self.grid),
@@ -989,15 +990,9 @@ class Worker:
         )
 
     def _neighbors(self, window: Window) -> None:
-        max_card = self._max_card
-        for neighbor in window.neighbors(self.grid):
-            if not (self.anchor_lo <= neighbor.lo[0] < self.anchor_hi):
-                continue  # anchored in another worker's slab
-            grew_dim = next(
-                d for d in range(window.ndim) if neighbor.length(d) != window.length(d)
-            )
-            if neighbor.length(grew_dim) > self._max_lengths[grew_dim]:
-                continue
-            if max_card is not None and neighbor.cardinality > max_card:
-                continue
-            self._push(neighbor)
+        bounds, _capped = neighbor_bounds(
+            window.lo, window.hi, self.grid.shape, self._max_lengths, self._max_card
+        )
+        for lo, hi in bounds:
+            if self.anchor_lo <= lo[0] < self.anchor_hi:  # else another worker's slab
+                self._push(Window.unchecked(lo, hi))

@@ -36,6 +36,17 @@ class TestComparisonOp:
         for op in ComparisonOp:
             assert not op.apply(float("nan"), 1.0)
 
+    def test_nan_on_either_side_never_satisfies(self):
+        nan = float("nan")
+        for op in ComparisonOp:
+            assert not op.apply(1.0, nan)
+            assert not op.apply(nan, nan)
+            assert not op.test(nan, 1.0)
+
+    def test_value_is_the_symbol(self):
+        assert [op.value for op in ComparisonOp] == ["<", "<=", ">", ">=", "=", "!="]
+        assert ComparisonOp("<=") is ComparisonOp.LE
+
     def test_parse_aliases(self):
         assert ComparisonOp.parse("==") is ComparisonOp.EQ
         assert ComparisonOp.parse("<>") is ComparisonOp.NE
@@ -180,3 +191,14 @@ class TestConditionSetBounds:
         assert len(cs.shape_conditions) == 1
         assert len(cs.content_conditions) == 1
         assert len(cs) == 2
+
+    def test_partition_is_computed_once(self):
+        shape = ShapeCondition(ShapeObjective(ShapeKind.CARDINALITY), ComparisonOp.LT, 10)
+        content = ContentCondition(ContentObjective.of("avg", col("v")), ComparisonOp.GT, 1)
+        cs = _cs(content, shape, content)
+        assert cs.shape_conditions is cs.shape_conditions == (shape,)
+        assert cs.content_conditions is cs.content_conditions == (content, content)
+        # The split is derived state: it takes no part in equality or hashing.
+        assert cs == _cs(content, shape, content)
+        assert hash(cs) == hash(_cs(content, shape, content))
+        assert cs != _cs(shape, content, content)

@@ -6,7 +6,15 @@ import math
 
 import pytest
 
-from repro.core import ContentObjective, Grid, Rect, Window, col
+from repro.core import (
+    ComparisonOp,
+    ContentCondition,
+    ContentObjective,
+    Grid,
+    Rect,
+    Window,
+    col,
+)
 from repro.core.datamanager import DataManager
 from repro.sampling import NoiseModel, StratifiedSampler
 from repro.storage import Database
@@ -95,6 +103,45 @@ class TestEstimatesAndExactness:
         dm = make_dm(small_db, grid, [avg_v])
         with pytest.raises(ValueError, match="unread"):
             dm.exact_value(avg_v, Window((0, 0), (1, 1)))
+
+    def test_exact_values_reduces_each_objective_once(self, small_db, grid, avg_v):
+        count = ContentObjective.of("count")
+        dm = make_dm(small_db, grid, [avg_v, count])
+        w = Window((2, 2), (4, 4))
+        dm.read_window(w)
+        avg, n = dm.exact_value(avg_v, w), dm.exact_value(count, w)
+        interval = [
+            (ContentCondition(avg_v, ComparisonOp.GT, avg - 1.0), repr(avg_v)),
+            (ContentCondition(count, ComparisonOp.GE, n), repr(count)),
+            (ContentCondition(avg_v, ComparisonOp.LT, avg + 1.0), repr(avg_v)),
+        ]
+        calls = {"is_read": 0, "reduce": []}
+        is_read, reduce = dm.is_read, dm._reduce
+
+        def counting_is_read(window):
+            calls["is_read"] += 1
+            return is_read(window)
+
+        def counting_reduce(objective, window):
+            calls["reduce"].append(repr(objective))
+            return reduce(objective, window)
+
+        dm.is_read, dm._reduce = counting_is_read, counting_reduce
+        values = dm.exact_values(interval, w)
+        # Declaration order, one entry and one reduction per distinct objective.
+        assert list(values.items()) == [(repr(avg_v), avg), (repr(count), n)]
+        assert calls == {"is_read": 1, "reduce": [repr(avg_v), repr(count)]}
+        # Short-circuit: the first failing condition ends the validation.
+        calls["reduce"].clear()
+        failing = [(ContentCondition(avg_v, ComparisonOp.GT, avg), repr(avg_v))] + interval[1:]
+        assert dm.exact_values(failing, w) is None
+        assert calls["reduce"] == [repr(avg_v)]
+        assert dm.exact_values([], w) == {}
+
+    def test_exact_values_requires_read(self, small_db, grid, avg_v):
+        dm = make_dm(small_db, grid, [avg_v])
+        with pytest.raises(ValueError, match="unread"):
+            dm.exact_values([], Window((0, 0), (1, 1)))
 
     def test_estimate_becomes_exact_when_read(self, small_db, grid, avg_v):
         dm = make_dm(small_db, grid, [avg_v])

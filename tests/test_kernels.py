@@ -229,6 +229,35 @@ class TestDataKernelsParity:
         )
 
 
+    def test_fully_read_bounds_matches_scalar_is_read(self, sparse_db, grid):
+        """Row for row, with the read-mask SAT fresh and with it stale."""
+        _, dm_kern = make_pair(sparse_db, grid)
+        kern = dm_kern.kernels
+        dm_kern.read_window(Window((1, 1), (4, 5)))
+        dm_kern.read_window(Window((6, 0), (8, 3)))
+        rng = np.random.default_rng(23)
+        windows = random_windows(rng, grid.shape, k=80)
+        windows += [Window((1, 1), (4, 5)), Window((2, 2), (3, 4)), Window((6, 1), (7, 2))]
+        lows = np.array([w.lo for w in windows], dtype=np.int64)
+        his = np.array([w.hi for w in windows], dtype=np.int64)
+        expected = [bool(dm_kern.read_mask[dm_kern.box(w)].all()) for w in windows]
+        assert any(expected) and not all(expected)
+
+        kern.placement_fully_read((1, 1))  # a batch query rebuilds the SATs
+        assert kern._stamp == dm_kern.version
+        fresh = kern.fully_read_bounds(lows, his)
+        assert fresh.dtype == bool and fresh.tolist() == expected
+        assert [kern.is_read(w) for w in windows] == expected
+
+        dm_kern.read_window(Window((4, 6), (6, 9)))  # stales them again
+        assert kern._stamp != dm_kern.version
+        expected = [bool(dm_kern.read_mask[dm_kern.box(w)].all()) for w in windows]
+        stale = kern.fully_read_bounds(lows, his)
+        assert stale.dtype == bool and stale.tolist() == expected
+        assert [kern.is_read(w) for w in windows] == expected
+        assert kern._stamp != dm_kern.version  # a bounds query never rebuilds
+
+
 class TestPlacementParity:
     @pytest.mark.parametrize("lengths", [(1, 1), (2, 3), (4, 4)])
     def test_placement_batches_match_scalars(self, sparse_db, grid, lengths):

@@ -74,6 +74,61 @@ class TestBasicQueue:
             SpillableQueue(num_buckets=0)
 
 
+class TestPeekBounds:
+    """``peek_bounds(k)``: the next ``k`` pops of the in-memory head, untouched."""
+
+    @staticmethod
+    def mixed_queue():
+        """40 rows in the sorted block, 6 in the pending heap, interleaved."""
+        q = SpillableQueue()
+        n = 40
+        lows = np.column_stack([np.arange(n), np.zeros(n, dtype=np.int64)])
+        q.push_many_arrays(
+            np.linspace(0.05, 0.95, n), np.full(n, 0.5), lows, lows + 1, version=3
+        )
+        for i, u in enumerate((0.99, 0.5, 0.5, 0.31, 0.02, 0.77)):
+            q.push((u, 0.25 * (i % 3)), w(100 + i), 4 + i)
+        assert q._blk_seq.size == n and len(q._pending) == 6
+        return q
+
+    @pytest.mark.parametrize("k", [1, 5, 12, 46, 60])
+    def test_lists_next_pops_in_order_without_removing(self, k):
+        q = self.mixed_queue()
+        before = q.state()
+        peeked = q.peek_bounds(k)
+        after = q.state()
+        assert len(q) == 46 and repr(before) == repr(after)
+        assert len(peeked) == min(k, 46)
+        for priority, lo, hi, version in peeked:
+            assert q.pop() == (priority, Window(lo, hi), version)
+            assert isinstance(lo, tuple) and isinstance(hi, tuple)
+
+    def test_peek_after_partial_pops(self):
+        q = self.mixed_queue()
+        for _ in range(7):
+            q.pop()
+        peeked = q.peek_bounds(4)
+        assert [q.pop() for _ in range(4)] == [
+            (priority, Window(lo, hi), version) for priority, lo, hi, version in peeked
+        ]
+
+    def test_spilled_buckets_are_excluded(self):
+        q = SpillableQueue(head_capacity=8)
+        for i in range(20):
+            q.push((i / 20, 0.0), w(i), 0)
+        assert q.spilled > 0
+        head = len(q) - q.spilled
+        peeked = q.peek_bounds(len(q))
+        assert len(peeked) == head
+        assert [q.pop()[1] for _ in range(head)] == [
+            Window(lo, hi) for _, lo, hi, _ in peeked
+        ]
+
+    def test_empty_and_zero(self):
+        assert SpillableQueue().peek_bounds(3) == []
+        assert self.mixed_queue().peek_bounds(0) == []
+
+
 class TestSpilling:
     def test_spill_keeps_order(self):
         q = SpillableQueue(head_capacity=8, num_buckets=4)

@@ -350,29 +350,42 @@ class TestWindowKeys:
         return engine.prepare(tiny_query)
 
     def test_key_is_injective_over_the_grid(self, search):
+        shape = search.grid.shape
+        bound = math.prod(shape) * math.prod(s + 1 for s in shape)
         seen = {}
         for window in enumerate_windows(search.grid, max_lengths=(4, 4)):
-            key = search._window_key(window)
-            assert 0 <= key < search._key_bound
+            key = search._key_of_bounds(window.lo, window.hi)
+            assert 0 <= key < bound
             assert key not in seen, (window, seen.get(key))
             seen[key] = window
 
-    def test_batch_keys_match_scalar_keys(self, search):
-        shape = search.grid.shape
-        lengths = (2, 3)
-        counts = tuple(s - l + 1 for s, l in zip(shape, lengths))
-        lows = np.indices(counts).reshape(len(shape), -1).T
-        batch = search._window_keys(lows, lengths)
-        for pos, key in zip(map(tuple, lows.tolist()), batch):
-            window = Window(pos, tuple(p + l for p, l in zip(pos, lengths)))
-            assert key == search._window_key(window)
+    def test_bounds_keys_match_window_keys(self, search, monkeypatch):
+        for window in enumerate_windows(search.grid, max_lengths=(3, 4)):
+            assert search._key_of_bounds(window.lo, window.hi) == window.key(
+                search.grid.shape
+            )
+        # A grid too large for an int64 packing: Python integers carry on.
+        big = SWQuery.build(
+            ["a", "b", "c", "d"], [(0.0, 300.0)] * 4, [1.0] * 4, []
+        ).grid
+        assert math.prod(big.shape) * math.prod(s + 1 for s in big.shape) > 1 << 62
+        monkeypatch.setattr(search, "grid", big)
+        for lo, hi in (
+            ((0, 0, 0, 0), (1, 1, 1, 1)),
+            ((299, 299, 299, 299), (300, 300, 300, 300)),
+            ((17, 0, 255, 3), (290, 1, 300, 150)),
+        ):
+            key = search._key_of_bounds(lo, hi)
+            assert key == Window(lo, hi).key(big.shape)
+            assert Window.from_key(key, big.shape) == Window(lo, hi)
+        assert search._key_of_bounds((299,) * 4, (300,) * 4) > 1 << 62
 
     def test_push_window_dedups(self, search):
         window = Window((0, 0), (2, 2))
-        search._push_window(window)
+        search._push_bounds(window.lo, window.hi)
         generated = search.stats.generated
         size = len(search.queue)
-        search._push_window(window)
+        search._push_bounds(window.lo, window.hi)
         assert search.stats.generated == generated
         assert len(search.queue) == size
 
@@ -383,15 +396,14 @@ class TestWindowKeys:
         # can ever collide with a seed key — registering them would be
         # dead weight on the dedup set.
         mins = search._min_lengths
-        seed_key = search._window_key(Window((0, 0), tuple(mins)))
+        seed_key = search._key_of_bounds((0, 0), tuple(mins))
         assert seed_key not in search._generated
-        # Non-seed windows still dedup through _push_window.
+        # Non-seed windows still dedup through _push_bounds.
         grown = (mins[0] + 1,) + tuple(mins[1:])
-        window = Window((0, 0), grown)
-        search._push_window(window)
+        search._push_bounds((0, 0), grown)
         generated = search.stats.generated
         size = len(search.queue)
-        search._push_window(window)
+        search._push_bounds((0, 0), grown)
         assert search.stats.generated == generated
         assert len(search.queue) == size
 

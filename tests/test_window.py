@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import Direction, Grid, Rect, Window, enumerate_windows
+from repro.core.window import neighbor_bounds
 
 
 @st.composite
@@ -218,3 +219,59 @@ class TestCanonicalKey:
         top = Window((2, 2), (3, 3)).key(shape)
         with pytest.raises(ValueError, match="does not decode"):
             Window.from_key(top + (3 * 3 * 4 * 4), shape)
+
+
+class TestNeighborBounds:
+    """The scalar expansion both search loops share, against its oracle."""
+
+    @staticmethod
+    def oracle(window, grid, max_lengths, max_card):
+        """``Window.neighbors`` filtered the way Algorithm 1 words it."""
+        kept, capped = [], 0
+        for neighbor in window.neighbors(grid):
+            too_long = any(n > m for n, m in zip(neighbor.lengths, max_lengths))
+            if too_long or (max_card is not None and neighbor.cardinality > max_card):
+                capped += 1
+            else:
+                kept.append((neighbor.lo, neighbor.hi))
+        return kept, capped
+
+    @given(st.integers(1, 4), st.data())
+    def test_matches_filtered_window_neighbors(self, ndim, data):
+        shape = tuple(data.draw(st.integers(1, 6)) for _ in range(ndim))
+        grid = Grid(Rect.from_bounds([(0.0, float(s)) for s in shape]), (1.0,) * ndim)
+        assert grid.shape == shape
+        lo = tuple(data.draw(st.integers(0, s - 1)) for s in shape)
+        hi = tuple(data.draw(st.integers(l + 1, s)) for l, s in zip(lo, shape))
+        window = Window(lo, hi)
+        # The search only expands windows inside the caps, but lengths
+        # sitting exactly on a cap (and a cap of 1) are the edge to hit.
+        max_lengths = tuple(
+            data.draw(st.integers(length, s + 1))
+            for length, s in zip(window.lengths, shape)
+        )
+        max_card = data.draw(
+            st.one_of(st.none(), st.integers(window.cardinality, 2 * window.cardinality + 1))
+        )
+        bounds, capped = neighbor_bounds(lo, hi, shape, max_lengths, max_card)
+        assert (bounds, capped) == self.oracle(window, grid, max_lengths, max_card)
+
+    def test_order_and_caps_by_hand(self):
+        shape = (4, 4)
+        every = neighbor_bounds((1, 1), (2, 3), shape, shape, None)
+        assert every == (
+            [((0, 1), (2, 3)), ((1, 1), (3, 3)), ((1, 0), (2, 3)), ((1, 1), (2, 4))],
+            0,
+        )
+        # Length cap on dimension 1: both of its directions are capped.
+        assert neighbor_bounds((1, 1), (2, 3), shape, (4, 2), None) == (
+            [((0, 1), (2, 3)), ((1, 1), (3, 3))],
+            2,
+        )
+        # card 2 -> 4 along dimension 0 breaks a cap of 3; 2 -> 3 along 1 fits.
+        assert neighbor_bounds((1, 1), (2, 3), shape, shape, 3) == (
+            [((1, 0), (2, 3)), ((1, 1), (2, 4))],
+            2,
+        )
+        # Grid edges are not caps: nothing to count in a full-grid window.
+        assert neighbor_bounds((0, 0), (4, 4), shape, (1, 1), 1) == ([], 0)

@@ -30,6 +30,15 @@ performance ledger's ``dist16`` input (seed 5), with the report's own
 counters beside it so the profile can be matched to a ledger run::
 
     python tools/profile_hotpath.py --distributed 16 [--top N] [--sort ...]
+
+``--ledger serial_full`` profiles what the ledger's ``serial_full``
+workload runs (seed 5): its exhaustive query and its 24 ten-result peeks,
+one cProfile each, with ``explored`` / ``generated`` / ``estimates``
+beside the top-N.  The default workload above is seed-heavy (63 pops
+behind ~40 k seeded placements), so it says nothing about the per-pop
+cost of a search that runs to exhaustion — this one does::
+
+    python tools/profile_hotpath.py --ledger serial_full [--top N] [--sort ...]
 """
 
 from __future__ import annotations
@@ -124,6 +133,54 @@ def _profile_distributed(workers: int, top: int, sort: str) -> int:
     return 0
 
 
+def _profile_ledger(top: int, sort: str) -> int:
+    """cProfile the ledger's ``serial_full`` query and peeks (seed 5)."""
+    from benchmarks.ledger.workloads import FIRST_K, SerialFull, _stream
+    from repro.workloads import make_database
+
+    workload = SerialFull(scratch="")
+    workload.generate(5)  # the ledger's default seed
+    inputs = list(zip(workload.datasets, workload.queries))
+
+    def run(pairs, limit):
+        # Placement stays outside the profile, as it is outside the
+        # ledger's timed ops; the sample is built inside, as it is there.
+        databases = [make_database(dataset, "cluster") for dataset, _ in pairs]
+        profile = cProfile.Profile()
+        t0 = time.perf_counter()
+        profile.enable()
+        reports = [
+            _stream(database, dataset, query, limit)[1]
+            for database, (dataset, query) in zip(databases, pairs)
+        ]
+        profile.disable()
+        return profile, time.perf_counter() - t0, reports
+
+    run(inputs[:1], FIRST_K)  # warm-up: first-touch imports and caches
+    for title, pairs, limit in (
+        ("exhaustive query", inputs[:1], None),
+        (f"{len(inputs) - 1} ten-result peeks", inputs[1:], FIRST_K),
+    ):
+        profile, wall, reports = run(pairs, limit)
+        stats = [report.run.stats for report in reports]
+        stream = io.StringIO()
+        pstats.Stats(profile, stream=stream).sort_stats(sort).print_stats(top)
+        print(f"== ledger serial_full, seed 5: {title} ==")
+        print(
+            f"profiled wall time: {wall:.4f}s   "
+            f"results: {sum(len(r.run.results) for r in reports)}"
+        )
+        print(
+            f"explored: {sum(s.explored for s in stats)}   "
+            f"generated: {sum(s.generated for s in stats)}   "
+            f"estimates: {sum(s.estimates for s in stats)}"
+        )
+        print()
+        print(f"== cProfile top {top} by {sort} ==")
+        print(stream.getvalue())
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--top", type=int, default=25, help="functions to print (default 25)")
@@ -147,9 +204,16 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="profile one N-worker run_distributed on the ledger's dist16 input instead",
     )
+    parser.add_argument(
+        "--ledger",
+        choices=("serial_full",),
+        help="profile the ledger workload's exhaustive query and peeks instead",
+    )
     args = parser.parse_args(argv)
     if args.distributed is not None:
         return _profile_distributed(args.distributed, args.top, args.sort)
+    if args.ledger is not None:
+        return _profile_ledger(args.top, args.sort)
     use_kernels = not args.naive
 
     # Wall time first, un-instrumented: cProfile roughly doubles the cost
