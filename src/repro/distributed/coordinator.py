@@ -344,6 +344,7 @@ def run_distributed(
     )
     sampler = StratifiedSampler(config.sample_fraction, seed=config.sample_seed)
     sample = sampler.sample(full_table, grid, metrics=metrics)
+    row_cells = cell_flat_ids(full_table.coordinates(), grid)
 
     max_len0 = query.conditions.max_lengths(grid.shape)[0]
     plan = plan_partitions(
@@ -375,6 +376,7 @@ def run_distributed(
             wid, dataset, query, plan, sample, full_table, network, config,
             _worker_cost_model(cost_model, injector, wid), on_result,
             router=router, trace=trace, metrics=worker_registries[wid],
+            row_cells=row_cells,
         )
         for wid in range(config.num_workers)
     ]
@@ -500,8 +502,8 @@ def run_distributed(
                         metrics.inc("dist.deaths_declared")
                 table_generation += 1
                 batch_msgs, batch_cells, batch_reseeded = _handle_deaths(
-                    declared_now, t, workers, router, plan, dataset, config,
-                    done_at_death, generation=table_generation,
+                    declared_now, t, workers, router, plan, full_table, row_cells,
+                    config, done_at_death, generation=table_generation,
                     trace=trace, metrics=metrics,
                 )
                 reassignment_msgs += batch_msgs
@@ -825,7 +827,8 @@ def _handle_deaths(
     workers: list[Worker],
     router: OwnershipRouter,
     plan: PartitionPlan,
-    dataset: Dataset,
+    full_table: HeapTable,
+    row_cells: np.ndarray,
     config: DistributedConfig,
     done_at_death: dict[int, bool],
     generation: int,
@@ -874,13 +877,14 @@ def _handle_deaths(
             ),
         )
         table, n_rows = _local_table(
-            dataset,
+            full_table,
             adopter.grid,
+            row_cells,
             new_lo,
             new_hi,
             config,
             seed=7 + adopter_id,
-            name=f"{dataset.name}@{adopter_id}.g{generation}",
+            name=f"{full_table.name}@{adopter_id}.g{generation}",
         )
         if n_rows == 0:
             table = None  # the widened range is empty too: keep the stub
@@ -938,8 +942,9 @@ def _worker_cost_model(
 
 
 def _local_table(
-    dataset: Dataset,
+    full_table: HeapTable,
     grid,
+    row_cells: np.ndarray,
     lo: int,
     hi: int,
     config: DistributedConfig,
@@ -948,29 +953,23 @@ def _local_table(
 ) -> tuple[HeapTable, int]:
     """Build a worker-local heap table for dim-0 cell range ``[lo, hi)``.
 
-    Returns ``(table, row_count)``.  A range containing no dataset rows
-    yields a one-row *stub* table (heap tables cannot be empty) whose
+    ``row_cells`` is ``cell_flat_ids`` of the full table's rows, computed
+    once per run.  Returns ``(table, row_count)``.  A range containing no
+    rows yields a one-row *stub* table (heap tables cannot be empty) whose
     single row lives outside the range — callers pre-mark the range as
     read-and-empty so the stub is never actually scanned for it.
     """
-    coords = dataset.coordinates()
-    flat = cell_flat_ids(coords, grid)
-    dim0 = np.where(flat >= 0, flat // int(np.prod(grid.shape[1:])), -1)
-    mask = (dim0 >= lo) & (dim0 < hi)
-    rows = np.nonzero(mask)[0]
+    slab = int(np.prod(grid.shape[1:]))  # flat ids per dim-0 cell; outside rows are -1
+    rows = np.nonzero((row_cells >= lo * slab) & (row_cells < hi * slab))[0]
     n_rows = int(rows.size)
     if n_rows == 0:
         rows = np.array([0])
-    local_coords = coords[rows]
-    perm = order_rows(
-        config.placement, local_coords, grid=grid, axis_dim=0, seed=seed
-    )
-    columns = {
-        dname: values[rows][perm] for dname, values in dataset.columns.items()
-    }
+    local_coords = full_table.coordinates()[rows]
+    perm = order_rows(config.placement, local_coords, grid=grid, axis_dim=0, seed=seed)
+    columns = {c: full_table.column(c)[rows][perm] for c in full_table.schema.columns}
     table = HeapTable(
-        name if name is not None else dataset.name,
-        dataset.schema,
+        name if name is not None else full_table.name,
+        full_table.schema,
         columns,
         config.tuples_per_block,
     )
@@ -1001,12 +1000,14 @@ def _build_worker(
     router: OwnershipRouter | None = None,
     trace: SearchTrace | None = None,
     metrics: MetricsRegistry | None = None,
+    row_cells: np.ndarray | None = None,
 ) -> Worker:
     grid = query.grid
     lo, hi = plan.data_range(worker_id)
-
+    if row_cells is None:
+        row_cells = cell_flat_ids(full_table.coordinates(), grid)
     table, n_rows = _local_table(
-        dataset, grid, lo, hi, config, seed=7 + worker_id
+        full_table, grid, row_cells, lo, hi, config, seed=7 + worker_id
     )
 
     db = Database(

@@ -75,54 +75,58 @@ class StratifiedSampler:
     def sample(self, table: HeapTable, grid: Grid, metrics=None) -> CellSample:
         """Draw the stratified sample for ``table`` under ``grid``.
 
-        Tuples outside the search area are excluded from both the budget
-        and the sample (they cannot belong to any window).  ``metrics``
-        (optional) records sample-construction counters; building is an
-        offline step, so no simulated time is charged either way.
+        ``metrics`` (optional) records sample-construction counters;
+        building is an offline step, so no simulated time is charged
+        either way.
         """
-        coords = table.coordinates()
-        flat = cell_flat_ids(coords, grid)
-        inside = flat >= 0
-        rows_inside = np.nonzero(inside)[0]
-        cells_inside = flat[inside]
-
-        m = grid.num_cells
-        true_counts = np.bincount(cells_inside, minlength=m)
+        rows_inside, cells_inside, true_counts = _rows_by_cell(table, grid)
         budget = max(1, int(round(self.fraction * rows_inside.size)))
         quotas = allocate_budget(true_counts, budget)
 
-        rng = np.random.default_rng(self.seed)
         # Random tie-break key, then sort by (cell, key): the first quota[c]
-        # rows of each cell's run form its SRS.
-        keys = rng.random(rows_inside.size)
-        order = np.lexsort((keys, cells_inside))
-        sorted_rows = rows_inside[order]
-        sorted_cells = cells_inside[order]
+        # rows of each cell's run form its SRS.  The sort is the two stable
+        # passes of ``lexsort((keys, cells))``: any sort orders distinct
+        # keys alike, so the first pass only needs a stable kind when two
+        # keys tie; the cell pass is stable and, on ids that fit 16 bits,
+        # a radix sort.
+        keys = np.random.default_rng(self.seed).random(rows_inside.size)
+        by_key = np.argsort(keys)
+        sorted_keys = keys[by_key]
+        if (sorted_keys[1:] == sorted_keys[:-1]).any():
+            by_key = np.argsort(keys, kind="stable")
+        cell_keys = cells_inside
+        if grid.num_cells <= np.iinfo(np.int16).max:
+            cell_keys = cell_keys.astype(np.int16)
+        by_cell = np.argsort(cell_keys[by_key], kind="stable")
 
-        starts = np.searchsorted(sorted_cells, np.arange(m), side="left")
-        take: list[np.ndarray] = []
-        for cell in np.nonzero(quotas > 0)[0]:
-            start = starts[cell]
-            take.append(np.arange(start, start + quotas[cell]))
-        if take:
-            pick = np.concatenate(take)
-            sample_rows = sorted_rows[pick]
-            sample_cells = sorted_cells[pick]
-        else:  # pragma: no cover - degenerate zero-budget case
-            sample_rows = np.empty(0, dtype=np.int64)
-            sample_cells = np.empty(0, dtype=np.int64)
+        # Cell c's run starts after all smaller cells' rows; its picks are
+        # the first quotas[c] positions of that run.
+        starts = np.cumsum(true_counts) - true_counts
+        before = np.cumsum(quotas) - quotas
+        pick = np.arange(int(quotas.sum())) + np.repeat(starts - before, quotas)
 
         out = CellSample(
-            rows=sample_rows,
-            cells=sample_cells,
-            cell_true_counts=true_counts.reshape(grid.shape).astype(np.int64),
-            cell_sample_counts=np.bincount(sample_cells, minlength=m)
-            .reshape(grid.shape)
-            .astype(np.int64),
+            rows=rows_inside[by_key[by_cell[pick]]],
+            cells=np.repeat(np.arange(grid.num_cells, dtype=np.int64), quotas),
+            cell_true_counts=true_counts.reshape(grid.shape),
+            cell_sample_counts=quotas.reshape(grid.shape),
         )
         if metrics is not None:
             _record_sample_metrics(metrics, out)
         return out
+
+
+def _rows_by_cell(table: HeapTable, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows inside the grid's area, their flat cell ids, and per-cell counts.
+
+    Tuples outside the search area cannot belong to any window, so both
+    samplers exclude them from the budget and the sample.
+    """
+    flat = cell_flat_ids(table.coordinates(), grid)
+    inside = flat >= 0
+    cells_inside = flat[inside]
+    true_counts = np.bincount(cells_inside, minlength=grid.num_cells).astype(np.int64)
+    return np.nonzero(inside)[0], cells_inside, true_counts
 
 
 def allocate_budget(cell_counts: np.ndarray, budget: int) -> np.ndarray:
@@ -147,8 +151,7 @@ def allocate_budget(cell_counts: np.ndarray, budget: int) -> np.ndarray:
         share = remaining // int(open_cells.sum())
         if share == 0:
             # Hand out the last few one by one, deterministically by index.
-            for cell in np.nonzero(open_cells)[0][:remaining]:
-                quotas[cell] += 1
+            quotas[np.nonzero(open_cells)[0][:remaining]] += 1
             break
         grant = np.minimum(counts - quotas, share) * open_cells
         quotas += grant
@@ -180,21 +183,16 @@ def uniform_sample(
     """
     if not 0 < fraction <= 1:
         raise ValueError(f"sample fraction must be in (0, 1], got {fraction}")
-    coords = table.coordinates()
-    flat = cell_flat_ids(coords, grid)
-    inside = flat >= 0
-    rows_inside = np.nonzero(inside)[0]
-    cells_inside = flat[inside]
+    rows_inside, cells_inside, true_counts = _rows_by_cell(table, grid)
     rng = np.random.default_rng(seed)
     budget = max(1, int(round(fraction * rows_inside.size)))
     pick = rng.choice(rows_inside.size, size=min(budget, rows_inside.size), replace=False)
     pick.sort()
-    m = grid.num_cells
     out = CellSample(
         rows=rows_inside[pick],
         cells=cells_inside[pick],
-        cell_true_counts=np.bincount(cells_inside, minlength=m).reshape(grid.shape).astype(np.int64),
-        cell_sample_counts=np.bincount(cells_inside[pick], minlength=m)
+        cell_true_counts=true_counts.reshape(grid.shape),
+        cell_sample_counts=np.bincount(cells_inside[pick], minlength=grid.num_cells)
         .reshape(grid.shape)
         .astype(np.int64),
     )

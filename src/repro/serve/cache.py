@@ -115,7 +115,9 @@ class SemanticCache:
         self._pinned: set[tuple[str, str]] = set()
         # (physical_sig, key tuple) -> CellSample.
         self._samples: dict[tuple, object] = {}
-        self._bindings: dict[int, tuple[str, str]] = {}
+        # (signature function, id(table)) -> (signature, table); holding
+        # the table keeps its id from being reused while the memo lives.
+        self._signatures: dict[tuple, tuple[str, object]] = {}
         self._events = 0
 
     def attach_observability(self, metrics=None, trace=None) -> None:
@@ -133,16 +135,17 @@ class SemanticCache:
     def binding(self, table, grid: Grid) -> tuple[str, str]:
         """The ``(table_signature, grid_signature)`` pair for a query.
 
-        Table signatures are memoized per table *object* (heap tables are
-        immutable); equal-content tables from different sessions still
-        collapse to the same signature because it is content-derived.
+        Equal-content tables from different sessions collapse to the same
+        signature because it is content-derived.
         """
-        tsig = self._bindings.get(id(table))
-        if tsig is None:
-            sig = table_signature(table)
-            self._bindings[id(table)] = (sig, table)  # keep table alive w/ its id
-            tsig = (sig, table)
-        return tsig[0], grid_signature(grid)
+        return self._signature(table_signature, table), grid_signature(grid)
+
+    def _signature(self, kind, table) -> str:
+        """``kind(table)``, hashed once per table *object* (heap tables are immutable)."""
+        memo = self._signatures.get((kind, id(table)))
+        if memo is None:
+            memo = self._signatures[(kind, id(table))] = (kind(table), table)
+        return memo[0]
 
     # -- cell entries ------------------------------------------------------------
 
@@ -283,7 +286,7 @@ class SemanticCache:
         are positions in the heap file, so only sessions over an
         identical placement may share them.
         """
-        sample = self._samples.get((physical_signature(table), key))
+        sample = self._samples.get((self._signature(physical_signature, table), key))
         if self.metrics is not None:
             self.metrics.inc("serve.cache.sample_lookups")
             if sample is not None:
@@ -292,7 +295,7 @@ class SemanticCache:
 
     def sample_publish(self, table, key: tuple, sample) -> None:
         """Store a freshly built sample for other sessions."""
-        self._samples[(physical_signature(table), key)] = sample
+        self._samples[(self._signature(physical_signature, table), key)] = sample
         if self.metrics is not None:
             self.metrics.inc("serve.cache.sample_stores")
 

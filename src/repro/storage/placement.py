@@ -137,11 +137,17 @@ def cell_flat_ids(coords: np.ndarray, grid: Grid) -> np.ndarray:
     for dim in range(grid.ndim):
         lo = grid.area[dim].lo
         hi = grid.area[dim].hi
-        step = grid.steps[dim]
-        values = coords[:, dim]
-        inside &= (values >= lo) & (values < hi)
-        idx = np.clip(((values - lo) / step).astype(np.int64), 0, grid.shape[dim] - 1)
-        flat = flat * grid.shape[dim] + idx
+        # One contiguous copy of the column, then passes that reuse their
+        # buffers: row-sized temporaries cost more than the arithmetic.
+        values = np.ascontiguousarray(coords[:, dim])
+        inside &= values >= lo
+        inside &= values < hi
+        scaled = values - lo
+        scaled /= grid.steps[dim]
+        idx = scaled.astype(np.int64)
+        np.clip(idx, 0, grid.shape[dim] - 1, out=idx)
+        flat *= grid.shape[dim]
+        flat += idx
     flat[~inside] = -1
     return flat
 

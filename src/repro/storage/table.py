@@ -273,14 +273,14 @@ class HeapTable:
         return block_ids, rows, self._coords[rows], values
 
     def _build_block_mbrs(self) -> tuple[np.ndarray, np.ndarray]:
-        coords = self.coordinates()
-        mins = np.empty((self._num_blocks, self.ndim), dtype=float)
-        maxs = np.empty((self._num_blocks, self.ndim), dtype=float)
-        for b in range(self._num_blocks):
-            rows = self.block_rows(b)
-            mins[b] = coords[rows].min(axis=0)
-            maxs[b] = coords[rows].max(axis=0)
-        return mins, maxs
+        # Blocks are consecutive row runs: one segmented reduction per bound
+        # covers them all, and ``reduceat`` ends the last (possibly short)
+        # segment at the end of the array.
+        starts = np.arange(0, self._num_rows, self.tuples_per_block)
+        return (
+            np.minimum.reduceat(self._coords, starts, axis=0),
+            np.maximum.reduceat(self._coords, starts, axis=0),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -67,6 +67,33 @@ class TestSignatures:
         assert cache.binding(table, dataset.grid) == first
         assert first == (table_signature(table), grid_signature(dataset.grid))
 
+    def test_one_table_object_is_hashed_once_per_signature_kind(self, dataset, monkeypatch):
+        import hashlib
+
+        hashed = []
+        real_sha1 = hashlib.sha1
+
+        def counting_sha1(*args, **kwargs):
+            hashed.append(1)
+            return real_sha1(*args, **kwargs)
+
+        cache = SemanticCache()
+        table = make_table(dataset, "cluster")
+        twin = make_table(dataset, "cluster")
+        key = ("stratified", 0.1, 17)
+        grid_hashes = 0
+        monkeypatch.setattr(hashlib, "sha1", counting_sha1)
+        for _ in range(3):
+            assert cache.sample_lookup(table, key) in (None, "sample")
+            cache.sample_publish(table, key, "sample")
+            cache.binding(table, dataset.grid)
+            grid_hashes += 1
+        # One content hash, one physical hash; the grid's is not memoised.
+        assert len(hashed) - grid_hashes == 2
+        # An equal heap file in another object is hashed for itself and shares.
+        assert cache.sample_lookup(twin, key) == "sample"
+        assert len(hashed) - grid_hashes == 3
+
 
 class TestConsultAndPublish:
     def test_require_filters_incomplete_payloads(self):

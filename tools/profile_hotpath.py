@@ -39,6 +39,16 @@ behind ~40 k seeded placements), so it says nothing about the per-pop
 cost of a search that runs to exhaustion — this one does::
 
     python tools/profile_hotpath.py --ledger serial_full [--top N] [--sort ...]
+
+``--ledger-setup`` profiles what happens *before* the first search step
+(seed 5): ``make_database`` + ``sample_for`` over ``serial_full``'s 25
+datasets, then ``ServeCore.submit`` over one ``serve_burst`` lane of four
+specs.  Each section prints un-profiled wall milliseconds per dataset (or
+per submit) for ``make_table``, the block-MBR build inside it, the
+sample, the two signatures and ``prepare``, then the cProfile top-N of a
+second pass over the same work::
+
+    python tools/profile_hotpath.py --ledger-setup [--top N] [--sort ...]
 """
 
 from __future__ import annotations
@@ -181,6 +191,102 @@ def _profile_ledger(top: int, sort: str) -> int:
     return 0
 
 
+#: Set-up parts timed by ``--ledger-setup``: label, module, class, function.
+#: An indented label is time already counted in the part above it.
+_SETUP_PARTS = (
+    ("load_workload", "repro.serve.server", None, "load_workload"),
+    ("make_table", "repro.workloads.base", None, "make_table"),
+    ("  block MBRs", "repro.storage.table", "HeapTable", "_build_block_mbrs"),
+    ("prepare", "repro.core.engine", "SWEngine", "prepare"),
+    ("  sample", "repro.sampling.stratified", "StratifiedSampler", "sample"),
+    ("table_signature", "repro.serve.cache", None, "table_signature"),
+    ("physical_signature", "repro.serve.cache", None, "physical_signature"),
+)
+
+
+def _time_parts(work, units: int) -> tuple[float, list[list[str]]]:
+    """Run ``work()`` with :data:`_SETUP_PARTS` timed; ``(wall, table rows)``."""
+    import importlib
+
+    totals = {label: [0, 0.0] for label, *_ in _SETUP_PARTS}
+    patched = []
+    for label, module, owner, name in _SETUP_PARTS:
+        holder = importlib.import_module(module)
+        if owner is not None:
+            holder = getattr(holder, owner)
+        original = getattr(holder, name)
+
+        def timed(*args, _original=original, _total=totals[label], **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                _total[0] += 1
+                _total[1] += time.perf_counter() - t0
+
+        setattr(holder, name, timed)
+        patched.append((holder, name, original))
+    try:
+        t0 = time.perf_counter()
+        work()
+        wall = time.perf_counter() - t0
+    finally:
+        for holder, name, original in patched:
+            setattr(holder, name, original)
+    rows = [
+        [label, str(calls), f"{1e3 * total:.2f}", f"{1e3 * total / units:.3f}"]
+        for label, (calls, total) in totals.items()
+        if calls
+    ]
+    return wall, rows
+
+
+def _profile_ledger_setup(top: int, sort: str) -> int:
+    """Time and cProfile the ledger's set-up work (seed 5), search excluded."""
+    from benchmarks.ledger.workloads import SerialFull, ServeBurst, _place_and_sample
+    from repro.serve import ServeConfig, TenantQuota
+    from repro.serve.server import ServeCore
+
+    serial = SerialFull(scratch="")
+    serial.generate(5)  # the ledger's default seed
+    burst = ServeBurst(scratch="")
+    burst.generate(5)
+    lane = burst.lanes[0][0]
+
+    def place_and_sample():
+        for dataset, query in zip(serial.datasets, serial.queries):
+            _place_and_sample(dataset, query)
+
+    def submit_lane():
+        # A fresh core per pass, as in a round: the lane's first submit
+        # generates, places, samples and hashes; the next two find the
+        # sample in the semantic cache; the last has a dataset of its own.
+        quotas = {name: TenantQuota(tier=tier) for name, tier in burst.TENANTS.items()}
+        core = ServeCore(ServeConfig(max_live=4, queue_limit=64, policy="wfq", quotas=quotas))
+        for spec in lane:
+            core.submit(spec)
+
+    for title, work, units, unit in (
+        ("serial_full make_database + sample_for", place_and_sample, len(serial.datasets), "dataset"),
+        ("serve_burst ServeCore.submit, one lane", submit_lane, len(lane), "submit"),
+    ):
+        work()  # warm-up: first-touch imports and caches
+        wall, rows = _time_parts(work, units)
+        profile = cProfile.Profile()
+        profile.runcall(work)
+        stream = io.StringIO()
+        pstats.Stats(profile, stream=stream).sort_stats(sort).print_stats(top)
+        print(f"== ledger set-up, seed 5: {title} ==")
+        print(f"wall time: {1e3 * wall:.2f} ms   {1e3 * wall / units:.3f} ms per {unit} ({units})")
+        print(f"{'part':<20} {'calls':>6} {'total ms':>10} {'ms per ' + unit:>16}")
+        for label, calls, total, per_unit in rows:
+            print(f"{label:<20} {calls:>6} {total:>10} {per_unit:>16}")
+        print()
+        print(f"== cProfile top {top} by {sort} ==")
+        print(stream.getvalue())
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--top", type=int, default=25, help="functions to print (default 25)")
@@ -209,9 +315,16 @@ def main(argv: list[str] | None = None) -> int:
         choices=("serial_full",),
         help="profile the ledger workload's exhaustive query and peeks instead",
     )
+    parser.add_argument(
+        "--ledger-setup",
+        action="store_true",
+        help="time and profile placement, sample and serve submit on the ledger's inputs instead",
+    )
     args = parser.parse_args(argv)
     if args.distributed is not None:
         return _profile_distributed(args.distributed, args.top, args.sort)
+    if args.ledger_setup:
+        return _profile_ledger_setup(args.top, args.sort)
     if args.ledger is not None:
         return _profile_ledger(args.top, args.sort)
     use_kernels = not args.naive
