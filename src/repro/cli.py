@@ -33,7 +33,7 @@ from .costs import DEFAULT_COST_MODEL
 from .dbms.baseline import run_sql_baseline
 from .sql import SqlError, execute_optimize, execute_sql
 from .storage.database import Database
-from .errors import ConfigError
+from .errors import BackendError, ConfigError
 from .workloads import WORKLOAD_NAMES, load_workload, make_database
 
 __all__ = ["main", "build_parser"]
@@ -264,7 +264,7 @@ def main(argv: Sequence[str] | None = None, out: Callable[[str], None] = print) 
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args, out)
-    except (ValueError, KeyError, SqlError) as exc:
+    except (ValueError, KeyError, SqlError, BackendError) as exc:
         out(f"error: {exc}")
         return 2
 
@@ -289,27 +289,30 @@ def _dispatch(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     database = make_database(
         dataset, args.placement, axis_dim=args.axis_dim, backend=args.backend
     )
-    out(
-        f"workload {args.workload}: {dataset.num_rows:,} tuples, grid "
-        f"{dataset.grid.shape}, placement {args.placement}, "
-        f"backend {database.backend.describe()}"
-    )
+    # Closing is what makes an abandoned stream's cell installs durable
+    # (``run --limit`` never reaches the search's terminal step).
+    with database:
+        out(
+            f"workload {args.workload}: {dataset.num_rows:,} tuples, grid "
+            f"{dataset.grid.shape}, placement {args.placement}, "
+            f"backend {database.backend.describe()}"
+        )
 
-    if args.command == "run":
-        return _cmd_run(args, database, dataset, query, out)
-    if args.command == "sql":
-        return _cmd_sql(args, database, out)
-    if args.command == "optimize":
-        return _cmd_optimize(args, database, out)
-    if args.command == "baseline":
-        return _cmd_baseline(args, database, dataset, query, out)
-    if args.command == "metrics":
-        return _cmd_metrics(args, database, dataset, query, out)
-    if args.command == "scrub":
-        return _cmd_scrub(args, database, dataset, out)
-    if args.command == "serve":
-        return _cmd_serve(args, dataset, query, out)
-    raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover
+        if args.command == "run":
+            return _cmd_run(args, database, dataset, query, out)
+        if args.command == "sql":
+            return _cmd_sql(args, database, out)
+        if args.command == "optimize":
+            return _cmd_optimize(args, database, out)
+        if args.command == "baseline":
+            return _cmd_baseline(args, database, dataset, query, out)
+        if args.command == "metrics":
+            return _cmd_metrics(args, database, dataset, query, out)
+        if args.command == "scrub":
+            return _cmd_scrub(args, database, dataset, out)
+        if args.command == "serve":
+            return _cmd_serve(args, dataset, query, out)
+        raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover
 
 
 def _cmd_run(args, database: Database, dataset, query: SWQuery, out) -> int:

@@ -400,6 +400,10 @@ class HeuristicSearch:
         * ``"done"`` — the frontier is exhausted;
         * ``"interrupted"`` — a lifecycle limit fired before the pop.
 
+        The two terminal statuses first flush the storage backend's
+        buffered cell installs
+        (:meth:`~repro.storage.backend.StorageBackend.flush_installs`).
+
         Between calls the search is parked and checkpointable
         (:meth:`checkpoint_state`), which is what lets a multi-session
         scheduler time-slice many searches over one process
@@ -415,17 +419,17 @@ class HeuristicSearch:
 
         while True:
             reason = self._interruption(clock)
-            if reason is not None:
-                if run is not None:
-                    run.interrupted = True
-                    run.interrupt_reason = reason
-                    run.completion_time_s = clock.now - self._start_time
-                return ("interrupted", None)
-            popped = self.queue.pop()
+            popped = self.queue.pop() if reason is None else None
             if popped is None:
+                # The terminal step: the query's cell installs become
+                # durable here, once, not on the way to its results.
+                self.data.database.backend.flush_installs()
                 if run is not None:
                     run.completion_time_s = clock.now - self._start_time
-                return ("done", None)
+                    if reason is not None:
+                        run.interrupted = True
+                        run.interrupt_reason = reason
+                return ("done" if reason is None else "interrupted", None)
             priority, window, version = popped
 
             if self.config.lazy_updates and version < self.data.version:

@@ -202,8 +202,8 @@ class InvariantAuditor:
 
         if self._has("db.cell_installs"):
             # Backend cell-install dedup: every install attempt either
-            # created a new record or hit the dedup path (in-memory set
-            # or ON CONFLICT DO NOTHING, depending on the backend).
+            # created a new record or hit the dedup path (an in-memory
+            # set on every backend).
             self._equal(
                 "backend installs: cell_installs == installed + deduped",
                 c("db.cell_installs"),

@@ -72,7 +72,16 @@ def build_objective_grids(
     value_min, value_max = np.inf, -np.inf
 
     if objective.aggregate.needs_values and sample.size > 0:
-        columns = {c: table.gather(c, sample.rows) for c in table.schema.columns}
+        # Only the columns the expression reads: on a SQL backend every
+        # gather is a round of chunked statements.
+        wanted = sorted(objective.columns())
+        unknown = [c for c in wanted if c not in table.schema.columns]
+        if unknown:
+            raise KeyError(
+                f"expression references unknown column {unknown[0]!r}; "
+                f"available: {sorted(table.schema.columns)}"
+            )
+        columns = {c: table.gather(c, sample.rows) for c in wanted}
         values = np.broadcast_to(
             objective.expr.evaluate(columns), sample.rows.shape  # type: ignore[union-attr]
         ).astype(float)

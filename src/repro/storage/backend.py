@@ -13,13 +13,14 @@ simulated I/O whichever backend serves the bytes, so a real backend is
 required to be *byte-identical* to the simulator (the differential
 harness in ``tests/test_backend_differential.py`` enforces it).
 
-Backends also persist the dedup record of installed cell summaries.
-Following the pattern surveyed in SNIPPETS.md snippet 3, the dedup
-strategy is backend-specific: the simulator keeps an in-memory hash set
-per ``(table, grid)``; the SQLite backend pushes the conflict handling
-into the database with ``INSERT ... ON CONFLICT DO NOTHING``.  Both
-report identical ``(installed, deduped)`` counts for identical scans —
-an auditor identity checks the accounting.
+Backends also keep the dedup record of installed cell summaries.
+Following the pattern surveyed in SNIPPETS.md snippet 3, both dedup with
+an in-memory hash set per ``(table, grid)`` and report identical
+``(installed, deduped)`` counts for identical scans — an auditor
+identity checks the accounting.  ``install_cells`` never writes: a
+backend that persists the record (SQLite) buffers the new rows and makes
+them durable in ``flush_installs``, which the search calls once at the
+end of a query, so no write sits between a request and its results.
 
 Backend selection precedence (:func:`resolve_backend`):
 
@@ -145,6 +146,15 @@ class StorageBackend(ABC):
         how many cells were new versus already recorded.
         """
 
+    def flush_installs(self) -> None:
+        """Make every install recorded so far durable.
+
+        Called at the end of a query (the search's terminal step), never
+        on the read path.  A no-op for backends whose record lives in
+        memory only; a persisting backend also flushes by itself before
+        any read of the persisted record and on :meth:`close`.
+        """
+
     @abstractmethod
     def installed_cell_count(self, table_name: str, gkey: str | None = None) -> int:
         """Number of distinct cells recorded for a table (one grid or all)."""
@@ -167,11 +177,14 @@ class StorageBackend(ABC):
     def restore_install_state(self, table_name: str, state: dict) -> None:
         """Replace one table's installed-cell record with a capture."""
 
-    # -- description ---------------------------------------------------------
+    # -- description and lifetime --------------------------------------------
 
     def describe(self) -> str:
         """Human-readable one-liner for CLI output."""
         return self.name
+
+    def close(self) -> None:
+        """Release what the backend holds open (idempotent; default: nothing)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.describe()!r})"
@@ -184,7 +197,8 @@ class SimulatorBackend(StorageBackend):
     :class:`~repro.storage.table.HeapTable` arrays — binding returns the
     table itself as the handle.  Installed-cell dedup uses an in-memory
     hash set per ``(table, grid)``, the SQLite-tier strategy of
-    SNIPPETS.md snippet 3 (no database round-trip, O(1) membership).
+    SNIPPETS.md snippet 3 (no database round-trip, O(1) membership);
+    nothing is persisted, so ``flush_installs`` and ``close`` do nothing.
     """
 
     name = "simulator"

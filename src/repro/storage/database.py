@@ -267,6 +267,18 @@ class Database:
         """All registered table names."""
         return tuple(sorted(self._tables))
 
+    # -- lifetime -------------------------------------------------------------------
+
+    def close(self) -> None:
+        """Close the storage backend (flushing what it buffered); idempotent."""
+        self.backend.close()
+
+    def __enter__(self) -> "Database":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # -- queries ------------------------------------------------------------------
 
     def range_cell_aggregates(
@@ -400,11 +412,11 @@ class Database:
     def _install_cell_summaries(self, table_name: str, grid: Grid, cells, arrays) -> None:
         """Record the scanned cells as installed, dedup'd by the backend.
 
-        The dedup strategy is backend-specific (in-memory set vs ``ON
-        CONFLICT DO NOTHING``); the ``(installed, deduped)`` split feeds
-        the ``db.cell_installs*`` counters whose sum identity the
-        auditor checks.  Per-objective stat rows are only materialized
-        for backends that persist them.
+        Every backend dedups against an in-memory set and writes nothing
+        here (a persisting one buffers until ``flush_installs``); the
+        ``(installed, deduped)`` split feeds the ``db.cell_installs*``
+        counters whose sum identity the auditor checks.  Per-objective
+        stat rows are only materialized for backends that persist them.
         """
         backend = self.backend
         stats: list[tuple] = []

@@ -10,7 +10,7 @@ this module extends the same *degrade, never raise* discipline to the
 * a seeded :class:`BackendFaultPlan` / :class:`BackendFaultInjector`
   pair injects the real-backend fault taxonomy — transient errors,
   ``SQLITE_BUSY``-style lock contention, slow-query stragglers,
-  connection drops, and torn ``install_cells`` writes — **pure in**
+  connection drops, and torn install flushes — **pure in**
   ``(seed, op_index)``: the fault decision for the *i*-th guarded
   attempt is a function of the plan seed and *i* alone, so any
   ``(seed, plan)`` replay is byte-deterministic;
@@ -67,8 +67,9 @@ __all__ = [
 #: retryable error (query timeout); ``busy`` is lock contention
 #: (``SQLITE_BUSY``); ``slow`` is a straggler — the call *succeeds* after
 #: extra simulated latency; ``disconnect`` is a dropped connection;
-#: ``torn_install`` interrupts an ``install_cells`` write mid-journal
-#: (read operations degrade it to ``transient``).
+#: ``torn_install`` interrupts a ``flush_installs`` write mid-journal
+#: (read operations degrade it to ``transient``; an install op with
+#: nothing to write, ``install_cells`` included, is modelled as failed).
 BACKEND_FAULT_KINDS = ("transient", "busy", "slow", "disconnect", "torn_install")
 
 
@@ -666,6 +667,13 @@ class ResilientBackend(StorageBackend):
         )
         return counts
 
+    def flush_installs(self) -> None:
+        # An install op: a drawn ``torn_install`` really tears the journal
+        # protocol, and its retry really rolls the pending row forward.
+        self._guarded(
+            "flush_installs", self.inner.flush_installs, lambda: None, install=True
+        )
+
     def installed_cell_count(self, table_name: str, gkey: str | None = None) -> int:
         return self.mirror.installed_cell_count(table_name, gkey)
 
@@ -686,6 +694,9 @@ class ResilientBackend(StorageBackend):
 
     def describe(self) -> str:
         return f"resilient({self.inner.describe()})"
+
+    def close(self) -> None:
+        self.inner.close()
 
 
 class ResilientTable:

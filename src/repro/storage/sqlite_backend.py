@@ -24,27 +24,30 @@ simulator's.  Values round-trip bit-exactly: SQLite
 REALs are IEEE doubles; NaNs (which SQLite would coerce to NULL) are
 stored as NULL explicitly and restored to NaN on read.
 
-Installed cell summaries use database-side dedup — ``INSERT ... ON
-CONFLICT DO NOTHING`` into ``sw_cell_installs`` — the PostgreSQL-tier
-strategy of SNIPPETS.md snippet 3, with the per-objective stat rows
-persisted alongside in ``sw_cell_stats`` for inspection.
+Installed cell summaries dedup **in RAM** — per ``(table, grid)`` a set
+of installed flat ids and of the ``(flat id, objective)`` pairs whose stat
+row exists, loaded from the store on first touch (SNIPPETS.md snippet 3's
+SQLite strategy) — so :meth:`SQLiteBackend.install_cells` answers with
+set arithmetic and writes nothing: the read path only reads.  Rows that
+are new wait in a pending batch, each ``(cell, objective)`` at most once,
+so the buffer is bounded by the grid.
 
-Installs are **crash-consistent** via a journal protocol (intent →
-install → commit, DESIGN.md §16): the full install payload and its
-pre-computed ``(installed, deduped)`` counts are committed to
-``sw_install_journal`` *before* any data row, the data rows are applied
+:meth:`SQLiteBackend.flush_installs` makes them durable — at the end of a
+query, at checkpoint capture, before any read of the persisted record and
+on :meth:`SQLiteBackend.close` — through a **crash-consistent** journal
+protocol (intent → install → commit, DESIGN.md §16): the batch's full
+payload is committed to ``sw_install_journal`` *before* any data row
+(from then on the journal, not RAM, holds it), the data rows are applied
 in idempotent chunks, and the journal row is deleted last.  A tear at
 any point between those transactions (fault injection via
-:meth:`SQLiteBackend.arm_install_tear`, or a real crash) leaves a
-pending journal row that the next matching install — or simply
-reopening the file — rolls forward, with the originally recorded counts,
-so dedup accounting never drifts from the simulator oracle.  An install
-that would change nothing — every cell and every stat row already
-stored, no matching intent pending — returns its counts without writing:
-there is nothing a crash could tear.
+:meth:`SQLiteBackend.arm_install_tear`, or a real crash) leaves a pending
+journal row that the next flush — or simply reopening the file — rolls
+forward.  A crash before a flush loses only the installs buffered since
+the previous one, which nothing has read; never half a batch.
 
-The driver's ``sqlite3.OperationalError`` (locked file, I/O error) leaves
-this module as :class:`~repro.errors.BackendError`, the taxonomy the
+The driver's ``sqlite3.OperationalError`` / ``DatabaseError`` (locked
+file, I/O error, not a database) leaves this module — the constructor
+included — as :class:`~repro.errors.BackendError`, the taxonomy the
 resilience layer retries and degrades on.
 """
 
@@ -80,20 +83,22 @@ _LOCK_CODES = (5, 6)
 
 
 def _driver_errors(method):
-    """Re-raise the driver's ``OperationalError`` as :class:`BackendError`.
+    """Re-raise the driver's store faults as :class:`BackendError`.
 
     A locked file or an I/O error is a fault of the store, not of the
     caller, so it crosses the backend boundary in the taxonomy the
     resilience layer retries and degrades on: lock contention is
-    ``busy``, anything else (I/O error, vanished or read-only file) is
-    ``disconnect``.  Wraps whole public methods, so lazily stepped
-    cursors and commits are covered too.
+    ``busy``, anything else (I/O error, vanished or read-only file, a
+    file that is not a database) is ``disconnect``.  Wraps whole public
+    methods, so lazily stepped cursors and commits are covered too.
     """
 
     def translating(*args, **kwargs):
         try:
             return method(*args, **kwargs)
-        except sqlite3.OperationalError as err:
+        except sqlite3.DatabaseError as err:
+            if type(err) not in (sqlite3.OperationalError, sqlite3.DatabaseError):
+                raise  # integrity / programming errors are the caller's
             # Python < 3.11 carries no result code, only the message.
             code = getattr(err, "sqlite_errorcode", None)
             locked = "locked" in str(err) if code is None else (code & 0xFF) in _LOCK_CODES
@@ -423,11 +428,19 @@ class SQLiteBackend(StorageBackend):
     name = "sqlite"
     persists_cell_stats = True
 
+    @_driver_errors
     def __init__(self, path: str = ":memory:") -> None:
         self.path = path
         self._conn = sqlite3.connect(path)
+        self._closed = False
         self._handles: dict[str, SQLiteTable] = {}
         self._install_kill: int | None = None
+        # Install dedup state per (table, grid key): what the store holds
+        # plus what waits in ``_pending`` — (installed flat ids, (flat id,
+        # objective) pairs with a stat row) — and the not-yet-journalled
+        # (ids, stat rows) batches.
+        self._seen: dict[tuple[str, str], tuple[set, set]] = {}
+        self._pending: dict[tuple[str, str], tuple[list, list]] = {}
         with self._conn:
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS sw_tables ("
@@ -538,14 +551,16 @@ class SQLiteBackend(StorageBackend):
         self._conn.execute(f"DROP TABLE IF EXISTS {_quoted(f'sw_data_{name}')}")
         self._conn.execute(f"DROP TABLE IF EXISTS {_quoted(f'sw_mbr_{name}')}")
         self._conn.execute("DELETE FROM sw_tables WHERE name = ?", (name,))
-        self._conn.execute(
-            "DELETE FROM sw_cell_installs WHERE table_name = ?", (name,)
-        )
-        self._conn.execute("DELETE FROM sw_cell_stats WHERE table_name = ?", (name,))
-        self._conn.execute(
-            "DELETE FROM sw_install_journal WHERE table_name = ?", (name,)
-        )
+        self._clear_installs(name)
         self._handles.pop(name, None)
+
+    def _clear_installs(self, name: str) -> None:
+        """Forget one table's install record: stored, journalled, buffered."""
+        for side in ("sw_cell_installs", "sw_cell_stats", "sw_install_journal"):
+            self._conn.execute(f"DELETE FROM {side} WHERE table_name = ?", (name,))
+        for memo in (self._seen, self._pending):
+            for key in [k for k in memo if k[0] == name]:
+                del memo[key]
 
     @_driver_errors
     def handle(self, name: str) -> SQLiteTable:
@@ -587,101 +602,77 @@ class SQLiteBackend(StorageBackend):
         attempts = len(flat_ids)
         if attempts == 0:
             return 0, 0
-        ids = [int(c) for c in flat_ids]
-        stats_rows = [
-            (
-                int(flat_id),
-                str(key),
-                int(count),
-                float(total),
-                float(minimum),
-                float(maximum),
+        key = (table_name, gkey)
+        seen = self._seen.get(key)
+        if seen is None:
+            # First touch: one SELECT each, so a reopened file keeps
+            # counting against what it already persisted.
+            scope = "WHERE table_name = ? AND grid_key = ?"
+            installs = self._conn.execute(
+                f"SELECT flat_id FROM sw_cell_installs {scope}", key
             )
-            for flat_id, key, count, total, minimum, maximum in stats
-        ]
-        payload = json.dumps({"ids": ids, "stats": stats_rows})
-        pending = self._conn.execute(
-            "SELECT journal_id, installed, deduped FROM sw_install_journal"
-            " WHERE table_name = ? AND grid_key = ? AND payload = ?",
-            (table_name, gkey, payload),
-        ).fetchone()
-        if pending is not None:
-            # A prior attempt tore mid-protocol: roll the pending intent
-            # forward (idempotent) and return the counts it recorded
-            # against the pre-intent state — the same counts the
-            # uninterrupted install would have reported.
-            jid, installed, deduped = pending
-            self._apply_install(table_name, gkey, ids, stats_rows)
+            stat_rows = self._conn.execute(
+                f"SELECT flat_id, objective FROM sw_cell_stats {scope}", key
+            )
+            seen = self._seen[key] = ({c for (c,) in installs}, set(stat_rows))
+        cells, stat_keys = seen
+        ids = flat_ids.tolist() if isinstance(flat_ids, np.ndarray) else map(int, flat_ids)
+        fresh = set(ids) - cells
+        cells |= fresh
+        rows = []
+        for flat_id, objective, count, total, minimum, maximum in stats:
+            pair = (int(flat_id), str(objective))
+            if pair not in stat_keys:
+                stat_keys.add(pair)
+                rows.append((*pair, int(count), float(total), float(minimum), float(maximum)))
+        if fresh or rows:
+            # Only what is new waits for the flush, each row at most once.
+            pending = self._pending.setdefault(key, ([], []))
+            pending[0].extend(sorted(fresh))
+            pending[1].extend(rows)
+        return len(fresh), attempts - len(fresh)
+
+    @_driver_errors
+    def flush_installs(self) -> None:
+        """Journal every buffered install batch; afterwards store == RAM.
+
+        Rolls forward whatever an earlier torn flush left in the journal,
+        then writes each pending batch through intent → apply → commit.
+        A batch leaves RAM once its intent row is committed: from then on
+        the journal holds it, and a tear is rolled forward by the next
+        flush or the next open.
+        """
+        self._recover_journal()
+        for key, (ids, rows) in list(self._pending.items()):
+            # Intent: the full payload hits durable storage before any
+            # data row does, so every later tear rolls forward.  (The
+            # count columns are written for older readers, not read.)
             with self._conn:
-                self._install_point("commit")
-                self._conn.execute(
-                    "DELETE FROM sw_install_journal WHERE journal_id = ?", (jid,)
-                )
-            return int(installed), int(deduped)
-        installed = self._count_new(table_name, gkey, ids)
-        deduped = attempts - installed
-        if installed == 0 and self._stats_present(table_name, gkey, stats_rows):
-            # Every cell and every stat row is already stored.  A write
-            # that changes nothing needs no crash protection: no journal
-            # row, no commit, no kill point.
-            return 0, attempts
-        # Intent: the full payload plus its counts hit durable storage
-        # before any data row does, so every later tear rolls forward.
-        with self._conn:
-            self._conn.execute(
-                "INSERT INTO sw_install_journal"
-                " (table_name, grid_key, payload, installed, deduped)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (table_name, gkey, payload, installed, deduped),
-            )
-        self._install_point("intent")
+                jid = self._conn.execute(
+                    "INSERT INTO sw_install_journal"
+                    " (table_name, grid_key, payload, installed, deduped)"
+                    " VALUES (?, ?, ?, ?, 0)",
+                    (*key, json.dumps({"ids": ids, "stats": rows}), len(ids)),
+                ).lastrowid
+            del self._pending[key]
+            self._install_point("intent")
+            self._roll_forward(jid, *key, ids, rows)
+
+    def _roll_forward(
+        self,
+        jid: int,
+        table_name: str,
+        gkey: str,
+        ids: Sequence[int],
+        stats_rows: Sequence[tuple],
+    ) -> None:
+        """Apply one journalled batch and retire its journal row."""
         self._apply_install(table_name, gkey, ids, stats_rows)
         with self._conn:
             self._install_point("commit")
             self._conn.execute(
-                "DELETE FROM sw_install_journal"
-                " WHERE table_name = ? AND grid_key = ? AND payload = ?",
-                (table_name, gkey, payload),
+                "DELETE FROM sw_install_journal WHERE journal_id = ?", (jid,)
             )
-        return installed, deduped
-
-    def _count_present(self, scoped: str, scope: Sequence, ids: Sequence[int]) -> int:
-        """How many of the distinct ``ids`` have a row in ``<table> WHERE <scope>``."""
-        present = 0
-        for marks, chunk in _in_chunks(ids):
-            present += int(
-                self._conn.execute(
-                    f"SELECT COUNT(*) FROM {scoped} AND flat_id IN ({marks})",
-                    [*scope, *chunk],
-                ).fetchone()[0]
-            )
-        return present
-
-    def _count_new(self, table_name: str, gkey: str, ids: Sequence[int]) -> int:
-        """How many distinct ids are not yet installed (chunked lookups)."""
-        uniq = sorted(set(ids))
-        return len(uniq) - self._count_present(
-            "sw_cell_installs WHERE table_name = ? AND grid_key = ?",
-            (table_name, gkey),
-            uniq,
-        )
-
-    def _stats_present(
-        self, table_name: str, gkey: str, stats_rows: Sequence[tuple]
-    ) -> bool:
-        """Whether every ``(flat_id, objective)`` stat row is already stored."""
-        by_objective: dict[str, set[int]] = {}
-        for flat_id, key, *_ in stats_rows:
-            by_objective.setdefault(key, set()).add(flat_id)
-        return all(
-            self._count_present(
-                "sw_cell_stats WHERE table_name = ? AND grid_key = ? AND objective = ?",
-                (table_name, gkey, key),
-                sorted(cells),
-            )
-            == len(cells)
-            for key, cells in by_objective.items()
-        )
 
     def _apply_install(
         self,
@@ -731,9 +722,10 @@ class SQLiteBackend(StorageBackend):
     def _recover_journal(self) -> int:
         """Roll every pending install intent forward; returns how many.
 
-        Runs on open: a pending ``sw_install_journal`` row means a prior
-        process tore (or crashed) between the intent and the commit, so
-        the payload is re-applied — idempotently — and the row retired.
+        Runs on open and at the head of every flush: a pending
+        ``sw_install_journal`` row means a flush tore (or its process
+        crashed) between the intent and the commit, so the payload is
+        re-applied — idempotently — and the row retired.
         """
         rows = self._conn.execute(
             "SELECT journal_id, table_name, grid_key, payload"
@@ -741,23 +733,16 @@ class SQLiteBackend(StorageBackend):
         ).fetchall()
         for jid, table_name, gkey, payload in rows:
             data = json.loads(payload)
-            self._apply_install(
-                table_name,
-                gkey,
-                [int(c) for c in data["ids"]],
-                [tuple(r) for r in data["stats"]],
+            self._roll_forward(
+                jid, table_name, gkey, data["ids"], [tuple(r) for r in data["stats"]]
             )
-            with self._conn:
-                self._conn.execute(
-                    "DELETE FROM sw_install_journal WHERE journal_id = ?", (jid,)
-                )
         return len(rows)
 
     def arm_install_tear(self, after_points: int = 1) -> None:
-        """Tear the next install at its ``after_points``-th journal point.
+        """Tear the next flush at its ``after_points``-th journal point.
 
         Fault-injection hook for the resilience layer and the kill-point
-        tests: the install raises :class:`~repro.errors.TornWriteError`
+        tests: the flush raises :class:`~repro.errors.TornWriteError`
         when it reaches that point, leaving the store exactly as a crash
         there would.  Points are counted across the protocol — the
         intent commit, each apply chunk, the final commit-delete.
@@ -765,10 +750,10 @@ class SQLiteBackend(StorageBackend):
         self._install_kill = int(after_points)
 
     def disarm_install_tear(self) -> None:
-        """Take back an armed tear that no install has reached yet.
+        """Take back an armed tear that no flush has reached yet.
 
-        An install that changes nothing never reaches a journal point,
-        so it leaves the trigger armed for whichever install comes next.
+        A flush with nothing to write never reaches a journal point, so
+        it leaves the trigger armed for whichever flush comes next.
         """
         self._install_kill = None
 
@@ -782,6 +767,7 @@ class SQLiteBackend(StorageBackend):
 
     @_driver_errors
     def installed_cell_count(self, table_name: str, gkey: str | None = None) -> int:
+        self.flush_installs()
         if gkey is not None:
             cur = self._conn.execute(
                 "SELECT COUNT(*) FROM sw_cell_installs"
@@ -797,6 +783,7 @@ class SQLiteBackend(StorageBackend):
 
     @_driver_errors
     def install_state(self, table_name: str) -> dict:
+        self.flush_installs()
         installs: dict[str, list[int]] = {}
         for gkey, flat_id in self._conn.execute(
             "SELECT grid_key, flat_id FROM sw_cell_installs"
@@ -818,12 +805,7 @@ class SQLiteBackend(StorageBackend):
     @_driver_errors
     def restore_install_state(self, table_name: str, state: dict) -> None:
         with self._conn:
-            self._conn.execute(
-                "DELETE FROM sw_cell_installs WHERE table_name = ?", (table_name,)
-            )
-            self._conn.execute(
-                "DELETE FROM sw_cell_stats WHERE table_name = ?", (table_name,)
-            )
+            self._clear_installs(table_name)
             self._conn.executemany(
                 "INSERT INTO sw_cell_installs VALUES (?, ?, ?)",
                 (
@@ -846,6 +828,7 @@ class SQLiteBackend(StorageBackend):
         Stats tuples are ``(count, total, minimum, maximum)``.  With
         ``flat_ids`` the result is restricted to those cells.
         """
+        self.flush_installs()
         sql = (
             "SELECT flat_id, objective, tuples, total, minimum, maximum "
             "FROM sw_cell_stats WHERE table_name = ? AND grid_key = ?"
@@ -876,5 +859,16 @@ class SQLiteBackend(StorageBackend):
         return f"sqlite:{self.path}"
 
     def close(self) -> None:
-        """Close the underlying connection (handles become unusable)."""
-        self._conn.close()
+        """Flush buffered installs and close the connection (idempotent).
+
+        Handles become unusable.  A flush that fails still closes: the
+        error propagates, and what reached the journal is rolled forward
+        by the next open.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self.flush_installs()
+        finally:
+            self._conn.close()

@@ -329,8 +329,12 @@ def _journal_payload():
     return ids, stats
 
 
+def _journal_rows(backend) -> int:
+    return backend._conn.execute("SELECT COUNT(*) FROM sw_install_journal").fetchone()[0]
+
+
 def test_install_journal_recovers_at_every_kill_point(tmp_path):
-    """Tear at each protocol point; reopening always recovers the install."""
+    """Tear the flush at each protocol point; reopening always recovers it."""
     path = str(tmp_path / "tear.db")
     ids, stats = _journal_payload()
     oracle = SimulatorBackend()
@@ -344,11 +348,14 @@ def test_install_journal_recovers_at_every_kill_point(tmp_path):
         if point == 1:
             backend.bind_table(_heap())
         backend.arm_install_tear(point)
+        # The install itself is RAM only; the tear surfaces from the flush.
+        counts = backend.install_cells("jt", "g", ids, stats)
+        assert counts == expected
         try:
-            counts = backend.install_cells("jt", "g", ids, stats)
+            backend.flush_installs()
         except TornWriteError as err:
             torn_points.append(err.point)
-            backend.close()
+            backend._conn.close()  # a crash: ``close()`` would flush again
             # Reopen = crash recovery: the pending intent rolls forward.
             reopened = SQLiteBackend(path)
             assert reopened.recovered_installs == 1
@@ -362,7 +369,6 @@ def test_install_journal_recovers_at_every_kill_point(tmp_path):
             point += 1
             continue
         backend._install_kill = None  # disarm the unspent trigger
-        assert counts == expected
         backend.close()
         break
 
@@ -379,9 +385,11 @@ def test_torn_install_retry_resumes_pending_journal(tmp_path):
     backend = SQLiteBackend(path)
     backend.bind_table(_heap())
     backend.arm_install_tear(2)
-    with pytest.raises(TornWriteError):
-        backend.install_cells("jt", "g", ids, stats)
     counts = backend.install_cells("jt", "g", ids, stats)
+    with pytest.raises(TornWriteError):
+        backend.flush_installs()
+    assert _journal_rows(backend) == 1
+    backend.flush_installs()
     oracle = SimulatorBackend()
     oracle.bind_table(_heap())
     assert counts == oracle.install_cells("jt", "g", ids)
@@ -394,10 +402,6 @@ def test_torn_install_retry_resumes_pending_journal(tmp_path):
 # -- installs that change nothing write nothing -------------------------------
 
 
-def _journal_rows(backend) -> int:
-    return backend._conn.execute("SELECT COUNT(*) FROM sw_install_journal").fetchone()[0]
-
-
 def test_noop_install_skips_journal_and_leaves_tear_armed(tmp_path):
     """Every cell and stat row already stored: simulator counts, no write."""
     backend = SQLiteBackend(str(tmp_path / "noop.db"))
@@ -406,17 +410,22 @@ def test_noop_install_skips_journal_and_leaves_tear_armed(tmp_path):
     oracle = SimulatorBackend()
     oracle.bind_table(_heap())
     assert backend.install_cells("jt", "g", ids, stats) == oracle.install_cells("jt", "g", ids)
+    backend.flush_installs()
     before = backend._conn.total_changes
 
     backend.arm_install_tear(1)
     assert backend.install_cells("jt", "g", ids, stats) == oracle.install_cells("jt", "g", ids)
     assert backend.install_cells("jt", "g", ids[:7], stats[:7]) == (0, 7)
+    backend.flush_installs()
     assert _journal_rows(backend) == 0
-    assert backend._conn.total_changes == before, "a no-op install must not write"
-    # The trigger is unspent: the next install that does write tears.
-    with pytest.raises(TornWriteError, match="intent"):
-        backend.install_cells("jt", "g", [max(ids) + 1])
+    assert backend._conn.total_changes == before, "a flush with nothing new must not write"
+    # The trigger is unspent: the next flush that does write tears.
     assert backend.install_cells("jt", "g", [max(ids) + 1]) == (1, 0)
+    with pytest.raises(TornWriteError, match="intent"):
+        backend.flush_installs()
+    assert backend.install_cells("jt", "g", [max(ids) + 1]) == (0, 1)
+    backend.flush_installs()
+    assert backend.installed_cell_count("jt", "g") == len(ids) + 1
 
 
 def test_known_cells_under_new_objective_still_journal(tmp_path):
@@ -426,40 +435,43 @@ def test_known_cells_under_new_objective_still_journal(tmp_path):
     backend.bind_table(_heap())
     ids = list(range(40))
     backend.install_cells("jt", "g", ids, [(i, "avg:v", 1, 1.0, 1.0, 1.0) for i in ids])
+    backend.flush_installs()
     other = [(i, "avg:w", 2, float(i), 0.5, float(i)) for i in ids]
     backend.arm_install_tear(1)
+    assert backend.install_cells("jt", "g", ids, other) == (0, len(ids))
     with pytest.raises(TornWriteError, match="intent"):
-        backend.install_cells("jt", "g", ids, other)
+        backend.flush_installs()
     assert _journal_rows(backend) == 1
-    backend.close()
+    backend._conn.close()  # a crash: ``close()`` would flush again
     reopened = SQLiteBackend(path)
     assert reopened.recovered_installs == 1
     stored = reopened.fetch_cell_summaries("jt", "g")
     assert all(set(stored[i]) == {"avg:v", "avg:w"} for i in ids)
     assert stored[7]["avg:w"] == (2, 7.0, 0.5, 7.0)
-    # One missing stat row is enough to leave the short cut.
+    # One missing stat row is enough to have something to flush.
     before = reopened._conn.total_changes
     assert reopened.install_cells(
         "jt", "g", ids, other + [(3, "avg:z", 1, 0.0, 0.0, 0.0)]
     ) == (0, len(ids))
-    assert reopened._conn.total_changes > before
+    assert reopened._conn.total_changes == before, "the install itself writes nothing"
     assert "avg:z" in reopened.fetch_cell_summaries("jt", "g", [3])[3]
+    assert reopened._conn.total_changes > before
 
 
 def test_pending_journal_rolls_forward_before_the_short_cut(tmp_path):
-    """A torn install's payload is re-applied even once its rows all exist."""
+    """A torn flush's payload is re-applied even once its rows all exist."""
     backend = SQLiteBackend(str(tmp_path / "pending.db"))
     backend.bind_table(_heap())
     ids, stats = _journal_payload()
     # Tear at the commit point: every row applied, journal row pending.
     backend.arm_install_tear(7)
-    with pytest.raises(TornWriteError, match="commit"):
-        backend.install_cells("jt", "g", ids, stats)
-    assert _journal_rows(backend) == 1
-    assert backend.installed_cell_count("jt", "g") == len(ids)
-    # The identical payload finds the intent first and reports the counts
-    # recorded against the pre-intent state, not "all deduplicated".
+    # Counted once, against the pre-intent state, however the flush fares.
     assert backend.install_cells("jt", "g", ids, stats) == (len(ids), 0)
+    with pytest.raises(TornWriteError, match="commit"):
+        backend.flush_installs()
+    assert _journal_rows(backend) == 1
+    # Reading the record flushes first: the pending intent is retired.
+    assert backend.installed_cell_count("jt", "g") == len(ids)
     assert _journal_rows(backend) == 0
     assert backend.install_cells("jt", "g", ids, stats) == (0, len(ids))
 

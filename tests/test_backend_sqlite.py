@@ -3,9 +3,10 @@
 The differential suite (``test_backend_differential.py``) proves whole
 runs agree across backends; this file pins the individual contracts —
 bit-exact loader round-trips (NaNs, quarantined blocks, odd tail
-blocks), the handle's row-access alignment guarantees, ``ON CONFLICT``
-install dedup, file-store reopening, selection precedence with
-``ConfigError`` on unknown schemes, and the latent simulator assumptions
+blocks), the handle's row-access alignment guarantees, install dedup,
+the ``close()`` contract, the error taxonomy of opening a bad file,
+file-store reopening, selection precedence with ``ConfigError`` on
+unknown schemes, and the latent simulator assumptions
 the abstraction surfaced (``register`` returning the handle,
 ``DataManager.rebind_table`` keeping it).
 """
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import ContentObjective, Grid, Rect, col
-from repro.errors import ConfigError
+from repro.errors import BackendError, ConfigError
 from repro.io import export_table_sqlite, import_table_sqlite
 from repro.storage import (
     Database,
@@ -388,3 +389,68 @@ def test_deep_verify_through_handle():
     db.attach_integrity(StorageFaultPlan(seed=0))
     integ = db.integrity("t")
     assert all(integ.deep_verify(b) for b in range(db.table("t").num_blocks))
+
+
+# -- lifetime: close() is part of the contract --------------------------------
+
+
+def test_every_backend_closes_and_sqlite_close_is_idempotent(tmp_path):
+    SimulatorBackend().close()  # nothing held open: a no-op, not an AttributeError
+    path = str(tmp_path / "close.db")
+    backend = SQLiteBackend(path)
+    backend.bind_table(_table())
+    backend.install_cells("t", grid_key(GRID), [1, 2, 3])
+    backend.close()
+    backend.close()
+    reopened = SQLiteBackend(path)
+    assert reopened.installed_cell_count("t") == 3, "close() flushed the installs"
+    reopened.close()
+
+
+def test_database_closes_through_the_resilience_wrapper(tmp_path):
+    from repro.storage import BackendFaultPlan
+
+    path = str(tmp_path / "wrapped.db")
+    with Database(backend=f"sqlite:{path}") as db:
+        db.register(_table())
+        db.attach_resilience(BackendFaultPlan(seed=0))
+        db.range_cell_aggregates(
+            "t", GRID, [0.0, 0.0], [10.0, 10.0], [ContentObjective.of("avg", col("v"))]
+        )
+        inner = db.backend.inner
+        assert inner._pending, "installs wait in RAM until a flush"
+    assert inner._closed
+    reopened = SQLiteBackend(path)
+    assert reopened.recovered_installs == 0
+    assert reopened.installed_cell_count("t") > 0
+    reopened.close()
+
+
+# -- opening a bad file stays inside the error taxonomy -----------------------
+
+
+def test_opening_a_locked_file_is_busy(tmp_path, monkeypatch):
+    import functools
+    import sqlite3
+
+    path = str(tmp_path / "locked.db")
+    SQLiteBackend(path).close()
+    locker = sqlite3.connect(path)
+    # Fail fast instead of after the driver's default 5 s busy timeout.
+    monkeypatch.setattr(sqlite3, "connect", functools.partial(sqlite3.connect, timeout=0))
+    try:
+        locker.execute("BEGIN EXCLUSIVE")
+        with pytest.raises(BackendError, match="locked") as raised:
+            SQLiteBackend(path)
+    finally:
+        locker.rollback()
+        locker.close()
+    assert raised.value.kind == "busy"
+
+
+def test_opening_a_file_that_is_no_database_is_disconnect(tmp_path):
+    path = tmp_path / "notes.db"
+    path.write_text("not a database, just a long enough line of plain text\n" * 40)
+    with pytest.raises(BackendError, match="not a database") as raised:
+        SQLiteBackend(str(path))
+    assert raised.value.kind == "disconnect"

@@ -302,6 +302,32 @@ class TestBackendChaosCLI:
         assert len(outcome) == 1
         assert "backend retries" in outcome[0]
 
+    def test_limit_run_on_a_file_store_is_flushed_by_the_exit(self, tmp_path):
+        """``--limit`` abandons the stream before its terminal step."""
+        from repro.storage import SQLiteBackend
+
+        path = tmp_path / "run.db"
+        code, lines = run_cli(
+            "run", "--workload", "synth-high", "--scale", "0.2", "--limit", "3",
+            "--sample-fraction", "0.3", "--backend", f"sqlite:{path}",
+        )
+        assert code == 0 and any("stopped after 3 results" in line for line in lines)
+        reopened = SQLiteBackend(str(path))
+        try:
+            assert reopened.recovered_installs == 0
+            assert reopened.installed_cell_count("synth_high") > 0
+            journal = reopened._conn.execute("SELECT COUNT(*) FROM sw_install_journal")
+            assert journal.fetchone()[0] == 0
+        finally:
+            reopened.close()
+
+    def test_a_file_that_is_no_database_is_a_clean_error(self, tmp_path):
+        path = tmp_path / "notes.db"
+        path.write_text("not a database, just a long enough line of plain text\n" * 40)
+        code, lines = run_cli("run", "--scale", "0.2", "--backend", f"sqlite:{path}")
+        assert code == 2
+        assert lines[-1].startswith("error: sqlite:") and "not a database" in lines[-1]
+
     def test_backend_chaos_parser_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.backend_chaos_seed is None

@@ -173,6 +173,39 @@ class TestObjectiveGrids:
         cond = ContentCondition(obj, ComparisonOp.LT, 100.0)
         assert default_eps(cond, grids, total_count=600) > 0
 
+    def test_gathers_only_the_columns_the_expression_reads(self, small_table, grid):
+        """Same grids bit for bit, without touching the rest of the schema."""
+
+        class Counting:
+            """Table handle recording which columns are gathered."""
+
+            def __init__(self, table):
+                self._table, self.schema, self.gathered = table, table.schema, []
+
+            def gather(self, name, rows):
+                self.gathered.append(name)
+                return self._table.gather(name, rows)
+
+        sample = StratifiedSampler(0.3, seed=15).sample(small_table, grid)
+        obj = ContentObjective.of("avg", col("v") * col("x"))
+        spy = Counting(small_table)
+        grids = build_objective_grids(spy, grid, sample, obj)
+        assert spy.gathered == ["v", "x"] and "y" in small_table.schema.columns
+        everything = {c: small_table.gather(c, sample.rows) for c in small_table.schema.columns}
+        values = obj.expr.evaluate(everything)
+        sums = np.bincount(sample.cells, weights=values, minlength=grid.num_cells)
+        ratios = sample.ratios().reshape(-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = np.where(ratios > 0, sums / ratios, 0.0).reshape(grid.shape)
+        np.testing.assert_array_equal(grids.scaled_sum, expected)
+        assert (grids.value_min, grids.value_max) == (values.min(), values.max())
+
+    def test_unknown_column_names_the_available_ones(self, small_table, grid):
+        sample = StratifiedSampler(0.3, seed=16).sample(small_table, grid)
+        obj = ContentObjective.of("avg", col("nope"))
+        with pytest.raises(KeyError, match="unknown column 'nope'.*available.*'v'"):
+            build_objective_grids(small_table, grid, sample, obj)
+
 
 class TestNoiseModel:
     def test_deterministic_per_window(self):

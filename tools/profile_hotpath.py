@@ -40,6 +40,16 @@ cost of a search that runs to exhaustion — this one does::
 
     python tools/profile_hotpath.py --ledger serial_full [--top N] [--sort ...]
 
+``--ledger sqlite_firstk`` does one round of that workload (seed 5: six
+catalogs bulk-loaded into fresh SQLite files, three ten-result peeks
+each) three times over: un-profiled with the backend's parts timed —
+bulk load, the sample and the objective grids drawn over SQL,
+``scan_region``, ``install_cells`` (RAM), ``flush_installs`` (the journal
+protocol), the rest being the search core — then with every SQL statement
+counted (statements and commits per query), then under cProfile::
+
+    python tools/profile_hotpath.py --ledger sqlite_firstk [--top N] [--sort ...]
+
 ``--ledger-setup`` profiles what happens *before* the first search step
 (seed 5): ``make_database`` + ``sample_for`` over ``serial_full``'s 25
 datasets, then ``ServeCore.submit`` over one ``serve_burst`` lane of four
@@ -143,7 +153,7 @@ def _profile_distributed(workers: int, top: int, sort: str) -> int:
     return 0
 
 
-def _profile_ledger(top: int, sort: str) -> int:
+def _profile_ledger_serial(top: int, sort: str) -> int:
     """cProfile the ledger's ``serial_full`` query and peeks (seed 5)."""
     from benchmarks.ledger.workloads import FIRST_K, SerialFull, _stream
     from repro.workloads import make_database
@@ -204,17 +214,35 @@ _SETUP_PARTS = (
 )
 
 
-def _time_parts(work, units: int) -> tuple[float, list[list[str]]]:
-    """Run ``work()`` with :data:`_SETUP_PARTS` timed; ``(wall, table rows)``."""
+#: One ``sqlite_firstk`` round, same format.  None of these nests in another,
+#: so the round's wall time minus their sum is the search core.
+_SQLITE_PARTS = (
+    ("bulk load", "repro.storage.sqlite_backend", "SQLiteBackend", "bind_table"),
+    ("sample (SQL)", "repro.sampling.stratified", "StratifiedSampler", "sample"),
+    ("objective grids (SQL)", "repro.core.datamanager", None, "build_objective_grids"),
+    ("scan_region", "repro.storage.sqlite_backend", "SQLiteTable", "scan_region"),
+    ("install_cells", "repro.storage.sqlite_backend", "SQLiteBackend", "install_cells"),
+    ("flush_installs", "repro.storage.sqlite_backend", "SQLiteBackend", "flush_installs"),
+)
+
+
+def _time_parts(work, units: int, parts=_SETUP_PARTS) -> tuple[float, list[list[str]]]:
+    """Run ``work()`` with ``parts`` timed; ``(wall, table rows)``.
+
+    A part this checkout does not have is left out, so the same tool runs
+    on a parent commit.
+    """
     import importlib
 
-    totals = {label: [0, 0.0] for label, *_ in _SETUP_PARTS}
+    totals = {label: [0, 0.0] for label, *_ in parts}
     patched = []
-    for label, module, owner, name in _SETUP_PARTS:
+    for label, module, owner, name in parts:
         holder = importlib.import_module(module)
         if owner is not None:
             holder = getattr(holder, owner)
-        original = getattr(holder, name)
+        original = getattr(holder, name, None)
+        if original is None:
+            continue
 
         def timed(*args, _original=original, _total=totals[label], **kwargs):
             t0 = time.perf_counter()
@@ -239,6 +267,63 @@ def _time_parts(work, units: int) -> tuple[float, list[list[str]]]:
         if calls
     ]
     return wall, rows
+
+
+def _profile_ledger_sqlite(top: int, sort: str) -> int:
+    """Time, count and cProfile one ``sqlite_firstk`` round (seed 5)."""
+    import tempfile
+
+    from benchmarks.ledger.workloads import FIRST_K, SqliteFirstK, _stream
+    from repro.workloads import make_database
+
+    with tempfile.TemporaryDirectory() as scratch:
+        workload = SqliteFirstK(scratch=scratch)
+        workload.generate(5)  # the ledger's default seed
+        queries = sum(len(q) for q in workload.queries)
+
+        def one_round(observe=None):
+            # What ``SqliteFirstK.round`` does, minus its pacing.
+            for index, (dataset, qs) in enumerate(zip(workload.datasets, workload.queries)):
+                database = make_database(dataset, "cluster", backend=workload._fresh_file(index))
+                if observe is not None:
+                    database.backend._conn.set_trace_callback(observe)
+                for query in qs:
+                    _stream(database, dataset, query, FIRST_K)
+                database.backend.installed_cell_count(dataset.name)
+                database.backend.close()
+
+        one_round()  # warm-up: first-touch imports and caches
+        wall, rows = _time_parts(one_round, queries, _SQLITE_PARTS)
+        executed = {"statements": 0, "commits": 0}
+
+        def count(sql: str) -> None:
+            executed["statements"] += 1
+            executed["commits"] += sql.lstrip().upper().startswith("COMMIT")
+
+        one_round(count)
+        profile = cProfile.Profile()
+        profile.runcall(one_round)
+
+    parts_ms = sum(float(total) for _label, _calls, total, _per in rows)
+    rows.append(["search core (rest)", "", f"{1e3 * wall - parts_ms:.2f}",
+                 f"{(1e3 * wall - parts_ms) / queries:.3f}"])
+    stream = io.StringIO()
+    pstats.Stats(profile, stream=stream).sort_stats(sort).print_stats(top)
+    print("== ledger sqlite_firstk, seed 5: one round ==")
+    print(f"wall time: {1e3 * wall:.2f} ms   {1e3 * wall / queries:.3f} ms per query ({queries})")
+    print(f"{'part':<22} {'calls':>6} {'total ms':>10} {'ms per query':>14}")
+    for label, calls, total, per_query in rows:
+        print(f"{label:<22} {calls:>6} {total:>10} {per_query:>14}")
+    print(
+        "   ".join(
+            f"{label}: {executed[key]} ({executed[key] / queries:.1f} per query)"
+            for label, key in (("SQL statement executions", "statements"), ("commits", "commits"))
+        )
+    )
+    print()
+    print(f"== cProfile top {top} by {sort} ==")
+    print(stream.getvalue())
+    return 0
 
 
 def _profile_ledger_setup(top: int, sort: str) -> int:
@@ -312,8 +397,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--ledger",
-        choices=("serial_full",),
-        help="profile the ledger workload's exhaustive query and peeks instead",
+        choices=("serial_full", "sqlite_firstk"),
+        help="profile what that ledger workload runs instead (see the module docstring)",
     )
     parser.add_argument(
         "--ledger-setup",
@@ -325,8 +410,10 @@ def main(argv: list[str] | None = None) -> int:
         return _profile_distributed(args.distributed, args.top, args.sort)
     if args.ledger_setup:
         return _profile_ledger_setup(args.top, args.sort)
-    if args.ledger is not None:
-        return _profile_ledger(args.top, args.sort)
+    if args.ledger == "serial_full":
+        return _profile_ledger_serial(args.top, args.sort)
+    if args.ledger == "sqlite_firstk":
+        return _profile_ledger_sqlite(args.top, args.sort)
     use_kernels = not args.naive
 
     # Wall time first, un-instrumented: cProfile roughly doubles the cost
