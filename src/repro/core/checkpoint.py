@@ -39,7 +39,9 @@ __all__ = [
 
 # Version 2: the frontier queue serializes its structure-of-arrays head
 # (sorted block + pending heap) instead of a single heap list.
-CHECKPOINT_FORMAT_VERSION = 2
+# Version 3: a distributed worker's ``generated`` is a sorted list of
+# packed integer keys, like the serial capture's, and holds no seeds.
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 def window_to_state(window: Window | None) -> list | None:

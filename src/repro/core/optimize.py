@@ -32,7 +32,7 @@ from .conditions import ConditionSet, ContentObjective
 from .datamanager import DataManager
 from .grid import Grid
 from .pqueue import SpillableQueue
-from .window import Window
+from .window import Window, neighbor_bounds
 
 __all__ = ["Incumbent", "OptimizeResult", "OptimizeSearch"]
 
@@ -171,12 +171,8 @@ class OptimizeSearch:
         self._queue.push(self._priority(window), window, self.data.version)
 
     def _neighbors(self, window: Window) -> None:
-        for neighbor in window.neighbors(self.grid):
-            grew_dim = next(
-                d for d in range(window.ndim) if neighbor.length(d) != window.length(d)
-            )
-            if neighbor.length(grew_dim) > self._max_lengths[grew_dim]:
-                continue
-            if self._max_card is not None and neighbor.cardinality > self._max_card:
-                continue
-            self._push(neighbor)
+        bounds, _capped = neighbor_bounds(
+            window.lo, window.hi, self.grid.shape, self._max_lengths, self._max_card
+        )
+        for lo, hi in bounds:
+            self._push(Window.unchecked(lo, hi))

@@ -30,13 +30,16 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from ..costs import CostModel, DEFAULT_COST_MODEL
+from ..errors import CheckpointError
 from ..obs.metrics import DEFAULT_TIME_BOUNDS
+from . import checkpoint as ckpt
 from .clusters import ClusterTracker
 from .conditions import ContentCondition
 from .datamanager import DataManager
@@ -54,7 +57,7 @@ from .trace import EventKind, SearchTrace
 from .utility import UtilityModel
 from .window import Window, neighbor_bounds
 
-__all__ = ["SearchConfig", "SearchStats", "SearchRun", "HeuristicSearch"]
+__all__ = ["SearchConfig", "SearchStats", "SearchRun", "SteppingCore", "HeuristicSearch"]
 
 
 @dataclass
@@ -198,38 +201,55 @@ class SearchRun:
         return self.results[needed - 1].time
 
 
-class HeuristicSearch:
-    """Algorithm 1 over one Data Manager."""
+class SteppingCore:
+    """One Section 4 search step for every tier (DESIGN.md, "The stepping core").
+
+    Owns the utility model, prefetch state, frontier, stats, dedup set
+    and results, and defines seeding, the lazy update, exploration and
+    neighbor generation once.  What Section 5 adds — each worker searches
+    its partition and fetches boundary cells from a peer — is three
+    parameters, here at their single-node values: the first-dimension
+    **data range** ``[data_lo, data_hi)`` readable locally (the whole
+    axis: two integer compares, nothing clipped); the **missing-cells
+    step** :meth:`_park_for_missing_cells`, asked only about windows
+    leaving that range; and the **anchor range**, whose lower edge
+    ``anchor_lo`` a generated neighbor must not cross.  Subclasses add
+    the outer loop (``step``) and the hooks below.
+    """
+
+    # Defaults a tier overrides on its instance.  Class-level so that a
+    # serial search's instance stays within the 30 attributes CPython keeps
+    # in its shared-key layout: past it every ``self.x`` of the step slows.
+    data_lo = anchor_lo = 0
+    _modify_benefit: Callable[[Window, float], float] | None = None
+    _prune_conditions: tuple[ContentCondition, ...] = ()
 
     def __init__(
         self,
         query: SWQuery,
         data: DataManager,
-        config: SearchConfig | None = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
+        config: SearchConfig,
+        cost_model: CostModel,
+        queue,
         trace: SearchTrace | None = None,
         metrics=None,
     ) -> None:
         self.query = query
         self.data = data
-        self.config = config or SearchConfig()
+        self.config = config
         self.cost_model = cost_model
+        self.queue = queue
         self.trace = trace
         self.grid = query.grid
 
-        self.utility_model = UtilityModel(query.conditions, data, s=self.config.s)
-        self.tracker = ClusterTracker(self.grid)
-        self.prefetch_state = PrefetchState(
-            alpha=self.config.alpha, strategy=self.config.prefetch
-        )
-        self.policy = self._make_policy()
-        self.queue = self._make_queue()
+        self.utility_model = UtilityModel(query.conditions, data, s=config.s)
+        self.prefetch_state = PrefetchState(alpha=config.alpha, strategy=config.prefetch)
         self.stats = SearchStats()
 
-        # Observability (repro.obs) — opt-in like the trace.  The search
-        # attaches the registry to its Data Manager and prefetch state so
-        # the cross-layer accounting identities hold, and caches Counter
-        # objects so the steady-state cost per event is one float add.
+        # Observability (repro.obs) — opt-in like the trace.  The registry
+        # is attached to the Data Manager and prefetch state so the
+        # cross-layer accounting identities hold, and Counter objects are
+        # cached so the steady-state cost per event is one float add.
         self.metrics = metrics
         if metrics is not None:
             data.attach_metrics(metrics)
@@ -243,18 +263,13 @@ class HeuristicSearch:
             self._mc_prefetched = metrics.counter("search.prefetch_reads")
             self._mc_cells_window = metrics.counter("search.cells_requested_window")
             self._mc_cells_prefetch = metrics.counter("search.cells_requested_prefetch")
-            self._mh_result_delay = metrics.histogram(
-                "search.result_delay_s", DEFAULT_TIME_BOUNDS
-            )
         else:
             self._mc_estimates = None
-        self._last_result_time = 0.0
 
         shape = self.grid.shape
         self._min_lengths = query.conditions.min_lengths(shape)
         self._max_lengths = query.conditions.max_lengths(shape)
         self._max_card = query.conditions.max_cardinality(shape)
-        self._prune_conditions = self._anti_monotone_conditions()
         # Dedup of generated windows by packed integer key (mixed-radix
         # encoding of lo/hi against the grid shape) — far smaller than a
         # set of Window objects over 10^5-10^6 candidates.
@@ -267,7 +282,385 @@ class HeuristicSearch:
         ]
         self._last_read_region: Window | None = None
         self._results: list[ResultWindow] = []
-        self._start_time = 0.0
+
+        self.data_hi = shape[0]
+        self._start_time = 0.0  # time origin of result and trace stamps
+
+    def _span(self, name: str):
+        """A ``repro.obs`` profiling scope, or nothing without a registry."""
+        return self.metrics.span(name) if self.metrics is not None else nullcontext()
+
+    def _array_frontier(self) -> bool:
+        """Whether frontier rows can stay packed arrays: no noise model (it
+        keys on Window objects), no STATIC :class:`SubAreaQueues`."""
+        return self.data.noise is None and isinstance(self.queue, SpillableQueue)
+
+    # -- hooks ----------------------------------------------------------------------------
+
+    def _park_for_missing_cells(self, window: Window) -> bool:
+        """Whether ``window``, which leaves the data range, must wait for
+        cells held elsewhere before it can be validated."""
+        return False
+
+    def _after_local_read(self) -> None:
+        """Straight after every local ``read_window``, before validation."""
+
+    def _after_read_settled(self, window: Window, positive: bool, jumped: bool) -> None:
+        """After a read that touched blocks was recorded as positive or not."""
+
+    def _emit(self, result: ResultWindow) -> None:
+        """A window just qualified and joined the result list."""
+
+    def _trace_tags(self, kind: EventKind) -> dict:
+        """The tier's tag on a READ or RESULT trace event."""
+        return {}
+
+    def _batch_benefit_modifier(self) -> Callable[[np.ndarray], np.ndarray] | None:
+        """Array form of ``_modify_benefit``; ``None`` if it has none."""
+        return lambda benefits: benefits
+
+    def _utility(self, window: Window) -> tuple[float, float]:
+        """(utility, benefit) queue priority — benefit breaks exact ties."""
+        self.stats.estimates += 1
+        if self._mc_estimates is not None:
+            self._mc_estimates.value += 1.0
+        benefit = self.utility_model.benefit(window)
+        if self._modify_benefit is not None:
+            benefit = self._modify_benefit(window, benefit)
+        return (self.utility_model.utility_with_benefit(window, benefit), benefit)
+
+    def _still_best(self, window: Window, version: int) -> bool:
+        """The lazy utility update: a popped stale entry is re-estimated and,
+        if it no longer beats the queue's best, re-inserted (``False``)."""
+        if not self.config.lazy_updates or version >= self.data.version:
+            return True
+        utility = self._utility(window)
+        top = self.queue.peek_priority()
+        if top is None or not utility < top:
+            return True
+        self.queue.push(utility, window, self.data.version)
+        self.stats.lazy_reinserts += 1
+        if self.metrics is not None:
+            self.metrics.inc("search.lazy_reinserts")
+        return False
+
+    def _seed_slab(self, lo: int, hi: int) -> None:
+        """StartWindows(): every placement of the minimal qualifying shape
+        whose first-dimension anchor falls in ``[lo, hi)``, in row-major order."""
+        shape = self.grid.shape
+        mins = self._min_lengths
+        hi = min(hi, shape[0] - mins[0] + 1)
+        with self._span("seed"):
+            if lo >= hi or (self.data.use_kernels and self._batch_seed(lo, hi, mins)):
+                return
+            spans = [range(lo, hi)] + [
+                range(shape[d] - mins[d] + 1) for d in range(1, self.grid.ndim)
+            ]
+            for position in itertools.product(*spans):
+                self._push_unregistered(
+                    Window(tuple(position), tuple(p + l for p, l in zip(position, mins)))
+                )
+
+    def _batch_seed(self, lo: int, hi: int, mins: Sequence[int]) -> bool:
+        """Vectorized :meth:`_seed_slab`: one kernel pass over the slab.
+
+        Utilities, benefits, tie order and every counter come out exactly
+        as the scalar loop's — the kernel batch is bitwise-identical and
+        placements are enumerated in the same row-major order.  Returns
+        ``False`` when the benefit modifier cannot be batched, falling
+        back to the scalar loop.
+        """
+        modifier = self._batch_benefit_modifier()
+        if modifier is None:
+            return False
+        shape = self.grid.shape
+        ndim = self.grid.ndim
+        counts = (hi - lo,) + tuple(shape[d] - mins[d] + 1 for d in range(1, ndim))
+        lows = np.indices(counts).reshape(ndim, -1).T
+        lows[:, 0] += lo
+        his = lows + np.asarray(mins, dtype=lows.dtype)
+        # Array path: skip materializing one Window per placement — the
+        # frontier takes the packed bounds directly.
+        array_path = self._array_frontier()
+        if array_path:
+            windows = None
+        else:
+            unchecked = Window.unchecked
+            windows = [
+                unchecked(tuple(l), tuple(h))
+                for l, h in zip(lows.tolist(), his.tolist())
+            ]
+
+        benefits, cost_terms = self.utility_model.placement_profile(
+            tuple(int(m) for m in mins), windows, anchor_slab=(lo, hi)
+        )
+        n = len(benefits)
+        self.stats.estimates += n
+        if self._mc_estimates is not None:
+            self._mc_estimates.value += float(n)
+        modified = modifier(benefits)
+        s = self.utility_model.s
+        utilities = s * modified + (1.0 - s) * cost_terms
+
+        version = self.data.version
+        if array_path:
+            self.queue.push_many_arrays(utilities, modified, lows, his, version)
+        else:
+            self.queue.push_many(
+                ((u, b), window, version)
+                for u, b, window in zip(utilities.tolist(), modified.tolist(), windows)
+            )
+        self.stats.generated += n
+        if self._mc_estimates is not None:
+            self._mc_generated.value += float(n)
+        return True
+
+    def _key_of_bounds(self, lo: Sequence[int], hi: Sequence[int]) -> int:
+        """``Window.key`` over packed bounds without building the Window."""
+        shape = self.grid.shape
+        key = 0
+        for radix, low in zip(shape, lo):
+            key = key * radix + low
+        for radix, high in zip(shape, hi):
+            key = key * (radix + 1) + high
+        return key
+
+    def _push_bounds(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> None:
+        """Score and enqueue the window ``[lo, hi)`` unless already generated."""
+        key = self._key_of_bounds(lo, hi)
+        if key in self._generated:
+            return
+        self._generated.add(key)
+        self._push_unregistered(Window.unchecked(lo, hi))
+
+    def _push_unregistered(self, window: Window) -> None:
+        """Score and enqueue without consulting the dedup set.
+
+        For neighbours :meth:`_push_bounds` has just registered, and for
+        seeds, which never register: a neighbour exceeds the minimal
+        shape in some dimension, so its key cannot collide with a seed's,
+        and an adopted slab is disjoint from every slab its adopter seeded.
+        """
+        self.queue.push(self._utility(window), window, self.data.version)
+        self.stats.generated += 1
+        if self._mc_estimates is not None:
+            self._mc_generated.value += 1.0
+
+    def _generate_neighbors(self, window: Window) -> None:
+        """GetNeighbors() with max-shape and anti-monotone pruning."""
+        if self._prune_conditions and self._violates_anti_monotone(window):
+            self.stats.pruned_extensions += 1
+            return
+        bounds, capped = neighbor_bounds(
+            window.lo, window.hi, self.grid.shape, self._max_lengths, self._max_card
+        )
+        self.stats.capped_extensions += capped
+        # Explored windows are anchored in our slab, and only growing left
+        # in the first dimension — always the first candidate — moves the
+        # anchor: that one alone can land in another worker's slab.
+        if bounds and bounds[0][0][0] < self.anchor_lo:
+            del bounds[0]
+        for lo, hi in bounds:
+            self._push_bounds(lo, hi)
+
+    def _violates_anti_monotone(self, window: Window) -> bool:
+        if not self.data.is_read(window):
+            return False
+        for cond in self._prune_conditions:
+            value = self.data.exact_value(cond.objective, window)
+            if not cond.evaluate_value(value):
+                return True
+        return False
+
+    # -- exploration ----------------------------------------------------------------------
+
+    def _clip_to_data(self, window: Window) -> Window | None:
+        """The sub-window whose cells are local, or ``None`` if none are."""
+        lo0 = max(window.lo[0], self.data_lo)
+        hi0 = min(window.hi[0], self.data_hi)
+        if lo0 >= hi0:
+            return None
+        return Window.unchecked((lo0,) + window.lo[1:], (hi0,) + window.hi[1:])
+
+    def _explore(self, window: Window, jumped: bool = False) -> ResultWindow | None:
+        if self.metrics is not None:  # not _span: this runs once per window
+            with self.metrics.span("expand"):
+                return self._explore_impl(window, jumped)
+        return self._explore_impl(window, jumped)
+
+    def _explore_impl(self, window: Window, jumped: bool) -> ResultWindow | None:
+        data = self.data
+        clock = data.clock
+        clock.advance(self.cost_model.sw_window_s())
+        self.stats.explored += 1
+        metrics = self.metrics
+        if metrics is not None:
+            self._mc_explored.value += 1.0
+
+        all_local = self.data_lo <= window.lo[0] and window.hi[0] <= self.data_hi
+        local = window if all_local else self._clip_to_data(window)
+        did_read = False
+        if local is not None and not data.is_read(local):
+            with self._span("prefetch"):
+                region = prefetch_extend(
+                    local, self.prefetch_state.size(), self.grid, self.utility_model.cost
+                )
+            if region.lo[0] < self.data_lo or region.hi[0] > self.data_hi:
+                region = self._clip_to_data(region)
+            prefetched = region.cardinality - local.cardinality
+            if metrics is not None:
+                self._mc_cells_window.value += float(local.cardinality)
+                self._mc_cells_prefetch.value += float(prefetched)
+            scan = data.read_window(region)
+            self.stats.prefetched_cells += prefetched
+            # A request that touched no heap pages (empty region under a
+            # tight placement) is not a disk read for prefetch purposes.
+            if scan is not None and scan.blocks_touched > 0:
+                self.stats.reads += 1
+                did_read = True
+                if metrics is not None:
+                    self._mc_reads.value += 1.0
+                    if region == local:
+                        self._mc_cold.value += 1.0
+                    else:
+                        self._mc_prefetched.value += 1.0
+            self._after_local_read()
+
+        # A parked window's validation is deferred; its read counts as
+        # negative and its neighbors are generated now all the same.
+        if all_local or not self._park_for_missing_cells(window):
+            result = self._check_window(window)
+        else:
+            result = None
+        if result is not None:
+            self._results.append(result)
+            if metrics is not None:
+                self._mc_results.value += 1.0
+            if self.trace is not None:
+                tags = self._trace_tags(EventKind.RESULT)
+                self.trace.record(EventKind.RESULT, result.time, window, **tags)
+            self._emit(result)
+            if not did_read and self._last_read_region is not None:
+                # A cached window qualifying out of the last read's cells
+                # makes that read positive retroactively (Section 4.3).
+                if window.overlaps(self._last_read_region):
+                    self.prefetch_state.fp_reads = 0
+
+        if did_read:
+            positive = result is not None
+            self.prefetch_state.record_read(positive)
+            self._last_read_region = region
+            if self.trace is not None:
+                self.trace.record(
+                    EventKind.READ,
+                    clock.now - self._start_time,
+                    region,
+                    positive=positive,
+                    prefetched=prefetched,
+                    **self._trace_tags(EventKind.READ),
+                )
+            self._after_read_settled(window, positive, jumped)
+
+        self._generate_neighbors(window)
+        return result
+
+    def _check_window(self, window: Window) -> ResultWindow | None:
+        """UpdateResult(): exact validation of every condition."""
+        if not self.query.conditions.shape_satisfied(window):
+            return None
+        objective_values = self.data.exact_values(self._cond_labels, window)
+        if objective_values is None:
+            return None
+        return ResultWindow(
+            window=window,
+            bounds=window.rect(self.grid),
+            objective_values=objective_values,
+            time=self.data.clock.now - self._start_time,
+        )
+
+    # -- checkpoint fields ----------------------------------------------------------------
+
+    def _core_state(self) -> dict:
+        """The checkpoint fields every tier captures the same way."""
+        db = self.data.database
+        table = self.data.table_name
+        return {
+            "clock_now": self.data.clock.now,
+            "stats": dataclasses.asdict(self.stats),
+            "queue": self.queue.state(),
+            "generated": sorted(self._generated),
+            "results": ckpt.results_to_state(self._results),
+            "prefetch_fp_reads": self.prefetch_state.fp_reads,
+            "last_read_region": ckpt.window_to_state(self._last_read_region),
+            "data": self.data.state(),
+            "disk": db.disk(table).state(),
+            "buffer": db.buffer(table).state(),
+            "backend_installs": db.backend.install_state(table),
+            "metrics": self.metrics.snapshot() if self.metrics is not None else None,
+        }
+
+    def _restore_core_state(self, state: dict) -> None:
+        """Inverse of :meth:`_core_state`; the metrics snapshot lands last."""
+        clock = self.data.clock
+        target_now = float(state["clock_now"])
+        if clock.now > target_now:
+            raise CheckpointError(
+                f"simulated clock ({clock.now:g}s) is already past the "
+                f"checkpoint ({target_now:g}s); restore onto a fresh engine"
+            )
+        clock.advance_to(target_now)
+        db = self.data.database
+        table = self.data.table_name
+        self.data.restore_state(state["data"])
+        db.disk(table).restore_state(state["disk"])
+        db.buffer(table).restore_state(state["buffer"])
+        db.backend.restore_install_state(table, state["backend_installs"])
+        self.queue.restore_state(state["queue"])
+        self._generated = {int(k) for k in state["generated"]}
+        for name, value in state["stats"].items():
+            setattr(self.stats, name, int(value))
+        self._results[:] = ckpt.results_from_state(state["results"], self.grid)
+        self.prefetch_state.fp_reads = int(state["prefetch_fp_reads"])
+        self._last_read_region = ckpt.window_from_state(state["last_read_region"])
+        if self.metrics is not None and state["metrics"] is not None:
+            self.metrics.load_snapshot(state["metrics"])
+
+
+class HeuristicSearch(SteppingCore):
+    """Algorithm 1 over one Data Manager.
+
+    The whole-grid, no-network case of the :class:`SteppingCore`, plus
+    what the paper evaluates on one node only: lifecycle limits, jump
+    selection, STATIC sub-area queues, the periodic refresh,
+    anti-monotone pruning, the scrubber and the checkpoint guards.
+    """
+
+    def __init__(
+        self,
+        query: SWQuery,
+        data: DataManager,
+        config: SearchConfig | None = None,
+        cost_model: CostModel = DEFAULT_COST_MODEL,
+        trace: SearchTrace | None = None,
+        metrics=None,
+    ) -> None:
+        config = config or SearchConfig()
+        capacity = config.effective_head_capacity
+        if config.diversification is Diversification.STATIC:
+            queue = SubAreaQueues(config.static_subareas, query.grid.shape, capacity)
+        else:
+            queue = SpillableQueue(capacity)
+        super().__init__(query, data, config, cost_model, queue, trace, metrics)
+        if metrics is not None:
+            self._mh_result_delay = metrics.histogram(
+                "search.result_delay_s", DEFAULT_TIME_BOUNDS
+            )
+        self._last_result_time = 0.0
+
+        self.tracker = ClusterTracker(self.grid)
+        self.policy = self._make_policy()
+        self._modify_benefit = self.policy.modified_benefit
+        self._prune_conditions = self._anti_monotone_conditions()
         self._cancelled = False
         self._restored = False
         self._scrubber = self._make_scrubber()
@@ -281,12 +674,6 @@ class HeuristicSearch:
         if div is Diversification.DIST_JUMPS:
             return DistJumpPolicy(self.tracker, k=self.config.dist_jump_k)
         return JumpPolicy(self.tracker)
-
-    def _make_queue(self):
-        capacity = self.config.effective_head_capacity
-        if self.config.diversification is Diversification.STATIC:
-            return SubAreaQueues(self.config.static_subareas, self.grid.shape, capacity)
-        return SpillableQueue(capacity)
 
     def _make_scrubber(self):
         if self.config.scrub_blocks_per_step <= 0:
@@ -303,17 +690,6 @@ class HeuristicSearch:
         if not self.config.assume_nonnegative:
             return ()
         return tuple(c for c in self.query.conditions.content_conditions if c.anti_monotone)
-
-    # -- utility with diversification ---------------------------------------------
-
-    def _utility(self, window: Window) -> tuple[float, float]:
-        """(utility, benefit) queue priority — benefit breaks exact ties."""
-        self.stats.estimates += 1
-        if self._mc_estimates is not None:
-            self._mc_estimates.value += 1.0
-        benefit = self.utility_model.benefit(window)
-        benefit = self.policy.modified_benefit(window, benefit)
-        return (self.utility_model.utility_with_benefit(window, benefit), benefit)
 
     # -- the main loop ----------------------------------------------------------------
 
@@ -432,19 +808,12 @@ class HeuristicSearch:
                 return ("done" if reason is None else "interrupted", None)
             priority, window, version = popped
 
-            if self.config.lazy_updates and version < self.data.version:
-                utility = self._utility(window)
-                top = self.queue.peek_priority()
-                if top is not None and utility < top:
-                    self.queue.push(utility, window, self.data.version)
-                    self.stats.lazy_reinserts += 1
-                    if self.metrics is not None:
-                        self.metrics.inc("search.lazy_reinserts")
-                    if self.trace is not None:
-                        self.trace.record(
-                            EventKind.REINSERT, clock.now - self._start_time, window
-                        )
-                    continue
+            if not self._still_best(window, version):
+                if self.trace is not None:
+                    self.trace.record(
+                        EventKind.REINSERT, clock.now - self._start_time, window
+                    )
+                continue
 
             jumped = False
             if use_jumps:
@@ -543,43 +912,26 @@ class HeuristicSearch:
         restore and break snapshot byte-identity with the uninterrupted
         run.
         """
-        from ..errors import CheckpointError
-        from . import checkpoint as ckpt
-
         if self.config.diversification is not Diversification.NONE:
             raise CheckpointError(
                 "checkpointing supports diversification=NONE only; "
                 f"got {self.config.diversification.value!r}"
             )
-        db = self.data.database
-        table = self.data.table_name
-        clock = self.data.clock
-        integ = db.integrity(table)
+        integ = self.data.database.integrity(self.data.table_name)
         state = {
             "format_version": ckpt.CHECKPOINT_FORMAT_VERSION,
             "config": self._config_fingerprint(),
-            "clock_now": clock.now,
             "start_time": self._start_time,
             "last_result_time": self._last_result_time,
-            "last_read_region": ckpt.window_to_state(self._last_read_region),
-            "stats": dataclasses.asdict(self.stats),
-            "generated": sorted(self._generated),
-            "queue": self.queue.state(),
-            "results": ckpt.results_to_state(self._results),
-            "prefetch_fp_reads": self.prefetch_state.fp_reads,
-            "data": self.data.state(),
-            "disk": db.disk(table).state(),
-            "buffer": db.buffer(table).state(),
-            "backend_installs": db.backend.install_state(table),
+            **self._core_state(),
             "integrity": integ.state() if integ is not None else None,
             "scrubber": self._scrubber.state() if self._scrubber is not None else None,
             "trace": ckpt.trace_to_state(self.trace) if self.trace is not None else None,
-            "metrics": self.metrics.snapshot() if self.metrics is not None else None,
         }
         if self.trace is not None:
             self.trace.record(
                 EventKind.CHECKPOINT,
-                clock.now - self._start_time,
+                self.data.clock.now - self._start_time,
                 results=len(self._results),
                 frontier=len(self.queue),
             )
@@ -592,9 +944,6 @@ class HeuristicSearch:
         query and configuration; the next ``run()`` / ``iter_results``
         continues exactly where the capture stopped (seeding is skipped).
         """
-        from ..errors import CheckpointError
-        from . import checkpoint as ckpt
-
         if state.get("format_version") != ckpt.CHECKPOINT_FORMAT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint format {state.get('format_version')!r} "
@@ -611,52 +960,27 @@ class HeuristicSearch:
                 f"checkpoint was taken under a different configuration; "
                 f"mismatched keys: {mismatched}"
             )
-        db = self.data.database
-        table = self.data.table_name
-        clock = self.data.clock
-        target_now = float(state["clock_now"])
-        if clock.now > target_now:
-            raise CheckpointError(
-                f"simulated clock ({clock.now:g}s) is already past the "
-                f"checkpoint ({target_now:g}s); restore onto a fresh engine"
-            )
-        integ = db.integrity(table)
+        integ = self.data.database.integrity(self.data.table_name)
         if (integ is None) != (state["integrity"] is None):
             raise CheckpointError(
                 "storage fault plan attachment differs between the "
                 "checkpointing and the resuming run"
             )
-        clock.advance_to(target_now)
-        self.data.restore_state(state["data"])
-        db.disk(table).restore_state(state["disk"])
-        db.buffer(table).restore_state(state["buffer"])
-        # Length-flexible: pre-backend-seam checkpoints lack the key, and
-        # have no install record to restore.
-        if state.get("backend_installs") is not None:
-            db.backend.restore_install_state(table, state["backend_installs"])
+        self._restore_core_state(state)
         if integ is not None:
             integ.restore_state(state["integrity"])
         if self._scrubber is not None and state["scrubber"] is not None:
             self._scrubber.restore_state(state["scrubber"])
-        self.queue.restore_state(state["queue"])
-        self._generated = {int(k) for k in state["generated"]}
-        for name, value in state["stats"].items():
-            setattr(self.stats, name, int(value))
-        self._results[:] = ckpt.results_from_state(state["results"], self.grid)
         # The cluster tracker is a pure fold over the result windows in
         # emission order; rebuild it and repoint the policy at it.
         self.tracker = ClusterTracker(self.grid)
         for result in self._results:
             self.tracker.add(result.window)
         self.policy.tracker = self.tracker
-        self.prefetch_state.fp_reads = int(state["prefetch_fp_reads"])
         self._start_time = float(state["start_time"])
         self._last_result_time = float(state["last_result_time"])
-        self._last_read_region = ckpt.window_from_state(state["last_read_region"])
         if self.trace is not None and state["trace"] is not None:
             ckpt.load_trace_state(self.trace, state["trace"])
-        if self.metrics is not None and state["metrics"] is not None:
-            self.metrics.load_snapshot(state["metrics"])
         self._cancelled = False
         self._restored = True
 
@@ -664,87 +988,7 @@ class HeuristicSearch:
 
     def _seed_start_windows(self) -> None:
         """StartWindows(): all placements of the minimal qualifying shape."""
-        if self.metrics is not None:
-            with self.metrics.span("seed"):
-                self._seed_impl()
-        else:
-            self._seed_impl()
-
-    def _seed_impl(self) -> None:
-        shape = self.grid.shape
-        mins = self._min_lengths
-        if self.data.use_kernels and self._batch_seed(mins):
-            return
-        spans = [range(shape[d] - mins[d] + 1) for d in range(self.grid.ndim)]
-        for position in itertools.product(*spans):
-            window = Window(
-                tuple(position), tuple(p + l for p, l in zip(position, mins))
-            )
-            # Mirrors _batch_seed: seed keys skip ``_generated`` (no
-            # neighbor can ever re-generate a minimal-shape window).
-            self._push_unregistered(window)
-
-    def _batch_seed(self, mins: Sequence[int]) -> bool:
-        """Vectorized StartWindows(): one kernel pass over all placements.
-
-        Utilities, benefits, tie order and every counter come out exactly
-        as the scalar loop's — the kernel batch is bitwise-identical and
-        placements are enumerated in the same row-major order.  Returns
-        ``False`` when the jump policy's benefit modifier cannot be
-        batched (custom policy, or clusters already exist), falling back
-        to the scalar loop.
-        """
-        modifier = self._batch_benefit_modifier()
-        if modifier is None:
-            return False
-        shape = self.grid.shape
-        ndim = self.grid.ndim
-        counts = tuple(shape[d] - mins[d] + 1 for d in range(ndim))
-        lows = np.indices(counts).reshape(ndim, -1).T
-        mins_arr = np.asarray(mins, dtype=lows.dtype)
-        his = lows + mins_arr
-        mins = tuple(int(m) for m in mins)
-        # Array path: skip materializing one Window per placement — the
-        # frontier takes the packed bounds directly.  Windows are only
-        # irreplaceable for per-window noise keying.
-        array_path = self.data.noise is None and isinstance(
-            self.queue, SpillableQueue
-        )
-        if array_path:
-            windows = None
-        else:
-            unchecked = Window.unchecked
-            windows = [
-                unchecked(tuple(lo), tuple(hi))
-                for lo, hi in zip(lows.tolist(), his.tolist())
-            ]
-
-        benefits, cost_terms = self.utility_model.placement_profile(mins, windows)
-        n = len(benefits)
-        self.stats.estimates += n
-        if self._mc_estimates is not None:
-            self._mc_estimates.value += float(n)
-        modified = modifier(benefits)
-        s = self.utility_model.s
-        utilities = s * modified + (1.0 - s) * cost_terms
-
-        # Seed keys are *not* registered in ``_generated``: every later
-        # neighbor strictly exceeds the minimal shape in some dimension,
-        # so a candidate key can never collide with a seed placement —
-        # the registration would be dead weight on the dedup set.
-        version = self.data.version
-        if array_path:
-            self.queue.push_many_arrays(utilities, modified, lows, his, version)
-        else:
-            entries = [
-                ((u, b), window, version)
-                for u, b, window in zip(utilities.tolist(), modified.tolist(), windows)
-            ]
-            self.queue.push_many(entries)
-        self.stats.generated += n
-        if self._mc_estimates is not None:
-            self._mc_generated.value += float(n)
-        return True
+        self._seed_slab(0, self.grid.shape[0])
 
     def _batch_benefit_modifier(self):
         """Vectorized ``JumpPolicy.modified_benefit``, if expressible."""
@@ -757,177 +1001,24 @@ class HeuristicSearch:
             return lambda benefits: (benefits + 1.0) / 2.0
         return None
 
-    def _key_of_bounds(self, lo: Sequence[int], hi: Sequence[int]) -> int:
-        """``Window.key`` over packed bounds without building the Window."""
-        shape = self.grid.shape
-        key = 0
-        for radix, low in zip(shape, lo):
-            key = key * radix + low
-        for radix, high in zip(shape, hi):
-            key = key * (radix + 1) + high
-        return key
+    def _trace_tags(self, kind: EventKind) -> dict:
+        return {"backend": self.data.backend_name} if kind is EventKind.READ else {}
 
-    def _push_bounds(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> None:
-        """Score and enqueue the window ``[lo, hi)`` unless already generated."""
-        key = self._key_of_bounds(lo, hi)
-        if key in self._generated:
-            return
-        self._generated.add(key)
-        self._push_unregistered(Window.unchecked(lo, hi))
-
-    def _push_unregistered(self, window: Window) -> None:
-        """Score and enqueue without consulting the dedup set.
-
-        For seed placements, which never register, and for neighbours
-        :meth:`_push_bounds` has just registered.
-        """
-        self.queue.push(self._utility(window), window, self.data.version)
-        self.stats.generated += 1
-        if self._mc_estimates is not None:
-            self._mc_generated.value += 1.0
-
-    def _explore(self, window: Window, jumped: bool) -> ResultWindow | None:
+    def _emit(self, result: ResultWindow) -> None:
+        self.tracker.add(result.window)
         if self.metrics is not None:
-            with self.metrics.span("expand"):
-                return self._explore_impl(window, jumped)
-        return self._explore_impl(window, jumped)
+            self._mh_result_delay.observe(result.time - self._last_result_time)
+            self._last_result_time = result.time
 
-    def _explore_impl(self, window: Window, jumped: bool) -> ResultWindow | None:
-        clock = self.data.clock
-        clock.advance(self.cost_model.sw_window_s())
-        self.stats.explored += 1
-        metrics = self.metrics
-        if metrics is not None:
-            self._mc_explored.value += 1.0
-
-        did_read = False
-        read_region: Window | None = None
-        if not self.data.is_read(window):
-            if metrics is not None:
-                with metrics.span("prefetch"):
-                    region = prefetch_extend(
-                        window,
-                        self.prefetch_state.size(),
-                        self.grid,
-                        self.utility_model.cost,
-                    )
-            else:
-                region = prefetch_extend(
-                    window, self.prefetch_state.size(), self.grid, self.utility_model.cost
-                )
-            if metrics is not None:
-                self._mc_cells_window.value += float(window.cardinality)
-                self._mc_cells_prefetch.value += float(
-                    region.cardinality - window.cardinality
-                )
-            scan = self.data.read_window(region)
-            self.stats.prefetched_cells += region.cardinality - window.cardinality
-            # A request that touched no heap pages (empty region under a
-            # tight placement) is not a disk read for prefetch purposes.
-            if scan is not None and scan.blocks_touched > 0:
-                self.stats.reads += 1
-                did_read = True
-                read_region = region
-                if metrics is not None:
-                    self._mc_reads.value += 1.0
-                    if region == window:
-                        self._mc_cold.value += 1.0
-                    else:
-                        self._mc_prefetched.value += 1.0
-
-        result = self._check_window(window)
-        if result is not None:
-            self._results.append(result)
-            self.tracker.add(window)
-            if metrics is not None:
-                self._mc_results.value += 1.0
-                self._mh_result_delay.observe(result.time - self._last_result_time)
-                self._last_result_time = result.time
-            if self.trace is not None:
-                self.trace.record(EventKind.RESULT, result.time, window)
-            if not did_read and self._last_read_region is not None:
-                # A cached window qualifying out of the last read's cells
-                # makes that read positive retroactively (Section 4.3).
-                if window.overlaps(self._last_read_region):
-                    self.prefetch_state.fp_reads = 0
-
-        if did_read:
-            positive = result is not None
-            self.prefetch_state.record_read(positive)
-            self.policy.on_read(window, positive, jumped)
-            self._last_read_region = read_region
-            if self.trace is not None:
-                self.trace.record(
-                    EventKind.READ,
-                    clock.now - self._start_time,
-                    read_region,
-                    positive=positive,
-                    prefetched=read_region.cardinality - window.cardinality,  # type: ignore[union-attr]
-                    backend=self.data.backend_name,
-                )
-            self._maybe_refresh()
-
-        self._generate_neighbors(window)
-        return result
-
-    def _check_window(self, window: Window) -> ResultWindow | None:
-        """UpdateResult(): exact validation of every condition."""
-        if not self.query.conditions.shape_satisfied(window):
-            return None
-        objective_values = self.data.exact_values(self._cond_labels, window)
-        if objective_values is None:
-            return None
-        return ResultWindow(
-            window=window,
-            bounds=window.rect(self.grid),
-            objective_values=objective_values,
-            time=self.data.clock.now - self._start_time,
-        )
-
-    def _batch_expand_ok(self) -> bool:
-        """Whether the array-native frontier refresh applies.
-
-        It requires the kernel reductions (``use_kernels``), no noise
-        model (perturbation is keyed per Window object) and the SoA
-        frontier (STATIC diversification swaps in
-        :class:`SubAreaQueues`).  Anything else falls back to the scalar
-        oracle — the same pattern the seeding path has used since PR 1.
-        """
-        return (
-            self.data.use_kernels
-            and self.data.noise is None
-            and isinstance(self.queue, SpillableQueue)
-        )
-
-    def _generate_neighbors(self, window: Window) -> None:
-        """GetNeighbors() with max-shape and anti-monotone pruning."""
-        if self._prune_conditions and self._violates_anti_monotone(window):
-            self.stats.pruned_extensions += 1
-            return
-        bounds, capped = neighbor_bounds(
-            window.lo, window.hi, self.grid.shape, self._max_lengths, self._max_card
-        )
-        self.stats.capped_extensions += capped
-        for lo, hi in bounds:
-            self._push_bounds(lo, hi)
-
-    def _violates_anti_monotone(self, window: Window) -> bool:
-        if not self.data.is_read(window):
-            return False
-        for cond in self._prune_conditions:
-            value = self.data.exact_value(cond.objective, window)
-            if not cond.evaluate_value(value):
-                return True
-        return False
+    def _after_read_settled(self, window: Window, positive: bool, jumped: bool) -> None:
+        self.policy.on_read(window, positive, jumped)
+        self._maybe_refresh()
 
     def _maybe_refresh(self) -> None:
         interval = self.config.refresh_reads
         if interval <= 0 or self.stats.reads % interval != 0:
             return
-        if self.metrics is not None:
-            with self.metrics.span("estimate"):
-                self._refresh_impl()
-        else:
+        with self._span("estimate"):
             self._refresh_impl()
 
     def _refresh_impl(self) -> None:
@@ -939,7 +1030,11 @@ class HeuristicSearch:
             if self.metrics is not None:
                 self.metrics.inc("search.refresh_skipped")
             return
-        if self._batch_expand_ok() and self._refresh_batch(version):
+        if (
+            self.data.use_kernels
+            and self._array_frontier()
+            and self._refresh_batch(version)
+        ):
             return
         entries = list(self.queue.drain())
         self.queue.push_many(

@@ -253,8 +253,7 @@ def neighbor_bounds(
     a cap rejected.  Both directions of a dimension grow the same length,
     so each cap is one integer comparison per dimension and no
     :class:`Window` is built for a candidate the caller may still drop
-    (capped here, deduplicated or owned elsewhere there).  This is the
-    expansion step both search loops share.
+    (capped here, deduplicated or owned elsewhere there).
     """
     bounds = []
     capped = 0

@@ -33,32 +33,32 @@ exchange effectively exactly-once over a lossy channel:
   move the windows needing them to ``lost_windows`` instead of waiting
   forever; the coordinator reports them as degradation.
 
-Workers honour the core :class:`~repro.core.search.SearchConfig` knobs for
-utility weighting and prefetching; the diversification strategies and the
-periodic queue refresh are single-node concerns (the paper evaluates them
-on one node only) and are not applied here.
+The search itself is the shared :class:`~repro.core.search.SteppingCore`;
+this module adds the slab parameters, the missing-cells step and all that
+talks to peers.  Of the :class:`~repro.core.search.SearchConfig` knobs a
+worker honours ``s``, ``alpha``, ``prefetch``, ``lazy_updates`` and
+``head_capacity``; it ignores ``diversification`` (and its tuning knobs),
+``refresh_reads``, ``assume_nonnegative``, ``scrub_blocks_per_step``,
+``time_limit_s``, ``deadline_s``, ``step_limit`` and
+``memory_budget_entries`` — the paper evaluates those on one node only.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from ..core.datamanager import DataManager
-from ..core.prefetch import PrefetchState, prefetch_extend
+from ..core import checkpoint as ckpt
 from ..core.pqueue import SpillableQueue
 from ..core.query import ResultWindow, SWQuery
-from ..core.search import SearchConfig, SearchStats
+from ..core.search import SearchConfig, SteppingCore
 from ..core.trace import EventKind, SearchTrace
-from ..core.utility import UtilityModel
-from ..core.window import Window, neighbor_bounds
+from ..core.window import Window
 from ..costs import CostModel
-from ..errors import ProtocolError
+from ..errors import CheckpointError, ProtocolError
 from .messages import Cell, CellRequest, CellResponse, Network
 from .partitioning import OwnershipRouter, PartitionPlan
 
@@ -77,7 +77,7 @@ class _Outstanding:
     hedged: bool = False
 
 
-class Worker:
+class Worker(SteppingCore):
     """One search worker over a slab of the search area."""
 
     def __init__(
@@ -94,39 +94,27 @@ class Worker:
         trace: SearchTrace | None = None,
         metrics=None,
     ) -> None:
+        # ``metrics`` is a per-worker registry bound to this worker's
+        # clock; the coordinator merges all of them at the end.
+        config = config or SearchConfig()
+        super().__init__(
+            query,
+            data,
+            config,
+            cost_model if cost_model is not None else CostModel(),
+            SpillableQueue(config.head_capacity),
+            trace,
+            metrics,
+        )
         self.worker_id = worker_id
         self.plan = plan
-        self.query = query
-        self.data = data
         self.network = network
-        self.config = config or SearchConfig()
-        self.cost_model = cost_model if cost_model is not None else CostModel()
         self.router = router if router is not None else OwnershipRouter(plan)
-        self.trace = trace
-        self.grid = query.grid
+        self.results = self._results
+        self._on_result = on_result
 
         self.anchor_lo, self.anchor_hi = plan.anchor_slab(worker_id)
         self.data_lo, self.data_hi = plan.data_range(worker_id)
-
-        self.utility_model = UtilityModel(query.conditions, data, s=self.config.s)
-        self.prefetch_state = PrefetchState(
-            alpha=self.config.alpha, strategy=self.config.prefetch
-        )
-        self.queue = SpillableQueue(self.config.head_capacity)
-        self.stats = SearchStats()
-        self.results: list[ResultWindow] = []
-        self._on_result = on_result
-
-        shape = self.grid.shape
-        self._min_lengths = query.conditions.min_lengths(shape)
-        self._max_lengths = query.conditions.max_lengths(shape)
-        self._max_card = query.conditions.max_cardinality(shape)
-        self._generated: set[Window] = set()
-        self._cond_labels = [
-            (cond, repr(cond.objective))
-            for cond in query.conditions.content_conditions
-        ]
-        self._last_read_region: Window | None = None
 
         # Remote-cell machinery.
         self._waiting: dict[Window, set[Cell]] = {}
@@ -149,26 +137,7 @@ class Worker:
         self._seen_msg_ids: set[int] = set()
         self._lost_cells: set[Cell] = set()
 
-        # Observability (repro.obs) — a per-worker registry bound to this
-        # worker's clock; the coordinator merges all of them at the end.
-        # Same opt-in contract as the single-node search.
-        self.metrics = metrics
-        if metrics is not None:
-            data.attach_metrics(metrics)
-            self.prefetch_state.metrics = metrics
-            self._mc_estimates = metrics.counter("search.estimates")
-            self._mc_generated = metrics.counter("search.windows_generated")
-            self._mc_explored = metrics.counter("search.windows_explored")
-            self._mc_results = metrics.counter("search.results")
-            self._mc_reads = metrics.counter("search.reads")
-            self._mc_cold = metrics.counter("search.cold_reads")
-            self._mc_prefetched = metrics.counter("search.prefetch_reads")
-            self._mc_cells_window = metrics.counter("search.cells_requested_window")
-            self._mc_cells_prefetch = metrics.counter("search.cells_requested_prefetch")
-        else:
-            self._mc_estimates = None
-
-        self._seed_range(self.anchor_lo, self.anchor_hi)
+        self._seed_slab(self.anchor_lo, self.anchor_hi)
 
     # -- scheduling interface ---------------------------------------------------
 
@@ -266,16 +235,8 @@ class Worker:
                 self._read_for_pending()
             return
         priority, window, version = popped
-        if self.config.lazy_updates and version < self.data.version:
-            utility = self._utility(window)
-            top = self.queue.peek_priority()
-            if top is not None and utility < top:
-                self.queue.push(utility, window, self.data.version)
-                self.stats.lazy_reinserts += 1
-                if self.metrics is not None:
-                    self.metrics.inc("search.lazy_reinserts")
-                return
-        self._explore(window)
+        if self._still_best(window, version):
+            self._explore(window)
 
     # -- message handling --------------------------------------------------------------
 
@@ -374,6 +335,8 @@ class Worker:
             if cells:
                 still_pending[requester] = cells
         self._pending = still_pending
+
+    _after_local_read = _flush_pending  # the stepping core's hook
 
     # -- reliability layer -------------------------------------------------------------
 
@@ -534,10 +497,6 @@ class Worker:
             if self.metrics is not None:
                 self.metrics.inc("dist.unparked_windows")
 
-    def on_peer_death(self, dead: int) -> None:
-        """React to the coordinator declaring one peer failed."""
-        self.on_peer_deaths({dead})
-
     def on_peer_deaths(self, dead: set[int]) -> bool:
         """React to a batch of declared peer deaths in one pass.
 
@@ -592,12 +551,10 @@ class Worker:
         if newly_local:
             self._unpark_windows_touching(newly_local)
         if seed:
+            with self._span("recover"):
+                self._seed_slab(lo, hi)
             if self.metrics is not None:
-                with self.metrics.span("recover"):
-                    self._seed_range(lo, hi)
                 self.metrics.inc("dist.recovered_anchors", float(hi - lo))
-            else:
-                self._seed_range(lo, hi)
             self.recovered_anchors += hi - lo
         return hi - lo
 
@@ -612,28 +569,14 @@ class Worker:
         sorted.  Cell sets inside entries are safe to sort because every
         order-sensitive consumer (``_dispatch_cells``) sorts before use.
         """
-        from ..core import checkpoint as ckpt
-
-        db = self.data.database
-        table = self.data.table_name
-
         def cells_list(cells: Iterable[Cell]) -> list[list[int]]:
             return sorted([list(c) for c in cells])
 
         return {
             "worker_id": self.worker_id,
-            "clock_now": self.now,
             "anchor_range": [self.anchor_lo, self.anchor_hi],
             "data_range": [self.data_lo, self.data_hi],
-            "stats": dataclasses.asdict(self.stats),
-            "queue": self.queue.state(),
-            "generated": [
-                ckpt.window_to_state(w)
-                for w in sorted(self._generated, key=lambda w: (w.lo, w.hi))
-            ],
-            "results": ckpt.results_to_state(self.results),
-            "prefetch_fp_reads": self.prefetch_state.fp_reads,
-            "last_read_region": ckpt.window_to_state(self._last_read_region),
+            **self._core_state(),
             "waiting": [
                 [ckpt.window_to_state(w), cells_list(cells)]
                 for w, cells in self._waiting.items()
@@ -665,44 +608,22 @@ class Worker:
             "hedges": self.hedges,
             "duplicates_ignored": self.duplicates_ignored,
             "recovered_anchors": self.recovered_anchors,
-            "data": self.data.state(),
-            "disk": db.disk(table).state(),
-            "buffer": db.buffer(table).state(),
-            "backend_installs": db.backend.install_state(table),
-            "metrics": self.metrics.snapshot() if self.metrics is not None else None,
         }
 
     def restore_state(self, state: dict) -> None:
         """Restore a :meth:`state` capture onto this freshly built worker."""
-        from ..core import checkpoint as ckpt
-        from ..errors import CheckpointError
-
         if int(state["worker_id"]) != self.worker_id:
             raise CheckpointError(
                 f"worker {self.worker_id} cannot restore state captured "
                 f"for worker {state['worker_id']}"
             )
-        clock = self.data.clock
-        target_now = float(state["clock_now"])
-        if clock.now > target_now:
-            raise CheckpointError(
-                f"worker {self.worker_id} clock ({clock.now:g}s) is already "
-                f"past the checkpoint ({target_now:g}s)"
-            )
-        clock.advance_to(target_now)
+        self._restore_core_state(state)
 
         def cell_set(cells) -> set[Cell]:
             return {tuple(int(x) for x in c) for c in cells}
 
         self.anchor_lo, self.anchor_hi = (int(x) for x in state["anchor_range"])
         self.data_lo, self.data_hi = (int(x) for x in state["data_range"])
-        for name, value in state["stats"].items():
-            setattr(self.stats, name, int(value))
-        self.queue.restore_state(state["queue"])
-        self._generated = {ckpt.window_from_state(w) for w in state["generated"]}
-        self.results[:] = ckpt.results_from_state(state["results"], self.grid)
-        self.prefetch_state.fp_reads = int(state["prefetch_fp_reads"])
-        self._last_read_region = ckpt.window_from_state(state["last_read_region"])
         self._waiting = {
             ckpt.window_from_state(w): cell_set(cells)
             for w, cells in state["waiting"]
@@ -714,16 +635,14 @@ class Worker:
         self._outstanding = {}
         self._earliest_due = None
         for entry in state["outstanding"]:
-            # Length-flexible: pre-hedging checkpoints have 5 fields.
-            msg_id, owner, cells, deadline, attempt = entry[:5]
-            rest = entry[5:]
+            msg_id, owner, cells, deadline, attempt, sent_at, hedged = entry
             self._outstanding[int(msg_id)] = _Outstanding(
                 owner=int(owner),
                 cells=cell_set(cells),
                 deadline=float(deadline),
                 attempt=int(attempt),
-                sent_at=float(rest[0]) if rest else 0.0,
-                hedged=bool(rest[1]) if len(rest) > 1 else False,
+                sent_at=float(sent_at),
+                hedged=bool(hedged),
             )
         self._seen_msg_ids = {int(m) for m in state["seen_msg_ids"]}
         self._lost_cells = cell_set(state["lost_cells"])
@@ -732,122 +651,22 @@ class Worker:
             for w, cells in state["lost_windows"]
         }
         self.retries = int(state["retries"])
-        self.hedges = int(state.get("hedges", 0))
+        self.hedges = int(state["hedges"])
         self.duplicates_ignored = int(state["duplicates_ignored"])
         self.recovered_anchors = int(state["recovered_anchors"])
-        db = self.data.database
-        table = self.data.table_name
-        self.data.restore_state(state["data"])
-        db.disk(table).restore_state(state["disk"])
-        db.buffer(table).restore_state(state["buffer"])
-        # Length-flexible: pre-backend-seam checkpoints lack the key.
-        if state.get("backend_installs") is not None:
-            db.backend.restore_install_state(table, state["backend_installs"])
-        if self.metrics is not None and state["metrics"] is not None:
-            self.metrics.load_snapshot(state["metrics"])
 
-    # -- search mechanics ------------------------------------------------------------------
+    # -- what Section 5 adds to the stepping core -----------------------------------------
 
-    def _utility(self, window: Window) -> tuple[float, float]:
-        self.stats.estimates += 1
-        if self._mc_estimates is not None:
-            self._mc_estimates.value += 1.0
-        benefit = self.utility_model.benefit(window)
-        return (self.utility_model.utility_with_benefit(window, benefit), benefit)
+    def _trace_tags(self, kind: EventKind) -> dict:
+        return {"worker": self.worker_id}
 
-    def _seed_range(self, lo: int, hi: int) -> None:
-        """Seed start windows for every anchor column in ``[lo, hi)``."""
-        if self.metrics is not None:
-            with self.metrics.span("seed"):
-                self._seed_range_impl(lo, hi)
-        else:
-            self._seed_range_impl(lo, hi)
-
-    def _seed_range_impl(self, lo: int, hi: int) -> None:
-        shape = self.grid.shape
-        mins = self._min_lengths
-        hi0 = min(hi, shape[0] - mins[0] + 1)
-        if lo >= hi0:
-            return
-        if self.data.use_kernels and self._batch_seed(lo, hi0, mins):
-            return
-        for a0 in range(lo, hi0):
-            spans = [range(a0, a0 + 1)] + [
-                range(shape[d] - mins[d] + 1) for d in range(1, self.grid.ndim)
-            ]
-            self._seed_spans(spans, mins)
-
-    def _batch_seed(self, lo: int, hi0: int, mins: Sequence[int]) -> bool:
-        """Vectorized seeding of one anchor slab (see ``HeuristicSearch``).
-
-        Same kernel batch as the single-node ``_batch_seed``, restricted
-        to placements anchored in ``[lo, hi0)`` via the profile's
-        ``anchor_slab`` — utilities and tie order come out identical to
-        the scalar loop's.
-        """
-        shape = self.grid.shape
-        ndim = self.grid.ndim
-        counts = (hi0 - lo,) + tuple(shape[d] - mins[d] + 1 for d in range(1, ndim))
-        lows = np.indices(counts).reshape(ndim, -1).T
-        lows[:, 0] += lo
-        his = lows + np.asarray(mins, dtype=lows.dtype)
-        unchecked = Window.unchecked
-        windows = [
-            unchecked(tuple(l), tuple(h))
-            for l, h in zip(lows.tolist(), his.tolist())
-        ]
-        benefits, cost_terms = self.utility_model.placement_profile(
-            tuple(int(m) for m in mins), windows, anchor_slab=(lo, hi0)
-        )
-        self.stats.estimates += len(windows)
-        if self._mc_estimates is not None:
-            self._mc_estimates.value += float(len(windows))
-        s = self.utility_model.s
-        utilities = s * benefits + (1.0 - s) * cost_terms
-
-        version = self.data.version
-        entries = []
-        for u, b, window in zip(utilities.tolist(), benefits.tolist(), windows):
-            if window in self._generated:
-                continue
-            self._generated.add(window)
-            entries.append(((u, b), window, version))
-        self.queue.push_many(entries)
-        self.stats.generated += len(entries)
-        if self._mc_estimates is not None:
-            self._mc_generated.value += float(len(entries))
-        return True
-
-    def _seed_spans(self, spans, mins) -> None:
-        for position in itertools.product(*spans):
-            window = Window(
-                tuple(position), tuple(p + l for p, l in zip(position, mins))
-            )
-            self._push(window)
-
-    def _push(self, window: Window) -> None:
-        if window in self._generated:
-            return
-        self._generated.add(window)
-        self.queue.push(self._utility(window), window, self.data.version)
-        self.stats.generated += 1
-        if self._mc_estimates is not None:
-            self._mc_generated.value += 1.0
-
-    def _local_part(self, window: Window) -> Window | None:
-        """The sub-window whose cells live in this worker's local data."""
-        lo0 = max(window.lo[0], self.data_lo)
-        hi0 = min(window.hi[0], self.data_hi)
-        if lo0 >= hi0:
-            return None
-        return Window((lo0,) + window.lo[1:], (hi0,) + window.hi[1:])
+    def _emit(self, result: ResultWindow) -> None:
+        if self._on_result is not None:
+            self._on_result(self.worker_id, result)
 
     def _remote_cells(self, window: Window) -> list[Cell]:
         """Unread cells of the window outside the local data range."""
         lo0, hi0 = window.lo[0], window.hi[0]
-        data_lo, data_hi = self.data_lo, self.data_hi
-        if data_lo <= lo0 and hi0 <= data_hi:
-            return []
         # Only the columns below and above the local range, in the
         # window's own row-major order (dimension 0 is the major one).
         is_cell_read = self.data.is_cell_read
@@ -855,144 +674,28 @@ class Worker:
         return [
             cell
             for columns in (
-                range(lo0, min(hi0, data_lo)),
-                range(max(lo0, data_hi), hi0),
+                range(lo0, min(hi0, self.data_lo)),
+                range(max(lo0, self.data_hi), hi0),
             )
             for cell in itertools.product(columns, *rest)
             if not is_cell_read(cell)
         ]
 
-    def _explore(self, window: Window) -> None:
-        if self.metrics is not None:
-            with self.metrics.span("expand"):
-                self._explore_impl(window)
-        else:
-            self._explore_impl(window)
-
-    def _explore_impl(self, window: Window) -> None:
-        self.data.clock.advance(self.cost_model.sw_window_s())
-        self.stats.explored += 1
-        metrics = self.metrics
-        if metrics is not None:
-            self._mc_explored.value += 1.0
-
-        local = self._local_part(window)
-        did_read = False
-        read_region: Window | None = None
-        if local is not None and not self.data.is_read(local):
-            if metrics is not None:
-                with metrics.span("prefetch"):
-                    region = prefetch_extend(
-                        local,
-                        self.prefetch_state.size(),
-                        self.grid,
-                        self.utility_model.cost,
-                    )
-            else:
-                region = prefetch_extend(
-                    local, self.prefetch_state.size(), self.grid, self.utility_model.cost
-                )
-            region = self._clip_to_data(region)
-            if metrics is not None:
-                local_cells = min(local.cardinality, region.cardinality)
-                self._mc_cells_window.value += float(local_cells)
-                self._mc_cells_prefetch.value += float(
-                    region.cardinality - local_cells
-                )
-            scan = self.data.read_window(region)
-            self.stats.prefetched_cells += region.cardinality - local.cardinality
-            if scan is not None and scan.blocks_touched > 0:
-                self.stats.reads += 1
-                did_read = True
-                read_region = region
-                if metrics is not None:
-                    self._mc_reads.value += 1.0
-                    if region == local:
-                        self._mc_cold.value += 1.0
-                    else:
-                        self._mc_prefetched.value += 1.0
-            self._flush_pending()
-
+    def _park_for_missing_cells(self, window: Window) -> bool:
+        """Park ``window`` until its remote cells arrive (or are lost)."""
         remote = self._remote_cells(window)
-        if remote:
-            if any(cell in self._lost_cells for cell in remote):
-                # Some needed cells died with their slab — the window can
-                # never be validated; account for it instead of waiting.
-                self.lost_windows[window] = set(remote)
-                if metrics is not None:
-                    metrics.inc("dist.lost_windows")
-            else:
-                self._waiting[window] = set(remote)
-                new_requests = [c for c in remote if c not in self._requested]
-                if new_requests:
-                    self._requested.update(new_requests)
-                    self._dispatch_cells(new_requests)
-            if did_read:
-                self.prefetch_state.record_read(False)
-                self._last_read_region = read_region
-                if self.trace is not None:
-                    self.trace.record(
-                        EventKind.READ,
-                        self.now,
-                        read_region,
-                        positive=False,
-                        prefetched=read_region.cardinality - local.cardinality,
-                        worker=self.worker_id,
-                    )
-            # Neighbors are generated now — waiting only defers validation.
-            self._neighbors(window)
-            return
-
-        result = self._validate(window)
-        if result is not None:
-            self.results.append(result)
-            if metrics is not None:
-                self._mc_results.value += 1.0
-            if self.trace is not None:
-                self.trace.record(
-                    EventKind.RESULT, result.time, window, worker=self.worker_id
-                )
-            if self._on_result is not None:
-                self._on_result(self.worker_id, result)
-            if not did_read and self._last_read_region is not None:
-                if window.overlaps(self._last_read_region):
-                    self.prefetch_state.fp_reads = 0
-        if did_read:
-            self.prefetch_state.record_read(result is not None)
-            self._last_read_region = read_region
-            if self.trace is not None:
-                self.trace.record(
-                    EventKind.READ,
-                    self.now,
-                    read_region,
-                    positive=result is not None,
-                    prefetched=read_region.cardinality - local.cardinality,
-                    worker=self.worker_id,
-                )
-        self._neighbors(window)
-
-    def _clip_to_data(self, window: Window) -> Window:
-        lo0 = max(window.lo[0], self.data_lo)
-        hi0 = min(window.hi[0], self.data_hi)
-        return Window((lo0,) + window.lo[1:], (hi0,) + window.hi[1:])
-
-    def _validate(self, window: Window) -> ResultWindow | None:
-        if not self.query.conditions.shape_satisfied(window):
-            return None
-        objective_values = self.data.exact_values(self._cond_labels, window)
-        if objective_values is None:
-            return None
-        return ResultWindow(
-            window=window,
-            bounds=window.rect(self.grid),
-            objective_values=objective_values,
-            time=self.now,
-        )
-
-    def _neighbors(self, window: Window) -> None:
-        bounds, _capped = neighbor_bounds(
-            window.lo, window.hi, self.grid.shape, self._max_lengths, self._max_card
-        )
-        for lo, hi in bounds:
-            if self.anchor_lo <= lo[0] < self.anchor_hi:  # else another worker's slab
-                self._push(Window.unchecked(lo, hi))
+        if not remote:
+            return False
+        if any(cell in self._lost_cells for cell in remote):
+            # Some needed cells died with their slab — the window can
+            # never be validated; account for it instead of waiting.
+            self.lost_windows[window] = set(remote)
+            if self.metrics is not None:
+                self.metrics.inc("dist.lost_windows")
+        else:
+            self._waiting[window] = set(remote)
+            new_requests = [c for c in remote if c not in self._requested]
+            if new_requests:
+                self._requested.update(new_requests)
+                self._dispatch_cells(new_requests)
+        return True

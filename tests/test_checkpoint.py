@@ -301,6 +301,20 @@ class TestDistributedResume:
                 dataset, query, _dist_config(), resume_from=search.checkpoint_state()
             )
 
+    def test_previous_format_is_refused_by_both_tiers(self, workload):
+        # Format 2 kept a worker's dedup set as Window pairs; no reader
+        # for it remains, so both restores must refuse it up front.
+        dataset, query = workload
+        serial = TestSerialGuards()._interrupted_state(workload)
+        serial["format_version"] = 2
+        search = _engine(dataset).prepare(query, SearchConfig(alpha=1.0))
+        with pytest.raises(CheckpointError, match="unsupported checkpoint format 2"):
+            search.restore_state(serial)
+        rep = run_distributed(dataset, query, _dist_config(checkpoint_after_steps=5))
+        rep.checkpoint["format_version"] = 2
+        with pytest.raises(CheckpointError, match="unsupported checkpoint format 2"):
+            run_distributed(dataset, query, _dist_config(), resume_from=rep.checkpoint)
+
     def test_checkpoint_after_steps_validated(self):
         with pytest.raises(CheckpointError, match=">= 1"):
             _dist_config(checkpoint_after_steps=0)
