@@ -364,7 +364,7 @@ def _run_checksum_overhead() -> dict:
             report = engine.execute(query, config)
             cpu[checksummed].append(time.process_time() - t0)
             runs[checksummed] = _run_fingerprint(report.run)
-            assert not report.degraded, "zero-fault plan must never degrade"
+            assert not report.degradations, "zero-fault plan must never degrade"
 
     assert runs[True] == runs[False], "a clean checksummed run must be byte-identical"
     # Median of per-round paired ratios: each round's two modes run

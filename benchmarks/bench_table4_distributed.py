@@ -145,7 +145,7 @@ def test_table4_distributed(benchmark):
                 rep.retries,
                 rep.recovered_anchors,
                 rep.messages_lost,
-                "yes" if rep.is_degraded else "no",
+                "yes" if rep.degradations else "no",
             ]
         )
     print_table(
@@ -170,7 +170,7 @@ def test_table4_distributed(benchmark):
     # Chaos plans recover the identical result set, at a time cost.
     expected = {r.window for r in cases[(8, "no_overlap")].results}
     for rep in out["faults"].values():
-        assert not rep.is_degraded
+        assert not rep.degradations
         assert {r.window for r in rep.results} == expected
 
     # Every run — all overlaps, skews, and chaos plans — must pass the

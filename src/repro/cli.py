@@ -349,8 +349,8 @@ def _cmd_run(args, database: Database, dataset, query: SWQuery, out) -> int:
             f"retries, {report.breaker_trips} breaker trip(s), "
             f"{report.fallback_reads} fallback read(s)"
         )
-        if report.backend_degradation is not None:
-            out(f"-- {report.backend_degradation.describe()}")
+        for degradation in report.degradations:
+            out(f"-- {degradation.describe()}")
     if args.heatmap and results:
         from .viz import render_results
 
@@ -407,23 +407,33 @@ def _print_snapshot(snapshot: dict, out) -> None:
             out(f"  {name:<40} n={n:<8d} mean={mean:g}")
 
 
-def _audit_snapshot(snapshot: dict, out) -> int:
-    """Run the invariant audit over a snapshot; exit code 1 on violations."""
+def _audit_snapshot(snapshot, out) -> int:
+    """Audit a snapshot or registry, print the verdict; exit code 1 on violations."""
     from .obs import InvariantAuditor
 
-    outcome = InvariantAuditor(snapshot).report()
-    if outcome["ok"]:
-        out(f"\naudit: {outcome['checked']} identities checked, all hold")
+    verdict = InvariantAuditor(snapshot).report()
+    if verdict["ok"]:
+        out(f"\naudit: {verdict['checked']} identities checked, all hold")
         return 0
-    out(f"\naudit: {len(outcome['violations'])} violation(s):")
-    for violation in outcome["violations"]:
+    out(f"\naudit: {len(verdict['violations'])} violation(s):")
+    for violation in verdict["violations"]:
         out(f"  {violation}")
     return 1
 
 
+def _export_and_audit(args, snapshot: dict, out) -> int:
+    """The tail of a ``metrics`` run: the ``--json`` export, then the audit."""
+    if args.json is not None:
+        from .io import write_metrics_json
+
+        out(f"\nwrote {write_metrics_json(snapshot, args.json)}")
+    if args.no_audit:
+        return 0
+    return _audit_snapshot(snapshot, out)
+
+
 def _cmd_metrics(args, database: Database, dataset, query: SWQuery, out) -> int:
     """Run the canonical query with a registry attached; print and audit."""
-    from .io import write_metrics_json
     from .obs import MetricsRegistry
 
     if args.distributed is not None:
@@ -442,14 +452,7 @@ def _cmd_metrics(args, database: Database, dataset, query: SWQuery, out) -> int:
 
     snapshot = registry.snapshot()
     _print_snapshot(snapshot, out)
-
-    if args.json is not None:
-        path = write_metrics_json(registry, args.json)
-        out(f"\nwrote {path}")
-
-    if args.no_audit:
-        return 0
-    return _audit_snapshot(snapshot, out)
+    return _export_and_audit(args, snapshot, out)
 
 
 def _cmd_metrics_distributed(args, dataset, query: SWQuery, out) -> int:
@@ -464,7 +467,6 @@ def _cmd_metrics_distributed(args, dataset, query: SWQuery, out) -> int:
     without parsing traces.
     """
     from .distributed import DistributedConfig, FaultPlan, run_distributed
-    from .io import write_metrics_json
     from .obs import MetricsRegistry
 
     def config_for(faults=None) -> DistributedConfig:
@@ -514,10 +516,8 @@ def _cmd_metrics_distributed(args, dataset, query: SWQuery, out) -> int:
         rows.append((f"faults_injected.{name}", count))
     for name, value in rows:
         out(f"  {name:<40} {value!s:>14}")
-    if report.abort_reason is not None:
-        out(f"  abort reason: {report.abort_reason}")
-    if report.degraded is not None:
-        out(f"  {report.degraded.describe()}")
+    for degradation in report.degradations:  # an abort's reason is its manifest's
+        out(f"  {degradation.describe()}")
 
     oracle = {(r.window.lo, r.window.hi) for r in baseline.results}
     got = {(r.window.lo, r.window.hi) for r in report.results}
@@ -531,14 +531,7 @@ def _cmd_metrics_distributed(args, dataset, query: SWQuery, out) -> int:
 
     snapshot = report.metrics if report.metrics is not None else registry.snapshot()
     _print_snapshot(snapshot, out)
-
-    if args.json is not None:
-        path = write_metrics_json(snapshot, args.json)
-        out(f"\nwrote {path}")
-
-    if args.no_audit:
-        return 0
-    return _audit_snapshot(snapshot, out)
+    return _export_and_audit(args, snapshot, out)
 
 
 def _cmd_scrub(args, database: Database, dataset, out) -> int:
@@ -550,7 +543,7 @@ def _cmd_scrub(args, database: Database, dataset, out) -> int:
     corruption at read time and the pass exercises the full detect →
     repair → quarantine pipeline deterministically.
     """
-    from .obs import InvariantAuditor, MetricsRegistry
+    from .obs import MetricsRegistry
     from .storage.integrity import Scrubber, StorageFaultPlan
 
     registry = MetricsRegistry()
@@ -577,14 +570,7 @@ def _cmd_scrub(args, database: Database, dataset, out) -> int:
         out(f"quarantined blocks: {sorted(integ.quarantined)}")
     if args.no_audit:
         return 0
-    outcome = InvariantAuditor(registry).report()
-    if outcome["ok"]:
-        out(f"audit: {outcome['checked']} identities checked, all hold")
-        return 0
-    out(f"audit: {len(outcome['violations'])} violation(s):")
-    for violation in outcome["violations"]:
-        out(f"  {violation}")
-    return 1
+    return _audit_snapshot(registry, out)
 
 
 def _parse_listen(listen: str) -> tuple[str, int]:
@@ -628,7 +614,7 @@ def _cmd_serve(args, dataset, query: SWQuery, out) -> int:
     import json
 
     from .core.trace import SearchTrace
-    from .obs import InvariantAuditor, MetricsRegistry
+    from .obs import MetricsRegistry
     from .serve import SemanticCache, SessionManager, parse_quota_specs, serve_workload
 
     _validate_serve_args(args)
@@ -709,15 +695,7 @@ def _cmd_serve(args, dataset, query: SWQuery, out) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
         out(f"\nwrote {args.json}")
 
-    audit = InvariantAuditor(snapshot)
-    outcome = audit.report()
-    if outcome["ok"]:
-        out(f"\naudit: {outcome['checked']} identities checked, all hold")
-        return 0
-    out(f"\naudit: {len(outcome['violations'])} violation(s):")
-    for violation in outcome["violations"]:
-        out(f"  {violation}")
-    return 1
+    return _audit_snapshot(snapshot, out)
 
 
 def _cmd_serve_network(args, out) -> int:

@@ -20,11 +20,10 @@ from typing import Callable
 
 from ..costs import CostModel
 from ..errors import ConfigError
+from ..faults import Degradation, outcome_of
 from ..sampling.noise import NoiseModel
 from ..sampling.stratified import CellSample, StratifiedSampler
 from ..storage.database import Database
-from ..storage.integrity import StorageDegradation
-from ..storage.resilience import BackendDegradation
 from .datamanager import DataManager
 from .query import ResultWindow, SWQuery
 from .search import HeuristicSearch, SearchConfig, SearchRun
@@ -36,25 +35,29 @@ __all__ = ["ExecutionReport", "StreamingExecution", "SWEngine"]
 class ExecutionReport:
     """One query execution: the search run plus storage-level deltas.
 
-    ``degradation`` is ``None`` for a clean run; under an attached storage
-    fault plan it records unrepairable corruption the query survived —
-    quarantined pages and the grid cells whose aggregates may be missing
-    tuples.  Results are still exact over every page that *was* readable.
+    ``degradations`` is empty for a clean run.  A ``storage`` record
+    (attached fault plan, DESIGN.md §11) names unrepairable corruption
+    the query survived — quarantined pages and the grid cells whose
+    aggregates may be missing tuples; results are still exact over every
+    page that *was* readable.  A ``backend`` record (resilience layer,
+    §16) says the storage backend failed operations past its retry
+    budget and the run was served from the simulator mirror instead.
+    ``backend_retries`` / ``breaker_trips`` / ``fallback_reads`` carry
+    the resilience counters of this execution whether or not it degraded
+    — retries alone keep the run ``complete``.
 
-    ``backend_degradation`` is the real-backend sibling (resilience
-    layer, DESIGN.md §16): non-``None`` when the storage backend failed
-    operations past its retry budget and the run was served from the
-    simulator mirror instead.  ``backend_retries`` / ``breaker_trips`` /
-    ``fallback_reads`` carry the resilience counters of this execution
-    whether or not it degraded — retries alone keep the run ``complete``.
+    ``interrupted`` marks a stream that stopped being driven before its
+    search finished: the search is parked, checkpointable and resumable.
+    A search the engine itself stopped (deadline, time limit, cancel,
+    step limit — ``run.interrupt_reason`` says which) is ``aborted``.
     """
 
     run: SearchRun
     disk_stats: dict[str, float] = field(default_factory=dict)
     buffer_hits: int = 0
     buffer_misses: int = 0
-    degradation: StorageDegradation | None = None
-    backend_degradation: BackendDegradation | None = None
+    degradations: tuple[Degradation, ...] = ()
+    interrupted: bool = False
     backend_retries: int = 0
     breaker_trips: int = 0
     fallback_reads: int = 0
@@ -65,25 +68,9 @@ class ExecutionReport:
         return self.run.results
 
     @property
-    def degraded(self) -> bool:
-        """Whether storage corruption or backend failure degraded this run."""
-        return self.degradation is not None or self.backend_degradation is not None
-
-    @property
     def outcome(self) -> str:
-        """``complete`` | ``degraded`` | ``aborted`` (machine-checkable).
-
-        ``aborted`` means the search itself was interrupted (deadline,
-        time limit, cancel, step limit — ``run.interrupt_reason`` says
-        which); ``degraded`` means it ran to completion but some storage
-        promise was broken along the way (see the degradation fields);
-        ``complete`` is a clean, full execution.
-        """
-        if self.run.interrupted:
-            return "aborted"
-        if self.degraded:
-            return "degraded"
-        return "complete"
+        """``complete`` | ``degraded`` | ``aborted`` | ``interrupted``."""
+        return outcome_of(self.interrupted, self.run.interrupt_reason, self.degradations)
 
 
 class StreamingExecution:
@@ -112,6 +99,7 @@ class StreamingExecution:
         self._backend0 = engine.backend_baseline()
         self._begun = False
         self._closed = False
+        self._finished = False
 
     def __iter__(self) -> "StreamingExecution":
         return self
@@ -127,7 +115,7 @@ class StreamingExecution:
             if status == "result":
                 return result
             if status in ("done", "interrupted"):
-                self._closed = True
+                self._closed = self._finished = True
                 raise StopIteration
 
     def cancel(self) -> None:
@@ -148,8 +136,8 @@ class StreamingExecution:
             disk_stats=delta,
             buffer_hits=hits,
             buffer_misses=misses,
-            degradation=self._engine.degradation_of(self.search),
-            **self._engine.backend_delta(self._backend0),
+            interrupted=not self._finished,
+            **self._engine.fault_delta(self.search, self._backend0),
         )
 
 
@@ -359,8 +347,7 @@ class SWEngine:
             disk_stats=delta,
             buffer_hits=hits,
             buffer_misses=misses,
-            degradation=self.degradation_of(search),
-            **self.backend_delta(backend0),
+            **self.fault_delta(search, backend0),
         )
 
     def _io_delta(
@@ -400,19 +387,6 @@ class SWEngine:
 
     # -- resilience ----------------------------------------------------------------
 
-    def degradation_of(self, search: HeuristicSearch) -> StorageDegradation | None:
-        """The storage degradation a search accumulated, if any."""
-        integ = self.database.integrity(self.table_name)
-        degraded_cells = search.data.degraded_cells
-        if integ is None or (not integ.quarantined and not degraded_cells):
-            return None
-        return StorageDegradation(
-            reason="unrepairable block corruption",
-            table=self.table_name,
-            lost_blocks=tuple(sorted(integ.quarantined)),
-            degraded_cells=tuple(sorted(degraded_cells)),
-        )
-
     def backend_baseline(self) -> dict[str, int] | None:
         """Resilience-counter snapshot before an execution (``None`` if off)."""
         backend = self.database.backend
@@ -420,18 +394,27 @@ class SWEngine:
             return backend.stats()
         return None
 
-    def backend_delta(self, baseline: dict[str, int] | None) -> dict:
-        """Report fields for the resilience counters since ``baseline``."""
-        backend = self.database.backend
-        if baseline is None or not getattr(backend, "resilient", False):
-            return {}
-        now = backend.stats()
-        return {
-            "backend_degradation": backend.degradation(baseline),
-            "backend_retries": now["retries"] - baseline["retries"],
-            "breaker_trips": now["breaker_trips"] - baseline["breaker_trips"],
-            "fallback_reads": now["fallback_reads"] - baseline["fallback_reads"],
-        }
+    def fault_delta(self, search: HeuristicSearch, baseline: dict[str, int] | None) -> dict:
+        """Report fields for what the fault layers did to one execution.
+
+        ``degradations`` collects each attached layer's record (storage
+        integrity, backend resilience); the resilience counters are
+        deltas since ``baseline`` (a :meth:`backend_baseline` capture).
+        """
+        integ = self.database.integrity(self.table_name)
+        found = [integ.degradation(search.data.degraded_cells)] if integ is not None else []
+        fields: dict = {}
+        if baseline is not None:
+            backend = self.database.backend
+            now = backend.stats()
+            found.append(backend.degradation(baseline))
+            fields = {
+                "backend_retries": now["retries"] - baseline["retries"],
+                "breaker_trips": now["breaker_trips"] - baseline["breaker_trips"],
+                "fallback_reads": now["fallback_reads"] - baseline["fallback_reads"],
+            }
+        fields["degradations"] = tuple(d for d in found if d is not None)
+        return fields
 
     def resume(
         self,

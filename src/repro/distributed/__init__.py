@@ -5,9 +5,9 @@ injection (:mod:`repro.distributed.faults` — crashes, storms, failure
 domains, healing link partitions, message faults), an
 at-least-once-with-dedup message protocol with speculative hedging, a
 quorum-style liveness view driving batched, policy-aware anchor
-reassignment, and the bounded-degradation contract on
-:class:`DistributedReport` (complete / degraded-with-manifest /
-aborted-with-reason).
+reassignment, and the one outcome rule on :class:`DistributedReport`
+(complete / degraded-with-manifest / aborted-with-reason / interrupted;
+:mod:`repro.faults`).
 """
 
 from .coordinator import (
@@ -19,7 +19,6 @@ from .coordinator import (
 from .faults import (
     COORDINATOR,
     CrashStorm,
-    DegradedResult,
     FailureDomain,
     FaultInjector,
     FaultPlan,
@@ -43,7 +42,6 @@ __all__ = [
     "run_distributed",
     "COORDINATOR",
     "CrashStorm",
-    "DegradedResult",
     "FailureDomain",
     "FaultInjector",
     "FaultPlan",

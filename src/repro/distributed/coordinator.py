@@ -11,8 +11,10 @@ affected (DESIGN.md Section 9, "Event loop").  "The total query time is
 essentially dominated by the total disk time of the slowest worker" —
 which is exactly what the simulation yields.
 
-Fault tolerance (see DESIGN.md Sections 9 and 14).  A :class:`FaultPlan`
-on the config turns the run into a chaos experiment: fail-stop crashes
+Fault tolerance (DESIGN.md Section 9, "Fault model", is the plan
+vocabulary, the degradation record and the outcome rule; Sections 9 and
+14 are this module's recovery mechanisms).  A :class:`FaultPlan` on the
+config turns the run into a chaos experiment: fail-stop crashes
 (single, storms, whole failure domains), link partitions with scheduled
 heals, and probabilistic message drop/duplication/delay, all drawn from
 one seeded stream so a given plan replays bit-identically.  Failure
@@ -29,15 +31,17 @@ fenced — stopped permanently, its results superseded by its successor's
 re-exploration — so false positives degrade performance, never
 correctness.
 
-Every run ends in one of three contractual outcomes
-(:attr:`DistributedReport.outcome`): ``complete``, ``degraded`` with a
-:class:`DegradedResult` manifest enumerating exactly which slabs/windows
-were unrecoverable, or ``aborted`` with
+Every run ends in one contractual outcome
+(:attr:`DistributedReport.outcome`, the rule is
+:func:`repro.faults.outcome_of`): ``complete``, ``degraded`` with a
+:class:`~repro.faults.Degradation` manifest enumerating exactly which
+slabs/windows were unrecoverable, ``aborted`` with
 :attr:`DistributedReport.abort_reason` (resource limits, protocol
-wedges).  Because the search is a deterministic exhaustive expansion
-from seeded anchors, re-seeding recovers exactly the windows a dead
-worker would have reported, so the merged result set of a recoverable
-run equals the fault-free one on all surviving partitions.
+wedges), or ``interrupted`` at a checkpoint.  Because the search is a
+deterministic exhaustive expansion from seeded anchors, re-seeding
+recovers exactly the windows a dead worker would have reported, so the
+merged result set of a recoverable run equals the fault-free one on all
+surviving partitions.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ from ..storage.database import Database
 from ..storage.placement import Placement, cell_flat_ids, order_rows
 from ..storage.table import HeapTable
 from ..workloads.base import Dataset
-from .faults import COORDINATOR, DegradedResult, FaultInjector, FaultPlan
+from ..faults import Degradation, outcome_of
+from .faults import COORDINATOR, FaultInjector, FaultPlan
 from .messages import Network
 from .partitioning import (
     OverlapMode,
@@ -123,18 +128,18 @@ class LivenessView:
         self,
         worker: int,
         now_s: float,
-        injector: FaultInjector,
+        plan: FaultPlan,
         peer_alive,
     ) -> bool:
         """Whether a (live) worker's heartbeat reaches the coordinator now."""
-        if injector.link_open(COORDINATOR, worker, now_s):
+        if plan.link_open(COORDINATOR, worker, now_s):
             return True
         return any(
             peer != worker
             and peer not in self.declared
             and peer_alive(peer)
-            and injector.link_open(worker, peer, now_s)
-            and injector.link_open(COORDINATOR, peer, now_s)
+            and plan.link_open(worker, peer, now_s)
+            and plan.link_open(COORDINATOR, peer, now_s)
             for peer in range(self.num_workers)
         )
 
@@ -209,8 +214,12 @@ class DistributedReport:
 
     Fault-injected runs additionally report the reliability-layer
     activity (retries, ignored duplicates, injected faults) and — when
-    recovery was impossible — a :class:`DegradedResult` instead of an
-    exception, so callers always get the results that *were* found.
+    recovery was impossible — a ``distributed``
+    :class:`~repro.faults.Degradation` instead of an exception, so
+    callers always get the results that *were* found.  Its ``lost`` names
+    ``workers`` (crashed), ``fenced_workers``, ``slabs`` (anchor ranges
+    no survivor could adopt), ``windows`` (candidates abandoned because
+    their remote cells became unobtainable) and ``stuck_workers``.
     """
 
     results: list[ResultWindow] = field(default_factory=list)
@@ -237,9 +246,9 @@ class DistributedReport:
     reassignment_msgs: int = 0
     cells_reassigned: int = 0
     faults_injected: dict[str, int] = field(default_factory=dict)
-    degraded: DegradedResult | None = None
-    # Bounded-degradation contract: a non-None abort_reason means the run
-    # was cut short (resource limit, protocol wedge) — see ``outcome``.
+    degradations: tuple[Degradation, ...] = ()
+    # A non-None abort_reason means the run was cut short (resource
+    # limit, protocol wedge) — see ``outcome``.
     abort_reason: str | None = None
     # Lifecycle: a run stopped at ``checkpoint_after_steps`` reports
     # ``interrupted=True`` with the resumable capture in ``checkpoint``
@@ -267,28 +276,9 @@ class DistributedReport:
         return self.results[-1].time if self.results else None
 
     @property
-    def is_degraded(self) -> bool:
-        """True when the run could not recover everything it lost."""
-        return self.degraded is not None
-
-    @property
     def outcome(self) -> str:
-        """The bounded-degradation contract state of this run.
-
-        ``"complete"`` — every window of the fault-free oracle was
-        produced; ``"degraded"`` — some were provably lost and
-        ``degraded`` is the manifest; ``"aborted"`` — the run was cut
-        short for the reason in ``abort_reason`` (an aborted run may
-        additionally carry a manifest of its known losses);
-        ``"interrupted"`` — stopped at a checkpoint, resumable.
-        """
-        if self.interrupted:
-            return "interrupted"
-        if self.abort_reason is not None:
-            return "aborted"
-        if self.degraded is not None:
-            return "degraded"
-        return "complete"
+        """``complete`` | ``degraded`` | ``aborted`` | ``interrupted``."""
+        return outcome_of(self.interrupted, self.abort_reason, self.degradations)
 
 
 def run_distributed(
@@ -389,7 +379,7 @@ def run_distributed(
     check_scheduled = False
     if injector is not None:
         liveness = LivenessView(config.num_workers, timeout)
-        crash_schedule = injector.crash_times()
+        crash_schedule = injector.plan.crash_times()
         for wid, crash_at in sorted(crash_schedule.items()):
             heapq.heappush(fault_events, (crash_at, _CRASH, wid))
         for idx, part in enumerate(injector.plan.partitions):
@@ -553,34 +543,25 @@ def run_distributed(
 
     lost_slabs = router.lost_slabs()
     lost_windows = sum(len(w.lost_windows) for w in live)
-    degraded: DegradedResult | None = None
     abort_reason: str | None = None
     if exceeded:
         abort_reason = "simulation exceeded max_steps before quiescence"
-        degraded = DegradedResult(
-            reason=abort_reason,
-            lost_workers=tuple(crashed),
-            lost_slabs=lost_slabs,
-            lost_windows=lost_windows,
-            stuck_workers=tuple(w.worker_id for w in live if not w.is_done()),
-            fenced_workers=tuple(fenced),
-        )
-    elif lost_slabs or lost_windows:
-        degraded = DegradedResult(
-            reason="crashed slab had no surviving neighbor to adopt it",
-            lost_workers=tuple(crashed),
-            lost_slabs=lost_slabs,
-            lost_windows=lost_windows,
-            fenced_workers=tuple(fenced),
-        )
-    elif stuck and not interrupted:
+    elif stuck and not interrupted and not (lost_slabs or lost_windows):
         abort_reason = "workers quiesced with unresolved work"
-        degraded = DegradedResult(
-            reason=abort_reason,
-            lost_workers=tuple(crashed),
-            stuck_workers=tuple(stuck),
-            fenced_workers=tuple(fenced),
+    degradations: tuple[Degradation, ...] = ()
+    if abort_reason is not None or lost_slabs or lost_windows:
+        manifest = Degradation(
+            "distributed",
+            abort_reason or "crashed slab had no surviving neighbor to adopt it",
+            {
+                "workers": tuple(crashed),
+                "fenced_workers": tuple(fenced),
+                "slabs": lost_slabs,
+                "windows": lost_windows,
+                "stuck_workers": tuple(stuck),
+            },
         )
+        degradations = (manifest,)
 
     merged_snapshot: dict | None = None
     worker_snapshots: list[dict] = []
@@ -623,15 +604,13 @@ def run_distributed(
             {
                 "crashes": len(crashed),
                 "fencings": len(fenced),
-                "drops": injector.drops,
-                "duplicates": injector.duplicates,
-                "delays": injector.delays,
-                "partition_drops": injector.partition_drops,
+                **injector.injected,
+                "partition_drops": network.partition_drops,
             }
             if injector is not None
             else {}
         ),
-        degraded=degraded,
+        degradations=degradations,
         abort_reason=abort_reason,
         interrupted=interrupted,
         checkpoint=checkpoint_state,
@@ -791,7 +770,7 @@ def _liveness_tick(
         if wid in liveness.declared:
             continue
         if not workers[wid].crashed and liveness.observed(
-            wid, now, injector, peer_alive
+            wid, now, injector.plan, peer_alive
         ):
             liveness.beat(wid, now)
             if metrics is not None:
@@ -932,7 +911,7 @@ def _worker_cost_model(
     """Apply the fault plan's per-worker disk slowdown, if any."""
     if injector is None:
         return cost_model
-    factor = injector.disk_factor(worker_id)
+    factor = injector.plan.disk_factor(worker_id)
     if factor == 1.0:
         return cost_model
     return cost_model.with_overrides(

@@ -16,21 +16,25 @@ is what makes the chaos suite's headline invariant testable at all:
 
     under any *recoverable* plan the merged result **set** equals the
     fault-free run's; under an unrecoverable plan the run degrades into
-    a :class:`DegradedResult` that names exactly what was lost.
+    a :class:`~repro.faults.Degradation` that names exactly what was lost.
+
+The plan arithmetic (validation, the roll→kind pick, the tally) is the
+shared kernel's, :mod:`repro.faults`; this module adds the message-fault
+vocabulary and what only a cluster has: crash and partition schedules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError
+from ..faults import FaultTally, FaultVocabulary
 
 __all__ = [
     "COORDINATOR",
     "CrashStorm",
-    "DegradedResult",
     "FailureDomain",
     "FaultInjector",
     "FaultPlan",
@@ -146,7 +150,7 @@ class LinkPartition:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(FaultVocabulary):
     """A seeded schedule of everything that will go wrong.
 
     ``drop_prob`` / ``duplicate_prob`` / ``delay_prob`` apply per message
@@ -168,13 +172,16 @@ class FaultPlan:
     domains: tuple[FailureDomain, ...] = ()
     partitions: tuple[LinkPartition, ...] = ()
 
+    LABEL = "drop/duplicate/delay"
+    # Kinds are named as ``DistributedReport.faults_injected`` spells them.
+    VOCABULARY = {
+        "drops": "drop_prob",
+        "duplicates": "duplicate_prob",
+        "delays": "delay_prob",
+    }
+
     def __post_init__(self) -> None:
-        for name in ("drop_prob", "duplicate_prob", "delay_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {p}")
-        if self.drop_prob + self.duplicate_prob + self.delay_prob > 1.0:
-            raise ConfigError("drop/duplicate/delay probabilities must sum to <= 1")
+        self.validate_vocabulary()
         if self.max_extra_delay_s < 0:
             raise ConfigError(
                 f"max_extra_delay_s must be >= 0, got {self.max_extra_delay_s}"
@@ -209,10 +216,6 @@ class FaultPlan:
                 for member in domain.members:
                     note(member, domain.fail_at_s)
         return times
-
-    def crash_time(self, worker: int) -> float | None:
-        """Earliest scheduled crash time of a worker, or ``None``."""
-        return self.crash_times().get(worker)
 
     def link_open(self, a: int, b: int, now_s: float) -> bool:
         """Whether the ``a``<->``b`` link is up at ``now_s``.
@@ -256,13 +259,10 @@ class FaultPlan:
         if candidates:
             straggler = int(rng.choice(candidates))
             slowdowns = ((straggler, float(rng.uniform(1.5, 3.0))),)
-        share = message_fault_rate / 3.0
         return cls(
             seed=seed,
             crashes=crashes,
-            drop_prob=share,
-            duplicate_prob=share,
-            delay_prob=share,
+            **cls.even_split(message_fault_rate),
             max_extra_delay_s=0.02,
             disk_slowdowns=slowdowns,
         )
@@ -321,39 +321,33 @@ class FaultPlan:
                 peer = int(peers[int(rng.integers(len(peers)))])
                 partitions += (LinkPartition(target, start, heal, peer=peer),)
         straggler = int(survivors[int(rng.integers(len(survivors)))])
-        share = message_fault_rate / 3.0
         return cls(
             seed=seed,
             storms=(storm,),
             domains=domains,
             partitions=partitions,
-            drop_prob=share,
-            duplicate_prob=share,
-            delay_prob=share,
+            **cls.even_split(message_fault_rate),
             max_extra_delay_s=0.02,
             disk_slowdowns=((straggler, float(rng.uniform(1.5, 2.5))),),
         )
 
 
-class FaultInjector:
+class FaultInjector(FaultTally):
     """Executes a :class:`FaultPlan` deterministically.
 
     The injector owns one seeded generator and is consulted once per
-    message send (:meth:`deliveries`); the coordinator asks it for crash
-    times and disk factors, which are pure reads of the plan.  Counters
-    feed the :class:`~repro.distributed.coordinator.DistributedReport`.
+    message send (:meth:`deliveries`); crash times, link state and disk
+    factors are pure reads of ``plan`` and draw nothing.  The per-kind
+    tally feeds ``DistributedReport.faults_injected``.
     """
 
     def __init__(self, plan: FaultPlan, num_workers: int | None = None) -> None:
+        super().__init__(plan.VOCABULARY)
         self.plan = plan
         if num_workers is not None:
             self._validate_ids(plan, num_workers)
         self._rng = np.random.default_rng(plan.seed)
-        self._crash_times = plan.crash_times()
-        self.drops = 0
-        self.duplicates = 0
-        self.delays = 0
-        self.partition_drops = 0
+        self._quiet = plan.total_prob == 0.0
 
     @staticmethod
     def _validate_ids(plan: FaultPlan, num_workers: int) -> None:
@@ -383,79 +377,13 @@ class FaultInjector:
         the sequence is a pure function of the plan seed and the send
         order.
         """
-        plan = self.plan
-        if plan.drop_prob + plan.duplicate_prob + plan.delay_prob == 0.0:
+        if self._quiet:
             return [0.0]
-        roll = float(self._rng.random())
-        if roll < plan.drop_prob:
-            self.drops += 1
+        kind = self.plan.pick(float(self._rng.random()))
+        if kind is None:
+            return [0.0]
+        self.injected[kind] += 1
+        if kind == "drops":
             return []
-        roll -= plan.drop_prob
-        if roll < plan.duplicate_prob:
-            self.duplicates += 1
-            return [0.0, float(self._rng.uniform(0.0, plan.max_extra_delay_s))]
-        roll -= plan.duplicate_prob
-        if roll < plan.delay_prob:
-            self.delays += 1
-            return [float(self._rng.uniform(0.0, plan.max_extra_delay_s))]
-        return [0.0]
-
-    def crash_time(self, worker: int) -> float | None:
-        """Scheduled crash time of a worker, or ``None``."""
-        return self._crash_times.get(worker)
-
-    def crash_times(self) -> dict[int, float]:
-        """Earliest scheduled crash time per worker (all fault sources)."""
-        return dict(self._crash_times)
-
-    def link_open(self, a: int, b: int, now_s: float) -> bool:
-        """Whether the ``a``<->``b`` link is up (pure plan lookup)."""
-        return self.plan.link_open(a, b, now_s)
-
-    def partition_edges(self) -> tuple[float, ...]:
-        """Sorted distinct times at which some link cuts or heals."""
-        edges: set[float] = set()
-        for part in self.plan.partitions:
-            edges.add(part.start_s)
-            edges.add(part.heal_s)
-        return tuple(sorted(edges))
-
-    def disk_factor(self, worker: int) -> float:
-        """Disk slowdown multiplier for a worker."""
-        return self.plan.disk_factor(worker)
-
-
-@dataclass
-class DegradedResult:
-    """What a degraded distributed run could not deliver, and why.
-
-    Attached to :class:`~repro.distributed.coordinator.DistributedReport`
-    instead of raising: results that *were* found are still returned, and
-    this record names the holes.  ``lost_slabs`` are anchor (dim-0 cell)
-    ranges whose windows may be missing because no surviving worker
-    could adopt them; ``lost_windows`` are individual candidate windows
-    abandoned because their remote cells became unobtainable.
-    """
-
-    reason: str
-    lost_workers: tuple[int, ...] = ()
-    lost_slabs: tuple[tuple[int, int], ...] = ()
-    lost_windows: int = 0
-    stuck_workers: tuple[int, ...] = field(default_factory=tuple)
-    fenced_workers: tuple[int, ...] = ()
-
-    def describe(self) -> str:
-        """One-line human-readable account of the degradation."""
-        parts = [self.reason]
-        if self.lost_workers:
-            parts.append(f"lost workers {list(self.lost_workers)}")
-        if self.fenced_workers:
-            parts.append(f"fenced workers {list(self.fenced_workers)}")
-        if self.lost_slabs:
-            slabs = ", ".join(f"[{lo}, {hi})" for lo, hi in self.lost_slabs)
-            parts.append(f"unrecovered anchor slabs {slabs}")
-        if self.lost_windows:
-            parts.append(f"{self.lost_windows} abandoned windows")
-        if self.stuck_workers:
-            parts.append(f"stuck workers {list(self.stuck_workers)}")
-        return "; ".join(parts)
+        extra = float(self._rng.uniform(0.0, self.plan.max_extra_delay_s))
+        return [0.0, extra] if kind == "duplicates" else [extra]

@@ -123,11 +123,10 @@ class Network:
                 if isinstance(message, CellRequest)
                 else message.responder
             )
-            if not self._injector.link_open(src, to, sent_at):
+            if not self._injector.plan.link_open(src, to, sent_at):
                 # A cut link swallows the message without a fault draw;
                 # the sender's retransmission timer recovers it post-heal.
                 self.partition_drops += 1
-                self._injector.partition_drops += 1
                 self.messages_lost += 1
                 if m is not None:
                     m.inc("net.partition_drops")

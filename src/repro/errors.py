@@ -9,10 +9,9 @@ tests working across the migration.
 
 The distributed layer's *recoverable* anomalies — worker crashes, lost
 messages, exhausted simulations under fault injection — deliberately do
-**not** raise: they degrade into a
-:class:`~repro.distributed.faults.DegradedResult` attached to the run's
-report.  The classes here cover the anomalies that indicate an actual
-bug or an invalid configuration.
+**not** raise: they degrade into a :class:`~repro.faults.Degradation`
+attached to the run's report.  The classes here cover the anomalies that
+indicate an actual bug or an invalid configuration.
 """
 
 from __future__ import annotations

@@ -21,13 +21,11 @@ from .hilbert import hilbert_d, hilbert_xy, morton_code
 from .integrity import (
     BlockIntegrity,
     Scrubber,
-    StorageDegradation,
     StorageFaultInjector,
     StorageFaultPlan,
 )
 from .resilience import (
     BACKEND_FAULT_KINDS,
-    BackendDegradation,
     BackendFaultInjector,
     BackendFaultPlan,
     CircuitBreaker,
@@ -63,11 +61,9 @@ __all__ = [
     "SimulatedDisk",
     "BlockIntegrity",
     "Scrubber",
-    "StorageDegradation",
     "StorageFaultInjector",
     "StorageFaultPlan",
     "BACKEND_FAULT_KINDS",
-    "BackendDegradation",
     "BackendFaultInjector",
     "BackendFaultPlan",
     "CircuitBreaker",

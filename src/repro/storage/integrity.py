@@ -7,8 +7,8 @@ This module adds the integrity layer a production backend would carry:
 * every block gets a CRC-32 **checksum** computed when integrity is
   attached (the simulated analogue of a page checksum written at flush
   time);
-* a seeded :class:`StorageFaultPlan` — mirroring the distributed layer's
-  :class:`~repro.distributed.faults.FaultPlan` — injects *bit-rot*
+* a seeded :class:`StorageFaultPlan` — a corruption vocabulary over the
+  shared fault kernel, :mod:`repro.faults` — injects *bit-rot*
   (transient read-path corruption), *torn writes* and *lost writes*
   (persistent media corruption) at read time;
 * detection triggers the repair state machine: bounded **re-reads** for
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, CorruptBlockError, ReproError
+from ..faults import Degradation, FaultTally, FaultVocabulary, check_prob, event_kind
 
 __all__ = [
     "CORRUPTION_KINDS",
@@ -43,7 +44,6 @@ __all__ = [
     "StorageFaultInjector",
     "BlockIntegrity",
     "Scrubber",
-    "StorageDegradation",
 ]
 
 #: Fault taxonomy: ``bitrot`` is transient (a re-read may return the good
@@ -55,7 +55,7 @@ _TRANSIENT_KINDS = frozenset({"bitrot"})
 
 
 @dataclass(frozen=True)
-class StorageFaultPlan:
+class StorageFaultPlan(FaultVocabulary):
     """A seeded schedule of storage corruption.
 
     ``bitrot_prob`` / ``torn_write_prob`` / ``lost_write_prob`` apply per
@@ -78,40 +78,20 @@ class StorageFaultPlan:
     replicas: int = 1
     replica_failure_prob: float = 0.0
 
+    LABEL = "corruption"
+    VOCABULARY = dict(
+        zip(CORRUPTION_KINDS, ("bitrot_prob", "torn_write_prob", "lost_write_prob"))
+    )
+    SCHEDULED = ("corrupt_blocks", "corrupt block")
+
     def __post_init__(self) -> None:
-        for name in (
-            "bitrot_prob",
-            "torn_write_prob",
-            "lost_write_prob",
-            "reread_success_prob",
-            "replica_failure_prob",
-        ):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {p}")
-        if self.bitrot_prob + self.torn_write_prob + self.lost_write_prob > 1.0:
-            raise ConfigError("corruption probabilities must sum to <= 1")
+        self.validate_vocabulary()
+        check_prob("reread_success_prob", self.reread_success_prob)
+        check_prob("replica_failure_prob", self.replica_failure_prob)
         if self.max_rereads < 0:
             raise ConfigError(f"max_rereads must be >= 0, got {self.max_rereads}")
         if self.replicas < 0:
             raise ConfigError(f"replicas must be >= 0, got {self.replicas}")
-        for block, kind in self.corrupt_blocks:
-            if block < 0:
-                raise ConfigError(f"scheduled corrupt block must be >= 0, got {block}")
-            if kind not in CORRUPTION_KINDS:
-                raise ConfigError(
-                    f"unknown corruption kind {kind!r}; choose from {CORRUPTION_KINDS}"
-                )
-
-    @property
-    def total_prob(self) -> float:
-        """Combined per-read corruption probability."""
-        return self.bitrot_prob + self.torn_write_prob + self.lost_write_prob
-
-    @property
-    def active(self) -> bool:
-        """Whether this plan can ever corrupt anything."""
-        return self.total_prob > 0.0 or bool(self.corrupt_blocks)
 
     @classmethod
     def chaos(cls, seed: int, corruption_rate: float = 0.02) -> "StorageFaultPlan":
@@ -122,12 +102,9 @@ class StorageFaultPlan:
         failure), so a chaos run exercises the full detect → repair →
         quarantine pipeline while staying overwhelmingly recoverable.
         """
-        share = corruption_rate / 3.0
         return cls(
             seed=seed,
-            bitrot_prob=share,
-            torn_write_prob=share,
-            lost_write_prob=share,
+            **cls.even_split(corruption_rate),
             reread_success_prob=0.7,
             max_rereads=2,
             replicas=1,
@@ -135,7 +112,7 @@ class StorageFaultPlan:
         )
 
 
-class StorageFaultInjector:
+class StorageFaultInjector(FaultTally):
     """Executes a :class:`StorageFaultPlan` deterministically.
 
     One seeded generator; one vectorized draw batch per verified read
@@ -145,16 +122,12 @@ class StorageFaultInjector:
     """
 
     def __init__(self, plan: StorageFaultPlan) -> None:
+        super().__init__(CORRUPTION_KINDS)  # latent re-hits are not recounted
         self.plan = plan
         self._rng = np.random.default_rng(plan.seed)
+        self._random = plan.total_prob > 0.0
         self._scheduled: dict[int, str] = dict(plan.corrupt_blocks)
         self._latent: dict[int, str] = {}
-        self.injected: dict[str, int] = {k: 0 for k in CORRUPTION_KINDS}
-
-    @property
-    def total_injected(self) -> int:
-        """Corruption events injected so far (latent re-hits not recounted)."""
-        return sum(self.injected.values())
 
     def corruptions_for(self, block_ids: np.ndarray) -> list[tuple[int, str]]:
         """Corrupt blocks among ``block_ids`` for one read, in id order.
@@ -164,11 +137,9 @@ class StorageFaultInjector:
         cheap no-op (the checksum-overhead gate measures exactly that
         path).
         """
-        plan = self.plan
-        p_total = plan.total_prob
-        if p_total == 0.0 and not self._scheduled and not self._latent:
+        if not self._random and not self._scheduled and not self._latent:
             return []
-        rolls = self._rng.random(block_ids.size) if p_total > 0.0 else None
+        rolls = self._rng.random(block_ids.size) if self._random else None
         out: list[tuple[int, str]] = []
         for i, raw in enumerate(block_ids):
             block = int(raw)
@@ -178,13 +149,7 @@ class StorageFaultInjector:
                 continue
             kind = self._scheduled.pop(block, None)
             if kind is None and rolls is not None:
-                roll = float(rolls[i])
-                if roll < plan.bitrot_prob:
-                    kind = "bitrot"
-                elif roll < plan.bitrot_prob + plan.torn_write_prob:
-                    kind = "torn"
-                elif roll < p_total:
-                    kind = "lost"
+                kind = self.plan.pick(float(rolls[i]))
             if kind is None:
                 continue
             self.injected[kind] += 1
@@ -213,44 +178,15 @@ class StorageFaultInjector:
             "rng": self._rng.bit_generator.state,
             "scheduled": sorted(self._scheduled.items()),
             "latent": sorted(self._latent.items()),
-            "injected": dict(self.injected),
+            **super().state(),
         }
 
     def restore_state(self, state: dict) -> None:
         """Restore a :meth:`state` capture onto this injector."""
+        super().restore_state(state)
         self._rng.bit_generator.state = state["rng"]
         self._scheduled = {int(b): str(k) for b, k in state["scheduled"]}
         self._latent = {int(b): str(k) for b, k in state["latent"]}
-        self.injected = {str(k): int(v) for k, v in state["injected"].items()}
-
-
-@dataclass
-class StorageDegradation:
-    """What a degraded query could not deliver from storage, and why.
-
-    The storage twin of the distributed layer's ``DegradedResult``:
-    attached to the execution report instead of raising, so results that
-    *were* computable are still returned and this record names the holes.
-    ``lost_blocks`` are quarantined heap pages; ``degraded_cells`` are
-    flat grid cell ids whose aggregates may be missing tuples.  The
-    real-backend failure analogue is
-    :class:`~repro.storage.resilience.BackendDegradation`, which reports
-    backend operations served by the simulator mirror instead.
-    """
-
-    reason: str
-    table: str
-    lost_blocks: tuple[int, ...] = ()
-    degraded_cells: tuple[int, ...] = ()
-
-    def describe(self) -> str:
-        """One-line human-readable account of the degradation."""
-        parts = [self.reason, f"table {self.table!r}"]
-        if self.lost_blocks:
-            parts.append(f"quarantined blocks {list(self.lost_blocks)}")
-        if self.degraded_cells:
-            parts.append(f"{len(self.degraded_cells)} degraded cells")
-        return "; ".join(parts)
 
 
 class BlockIntegrity:
@@ -349,7 +285,7 @@ class BlockIntegrity:
                 m.inc("storage.corruptions_detected")
             if self.trace is not None:
                 self.trace.record(
-                    _kind("CORRUPT"),
+                    event_kind("CORRUPT"),
                     self._disk.clock.now,
                     block=block,
                     corruption=kind,
@@ -396,7 +332,7 @@ class BlockIntegrity:
             self.metrics.inc("storage.blocks_repaired")
         if self.trace is not None:
             self.trace.record(
-                _kind("REPAIR"),
+                event_kind("REPAIR"),
                 self._disk.clock.now,
                 block=block,
                 corruption=kind,
@@ -411,7 +347,7 @@ class BlockIntegrity:
             self.metrics.inc("storage.blocks_quarantined")
         if self.trace is not None:
             self.trace.record(
-                _kind("REPAIR"),
+                event_kind("REPAIR"),
                 self._disk.clock.now,
                 block=block,
                 corruption=kind,
@@ -428,6 +364,24 @@ class BlockIntegrity:
             if self.metrics is not None:
                 self.metrics.inc("storage.degraded_cells", float(len(fresh)))
         return fresh
+
+    def degradation(self, degraded_cells) -> Degradation | None:
+        """What a query lost to unrepairable corruption of this table, if anything.
+
+        ``blocks`` are the quarantined heap pages; ``cells`` the query's
+        flat grid cell ids whose aggregates may be missing tuples.
+        """
+        if not self.quarantined and not degraded_cells:
+            return None
+        return Degradation(
+            "storage",
+            "unrepairable block corruption",
+            {
+                "table": self.table.name,
+                "blocks": tuple(sorted(self.quarantined)),
+                "cells": tuple(sorted(degraded_cells)),
+            },
+        )
 
     # -- scrubbing ---------------------------------------------------------------
 
@@ -469,7 +423,7 @@ class BlockIntegrity:
         }
         if self.trace is not None and ids.size:
             self.trace.record(
-                _kind("SCRUB"),
+                event_kind("SCRUB"),
                 self._disk.clock.now,
                 table=self.table.name,
                 **report,
@@ -570,10 +524,3 @@ class Scrubber:
         """Restore a :meth:`state` capture."""
         self.cursor = int(state["cursor"])
         self.passes = int(state["passes"])
-
-
-def _kind(name: str):
-    """Late-bound EventKind lookup (storage must not import core eagerly)."""
-    from ..core.trace import EventKind
-
-    return EventKind[name]

@@ -8,7 +8,8 @@ this module extends the same *degrade, never raise* discipline to the
 :class:`~repro.storage.backend.StorageBackend` seam:
 
 * a seeded :class:`BackendFaultPlan` / :class:`BackendFaultInjector`
-  pair injects the real-backend fault taxonomy — transient errors,
+  pair (a vocabulary over the shared kernel, :mod:`repro.faults`)
+  injects the real-backend fault taxonomy — transient errors,
   ``SQLITE_BUSY``-style lock contention, slow-query stragglers,
   connection drops, and torn install flushes — **pure in**
   ``(seed, op_index)``: the fault decision for the *i*-th guarded
@@ -24,8 +25,8 @@ this module extends the same *degrade, never raise* discipline to the
   served from an in-process :class:`SimulatorBackend` **mirror** that is
   byte-identical to the real store by the differential contract, so a
   degraded run still returns the exact result set;
-* every fallback or primary-write miss is surfaced as a
-  :class:`BackendDegradation` on the execution report (outcome
+* every fallback or primary-write miss is surfaced as a ``backend``
+  :class:`~repro.faults.Degradation` on the execution report (outcome
   ``degraded``), never as an exception.
 
 Installed-cell dedup counts are always taken from the mirror: both
@@ -49,6 +50,7 @@ import numpy as np
 
 from ..costs import CostModel, DEFAULT_COST_MODEL
 from ..errors import BackendError, ConfigError
+from ..faults import Degradation, FaultTally, FaultVocabulary, event_kind
 from .backend import SimulatorBackend, StorageBackend
 from .table import HeapTable
 
@@ -58,7 +60,6 @@ __all__ = [
     "BackendFaultInjector",
     "ResilienceConfig",
     "CircuitBreaker",
-    "BackendDegradation",
     "ResilientBackend",
     "ResilientTable",
 ]
@@ -74,16 +75,16 @@ BACKEND_FAULT_KINDS = ("transient", "busy", "slow", "disconnect", "torn_install"
 
 
 @dataclass(frozen=True)
-class BackendFaultPlan:
+class BackendFaultPlan(FaultVocabulary):
     """A seeded schedule of storage-backend faults.
 
     Per-attempt probabilities for each fault kind, plus a targeted
     ``scheduled`` list of ``(op_index, kind)`` entries that override the
     random draw (what the deterministic unit tests use).  The fault for
     attempt *i* is **pure in** ``(seed, i)`` — see :meth:`fault_at` —
-    mirroring the design of the distributed layer's ``FaultPlan`` but
-    with per-index generators instead of one sequential stream, so the
-    decision is replayable without consuming shared RNG state.
+    the distributed ``FaultPlan``'s arithmetic, but with per-index
+    generators instead of one sequential stream, so the decision is
+    replayable without consuming shared RNG state.
 
     ``slow_extra_ms`` is the extra simulated latency a ``slow`` fault
     charges (the attempt still succeeds).
@@ -98,49 +99,16 @@ class BackendFaultPlan:
     slow_extra_ms: float = 5.0
     scheduled: tuple[tuple[int, str], ...] = ()
 
+    LABEL = "backend fault"
+    VOCABULARY = {kind: f"{kind}_prob" for kind in BACKEND_FAULT_KINDS}
+    SCHEDULED = ("scheduled", "op_index")
+
     def __post_init__(self) -> None:
-        for name in (
-            "transient_prob",
-            "busy_prob",
-            "slow_prob",
-            "disconnect_prob",
-            "torn_install_prob",
-        ):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {p}")
-        if self.total_prob > 1.0:
-            raise ConfigError("backend fault probabilities must sum to <= 1")
+        self.validate_vocabulary()
         if self.slow_extra_ms < 0:
             raise ConfigError(
                 f"slow_extra_ms must be >= 0, got {self.slow_extra_ms}"
             )
-        for op_index, kind in self.scheduled:
-            if op_index < 0:
-                raise ConfigError(
-                    f"scheduled op_index must be >= 0, got {op_index}"
-                )
-            if kind not in BACKEND_FAULT_KINDS:
-                raise ConfigError(
-                    f"unknown backend fault kind {kind!r}; "
-                    f"choose from {BACKEND_FAULT_KINDS}"
-                )
-
-    @property
-    def total_prob(self) -> float:
-        """Combined per-attempt fault probability."""
-        return (
-            self.transient_prob
-            + self.busy_prob
-            + self.slow_prob
-            + self.disconnect_prob
-            + self.torn_install_prob
-        )
-
-    @property
-    def active(self) -> bool:
-        """Whether this plan can ever inject anything."""
-        return self.total_prob > 0.0 or bool(self.scheduled)
 
     def slow_extra_s(self) -> float:
         """Extra simulated seconds one ``slow`` fault charges."""
@@ -155,27 +123,11 @@ class BackendFaultPlan:
         ``torn_install`` draw on a non-install operation degrades to
         ``transient`` (there is no write to tear).
         """
-        kind: str | None = None
-        for idx, scheduled_kind in self.scheduled:
-            if idx == op_index:
-                kind = scheduled_kind
-                break
+        kind = dict(self.scheduled).get(op_index)
         if kind is None:
             if self.total_prob == 0.0:
                 return None
-            roll = float(np.random.default_rng((self.seed, op_index)).random())
-            edge = 0.0
-            for name, prob in (
-                ("transient", self.transient_prob),
-                ("busy", self.busy_prob),
-                ("slow", self.slow_prob),
-                ("disconnect", self.disconnect_prob),
-                ("torn_install", self.torn_install_prob),
-            ):
-                edge += prob
-                if roll < edge:
-                    kind = name
-                    break
+            kind = self.pick(float(np.random.default_rng((self.seed, op_index)).random()))
         if kind == "torn_install" and not install:
             kind = "transient"
         return kind
@@ -188,18 +140,10 @@ class BackendFaultPlan:
         pressure to exercise retry, breaker and fallback paths while
         leaving most operations clean.
         """
-        share = fault_rate / 5.0
-        return cls(
-            seed=seed,
-            transient_prob=share,
-            busy_prob=share,
-            slow_prob=share,
-            disconnect_prob=share,
-            torn_install_prob=share,
-        )
+        return cls(seed=seed, **cls.even_split(fault_rate))
 
 
-class BackendFaultInjector:
+class BackendFaultInjector(FaultTally):
     """Executes a :class:`BackendFaultPlan`, one decision per attempt.
 
     Keeps the monotone attempt counter (the ``op_index`` the plan's pure
@@ -209,14 +153,9 @@ class BackendFaultInjector:
     """
 
     def __init__(self, plan: BackendFaultPlan) -> None:
+        super().__init__(BACKEND_FAULT_KINDS)
         self.plan = plan
         self.op_index = 0
-        self.injected: dict[str, int] = {k: 0 for k in BACKEND_FAULT_KINDS}
-
-    @property
-    def total_injected(self) -> int:
-        """Fault decisions injected so far, every kind included."""
-        return sum(self.injected.values())
 
     def next_fault(self, install: bool = False) -> str | None:
         """The fault (or ``None``) for the next attempt; advances the index."""
@@ -229,12 +168,12 @@ class BackendFaultInjector:
 
     def state(self) -> dict:
         """JSON-able injector position (for inspection and replay tests)."""
-        return {"op_index": self.op_index, "injected": dict(self.injected)}
+        return {"op_index": self.op_index, **super().state()}
 
     def restore_state(self, state: dict) -> None:
         """Restore a :meth:`state` capture onto this injector."""
+        super().restore_state(state)
         self.op_index = int(state["op_index"])
-        self.injected = {str(k): int(v) for k, v in state["injected"].items()}
 
 
 @dataclass(frozen=True)
@@ -323,40 +262,6 @@ class CircuitBreaker:
         self.trips += 1
         self.consecutive_failures = 0
         self._open_until = now + self.open_s
-
-
-@dataclass
-class BackendDegradation:
-    """What the resilience layer could not get from the real backend.
-
-    The storage-backend sibling of ``DegradedResult`` (distributed) and
-    ``StorageDegradation`` (integrity): attached to the execution report
-    instead of raising.  Because fallback reads come from the
-    byte-identical simulator mirror, the *result set* of a degraded run
-    still matches the fault-free golden run — what degraded is the real
-    store's participation (reads it did not serve, installs it may have
-    missed, pending journal recovery on reopen).
-    """
-
-    reason: str
-    backend: str
-    failed_ops: int = 0
-    fallback_reads: int = 0
-    retries: int = 0
-    breaker_trips: int = 0
-
-    def describe(self) -> str:
-        """One-line human-readable account of the degradation."""
-        parts = [self.reason, f"backend {self.backend!r}"]
-        if self.failed_ops:
-            parts.append(f"{self.failed_ops} failed op(s)")
-        if self.fallback_reads:
-            parts.append(f"{self.fallback_reads} fallback read(s)")
-        if self.retries:
-            parts.append(f"{self.retries} retr{'y' if self.retries == 1 else 'ies'}")
-        if self.breaker_trips:
-            parts.append(f"breaker tripped {self.breaker_trips}x")
-        return "; ".join(parts)
 
 
 #: Names of the additive counters :meth:`ResilientBackend.stats` reports.
@@ -459,25 +364,33 @@ class ResilientBackend(StorageBackend):
         out["breaker_trips"] = self.breaker.trips
         return out
 
-    def degradation(self, baseline: dict[str, int] | None = None) -> BackendDegradation | None:
+    def degradation(self, baseline: dict[str, int] | None = None) -> Degradation | None:
         """The degradation since ``baseline`` (a :meth:`stats` capture).
 
         ``None`` when the primary backend served everything — retries
         alone do not degrade a run (the results are byte-identical and
-        the real store is complete).
+        the real store is complete).  Because fallback reads come from
+        the byte-identical simulator mirror, the *result set* of a
+        degraded run still matches the fault-free golden run — what
+        degraded is the real store's participation (reads it did not
+        serve, installs it may have missed, pending journal recovery on
+        reopen).
         """
         now = self.stats()
         base = baseline or {name: 0 for name in _STAT_NAMES}
         delta = {name: now[name] - base.get(name, 0) for name in _STAT_NAMES}
         if delta["fallback_ops"] == 0 and delta["failures"] == 0:
             return None
-        return BackendDegradation(
-            reason="backend unavailable; served from simulator mirror",
-            backend=self.name,
-            failed_ops=delta["failures"],
-            fallback_reads=delta["fallback_reads"],
-            retries=delta["retries"],
-            breaker_trips=delta["breaker_trips"],
+        return Degradation(
+            "backend",
+            "backend unavailable; served from simulator mirror",
+            {
+                "store": self.name,
+                "failed_ops": delta["failures"],
+                "fallback_reads": delta["fallback_reads"],
+                "retries": delta["retries"],
+                "breaker_trips": delta["breaker_trips"],
+            },
         )
 
     # -- guard machinery -----------------------------------------------------
@@ -495,7 +408,7 @@ class ResilientBackend(StorageBackend):
 
     def _record(self, kind_name: str, **detail) -> None:
         if self.trace is not None:
-            self.trace.record(_kind(kind_name), self._now(), **detail)
+            self.trace.record(event_kind(kind_name), self._now(), **detail)
 
     def _out_of_time(self) -> bool:
         if self._cancelled is not None and self._cancelled():
@@ -791,10 +704,3 @@ class ResilientTable:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ResilientTable({self.name!r}, primary={self._primary!r})"
-
-
-def _kind(name: str):
-    """Late-bound EventKind lookup (avoids an eager core import)."""
-    from ..core.trace import EventKind
-
-    return EventKind[name]

@@ -9,7 +9,7 @@ Kill-point tests interrupt the SQLite install journal at every
 transaction boundary and verify the store recovers on reopen with
 installed-cell accounting identical to the simulator oracle.
 
-Seeds extend under ``BACKEND_CHAOS_SEED`` (the dedicated CI matrix),
+Seeds extend under ``CHAOS_SEED`` (the dedicated CI matrix),
 mirroring the storage-chaos suite.
 """
 
@@ -42,8 +42,8 @@ from repro.workloads import make_database, synthetic_dataset, synthetic_query
 pytestmark = pytest.mark.backend_chaos
 
 CHAOS_SEEDS = [1, 2, 3]
-if os.environ.get("BACKEND_CHAOS_SEED"):
-    CHAOS_SEEDS.append(173 * int(os.environ["BACKEND_CHAOS_SEED"]) + 11)
+if os.environ.get("CHAOS_SEED"):
+    CHAOS_SEEDS.append(173 * int(os.environ["CHAOS_SEED"]) + 11)
 
 _DATASET = synthetic_dataset("high", scale=0.2, seed=5)
 _QUERY = synthetic_query(_DATASET)
@@ -189,7 +189,7 @@ def test_zero_fault_plan_is_byte_identical_including_times():
     golden, golden_reg, _ = _run()
     wrapped, wrapped_reg, db = _run(plan=BackendFaultPlan(seed=0))
     assert wrapped.outcome == "complete"
-    assert wrapped.backend_degradation is None
+    assert wrapped.degradations == ()
     assert _timed_set(wrapped) == _timed_set(golden)
     assert wrapped.run.completion_time_s == golden.run.completion_time_s
     stats = db.backend.stats()
@@ -209,8 +209,8 @@ def test_chaos_equivalence_invariant(seed):
     if report.outcome == "complete":
         assert _result_set(report) == _result_set(golden)
     elif report.outcome == "degraded":
-        assert report.backend_degradation is not None
-        assert report.backend_degradation.reason
+        (degradation,) = report.degradations
+        assert degradation.layer == "backend" and degradation.reason
         # The mirror fallback is byte-identical, so even degraded runs
         # return the golden result set — degradation records that the
         # *real* store did not serve it.
@@ -248,10 +248,10 @@ def test_forced_outage_degrades_and_serves_from_mirror():
     plan = BackendFaultPlan(seed=9, transient_prob=1.0)
     report, registry, db = _run(plan=plan, trace=trace)
     assert report.outcome == "degraded"
-    assert report.backend_degradation is not None
-    assert report.fallback_reads > 0
-    assert report.breaker_trips > 0
-    assert "mirror" in report.backend_degradation.describe()
+    (degradation,) = report.degradations
+    assert report.fallback_reads == degradation.lost["fallback_reads"] > 0
+    assert report.breaker_trips == degradation.lost["breaker_trips"] > 0
+    assert "mirror" in degradation.describe()
     # Bit-identical fallback: the degraded run still returns the answer.
     assert _result_set(report) == _result_set(golden)
     stats = db.backend.stats()

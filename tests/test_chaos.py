@@ -28,7 +28,6 @@ from repro.core import (
 )
 from repro.core.trace import EventKind, SearchTrace
 from repro.distributed import (
-    DegradedResult,
     DistributedConfig,
     FaultInjector,
     FaultPlan,
@@ -111,7 +110,7 @@ class TestChaosEquivalence:
         )
         report = run_distributed(dataset, query, _config(faults=plan))
         assert _result_set(report) == _result_set(baseline)
-        assert report.degraded is None
+        assert report.degradations == ()
         # The plan actually exercised the reliability layer.
         assert len(report.crashed_workers) == 1
         assert report.retries > 0
@@ -151,7 +150,7 @@ class TestChaosEquivalence:
         )
         report = run_distributed(dataset, query, _config(faults=plan))
         assert _result_set(report) == _result_set(baseline)
-        assert report.degraded is None
+        assert report.degradations == ()
         assert report.crashed_workers == []
 
     def test_crash_only_plan(self, workload, baseline):
@@ -192,13 +191,13 @@ class TestUnrecoverablePlans:
             ),
         )
         report = run_distributed(dataset, query, _config(faults=plan))
-        assert isinstance(report.degraded, DegradedResult)
-        assert report.is_degraded
+        (manifest,) = report.degradations
+        assert manifest.layer == "distributed" and report.outcome == "degraded"
         # The report names what was lost: every slab, every worker.
-        assert sorted(report.degraded.lost_workers) == list(range(NUM_WORKERS))
-        lost = report.degraded.lost_slabs
+        assert sorted(manifest.lost["workers"]) == list(range(NUM_WORKERS))
+        lost = manifest.lost["slabs"]
         assert lost and lost[0][0] == 0 and lost[-1][1] == 12
-        assert "unrecovered anchor slabs" in report.degraded.describe()
+        assert f"slabs {list(lost)}" in manifest.describe()
 
     def test_isolated_pair_loss(self, workload):
         """Killing both workers of a 2-worker run loses the whole area."""
@@ -207,8 +206,8 @@ class TestUnrecoverablePlans:
         report = run_distributed(
             dataset, query, _config(num_workers=2, faults=plan)
         )
-        assert report.degraded is not None
-        assert report.degraded.lost_slabs == ((0, 12),)
+        (manifest,) = report.degradations
+        assert manifest.lost["slabs"] == ((0, 12),)
 
 
 class TestFaultPlanUnit:
@@ -231,7 +230,7 @@ class TestFaultPlanUnit:
     def test_injector_delivery_semantics(self):
         injector = FaultInjector(FaultPlan(seed=0, drop_prob=1.0))
         assert injector.deliveries() == []
-        assert injector.drops == 1
+        assert injector.injected == {"drops": 1, "duplicates": 0, "delays": 0}
         injector = FaultInjector(FaultPlan(seed=0, duplicate_prob=1.0))
         copies = injector.deliveries()
         assert len(copies) == 2 and copies[0] == 0.0
@@ -240,9 +239,8 @@ class TestFaultPlanUnit:
 
     def test_disk_slowdown_lookup(self):
         plan = FaultPlan(seed=0, disk_slowdowns=((2, 3.0),))
-        injector = FaultInjector(plan)
-        assert injector.disk_factor(2) == 3.0
-        assert injector.disk_factor(0) == 1.0
+        assert plan.disk_factor(2) == 3.0
+        assert plan.disk_factor(0) == 1.0
 
 
 class TestOwnershipRouter:

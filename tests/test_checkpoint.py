@@ -243,7 +243,7 @@ class TestDistributedResume:
         report = run_distributed(
             dataset, query, _dist_config(), trace=trace, metrics=registry
         )
-        assert not report.interrupted and report.degraded is None
+        assert not report.interrupted and report.degradations == ()
         return _dist_payload(report, trace)
 
     @pytest.mark.parametrize("kill", DIST_KILL_POINTS)
@@ -260,7 +260,7 @@ class TestDistributedResume:
             metrics=r1,
         )
         assert rep1.interrupted and rep1.checkpoint is not None
-        assert rep1.degraded is None
+        assert rep1.degradations == ()
         state = read_checkpoint(
             write_checkpoint(rep1.checkpoint, tmp_path / f"dist{kill}")
         )

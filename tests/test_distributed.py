@@ -346,7 +346,7 @@ class TestEmptySlabRegression:
             faults=FaultPlan(seed=2, crashes=(WorkerCrash(2, 0.0005),)),
         )
         report = run_distributed(dataset, query, faulty)
-        assert report.degraded is None
+        assert report.degradations == ()
         assert {r.window for r in report.results} == {
             r.window for r in baseline.results
         }

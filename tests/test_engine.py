@@ -45,6 +45,25 @@ class TestEngine:
         rest = list(stream)
         assert len(rest) >= 1
 
+    def test_stream_closed_early_reports_interrupted(
+        self, tiny_dataset, tiny_query, tiny_db
+    ):
+        """An abandoned stream is resumable, not the whole answer."""
+        engine = SWEngine(tiny_db, tiny_dataset.name, sample_fraction=0.3)
+        stream = engine.execute_iter(tiny_query, SearchConfig(alpha=0.5))
+        next(stream)
+        stream.close()
+        report = stream.report()
+        assert report.outcome == "interrupted" and not report.run.interrupted
+        # Driven to the end, the same query is the whole answer ...
+        done = engine.execute_iter(tiny_query, SearchConfig(alpha=0.5))
+        assert len(list(done)) > 1 and done.report().outcome == "complete"
+        # ... and a search the engine itself stopped is aborted, not resumable.
+        limited = engine.execute_iter(tiny_query, SearchConfig(alpha=0.5, step_limit=1))
+        list(limited)
+        assert limited.report().outcome == "aborted"
+        assert limited.report().run.interrupt_reason is not None
+
     def test_invalid_sampler(self, tiny_db, tiny_dataset):
         with pytest.raises(ValueError, match="sampler"):
             SWEngine(tiny_db, tiny_dataset.name, sampler="systematic")

@@ -28,11 +28,11 @@ from repro.workloads import make_database, synthetic_dataset, synthetic_query
 
 pytestmark = pytest.mark.storage_chaos
 
-# The CI chaos-storage matrix sets STORAGE_CHAOS_SEED per job leg; each
+# The CI chaos matrix sets CHAOS_SEED per job leg; each
 # leg then covers one extra seed far from the defaults.
 STORAGE_SEEDS = [11, 12, 13]
-if os.environ.get("STORAGE_CHAOS_SEED"):
-    STORAGE_SEEDS.append(211 * int(os.environ["STORAGE_CHAOS_SEED"]) + 7)
+if os.environ.get("CHAOS_SEED"):
+    STORAGE_SEEDS.append(211 * int(os.environ["CHAOS_SEED"]) + 7)
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,7 @@ class TestRepair:
         assert integ.injector.total_injected > 0
         assert integ.blocks_repaired == integ.corruptions_detected
         assert not integ.quarantined
-        assert report.degradation is None and not report.degraded
+        assert report.degradations == () and report.outcome == "complete"
         assert _result_set(report) == fault_free
 
     @pytest.mark.parametrize("seed", STORAGE_SEEDS)
@@ -156,7 +156,7 @@ class TestRepair:
         assert integ.injector.total_injected > 0
         assert integ.replica_reads > 0
         assert not integ.quarantined
-        assert report.degradation is None
+        assert report.degradations == ()
         assert _result_set(report) == fault_free
 
     @pytest.mark.parametrize("seed", STORAGE_SEEDS)
@@ -167,10 +167,10 @@ class TestRepair:
         report, database = _execute(workload, plan=plan)
         integ = database.integrity(dataset.name)
         assert integ.quarantined, "plan never produced unrepairable damage"
-        assert report.degraded
-        deg = report.degradation
-        assert deg.table == dataset.name
-        assert set(deg.lost_blocks) == integ.quarantined
+        assert report.outcome == "degraded"
+        (deg,) = report.degradations
+        assert deg.layer == "storage" and deg.lost["table"] == dataset.name
+        assert set(deg.lost["blocks"]) == integ.quarantined
         assert deg.describe()  # human-readable summary exists
 
     @pytest.mark.parametrize("seed", STORAGE_SEEDS)
