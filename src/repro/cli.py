@@ -650,13 +650,16 @@ def _cmd_serve(args, dataset, query: SWQuery, out) -> int:
             block_budget=args.block_budget,
             tenant=tenants[i % len(tenants)],
         )
-    serve_workload(
-        manager,
-        policy=args.policy,
-        slice_steps=args.slice_steps,
-        park=args.park,
-        seed=args.serve_seed,
-    )
+    try:
+        serve_workload(
+            manager,
+            policy=args.policy,
+            slice_steps=args.slice_steps,
+            park=args.park,
+            seed=args.serve_seed,
+        )
+    finally:
+        manager.close()
 
     summary = manager.summary()
     for name, info in summary["sessions"].items():

@@ -27,6 +27,7 @@ identical to the naive path (see kernels.py for the exactness contract).
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -312,21 +313,16 @@ class DataManager:
         if target is None:
             return None
         rect = target.rect(self.grid)
+        with m.span("read", self._db.clock) if m is not None else nullcontext():
+            scan = self._db.range_cell_aggregates(
+                self._table_name, self.grid, rect.lower, rect.upper,
+                list(self._objectives.values()),
+            )
         if m is not None:
-            with m.span("read", self._db.clock):
-                scan = self._db.range_cell_aggregates(
-                    self._table_name, self.grid, rect.lower, rect.upper,
-                    list(self._objectives.values()), want_arrays=True,
-                )
             m.inc("dm.reads")
             m.inc("dm.cells_read", float(target.cardinality))
             m.histogram("dm.cells_per_read").observe(float(target.cardinality))
-        else:
-            scan = self._db.range_cell_aggregates(
-                self._table_name, self.grid, rect.lower, rect.upper,
-                list(self._objectives.values()), want_arrays=True,
-            )
-        self._apply_scan(target, scan.cells, scan.cells_arrays)
+        self._apply_scan(target, scan.cells_arrays)
         if scan.degraded_cells:
             self.degraded_cells.update(scan.degraded_cells)
         self.version += 1
@@ -385,12 +381,7 @@ class DataManager:
                 self._cache_table_sig, self._cache_grid_sig, items
             )
 
-    def _apply_scan(
-        self,
-        target: Window,
-        cells: Mapping[int, Mapping[str, CellStats]],
-        arrays: tuple | None = None,
-    ) -> None:
+    def _apply_scan(self, target: Window, arrays: tuple) -> None:
         box = self.box(target)
         # Default every cell in the box to "read and empty" ...
         self.read_mask[box] = True
@@ -399,41 +390,29 @@ class DataManager:
             self.eff_sum[key][box] = 0.0
             self.eff_min[key][box] = np.inf
             self.eff_max[key][box] = -np.inf
-        if arrays is not None:
-            # Columnar scan result: scatter per-cell aggregates in one
-            # fancy assignment per objective (same out-of-target guard
-            # as the dict path below).
-            unique_cells, _counts, per_key = arrays
-            if unique_cells.size:
-                idx = np.unravel_index(unique_cells, self.grid.shape)
-                inside = np.ones(unique_cells.size, dtype=bool)
-                for d in range(len(idx)):
-                    inside &= (idx[d] >= target.lo[d]) & (idx[d] < target.hi[d])
-                keep = None if inside.all() else inside
-                if keep is not None:
-                    idx = tuple(i[keep] for i in idx)
-                for key in self._objectives:
-                    entry = per_key.get(key)
-                    if entry is None:
-                        continue
-                    sums, mins, maxs = entry
-                    if keep is not None:
-                        sums, mins, maxs = sums[keep], mins[keep], maxs[keep]
-                    self.eff_sum[key][idx] = sums
-                    self.eff_min[key][idx] = mins
-                    self.eff_max[key][idx] = maxs
+        # ... then scatter the cells that actually contained tuples, one
+        # fancy assignment per objective, guarding against cells the scan
+        # returned outside the target.
+        unique_cells, _counts, per_key = arrays
+        if not unique_cells.size:
             return
-        # ... then overlay the cells that actually contained tuples.
-        for flat_id, stats in cells.items():
-            idx = self.grid.index_of_flat(flat_id)
-            if not target.contains_cell(idx):
+        idx = np.unravel_index(unique_cells, self.grid.shape)
+        inside = np.ones(unique_cells.size, dtype=bool)
+        for d in range(len(idx)):
+            inside &= (idx[d] >= target.lo[d]) & (idx[d] < target.hi[d])
+        keep = None if inside.all() else inside
+        if keep is not None:
+            idx = tuple(i[keep] for i in idx)
+        for key in self._objectives:
+            entry = per_key.get(key)
+            if entry is None:
                 continue
-            for key in self._objectives:
-                if key in stats:
-                    st = stats[key]
-                    self.eff_sum[key][idx] = st.total
-                    self.eff_min[key][idx] = st.minimum
-                    self.eff_max[key][idx] = st.maximum
+            sums, mins, maxs = entry
+            if keep is not None:
+                sums, mins, maxs = sums[keep], mins[keep], maxs[keep]
+            self.eff_sum[key][idx] = sums
+            self.eff_min[key][idx] = mins
+            self.eff_max[key][idx] = maxs
 
     # -- distributed support -------------------------------------------------------------
 

@@ -305,7 +305,14 @@ class SessionManager:
         self._gauges()
 
     def finish(self, session: ExplorationSession) -> None:
-        """Release a finished session's slot and promote a waiter."""
+        """Release a finished session's slot and close its database.
+
+        Every ended session passes through here — exhausted, budget
+        stop, cancel, deadline — and only a search that takes its
+        terminal step flushes by itself, so the close is what makes a
+        budget-stopped session's cell installs durable.  Results, status
+        and fingerprints read the session's Python objects, not the store.
+        """
         if session in self._live:
             self._live.remove(session)
         if self.cache is not None:
@@ -314,6 +321,7 @@ class SessionManager:
         steps, blocks = session.drain_usage()
         self.ledger.charge(session.tenant, steps, blocks)
         self.ledger.note_finished(session.tenant)
+        session.database.close()
         session.state = SessionState.DONE
         self._inc("serve.sessions_completed")
         self._event(
@@ -325,6 +333,11 @@ class SessionManager:
             interrupted=session.run.interrupted,
         )
         self._gauges()
+
+    def close(self) -> None:
+        """Shutdown: close the databases of sessions still live or waiting."""
+        for session in self._live + self._waiting:
+            session.database.close()
 
     # -- results ---------------------------------------------------------------------
 

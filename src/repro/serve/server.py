@@ -490,7 +490,7 @@ class ExplorationServer:
         return self.address
 
     async def stop(self) -> None:
-        """Stop accepting, drain the pump, journal the fingerprint."""
+        """Stop accepting, drain the pump, close what is unfinished, journal."""
         if self._stopping:
             await self._stopped.wait()
             return
@@ -501,6 +501,7 @@ class ExplorationServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        self.core.manager.close()
         if self.recorder is not None:
             self.recorder.finish(self.core.fingerprint_payload())
         self._stopped.set()

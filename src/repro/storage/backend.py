@@ -13,14 +13,17 @@ simulated I/O whichever backend serves the bytes, so a real backend is
 required to be *byte-identical* to the simulator (the differential
 harness in ``tests/test_backend_differential.py`` enforces it).
 
-Backends also keep the dedup record of installed cell summaries.
-Following the pattern surveyed in SNIPPETS.md snippet 3, both dedup with
-an in-memory hash set per ``(table, grid)`` and report identical
-``(installed, deduped)`` counts for identical scans — an auditor
-identity checks the accounting.  ``install_cells`` never writes: a
-backend that persists the record (SQLite) buffers the new rows and makes
-them durable in ``flush_installs``, which the search calls once at the
-end of a query, so no write sits between a request and its results.
+Backends also keep the dedup record of installed cells: one set of flat
+cell ids per ``(table, grid)`` on every backend (SNIPPETS.md snippet 3's
+in-memory strategy), deduped by the one rule in
+:meth:`StorageBackend.dedup_install`, so identical scans report identical
+``(installed, deduped)`` counts — an auditor identity checks the
+accounting.  The cell *values* stay in the SW layer's own cache (paper
+Section 5); nothing but the ids crosses the seam downward.
+``install_cells`` never writes: a backend that persists the record
+(SQLite) buffers the new ids and makes them durable in
+``flush_installs``, which the search calls once at the end of a query,
+so no write sits between a request and its results.
 
 Backend selection precedence (:func:`resolve_backend`):
 
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from typing import Iterable, Mapping, Sequence, TYPE_CHECKING
+from typing import Mapping, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -87,14 +90,10 @@ class StorageBackend(ABC):
     Subclasses manage named tables and hand out table handles (see the
     module docstring for the handle contract).  ``name`` identifies the
     backend in metrics (``db.backend_reads.<name>``) and in the search
-    trace's READ events.  ``persists_cell_stats`` tells the database
-    front-end whether to materialize per-objective stat rows on install
-    (the simulator only keeps the dedup set, so it skips that work on
-    the read hot path).
+    trace's READ events.
     """
 
     name: str = "abstract"
-    persists_cell_stats: bool = False
 
     # -- table lifecycle -----------------------------------------------------
 
@@ -134,17 +133,26 @@ class StorageBackend(ABC):
         table_name: str,
         gkey: str,
         flat_ids: Sequence[int],
-        stats: Iterable[tuple] = (),
     ) -> tuple[int, int]:
-        """Record cell summaries as installed; dedup against earlier installs.
+        """Record cells as installed; dedup against earlier installs.
 
         ``flat_ids`` are the occupied cells of one range-aggregate scan
-        under the grid identified by ``gkey``; ``stats`` (only consumed
-        when :attr:`persists_cell_stats` is true) carries
-        ``(flat_id, objective_key, count, total, minimum, maximum)``
-        rows for the same cells.  Returns ``(installed, deduped)`` —
-        how many cells were new versus already recorded.
+        under the grid identified by ``gkey``.  Returns ``(installed,
+        deduped)`` — how many cells were new versus already recorded.
         """
+
+    @staticmethod
+    def dedup_install(seen: set[int], flat_ids: Sequence[int]) -> tuple[set[int], int]:
+        """The install dedup every backend shares: ``fresh = ids - seen``.
+
+        Adds ``flat_ids`` to ``seen`` (the ``(table, grid)`` record) and
+        returns ``(fresh, deduped)``: the ids that were new, and how many
+        of the attempts were not.
+        """
+        ids = flat_ids.tolist() if isinstance(flat_ids, np.ndarray) else map(int, flat_ids)
+        fresh = set(ids) - seen
+        seen |= fresh
+        return fresh, len(flat_ids) - len(fresh)
 
     def flush_installs(self) -> None:
         """Make every install recorded so far durable.
@@ -195,27 +203,25 @@ class SimulatorBackend(StorageBackend):
 
     Tables are served straight from their
     :class:`~repro.storage.table.HeapTable` arrays — binding returns the
-    table itself as the handle.  Installed-cell dedup uses an in-memory
-    hash set per ``(table, grid)``, the SQLite-tier strategy of
-    SNIPPETS.md snippet 3 (no database round-trip, O(1) membership);
-    nothing is persisted, so ``flush_installs`` and ``close`` do nothing.
+    table itself as the handle.  The installed-cell record lives in
+    memory only, so ``flush_installs`` and ``close`` do nothing.
     """
 
     name = "simulator"
-    persists_cell_stats = False
 
     def __init__(self) -> None:
         self._tables: dict[str, "HeapTable"] = {}
         self._installed: dict[tuple[str, str], set[int]] = {}
 
     def bind_table(self, table: "HeapTable"):
-        if table.name in self._tables:
-            # Rebind: drop the stale installed-cell record with the rows.
-            stale = [k for k in self._installed if k[0] == table.name]
-            for k in stale:
-                del self._installed[k]
+        # A rebind drops the stale installed-cell record with the rows.
+        self._forget_installs(table.name)
         self._tables[table.name] = table
         return table
+
+    def _forget_installs(self, table_name: str) -> None:
+        for key in [k for k in self._installed if k[0] == table_name]:
+            del self._installed[key]
 
     def handle(self, name: str):
         return self._tables[name]
@@ -232,16 +238,10 @@ class SimulatorBackend(StorageBackend):
         table_name: str,
         gkey: str,
         flat_ids: Sequence[int],
-        stats: Iterable[tuple] = (),
     ) -> tuple[int, int]:
         seen = self._installed.setdefault((table_name, gkey), set())
-        attempts = len(flat_ids)
-        if attempts == 0:
-            return 0, 0
-        before = len(seen)
-        seen.update(flat_ids.tolist() if isinstance(flat_ids, np.ndarray) else flat_ids)
-        installed = len(seen) - before
-        return installed, attempts - installed
+        fresh, deduped = self.dedup_install(seen, flat_ids)
+        return len(fresh), deduped
 
     def installed_cell_count(self, table_name: str, gkey: str | None = None) -> int:
         if gkey is not None:
@@ -260,8 +260,7 @@ class SimulatorBackend(StorageBackend):
         }
 
     def restore_install_state(self, table_name: str, state: dict) -> None:
-        for key in [k for k in self._installed if k[0] == table_name]:
-            del self._installed[key]
+        self._forget_installs(table_name)
         for gkey, cells in state["installs"].items():
             self._installed[(table_name, gkey)] = {int(c) for c in cells}
 

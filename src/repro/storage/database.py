@@ -15,6 +15,7 @@ baseline (Section 3 / Section 6.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,36 +41,49 @@ __all__ = ["CellScan", "Database"]
 class CellScan:
     """Result of one range-aggregate query, grouped by grid cell.
 
-    ``cells`` maps flat cell id -> per-objective :class:`CellStats`, keyed
-    by the objective's stable key; the special key ``"__count__"`` always
-    carries the tuple count of the cell (the paper computes this extra
-    aggregate "for free" to refine cost estimates).  Cells of the queried
-    box with no tuples are absent — callers must treat absence as empty.
+    ``cells_arrays`` is the aggregation, columnar: ``(unique_cells,
+    counts, per_key)`` with ``per_key`` mapping an objective's stable key
+    to ``(sums, mins, maxs)`` arrays aligned with the ascending flat ids
+    in ``unique_cells`` — the Data Manager's cache install scatters them
+    directly.  Cells of the queried box with no tuples are absent —
+    callers must treat absence as empty.
 
     ``lost_blocks`` / ``degraded_cells`` are non-empty only when the
     integrity layer quarantined unrepairable pages touched by this scan:
     their tuples are excluded (the storage analogue of
     ``mark_region_empty``) and the named cells may under-count.
 
-    ``cells_arrays`` is the same aggregation in columnar form —
-    ``(unique_cells, counts, per_key)`` with ``per_key`` mapping an
-    objective key to ``(sums, mins, maxs)`` arrays aligned with
-    ``unique_cells``.  It is populated (and ``cells`` left empty) only
-    when the caller asked for arrays: the Data Manager's cache install
-    scatters them directly, skipping the per-cell dict entirely.
-
     ``backend`` names the storage backend that served the bytes (the
     simulated cost accounting is identical whichever backend did).
     """
 
-    cells: Mapping[int, Mapping[str, CellStats]]
+    cells_arrays: tuple[np.ndarray, np.ndarray, Mapping[str, tuple]]
     tuples_scanned: int
     blocks_touched: int
     elapsed_s: float
     lost_blocks: tuple[int, ...] = ()
     degraded_cells: tuple[int, ...] = ()
-    cells_arrays: tuple | None = None
     backend: str = "simulator"
+
+    @cached_property
+    def cells(self) -> dict[int, dict[str, CellStats]]:
+        """The same aggregation per cell, built on first access.
+
+        Maps flat cell id -> per-objective :class:`CellStats`; the special
+        key ``"__count__"`` always carries the tuple count of the cell
+        (the paper computes this extra aggregate "for free" to refine
+        cost estimates).  What the blocking baseline and tests read.
+        """
+        unique_cells, counts, per_key = self.cells_arrays
+        out: dict[int, dict[str, CellStats]] = {}
+        for i, cell in enumerate(unique_cells):
+            entry: dict[str, CellStats] = {
+                COUNT_KEY: CellStats(int(counts[i]), float(counts[i]), 1.0, 1.0)
+            }
+            for key, (sums, mins, maxs) in per_key.items():
+                entry[key] = CellStats(int(counts[i]), float(sums[i]), float(mins[i]), float(maxs[i]))
+            out[int(cell)] = entry
+        return out
 
 
 COUNT_KEY = "__count__"
@@ -288,15 +302,12 @@ class Database:
         lows: Sequence[float],
         highs: Sequence[float],
         objectives: Sequence[ContentObjective],
-        want_arrays: bool = False,
     ) -> CellScan:
         """One prepared-statement call: range query + per-cell GROUP BY.
 
         Reads every heap page whose MBR intersects ``[lows, highs)``
         through the buffer pool, then aggregates in-range tuples by grid
-        cell for each objective (plus the free tuple count).  With
-        ``want_arrays`` the aggregation is returned columnar in
-        ``CellScan.cells_arrays`` and the ``cells`` dict stays empty.
+        cell for each objective (plus the free tuple count).
         """
         table = self.table(table_name)
         start = self.clock.now
@@ -336,7 +347,7 @@ class Database:
             self.metrics.inc("db.tuples_scanned", float(tuples_scanned))
             self.metrics.inc(f"db.backend_reads.{self.backend.name}")
 
-        cells, arrays = self._aggregate_rows(
+        arrays = self._aggregate_rows(
             table,
             grid,
             matching_rows,
@@ -344,17 +355,15 @@ class Database:
             highs,
             objectives,
             scanned=(coords, dict(zip(columns, values))),
-            want_arrays=want_arrays,
         )
-        self._install_cell_summaries(table_name, grid, cells, arrays)
+        self._install_cell_summaries(table_name, grid, arrays[0])
         return CellScan(
-            cells=cells,
+            cells_arrays=arrays,
             tuples_scanned=tuples_scanned,
             blocks_touched=int(blocks.size),
             elapsed_s=self.clock.now - start,
             lost_blocks=tuple(sorted(set(lost))),
             degraded_cells=degraded,
-            cells_arrays=arrays,
             backend=self.backend.name,
         )
 
@@ -394,11 +403,11 @@ class Database:
             degraded = tuple(int(c) for c in np.unique(flat[flat >= 0]))
             integ.record_degraded_cells(degraded)
             rows = rows[~row_lost]
-        cells, _ = self._aggregate_rows(
+        arrays = self._aggregate_rows(
             table, grid, rows, grid.area.lower, grid.area.upper, objectives
         )
         return CellScan(
-            cells=cells,
+            cells_arrays=arrays,
             tuples_scanned=table.num_rows,
             blocks_touched=table.num_blocks,
             elapsed_s=self.clock.now - start,
@@ -409,41 +418,17 @@ class Database:
 
     # -- internals ------------------------------------------------------------------
 
-    def _install_cell_summaries(self, table_name: str, grid: Grid, cells, arrays) -> None:
+    def _install_cell_summaries(
+        self, table_name: str, grid: Grid, flat_ids: np.ndarray
+    ) -> None:
         """Record the scanned cells as installed, dedup'd by the backend.
 
         Every backend dedups against an in-memory set and writes nothing
         here (a persisting one buffers until ``flush_installs``); the
         ``(installed, deduped)`` split feeds the ``db.cell_installs*``
-        counters whose sum identity the auditor checks.  Per-objective
-        stat rows are only materialized for backends that persist them.
+        counters whose sum identity the auditor checks.
         """
-        backend = self.backend
-        stats: list[tuple] = []
-        if arrays is not None:
-            unique_cells, counts, per_key = arrays
-            flat_ids = unique_cells
-            if backend.persists_cell_stats and unique_cells.size:
-                stats = [
-                    (int(c), COUNT_KEY, int(counts[i]), float(counts[i]), 1.0, 1.0)
-                    for i, c in enumerate(unique_cells)
-                ]
-                for key, (sums, mins, maxs) in per_key.items():
-                    stats.extend(
-                        (int(c), key, int(counts[i]), float(sums[i]), float(mins[i]), float(maxs[i]))
-                        for i, c in enumerate(unique_cells)
-                    )
-        else:
-            flat_ids = list(cells)
-            if backend.persists_cell_stats and cells:
-                stats = [
-                    (cell, key, st.count, st.total, st.minimum, st.maximum)
-                    for cell, entry in cells.items()
-                    for key, st in entry.items()
-                ]
-        installed, deduped = backend.install_cells(
-            table_name, grid_key(grid), flat_ids, stats
-        )
+        installed, deduped = self.backend.install_cells(table_name, grid_key(grid), flat_ids)
         if self.metrics is not None and installed + deduped:
             self.metrics.inc("db.cell_installs", float(installed + deduped))
             self.metrics.inc("db.cells_installed", float(installed))
@@ -458,16 +443,17 @@ class Database:
         highs: Sequence[float],
         objectives: Sequence[ContentObjective],
         scanned: tuple[np.ndarray, dict[str, np.ndarray]] | None = None,
-        want_arrays: bool = False,
-    ) -> tuple[dict[int, dict[str, CellStats]], tuple | None]:
+    ) -> tuple[np.ndarray, np.ndarray, dict[str, tuple]]:
         """Group ``rows`` by grid cell and reduce each objective per cell.
 
-        ``scanned`` is ``(coordinates, {column: values})`` of exactly
-        ``rows`` when a region scan already fetched them — and thereby
-        proved every row lies in the box; without it coordinates are
-        looked up and filtered here, and columns gathered on demand.
+        Returns ``(unique_cells, counts, per_key)``, the columnar form
+        :class:`CellScan` carries.  ``scanned`` is ``(coordinates,
+        {column: values})`` of exactly ``rows`` when a region scan
+        already fetched them — and thereby proved every row lies in the
+        box; without it coordinates are looked up and filtered here, and
+        columns gathered on demand.
         """
-        empty = ({}, (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), {}) if want_arrays else None)
+        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), {})
         fetched: dict[str, np.ndarray] = {}
         if scanned is not None:
             if rows.size == 0:
@@ -526,18 +512,7 @@ class Database:
             maxs = np.maximum.reduceat(values_sorted, starts)
             per_objective[key] = (sums, mins, maxs)
 
-        if want_arrays:
-            return {}, (unique_cells, counts, per_objective)
-
-        out: dict[int, dict[str, CellStats]] = {}
-        for i, cell in enumerate(unique_cells):
-            entry: dict[str, CellStats] = {
-                COUNT_KEY: CellStats(int(counts[i]), float(counts[i]), 1.0, 1.0)
-            }
-            for key, (sums, mins, maxs) in per_objective.items():
-                entry[key] = CellStats(int(counts[i]), float(sums[i]), float(mins[i]), float(maxs[i]))
-            out[int(cell)] = entry
-        return out, None
+        return unique_cells, counts, per_objective
 
 
 def _objective_columns(objectives: Sequence[ContentObjective]) -> tuple[str, ...]:

@@ -44,7 +44,7 @@ transitions and fallbacks are traced as ``BACKEND_RETRY`` / ``BREAKER``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -287,10 +287,10 @@ class ResilientBackend(StorageBackend):
     the owning database's, via
     :meth:`~repro.storage.database.Database.attach_resilience`) so
     backoff and breaker windows charge simulated time.  The wrapper is
-    transparent to the rest of the stack: ``name`` and
-    ``persists_cell_stats`` mirror the inner backend, so metrics keys,
-    ``CellScan.backend`` labels and the differential harness see the
-    same identifiers with or without the layer.
+    transparent to the rest of the stack: ``name`` mirrors the inner
+    backend, so metrics keys, ``CellScan.backend`` labels and the
+    differential harness see the same identifier with or without the
+    layer.
 
     Every bound table is *also* bound into an in-process
     :class:`SimulatorBackend` mirror — byte-identical to the real store
@@ -323,7 +323,6 @@ class ResilientBackend(StorageBackend):
         self.metrics = metrics
         self.trace = trace
         self.name = inner.name
-        self.persists_cell_stats = inner.persists_cell_stats
         self.mirror = SimulatorBackend()
         self.breaker = CircuitBreaker(
             self.config.breaker_threshold,
@@ -565,16 +564,14 @@ class ResilientBackend(StorageBackend):
         table_name: str,
         gkey: str,
         flat_ids: Sequence[int],
-        stats: Iterable[tuple] = (),
     ) -> tuple[int, int]:
-        stats = list(stats)
         # The mirror install is the authoritative count: both stores dedup
         # identically when healthy, and the mirror stays complete through
         # primary outages, so counts match the fault-free run regardless.
-        counts = self.mirror.install_cells(table_name, gkey, flat_ids, stats)
+        counts = self.mirror.install_cells(table_name, gkey, flat_ids)
         self._guarded(
             "install_cells",
-            lambda: self.inner.install_cells(table_name, gkey, flat_ids, stats),
+            lambda: self.inner.install_cells(table_name, gkey, flat_ids),
             lambda: counts,
             install=True,
         )

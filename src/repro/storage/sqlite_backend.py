@@ -24,19 +24,20 @@ simulator's.  Values round-trip bit-exactly: SQLite
 REALs are IEEE doubles; NaNs (which SQLite would coerce to NULL) are
 stored as NULL explicitly and restored to NaN on read.
 
-Installed cell summaries dedup **in RAM** — per ``(table, grid)`` a set
-of installed flat ids and of the ``(flat id, objective)`` pairs whose stat
-row exists, loaded from the store on first touch (SNIPPETS.md snippet 3's
-SQLite strategy) — so :meth:`SQLiteBackend.install_cells` answers with
-set arithmetic and writes nothing: the read path only reads.  Rows that
-are new wait in a pending batch, each ``(cell, objective)`` at most once,
-so the buffer is bounded by the grid.
+Installed cells dedup **in RAM** — per ``(table, grid)`` one set of
+installed flat ids, loaded from the store on first touch (SNIPPETS.md
+snippet 3's SQLite strategy) and deduped by the rule every backend shares
+(:meth:`StorageBackend.dedup_install`) — so
+:meth:`SQLiteBackend.install_cells` answers with set arithmetic and
+writes nothing: the read path only reads.  Ids that are new wait in a
+pending batch, each at most once, so the buffer is bounded by the grid.
+The cell values are never written: they live in the SW layer's cache.
 
 :meth:`SQLiteBackend.flush_installs` makes them durable — at the end of a
 query, at checkpoint capture, before any read of the persisted record and
 on :meth:`SQLiteBackend.close` — through a **crash-consistent** journal
-protocol (intent → install → commit, DESIGN.md §16): the batch's full
-payload is committed to ``sw_install_journal`` *before* any data row
+protocol (intent → install → commit, DESIGN.md §16): the batch's ids
+are committed to ``sw_install_journal`` *before* any data row
 (from then on the journal, not RAM, holds it), the data rows are applied
 in idempotent chunks, and the journal row is deleted last.  A tear at
 any point between those transactions (fault injection via
@@ -59,7 +60,7 @@ import json
 import math
 import re
 import sqlite3
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -122,20 +123,11 @@ def _in_chunks(ids: Sequence[int]):
         yield ",".join("?" * len(chunk)), chunk
 
 
-def _to_sql(value: float):
-    """One stored value: NaN becomes NULL by our rule, not SQLite's."""
-    return None if math.isnan(value) else value
-
-
-def _from_sql(value) -> float:
-    return math.nan if value is None else float(value)
-
-
 def _decode(fetched: list[tuple], width: int) -> np.ndarray:
     """Fetched rows as ``(len(fetched), width)`` floats, NULL as NaN.
 
-    Transposed: one numpy conversion per column instead of one
-    :func:`_from_sql` call per value.
+    Transposed: one numpy conversion per column (``None`` converts to
+    NaN) instead of one Python call per value.
     """
     out = np.empty((len(fetched), width), dtype=float)
     for d, column in enumerate(zip(*fetched)):
@@ -426,7 +418,6 @@ class SQLiteBackend(StorageBackend):
     """
 
     name = "sqlite"
-    persists_cell_stats = True
 
     @_driver_errors
     def __init__(self, path: str = ":memory:") -> None:
@@ -435,12 +426,10 @@ class SQLiteBackend(StorageBackend):
         self._closed = False
         self._handles: dict[str, SQLiteTable] = {}
         self._install_kill: int | None = None
-        # Install dedup state per (table, grid key): what the store holds
-        # plus what waits in ``_pending`` — (installed flat ids, (flat id,
-        # objective) pairs with a stat row) — and the not-yet-journalled
-        # (ids, stat rows) batches.
-        self._seen: dict[tuple[str, str], tuple[set, set]] = {}
-        self._pending: dict[tuple[str, str], tuple[list, list]] = {}
+        # Installed flat ids per (table, grid key) — what the store holds
+        # plus what waits in ``_pending`` — and the not-yet-journalled ids.
+        self._seen: dict[tuple[str, str], set[int]] = {}
+        self._pending: dict[tuple[str, str], list[int]] = {}
         with self._conn:
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS sw_tables ("
@@ -453,18 +442,12 @@ class SQLiteBackend(StorageBackend):
                 " PRIMARY KEY (table_name, grid_key, flat_id))"
             )
             self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS sw_cell_stats ("
-                " table_name TEXT, grid_key TEXT, flat_id INTEGER,"
-                " objective TEXT, tuples INTEGER,"
-                " total REAL, minimum REAL, maximum REAL,"
-                " PRIMARY KEY (table_name, grid_key, flat_id, objective))"
-            )
-            self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS sw_install_journal ("
                 " journal_id INTEGER PRIMARY KEY AUTOINCREMENT,"
-                " table_name TEXT, grid_key TEXT, payload TEXT,"
-                " installed INTEGER, deduped INTEGER)"
+                " table_name TEXT, grid_key TEXT, payload TEXT)"
             )
+            # Files written before the stat rows left the store carry them.
+            self._conn.execute("DROP TABLE IF EXISTS sw_cell_stats")
         self.recovered_installs = self._recover_journal()
 
     # -- table lifecycle -----------------------------------------------------
@@ -556,7 +539,7 @@ class SQLiteBackend(StorageBackend):
 
     def _clear_installs(self, name: str) -> None:
         """Forget one table's install record: stored, journalled, buffered."""
-        for side in ("sw_cell_installs", "sw_cell_stats", "sw_install_journal"):
+        for side in ("sw_cell_installs", "sw_install_journal"):
             self._conn.execute(f"DELETE FROM {side} WHERE table_name = ?", (name,))
         for memo in (self._seen, self._pending):
             for key in [k for k in memo if k[0] == name]:
@@ -597,40 +580,23 @@ class SQLiteBackend(StorageBackend):
         table_name: str,
         gkey: str,
         flat_ids: Sequence[int],
-        stats: Iterable[tuple] = (),
     ) -> tuple[int, int]:
-        attempts = len(flat_ids)
-        if attempts == 0:
-            return 0, 0
         key = (table_name, gkey)
         seen = self._seen.get(key)
         if seen is None:
-            # First touch: one SELECT each, so a reopened file keeps
-            # counting against what it already persisted.
-            scope = "WHERE table_name = ? AND grid_key = ?"
+            # First touch: one SELECT, so a reopened file keeps counting
+            # against what it already persisted.
             installs = self._conn.execute(
-                f"SELECT flat_id FROM sw_cell_installs {scope}", key
+                "SELECT flat_id FROM sw_cell_installs"
+                " WHERE table_name = ? AND grid_key = ?",
+                key,
             )
-            stat_rows = self._conn.execute(
-                f"SELECT flat_id, objective FROM sw_cell_stats {scope}", key
-            )
-            seen = self._seen[key] = ({c for (c,) in installs}, set(stat_rows))
-        cells, stat_keys = seen
-        ids = flat_ids.tolist() if isinstance(flat_ids, np.ndarray) else map(int, flat_ids)
-        fresh = set(ids) - cells
-        cells |= fresh
-        rows = []
-        for flat_id, objective, count, total, minimum, maximum in stats:
-            pair = (int(flat_id), str(objective))
-            if pair not in stat_keys:
-                stat_keys.add(pair)
-                rows.append((*pair, int(count), float(total), float(minimum), float(maximum)))
-        if fresh or rows:
-            # Only what is new waits for the flush, each row at most once.
-            pending = self._pending.setdefault(key, ([], []))
-            pending[0].extend(sorted(fresh))
-            pending[1].extend(rows)
-        return len(fresh), attempts - len(fresh)
+            seen = self._seen[key] = {c for (c,) in installs}
+        fresh, deduped = self.dedup_install(seen, flat_ids)
+        if fresh:
+            # Only what is new waits for the flush, each id at most once.
+            self._pending.setdefault(key, []).extend(sorted(fresh))
+        return len(fresh), deduped
 
     @_driver_errors
     def flush_installs(self) -> None:
@@ -643,44 +609,29 @@ class SQLiteBackend(StorageBackend):
         flush or the next open.
         """
         self._recover_journal()
-        for key, (ids, rows) in list(self._pending.items()):
+        for key, ids in list(self._pending.items()):
             # Intent: the full payload hits durable storage before any
-            # data row does, so every later tear rolls forward.  (The
-            # count columns are written for older readers, not read.)
+            # data row does, so every later tear rolls forward.
             with self._conn:
                 jid = self._conn.execute(
-                    "INSERT INTO sw_install_journal"
-                    " (table_name, grid_key, payload, installed, deduped)"
-                    " VALUES (?, ?, ?, ?, 0)",
-                    (*key, json.dumps({"ids": ids, "stats": rows}), len(ids)),
+                    "INSERT INTO sw_install_journal (table_name, grid_key, payload)"
+                    " VALUES (?, ?, ?)",
+                    (*key, json.dumps({"ids": ids})),
                 ).lastrowid
             del self._pending[key]
             self._install_point("intent")
-            self._roll_forward(jid, *key, ids, rows)
+            self._roll_forward(jid, *key, ids)
 
-    def _roll_forward(
-        self,
-        jid: int,
-        table_name: str,
-        gkey: str,
-        ids: Sequence[int],
-        stats_rows: Sequence[tuple],
-    ) -> None:
+    def _roll_forward(self, jid: int, table_name: str, gkey: str, ids: Sequence[int]) -> None:
         """Apply one journalled batch and retire its journal row."""
-        self._apply_install(table_name, gkey, ids, stats_rows)
+        self._apply_install(table_name, gkey, ids)
         with self._conn:
             self._install_point("commit")
             self._conn.execute(
                 "DELETE FROM sw_install_journal WHERE journal_id = ?", (jid,)
             )
 
-    def _apply_install(
-        self,
-        table_name: str,
-        gkey: str,
-        ids: Sequence[int],
-        stats_rows: Sequence[tuple],
-    ) -> None:
+    def _apply_install(self, table_name: str, gkey: str, ids: Sequence[int]) -> None:
         """Apply an install payload in idempotent per-chunk transactions.
 
         ``ON CONFLICT DO NOTHING`` makes every chunk safely re-runnable,
@@ -697,27 +648,6 @@ class SQLiteBackend(StorageBackend):
                     ((table_name, gkey, c) for c in chunk),
                 )
             self._install_point(f"install[{start // _IN_CHUNK}]")
-        for start in range(0, len(stats_rows), _IN_CHUNK):
-            chunk = stats_rows[start : start + _IN_CHUNK]
-            with self._conn:
-                self._conn.executemany(
-                    "INSERT INTO sw_cell_stats VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
-                    " ON CONFLICT DO NOTHING",
-                    (
-                        (
-                            table_name,
-                            gkey,
-                            flat_id,
-                            key,
-                            count,
-                            _to_sql(total),
-                            _to_sql(minimum),
-                            _to_sql(maximum),
-                        )
-                        for flat_id, key, count, total, minimum, maximum in chunk
-                    ),
-                )
-            self._install_point(f"stats[{start // _IN_CHUNK}]")
 
     def _recover_journal(self) -> int:
         """Roll every pending install intent forward; returns how many.
@@ -732,10 +662,8 @@ class SQLiteBackend(StorageBackend):
             " FROM sw_install_journal ORDER BY journal_id"
         ).fetchall()
         for jid, table_name, gkey, payload in rows:
-            data = json.loads(payload)
-            self._roll_forward(
-                jid, table_name, gkey, data["ids"], [tuple(r) for r in data["stats"]]
-            )
+            # Payloads written before the stat rows left carry more keys.
+            self._roll_forward(jid, table_name, gkey, json.loads(payload)["ids"])
         return len(rows)
 
     def arm_install_tear(self, after_points: int = 1) -> None:
@@ -791,16 +719,7 @@ class SQLiteBackend(StorageBackend):
             (table_name,),
         ):
             installs.setdefault(gkey, []).append(int(flat_id))
-        stats = [
-            list(row)
-            for row in self._conn.execute(
-                "SELECT grid_key, flat_id, objective, tuples, total,"
-                " minimum, maximum FROM sw_cell_stats WHERE table_name = ?"
-                " ORDER BY grid_key, flat_id, objective",
-                (table_name,),
-            )
-        ]
-        return {"installs": installs, "stats": stats}
+        return {"installs": installs}
 
     @_driver_errors
     def restore_install_state(self, table_name: str, state: dict) -> None:
@@ -814,44 +733,6 @@ class SQLiteBackend(StorageBackend):
                     for flat_id in flat_ids
                 ),
             )
-            self._conn.executemany(
-                "INSERT INTO sw_cell_stats VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                ((table_name, *row) for row in state["stats"]),
-            )
-
-    @_driver_errors
-    def fetch_cell_summaries(
-        self, table_name: str, gkey: str, flat_ids: Sequence[int] | None = None
-    ) -> dict[int, dict[str, tuple[int, float, float, float]]]:
-        """Persisted per-cell stats: flat id -> objective key -> stats tuple.
-
-        Stats tuples are ``(count, total, minimum, maximum)``.  With
-        ``flat_ids`` the result is restricted to those cells.
-        """
-        self.flush_installs()
-        sql = (
-            "SELECT flat_id, objective, tuples, total, minimum, maximum "
-            "FROM sw_cell_stats WHERE table_name = ? AND grid_key = ?"
-        )
-        if flat_ids is None:
-            queries = [("", [])]
-        else:
-            queries = [
-                (f" AND flat_id IN ({marks})", chunk)
-                for marks, chunk in _in_chunks(sorted({int(c) for c in flat_ids}))
-            ]
-        out: dict[int, dict[str, tuple[int, float, float, float]]] = {}
-        for restriction, chunk in queries:
-            for flat_id, key, count, total, minimum, maximum in self._conn.execute(
-                sql + restriction, [table_name, gkey, *chunk]
-            ):
-                out.setdefault(int(flat_id), {})[key] = (
-                    int(count),
-                    _from_sql(total),
-                    _from_sql(minimum),
-                    _from_sql(maximum),
-                )
-        return out
 
     # -- description ---------------------------------------------------------
 

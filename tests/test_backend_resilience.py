@@ -322,11 +322,9 @@ def _heap(rows: int = 120) -> HeapTable:
     )
 
 
-def _journal_payload():
-    """An install spanning several apply chunks (ids and stats)."""
-    ids = list(range(int(2.4 * _IN_CHUNK)))
-    stats = [(i, "avg:v", 1, float(i), 0.0, float(i)) for i in ids[: _IN_CHUNK + 40]]
-    return ids, stats
+def _journal_ids():
+    """An install spanning several apply chunks."""
+    return list(range(int(2.4 * _IN_CHUNK)))
 
 
 def _journal_rows(backend) -> int:
@@ -336,7 +334,7 @@ def _journal_rows(backend) -> int:
 def test_install_journal_recovers_at_every_kill_point(tmp_path):
     """Tear the flush at each protocol point; reopening always recovers it."""
     path = str(tmp_path / "tear.db")
-    ids, stats = _journal_payload()
+    ids = _journal_ids()
     oracle = SimulatorBackend()
     oracle.bind_table(_heap())
     expected = oracle.install_cells("jt", "g", ids)
@@ -349,7 +347,7 @@ def test_install_journal_recovers_at_every_kill_point(tmp_path):
             backend.bind_table(_heap())
         backend.arm_install_tear(point)
         # The install itself is RAM only; the tear surfaces from the flush.
-        counts = backend.install_cells("jt", "g", ids, stats)
+        counts = backend.install_cells("jt", "g", ids)
         assert counts == expected
         try:
             backend.flush_installs()
@@ -360,11 +358,8 @@ def test_install_journal_recovers_at_every_kill_point(tmp_path):
             reopened = SQLiteBackend(path)
             assert reopened.recovered_installs == 1
             assert reopened.installed_cell_count("jt", "g") == len(ids)
-            assert len(reopened.fetch_cell_summaries("jt", "g")) == len(
-                {fid for fid, *_ in stats}
-            )
             # Reset the record so the next kill point starts clean.
-            reopened.restore_install_state("jt", {"installs": {}, "stats": []})
+            reopened.restore_install_state("jt", {"installs": {}})
             reopened.close()
             point += 1
             continue
@@ -372,8 +367,8 @@ def test_install_journal_recovers_at_every_kill_point(tmp_path):
         backend.close()
         break
 
-    # intent + 3 id chunks + 2 stats chunks + commit = 7 distinct points.
-    assert len(torn_points) == 7
+    # intent + 3 id chunks + commit = 5 distinct points.
+    assert len(torn_points) == 5
     assert torn_points[0] == "intent" and torn_points[-1] == "commit"
     assert len(set(torn_points)) == len(torn_points)
 
@@ -381,11 +376,11 @@ def test_install_journal_recovers_at_every_kill_point(tmp_path):
 def test_torn_install_retry_resumes_pending_journal(tmp_path):
     """A same-process retry rolls the pending intent forward, same counts."""
     path = str(tmp_path / "resume.db")
-    ids, stats = _journal_payload()
+    ids = _journal_ids()
     backend = SQLiteBackend(path)
     backend.bind_table(_heap())
     backend.arm_install_tear(2)
-    counts = backend.install_cells("jt", "g", ids, stats)
+    counts = backend.install_cells("jt", "g", ids)
     with pytest.raises(TornWriteError):
         backend.flush_installs()
     assert _journal_rows(backend) == 1
@@ -403,19 +398,19 @@ def test_torn_install_retry_resumes_pending_journal(tmp_path):
 
 
 def test_noop_install_skips_journal_and_leaves_tear_armed(tmp_path):
-    """Every cell and stat row already stored: simulator counts, no write."""
+    """Every cell already stored: simulator counts, no write."""
     backend = SQLiteBackend(str(tmp_path / "noop.db"))
     backend.bind_table(_heap())
-    ids, stats = _journal_payload()
+    ids = _journal_ids()
     oracle = SimulatorBackend()
     oracle.bind_table(_heap())
-    assert backend.install_cells("jt", "g", ids, stats) == oracle.install_cells("jt", "g", ids)
+    assert backend.install_cells("jt", "g", ids) == oracle.install_cells("jt", "g", ids)
     backend.flush_installs()
     before = backend._conn.total_changes
 
     backend.arm_install_tear(1)
-    assert backend.install_cells("jt", "g", ids, stats) == oracle.install_cells("jt", "g", ids)
-    assert backend.install_cells("jt", "g", ids[:7], stats[:7]) == (0, 7)
+    assert backend.install_cells("jt", "g", ids) == oracle.install_cells("jt", "g", ids)
+    assert backend.install_cells("jt", "g", ids[:7]) == (0, 7)
     backend.flush_installs()
     assert _journal_rows(backend) == 0
     assert backend._conn.total_changes == before, "a flush with nothing new must not write"
@@ -428,52 +423,22 @@ def test_noop_install_skips_journal_and_leaves_tear_armed(tmp_path):
     assert backend.installed_cell_count("jt", "g") == len(ids) + 1
 
 
-def test_known_cells_under_new_objective_still_journal(tmp_path):
-    """No new cell, but new stat rows: the journaled path, rows persisted."""
-    path = str(tmp_path / "objective.db")
-    backend = SQLiteBackend(path)
-    backend.bind_table(_heap())
-    ids = list(range(40))
-    backend.install_cells("jt", "g", ids, [(i, "avg:v", 1, 1.0, 1.0, 1.0) for i in ids])
-    backend.flush_installs()
-    other = [(i, "avg:w", 2, float(i), 0.5, float(i)) for i in ids]
-    backend.arm_install_tear(1)
-    assert backend.install_cells("jt", "g", ids, other) == (0, len(ids))
-    with pytest.raises(TornWriteError, match="intent"):
-        backend.flush_installs()
-    assert _journal_rows(backend) == 1
-    backend._conn.close()  # a crash: ``close()`` would flush again
-    reopened = SQLiteBackend(path)
-    assert reopened.recovered_installs == 1
-    stored = reopened.fetch_cell_summaries("jt", "g")
-    assert all(set(stored[i]) == {"avg:v", "avg:w"} for i in ids)
-    assert stored[7]["avg:w"] == (2, 7.0, 0.5, 7.0)
-    # One missing stat row is enough to have something to flush.
-    before = reopened._conn.total_changes
-    assert reopened.install_cells(
-        "jt", "g", ids, other + [(3, "avg:z", 1, 0.0, 0.0, 0.0)]
-    ) == (0, len(ids))
-    assert reopened._conn.total_changes == before, "the install itself writes nothing"
-    assert "avg:z" in reopened.fetch_cell_summaries("jt", "g", [3])[3]
-    assert reopened._conn.total_changes > before
-
-
 def test_pending_journal_rolls_forward_before_the_short_cut(tmp_path):
     """A torn flush's payload is re-applied even once its rows all exist."""
     backend = SQLiteBackend(str(tmp_path / "pending.db"))
     backend.bind_table(_heap())
-    ids, stats = _journal_payload()
+    ids = _journal_ids()
     # Tear at the commit point: every row applied, journal row pending.
-    backend.arm_install_tear(7)
+    backend.arm_install_tear(5)
     # Counted once, against the pre-intent state, however the flush fares.
-    assert backend.install_cells("jt", "g", ids, stats) == (len(ids), 0)
+    assert backend.install_cells("jt", "g", ids) == (len(ids), 0)
     with pytest.raises(TornWriteError, match="commit"):
         backend.flush_installs()
     assert _journal_rows(backend) == 1
     # Reading the record flushes first: the pending intent is retired.
     assert backend.installed_cell_count("jt", "g") == len(ids)
     assert _journal_rows(backend) == 0
-    assert backend.install_cells("jt", "g", ids, stats) == (0, len(ids))
+    assert backend.install_cells("jt", "g", ids) == (0, len(ids))
 
 
 def test_torn_fault_on_noop_install_is_modelled_not_leaked():

@@ -198,41 +198,6 @@ def test_simulator_install_dedup_matches():
     assert backend.installed_cell_count("t", gkey) == 4
 
 
-def test_sqlite_persists_cell_stats():
-    table = _table(rows=120, tpb=16)
-    db = Database(backend="sqlite:")
-    db.register(table)
-    scan = db.range_cell_aggregates(
-        "t", GRID, [0.0, 0.0], [10.0, 10.0], [ContentObjective.of("avg", col("v"))]
-    )
-    stored = db.backend.fetch_cell_summaries("t", grid_key(GRID))
-    assert set(stored) == set(scan.cells)
-    cell, entry = next(iter(scan.cells.items()))
-    for key, stats in entry.items():
-        count, total, minimum, maximum = stored[cell][key]
-        assert (count, total, minimum, maximum) == (
-            stats.count, stats.total, stats.minimum, stats.maximum
-        )
-
-
-def test_fetch_cell_summaries_chunks_a_long_id_list():
-    """40 000 ids in one call: more than a stock build's SQL variable cap."""
-    import sqlite3
-
-    backend = SQLiteBackend()
-    if hasattr(backend._conn, "setlimit"):  # distro builds raise the cap
-        backend._conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 32_766)
-    backend.bind_table(_table())
-    gkey = grid_key(GRID)
-    wanted = list(range(0, 80_000, 2))
-    backend.install_cells(
-        "t", gkey, [10, 11, 39_998], [(c, "v", 1, 1.5, 1.5, 1.5) for c in (10, 11, 39_998)]
-    )
-    stored = backend.fetch_cell_summaries("t", gkey, wanted)
-    assert stored == {10: {"v": (1, 1.5, 1.5, 1.5)}, 39_998: {"v": (1, 1.5, 1.5, 1.5)}}
-    assert backend.fetch_cell_summaries("t", gkey, []) == {}
-
-
 def test_install_state_round_trip():
     """Checkpoint capture of the install record reproduces the dedup split.
 
@@ -243,22 +208,20 @@ def test_install_state_round_trip():
     """
     gkey = grid_key(GRID)
     other = grid_key(Grid(Rect.from_bounds([(0.0, 10.0), (0.0, 10.0)]), (2.0, 2.0)))
-    stats = [(1, "v", 3, 2.5, float("nan"), 7.0)]
+    captures = []
     for make in (SimulatorBackend, SQLiteBackend):
         source, fresh = make(), make()
         for b in (source, fresh):
             b.bind_table(_table())
-        source.install_cells("t", gkey, [1, 2, 3], stats)
+        source.install_cells("t", gkey, [1, 2, 3])
         source.install_cells("t", other, [1])
+        captures.append(source.install_state("t"))
         fresh.restore_install_state("t", source.install_state("t"))
         assert fresh.installed_cell_count("t") == 4, make.__name__
         assert fresh.install_cells("t", gkey, [2, 3, 4]) == (1, 2), make.__name__
         assert fresh.installed_cell_count("t", other) == 1, make.__name__
-    # The SQLite capture carries the persisted stat rows too, NaN intact.
-    restored = fresh.fetch_cell_summaries("t", gkey, [1])
-    count, total, minimum, maximum = restored[1]["v"]
-    assert (count, total, maximum) == (3, 2.5, 7.0)
-    assert np.isnan(minimum)
+    # One record shape on every backend: flat ids per grid key, nothing else.
+    assert captures[0] == captures[1] == {"installs": {gkey: [1, 2, 3], other: [1]}}
 
 
 def test_rebind_clears_install_record():

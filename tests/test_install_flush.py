@@ -12,6 +12,8 @@ checkpoint capture, before any read of the persisted record and on
 * between a query's first window read and its terminal step the store
   sees no write statement;
 * a crash before a flush loses that flush's installs and nothing else;
+* a file written before the stat rows left the store (stat table, count
+  columns, a ``"stats"`` journal payload) opens, recovers and dedups;
 * a checkpoint captured mid-query carries the buffered installs;
 * under the resilience layer a torn flush leaves a pending journal row
   that its own retry retires.
@@ -22,6 +24,7 @@ The kill-point tests of the protocol itself stay in
 
 from __future__ import annotations
 
+import sqlite3
 import tempfile
 from pathlib import Path
 
@@ -66,15 +69,7 @@ def _journal_rows(backend) -> int:
 
 _GKEYS = ("g1", "g2")
 _cells = st.lists(st.integers(0, 9), max_size=6)
-_stat = st.tuples(
-    st.integers(0, 9),
-    st.sampled_from(("avg:a", "avg:b")),
-    st.integers(1, 9),
-    st.floats(-5, 5) | st.just(float("nan")),
-)
-_install = st.tuples(
-    st.just("install"), st.sampled_from(_GKEYS), _cells, st.lists(_stat, max_size=8)
-)
+_install = st.tuples(st.just("install"), st.sampled_from(_GKEYS), _cells)
 _restore = st.tuples(
     st.just("restore"), st.sampled_from(_GKEYS), st.lists(st.integers(0, 9), max_size=4, unique=True)
 )
@@ -89,11 +84,7 @@ _step = st.one_of(
 )
 
 
-def _same(a: float, b: float) -> bool:
-    return a == b or (a != a and b != b)  # NaN-aware
-
-
-_ONE = ("install", "g1", [1, 2], [(1, "avg:a", 1, 1.0)])
+_ONE = ("install", "g1", [1, 2])
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,7 +93,7 @@ _ONE = ("install", "g1", [1, 2], [(1, "avg:a", 1, 1.0)])
 @example(steps=[_ONE, ("rebind",), _ONE])  # a rebind forgets RAM and store alike
 @example(steps=[_ONE, ("restore", "g2", [2]), _ONE])
 @example(steps=[_ONE, ("tear", 2), ("flush",)])  # the next flush retires the intent
-@example(steps=[_ONE, ("tear", 1), ("install", "g1", [3], []), ("reopen",), _ONE])
+@example(steps=[_ONE, ("tear", 1), ("install", "g1", [3]), ("reopen",), _ONE])
 def test_any_interleaving_counts_like_the_simulator(steps):
     """install / flush / reopen / restore / rebind / torn flush vs the oracle."""
     with tempfile.TemporaryDirectory() as scratch:
@@ -110,17 +101,11 @@ def test_any_interleaving_counts_like_the_simulator(steps):
         backend, oracle = SQLiteBackend(path), SimulatorBackend()
         backend.bind_table(_heap())
         oracle.bind_table(_heap())
-        # First write wins, as in ``ON CONFLICT DO NOTHING`` and the RAM sets.
-        model_stats: dict[tuple, tuple] = {}
         for step in steps:
             if step[0] == "install":
-                _, gkey, cells, stats = step
-                rows = [(c, obj, n, total, total, total) for c, obj, n, total in stats]
-                got = backend.install_cells("jt", gkey, cells, rows)
+                _, gkey, cells = step
+                got = backend.install_cells("jt", gkey, cells)
                 assert got == oracle.install_cells("jt", gkey, cells)
-                if cells:  # an empty scan installs nothing, stats included
-                    for c, obj, n, total, *_ in rows:
-                        model_stats.setdefault((gkey, c, obj), (n, total))
             elif step[0] == "flush":
                 backend.flush_installs()
                 assert _journal_rows(backend) == 0
@@ -132,7 +117,6 @@ def test_any_interleaving_counts_like_the_simulator(steps):
             elif step[0] == "rebind":
                 backend.bind_table(_heap())
                 oracle.bind_table(_heap())
-                model_stats.clear()
             elif step[0] == "tear":
                 backend.arm_install_tear(step[1])
                 try:
@@ -142,20 +126,14 @@ def test_any_interleaving_counts_like_the_simulator(steps):
                 backend.disarm_install_tear()
             else:
                 _, gkey, cells = step
-                state = {"installs": {gkey: sorted(cells)}, "stats": []}
+                state = {"installs": {gkey: sorted(cells)}}
                 backend.restore_install_state("jt", state)
                 oracle.restore_install_state("jt", state)
-                model_stats.clear()
         backend.flush_installs()
         assert _journal_rows(backend) == 0
         state = backend.install_state("jt")
         expected = {g: c for g, c in oracle.install_state("jt")["installs"].items() if c}
-        assert state["installs"] == expected
-        stored = {(g, c, obj): (n, total) for g, c, obj, n, total, _lo, _hi in state["stats"]}
-        assert stored.keys() == model_stats.keys()
-        for key, (n, total) in model_stats.items():
-            assert stored[key][0] == n
-            assert _same(float("nan") if stored[key][1] is None else stored[key][1], total)
+        assert state == {"installs": expected}
         backend.close()
 
 
@@ -198,10 +176,10 @@ def test_crash_before_a_flush_keeps_exactly_the_previous_flush(tmp_path):
     path = str(tmp_path / "crash.db")
     backend = SQLiteBackend(path)
     backend.bind_table(_heap())
-    backend.install_cells("jt", "g", [1, 2, 3], [(1, "avg:v", 2, 1.0, 0.5, 0.5)])
+    backend.install_cells("jt", "g", [1, 2, 3])
     backend.flush_installs()
     flushed = backend.install_state("jt")
-    assert backend.install_cells("jt", "g", [3, 4, 5], [(4, "avg:v", 1, 9.0, 9.0, 9.0)]) == (2, 1)
+    assert backend.install_cells("jt", "g", [3, 4, 5]) == (2, 1)
     backend._conn.close()  # the process dies: no close(), no flush
 
     reopened = SQLiteBackend(path)
@@ -210,6 +188,53 @@ def test_crash_before_a_flush_keeps_exactly_the_previous_flush(tmp_path):
     assert reopened.install_state("jt") == flushed
     # The lost installs count as new again: the store is the authority.
     assert reopened.install_cells("jt", "g", [3, 4, 5]) == (2, 1)
+    reopened.close()
+
+
+# -- files written before the stat rows left the store ----------------------------
+
+_OLD_SCHEMA = """
+CREATE TABLE sw_tables (name TEXT PRIMARY KEY, tuples_per_block INTEGER,
+    num_rows INTEGER, columns TEXT, coord_columns TEXT);
+CREATE TABLE sw_cell_installs (table_name TEXT, grid_key TEXT, flat_id INTEGER,
+    PRIMARY KEY (table_name, grid_key, flat_id));
+CREATE TABLE sw_cell_stats (table_name TEXT, grid_key TEXT, flat_id INTEGER,
+    objective TEXT, tuples INTEGER, total REAL, minimum REAL, maximum REAL,
+    PRIMARY KEY (table_name, grid_key, flat_id, objective));
+CREATE TABLE sw_install_journal (journal_id INTEGER PRIMARY KEY AUTOINCREMENT,
+    table_name TEXT, grid_key TEXT, payload TEXT, installed INTEGER, deduped INTEGER);
+INSERT INTO sw_cell_installs VALUES ('jt', 'g', 1), ('jt', 'g', 2);
+INSERT INTO sw_cell_stats VALUES ('jt', 'g', 1, 'avg:v', 2, 1.0, 0.5, NULL);
+INSERT INTO sw_install_journal (table_name, grid_key, payload, installed, deduped)
+    VALUES ('jt', 'g', '{"ids": [2, 3, 4], "stats": [[3, "avg:v", 1, 9.0, 9.0, 9.0]]}', 3, 0);
+"""
+
+
+def test_a_file_in_the_old_format_opens_recovers_and_dedups(tmp_path):
+    """Stat table, count columns, a torn flush whose payload has ``"stats"``."""
+    path = str(tmp_path / "old.db")
+    conn = sqlite3.connect(path)
+    conn.executescript(_OLD_SCHEMA)
+    conn.close()
+
+    backend = SQLiteBackend(path)
+    assert backend.recovered_installs == 1
+    assert _journal_rows(backend) == 0
+    assert backend.install_state("jt") == {"installs": {"g": [1, 2, 3, 4]}}, "2 installed once"
+    tables = {n for (n,) in backend._conn.execute("SELECT name FROM sqlite_master")}
+    assert "sw_cell_stats" not in tables
+    # The journal keeps its two old nullable columns; new rows omit them.
+    assert backend.install_cells("jt", "g", [4, 5]) == (1, 1)
+    backend.arm_install_tear(1)
+    with pytest.raises(TornWriteError, match="intent"):
+        backend.flush_installs()
+    assert backend._conn.execute(
+        "SELECT payload, installed, deduped FROM sw_install_journal"
+    ).fetchall() == [('{"ids": [5]}', None, None)]
+    backend.close()  # flushes: the torn intent rolls forward first
+    reopened = SQLiteBackend(path)
+    assert reopened.recovered_installs == 0
+    assert reopened.installed_cell_count("jt", "g") == 5
     reopened.close()
 
 
@@ -231,8 +256,8 @@ def test_mid_query_checkpoint_carries_the_buffered_installs():
         if name == "sqlite:":
             assert not database.backend._pending, "capture flushes first"
             assert _journal_rows(database.backend) == 0
-    assert captures["sqlite:"]["installs"] == captures["simulator"]["installs"]
-    assert captures["sqlite:"]["stats"], "the capture carries the stat rows too"
+    assert captures["sqlite:"] == captures["simulator"]
+    assert set(captures["simulator"]) == {"installs"}
 
 
 # -- a torn flush under the resilience layer ----------------------------------------
@@ -245,7 +270,7 @@ def test_scheduled_torn_flush_is_retired_by_its_own_retry():
     plan = BackendFaultPlan(seed=0, scheduled=((2, "torn_install"),))
     backend = ResilientBackend(inner, plan, metrics=registry)
     backend.bind_table(_heap())
-    assert backend.install_cells("jt", "g", [1, 2, 3], [(1, "avg:v", 1, 1.0, 1.0, 1.0)]) == (3, 0)
+    assert backend.install_cells("jt", "g", [1, 2, 3]) == (3, 0)
 
     pending_at_entry = []
     flush = inner.flush_installs
