@@ -313,7 +313,7 @@ class Database:
         start = self.clock.now
         # Exact bitmap index scan — only pages holding matching tuples —
         # fused with those tuples' coordinates and objective columns: one
-        # backend call (one SQL statement) per region scan.
+        # backend call per region scan.
         columns = _objective_columns(objectives)
         scan = table.scan_region(lows, highs, columns)
         integ = self._integrity.get(table_name)

@@ -7,16 +7,17 @@ becomes three SQLite objects:
 * ``sw_data_<name>`` — one row per tuple, ``rid`` (the physical row id)
   as the INTEGER PRIMARY KEY plus one REAL column per schema column;
 * ``sw_mbr_<name>`` — per-block coordinate MBRs (what a BRIN/GiST index
-  would hold), used by the bitmap prefilter;
+  would hold), read once per handle by the bitmap prefilter;
 * a row in the ``sw_tables`` catalog carrying the schema and block size,
   so a database file can be reopened later (:meth:`SQLiteBackend.handle`
   reconstructs handles from the catalog).
 
-The handle executes region scans and row gathers as SQL — the bitmap
-index scan is a range predicate over the coordinate columns, block ids
-derive from ``rid``, and :meth:`SQLiteTable.scan_region` puts the
-coordinates and the objective columns in the same statement's select
-list, so one window read is one statement — while the per-cell
+A region scan runs the simulator's plan, bitmap index scan then heap
+reads: the blocks whose MBR meets the box
+(:func:`~repro.storage.table.intersecting_blocks`), each run of
+consecutive blocks read as one ``rid`` range on the primary key — the
+coordinates and the objective columns in its select list — and the box
+filtered in numpy.  The per-cell
 aggregation stays in the shared numpy code of
 :mod:`repro.storage.database`, which guarantees the float-accumulation
 order (and therefore every byte of every result) is identical to the
@@ -66,7 +67,8 @@ import numpy as np
 
 from ..errors import BackendError, ConfigError, TornWriteError
 from .backend import StorageBackend
-from .table import HeapTable, TableSchema
+from .pages import coalesce_runs
+from .table import HeapTable, TableSchema, block_bounds, intersecting_blocks
 
 __all__ = ["SQLiteBackend", "SQLiteTable"]
 
@@ -140,8 +142,9 @@ class SQLiteTable:
 
     Implements the handle contract of :mod:`repro.storage.backend`:
     metadata (schema, block size, row count) is catalog state cached at
-    bind time; every data access — column draws, row gathers, the
-    bitmap index scan — executes SQL against the store.
+    bind time, the block MBRs are read on first use; every row access —
+    column draws, row gathers, a region scan's heap reads — executes SQL
+    against the store.
     """
 
     def __init__(
@@ -160,23 +163,7 @@ class SQLiteTable:
         self._num_blocks = math.ceil(num_rows / tuples_per_block)
         self._data_sql = _quoted(f"sw_data_{name}")
         self._mbr_sql = _quoted(f"sw_mbr_{name}")
-        self._coord_indexed = False
-
-    def _ensure_coord_index(self) -> None:
-        """Create the coordinate index on first range query, not at bind.
-
-        Bulk load stays index-free (a large constant saved on every
-        build); the first region scan pays for the one-time build.  ``IF NOT EXISTS`` makes this idempotent across handles
-        reopened from the catalog.
-        """
-        if self._coord_indexed:
-            return
-        coords = ", ".join(_quoted(c) for c in self.schema.coordinate_columns)
-        self._conn.execute(
-            f"CREATE INDEX IF NOT EXISTS {_quoted(f'sw_idx_{self.name}')}"
-            f" ON {self._data_sql} ({coords})"
-        )
-        self._coord_indexed = True
+        self._mbrs: tuple[np.ndarray, np.ndarray] | None = None  # read on first use
 
     # -- shape ----------------------------------------------------------------
 
@@ -252,11 +239,15 @@ class SQLiteTable:
             fetched = cur.fetchall()
             out[pos : pos + len(fetched)] = _decode(fetched, len(columns))
             pos += len(fetched)
-        if pos != uniq.size:  # pragma: no cover - store corruption
-            raise RuntimeError(
-                f"table {self.name!r}: {uniq.size - pos} requested rows missing"
-            )
+        self._check_fetched(uniq.size, pos)
         return out[inverse]
+
+    def _check_fetched(self, requested: int, fetched: int) -> None:
+        """Refuse a read that came back short: rows would misalign."""
+        if fetched != requested:
+            raise RuntimeError(
+                f"table {self.name!r}: {requested - fetched} requested rows missing"
+            )
 
     # -- block geometry ----------------------------------------------------------
 
@@ -282,51 +273,45 @@ class SQLiteTable:
 
     @_driver_errors
     def block_mbrs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-block MBRs read back from the ``sw_mbr`` side table."""
-        lo_cols = ", ".join(f"lo{d}" for d in range(self.ndim))
-        hi_cols = ", ".join(f"hi{d}" for d in range(self.ndim))
-        cur = self._conn.execute(
-            f"SELECT {lo_cols}, {hi_cols} FROM {self._mbr_sql} ORDER BY block_id"
-        )
-        bounds = _decode(cur.fetchall(), 2 * self.ndim)
-        return (
-            np.ascontiguousarray(bounds[:, : self.ndim]),
-            np.ascontiguousarray(bounds[:, self.ndim :]),
-        )
+        """Per-block MBRs from the ``sw_mbr`` side table, read once per handle."""
+        if self._mbrs is None:
+            ndim = self.ndim
+            lo_cols = ", ".join(f"lo{d}" for d in range(ndim))
+            hi_cols = ", ".join(f"hi{d}" for d in range(ndim))
+            cur = self._conn.execute(
+                f"SELECT {lo_cols}, {hi_cols} FROM {self._mbr_sql} ORDER BY block_id"
+            )
+            bounds = _decode(cur.fetchall(), 2 * ndim)
+            mins = np.ascontiguousarray(bounds[:, :ndim])
+            maxs = np.ascontiguousarray(bounds[:, ndim:])
+            stale = np.flatnonzero(np.isnan(bounds).any(axis=1))
+            if stale.size:
+                # Older stores kept a NaN bound for every block holding a
+                # NaN coordinate; rebuild those blocks' bounds from their rows.
+                rows = self.rows_of_blocks(stale)
+                starts = np.searchsorted(rows, stale * self.tuples_per_block)
+                mins[stale], maxs[stale] = block_bounds(self.coordinates_of(rows), starts)
+            self._mbrs = (mins, maxs)
+        return self._mbrs
 
     # -- bitmap "index scan" -----------------------------------------------------
 
-    @_driver_errors
     def blocks_intersecting(self, lows: Sequence[float], highs: Sequence[float]) -> np.ndarray:
-        """Sorted block ids whose MBR intersects the half-open box (SQL)."""
-        if len(lows) != self.ndim or len(highs) != self.ndim:
-            raise ValueError("query box dimensionality mismatch")
-        where = " AND ".join(
-            f"(lo{d} < ? AND hi{d} >= ?)" for d in range(self.ndim)
-        )
-        params: list[float] = []
-        for d in range(self.ndim):
-            params.extend((float(highs[d]), float(lows[d])))
-        cur = self._conn.execute(
-            f"SELECT block_id FROM {self._mbr_sql} WHERE {where} ORDER BY block_id",
-            params,
-        )
-        return np.fromiter((b for (b,) in cur), dtype=np.int64)
+        """Sorted block ids whose MBR intersects the half-open box."""
+        mins, maxs = self.block_mbrs()
+        return intersecting_blocks(mins.T, maxs.T, lows, highs)
 
     @_driver_errors
     def blocks_matching(
         self, lows: Sequence[float], highs: Sequence[float]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact bitmap-index scan as one SQL range predicate.
+        """Exact bitmap-index scan: :meth:`scan_region` with no columns.
 
-        Returns ``(block_ids, matching_rows)``, both sorted — the same
-        sets the simulator's in-memory scan produces: a tuple matches
-        exactly when every coordinate lies in the half-open box, and its
-        block necessarily passes the MBR prefilter.
+        Returns ``(block_ids, matching_rows)``, both sorted — the sets
+        the simulator's in-memory scan produces.
         """
-        fetched = self._select_region(lows, highs, ())
-        matching = np.fromiter((r for (r,) in fetched), dtype=np.int64, count=len(fetched))
-        return self._blocks_of(matching), matching
+        rows, _coords, _values = self._read_box(lows, highs, ())
+        return self._blocks_of(rows), rows
 
     @_driver_errors
     def scan_region(
@@ -335,54 +320,50 @@ class SQLiteTable:
         highs: Sequence[float],
         columns: Sequence[str] = (),
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-        """One region scan as one statement: rids, coordinates, columns.
+        """One region scan: block ids, rows, coordinates, columns.
 
         Returns ``(block_ids, rows, coordinates, values)`` as
-        :meth:`HeapTable.scan_region` does, bit for bit: the box
-        predicate of :meth:`blocks_matching` with the coordinate and the
-        requested columns in the select list, so the tuples a window
-        read aggregates cross the backend seam once.
+        :meth:`HeapTable.scan_region` does, bit for bit, so the tuples a
+        window read aggregates cross the backend seam in one call.
         """
         for name in columns:
             self._check_column(name)
-        coord_columns = self.schema.coordinate_columns
-        fetched = self._select_region(lows, highs, (*coord_columns, *columns))
-        ndim = self.ndim
-        if not fetched:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty((0, ndim), dtype=float),
-                tuple(np.empty(0, dtype=float) for _ in columns),
-            )
-        # Transposed decode: one numpy conversion per column (NULL comes
-        # back as None and converts to NaN), rids straight to int64.
-        by_column = list(zip(*fetched))
-        rows = np.array(by_column[0], dtype=np.int64)
-        coords = np.empty((rows.size, ndim), dtype=float)
-        for d in range(ndim):
-            coords[:, d] = by_column[1 + d]
-        values = tuple(np.array(c, dtype=float) for c in by_column[1 + ndim :])
+        rows, coords, values = self._read_box(lows, highs, columns)
         return self._blocks_of(rows), rows, coords, values
 
-    def _select_region(
+    def _read_box(
         self, lows: Sequence[float], highs: Sequence[float], columns: Sequence[str]
-    ) -> list[tuple]:
-        """``rid`` plus ``columns`` of every tuple in the box, by rid."""
-        if len(lows) != self.ndim or len(highs) != self.ndim:
-            raise ValueError("query box dimensionality mismatch")
-        self._ensure_coord_index()
-        select = ", ".join(["rid", *(_quoted(c) for c in columns)])
-        where = " AND ".join(
-            f"({_quoted(c)} >= ? AND {_quoted(c)} < ?)"
-            for c in self.schema.coordinate_columns
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        """Rows, coordinates and ``columns`` of every tuple in the box.
+
+        The simulator's plan — bitmap index scan, then heap reads: the
+        candidate blocks come from the block MBRs, each run of
+        consecutive blocks is one ``rid`` range read on the INTEGER
+        PRIMARY KEY (already in ``rid`` order: no secondary index, no
+        sort), and the box is filtered in numpy with the simulator's own
+        comparisons.  ``rid`` is not selected: a range *is* its rids.
+        """
+        candidates = self.blocks_intersecting(lows, highs)
+        ndim = self.ndim
+        select = ", ".join(_quoted(c) for c in (*self.schema.coordinate_columns, *columns))
+        stmt = f"SELECT {select} FROM {self._data_sql} WHERE rid >= ? AND rid < ? ORDER BY rid"
+        tpb = self.tuples_per_block
+        fetched: list[tuple] = []
+        for block, count in coalesce_runs(candidates):
+            start, end = block * tpb, min((block + count) * tpb, self._num_rows)
+            part = self._conn.execute(stmt, (start, end)).fetchall()
+            self._check_fetched(end - start, len(part))
+            fetched += part
+        decoded = _decode(fetched, ndim + len(columns))
+        inside = np.ones(len(fetched), dtype=bool)
+        for d in range(ndim):
+            inside &= decoded[:, d] >= lows[d]
+            inside &= decoded[:, d] < highs[d]
+        return (
+            self.rows_of_blocks(candidates)[inside],
+            decoded[inside, :ndim],
+            tuple(decoded[inside, ndim + i] for i in range(len(columns))),
         )
-        params: list[float] = []
-        for d in range(self.ndim):
-            params.extend((float(lows[d]), float(highs[d])))
-        return self._conn.execute(
-            f"SELECT {select} FROM {self._data_sql} WHERE {where} ORDER BY rid", params
-        ).fetchall()
 
     def _blocks_of(self, sorted_rows: np.ndarray) -> np.ndarray:
         """Distinct block ids of ascending row ids (run boundaries)."""

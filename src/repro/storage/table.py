@@ -15,7 +15,49 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["TableSchema", "HeapTable"]
+__all__ = ["TableSchema", "HeapTable", "block_bounds", "intersecting_blocks"]
+
+
+def block_bounds(
+    coords: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block ``(mins, maxs)`` of ``coords``, blocks starting at rows ``starts``.
+
+    Blocks are consecutive row runs: one segmented reduction per bound
+    covers them all, and ``reduceat`` ends the last (possibly short)
+    segment at the end of the array.  The reductions ignore NaN, so one
+    NaN coordinate does not blank its block's MBR and hide the block's
+    other rows from every scan; a block NaN in every row of a dimension
+    keeps a NaN bound there.
+    """
+    return (
+        np.fmin.reduceat(coords, starts, axis=0),
+        np.fmax.reduceat(coords, starts, axis=0),
+    )
+
+
+def intersecting_blocks(
+    min_cols: Sequence[np.ndarray],
+    max_cols: Sequence[np.ndarray],
+    lows: Sequence[float],
+    highs: Sequence[float],
+) -> np.ndarray:
+    """Sorted ids of the blocks whose MBR intersects the half-open box.
+
+    ``min_cols[d]`` / ``max_cols[d]`` hold every block's lower / upper
+    bound in dimension ``d`` (the test runs one dimension at a time
+    across all blocks, fastest over contiguous columns).  A block whose
+    bound is NaN — every coordinate of that dimension NaN — matches
+    nothing.  Every table handle's MBR prefilter is this one predicate.
+    """
+    if len(lows) != len(min_cols) or len(highs) != len(min_cols):
+        raise ValueError("query box dimensionality mismatch")
+    mask = min_cols[0] < highs[0]
+    mask &= max_cols[0] >= lows[0]
+    for d in range(1, len(min_cols)):
+        mask &= min_cols[d] < highs[d]
+        mask &= max_cols[d] >= lows[d]
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
 class TableSchema:
@@ -209,14 +251,7 @@ class HeapTable:
         :meth:`blocks_matching`); the MBRs are what a BRIN-style index
         would hold.
         """
-        if len(lows) != self.ndim or len(highs) != self.ndim:
-            raise ValueError("query box dimensionality mismatch")
-        mask = self._bmin_cols[0] < highs[0]
-        mask &= self._bmax_cols[0] >= lows[0]
-        for d in range(1, self.ndim):
-            mask &= self._bmin_cols[d] < highs[d]
-            mask &= self._bmax_cols[d] >= lows[d]
-        return np.flatnonzero(mask).astype(np.int64, copy=False)
+        return intersecting_blocks(self._bmin_cols, self._bmax_cols, lows, highs)
 
     def blocks_matching(
         self, lows: Sequence[float], highs: Sequence[float]
@@ -266,21 +301,16 @@ class HeapTable:
         ``coordinates_of(rows)`` and ``values`` holds ``gather(c, rows)``
         for each requested column, in request order (a name may repeat,
         and may be a coordinate column).  A remote backend answers all of
-        it with one statement instead of one round trip per piece.
+        it in one read of the candidate blocks instead of one round trip
+        per piece.
         """
         block_ids, rows = self.blocks_matching(lows, highs)
         values = tuple(self.gather(name, rows) for name in columns)
         return block_ids, rows, self._coords[rows], values
 
     def _build_block_mbrs(self) -> tuple[np.ndarray, np.ndarray]:
-        # Blocks are consecutive row runs: one segmented reduction per bound
-        # covers them all, and ``reduceat`` ends the last (possibly short)
-        # segment at the end of the array.
         starts = np.arange(0, self._num_rows, self.tuples_per_block)
-        return (
-            np.minimum.reduceat(self._coords, starts, axis=0),
-            np.maximum.reduceat(self._coords, starts, axis=0),
-        )
+        return block_bounds(self._coords, starts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -207,15 +207,22 @@ def test_random_queries_byte_identical(backend_pair, params):
 # -- tier 3: hypothesis tables ------------------------------------------------
 
 
-def _random_table(seed: int, rows: int, tpb: int, nan_values: bool) -> HeapTable:
+def _random_table(
+    seed: int, rows: int, tpb: int, nan_values: bool, nan_coords: bool = False
+) -> HeapTable:
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 10.0, rows)
     y = rng.uniform(0.0, 10.0, rows)
     v = rng.normal(25.0, 5.0, rows)
     if nan_values:
-        # NaN measurement values (not coordinates): both backends must
-        # round-trip and aggregate them to bit-identical NaN stats.
+        # NaN measurement values: both backends must round-trip and
+        # aggregate them to bit-identical NaN stats.
         v[rng.random(rows) < 0.05] = np.nan
+    if nan_coords:
+        # A NaN coordinate matches no box, and must not hide the other
+        # rows of its block from the MBR prefilter.
+        for coordinate in (x, y):
+            coordinate[rng.random(rows) < 0.05] = np.nan
     schema = TableSchema(["x", "y", "value"], ["x", "y"])
     return HeapTable(
         f"rand{seed}", schema, {"x": x, "y": y, "value": v}, tuples_per_block=tpb
@@ -397,13 +404,18 @@ def test_quarantined_gather_parity(backend_pair):
 
 
 column_lists = st.lists(st.sampled_from(["value", "x", "y"]), max_size=4)
+# Tables for the fused scan also sprinkle NaN coordinates.
+scan_tables = st.tuples(table_params, st.booleans()).map(lambda t: (*t[0], t[1]))
 
 
-@given(table=table_params, box=box_params, columns=column_lists)
+@given(table=scan_tables, box=box_params, columns=column_lists)
 @example(table=(1, 300, 16, True), box=(0.0, 0.0, 10.0, 10.0), columns=["value"])
 @example(table=(2, 300, 16, True), box=(9.0, 9.0, 0.5, 0.5), columns=["value", "value"])
 @example(table=(3, 300, 7, False), box=(2.0, 3.0, 4.0, 5.0), columns=["x", "value", "y"])
 @example(table=(4, 300, 16, True), box=(0.0, 0.0, 10.0, 10.0), columns=[])
+@example(table=(5, 257, 16, False), box=(0.0, 0.0, 10.0, 10.0), columns=["value"])
+@example(table=(6, 400, 4, False), box=(4.0, 4.0, 0.5, 0.5), columns=["value"])
+@example(table=(7, 300, 8, True, True), box=(0.0, 0.0, 10.0, 10.0), columns=["x", "value"])
 @settings(
     max_examples=100,
     deadline=None,
@@ -413,8 +425,10 @@ def test_scan_region_bit_identical(backend_pair, table, box, columns):
     """``scan_region`` on SQLite equals ``HeapTable``'s bit for bit.
 
     The pinned examples are the whole-table box over NaN values, a
-    column named twice, coordinate columns requested as values, and no
-    columns at all; ``_EMPTY_BOX`` below adds the box nothing lies in.
+    column named twice, coordinate columns requested as values, no
+    columns at all, a one-row last block, a small box over scattered
+    blocks (several ``rid`` ranges) and NaN coordinates;
+    ``_EMPTY_BOX`` below adds the box nothing lies in.
     """
     heap = _random_table(*table)
     x0, y0, w, h = box

@@ -118,6 +118,65 @@ def test_file_store_reopens_from_catalog(tmp_path):
     np.testing.assert_array_equal(maxs, ref_maxs)
 
 
+def _coordinate_indexes(backend: SQLiteBackend) -> list[str]:
+    names = backend._conn.execute("SELECT name FROM sqlite_master WHERE type = 'index'")
+    return [name for (name,) in names if name.startswith("sw_idx_")]
+
+
+def _assert_scans_equal(handle, table, columns=("v", "x")) -> None:
+    for lows, highs in (([0.0, 0.0], [10.0, 10.0]), ([2.5, 1.0], [6.0, 4.5])):
+        got = handle.scan_region(lows, highs, columns)
+        want = table.scan_region(lows, highs, columns)
+        for part, ref in zip((*got[:3], *got[3]), (*want[:3], *want[3])):
+            assert part.dtype == ref.dtype and part.tobytes() == ref.tobytes()
+
+
+def test_region_scans_need_no_coordinate_index_old_stores_keep_working(tmp_path):
+    table = _table(rows=100, tpb=8)
+    path = str(tmp_path / "dev.db")
+    fresh = SQLiteBackend(path)
+    _assert_scans_equal(fresh.bind_table(table), table)
+    assert _coordinate_indexes(fresh) == []
+    # Stores written before scans followed the block map carry a
+    # composite index on the coordinate columns.
+    fresh._conn.execute('CREATE INDEX "sw_idx_t" ON "sw_data_t" ("x", "y")')
+    fresh.close()
+
+    reopened = SQLiteBackend(path)
+    _assert_scans_equal(reopened.handle("t"), table)
+    reopened.bind_table(table)  # the old table goes, its index with it
+    assert _coordinate_indexes(reopened) == []
+    _assert_scans_equal(reopened.handle("t"), table)
+    reopened.close()
+
+
+def test_old_store_nan_block_bounds_are_rebuilt_on_open(tmp_path):
+    table = _table(rows=100, tpb=8)
+    x = table.column("x").copy()
+    x[10] = np.nan  # one NaN coordinate in block 1
+    table = HeapTable("t", table.schema, {"x": x, "y": table.column("y"),
+                                          "v": table.column("v")}, tuples_per_block=8)
+    path = str(tmp_path / "dev.db")
+    old = SQLiteBackend(path)
+    old.bind_table(table)
+    # Stores written before the MBRs ignored NaN coordinates hold NULL
+    # (NaN) bounds for such a block in every dimension.
+    with old._conn:
+        old._conn.execute(
+            'UPDATE "sw_mbr_t" SET lo0 = NULL, hi0 = NULL, lo1 = NULL, hi1 = NULL'
+            " WHERE block_id = 1"
+        )
+    old.close()
+
+    reopened = SQLiteBackend(path)
+    handle = reopened.handle("t")
+    for got, want in zip(handle.block_mbrs(), table.block_mbrs()):
+        assert got.tobytes() == want.tobytes()
+    assert 1 in handle.blocks_matching([0.0, 0.0], [10.0, 10.0])[0]
+    _assert_scans_equal(handle, table)
+    reopened.close()
+
+
 # -- handle contract ----------------------------------------------------------
 
 
@@ -158,6 +217,66 @@ def test_blocks_matching_equals_simulator_on_random_boxes():
         np.testing.assert_array_equal(
             handle.blocks_intersecting(lo, hi), table.blocks_intersecting(lo, hi)
         )
+
+
+def _two_column_table(x: np.ndarray, tpb: int) -> HeapTable:
+    y = np.arange(x.size) + 0.5
+    return HeapTable("n", TableSchema(["x", "y"], ["x", "y"]), {"x": x, "y": y}, tpb)
+
+
+def test_nan_coordinate_hides_only_its_own_row():
+    # One NaN coordinate used to make its whole block's MBR NaN on the
+    # simulator, so every scan skipped the block's other rows.
+    x = np.arange(8) + 0.5
+    x[2] = np.nan
+    table = _two_column_table(x, 4)
+    for scanner in (table, SQLiteBackend().bind_table(table)):
+        blocks, rows, coords, _ = scanner.scan_region([0.0, 0.0], [10.0, 10.0])
+        assert blocks.tolist() == [0, 1], type(scanner).__name__
+        assert rows.tolist() == [0, 1, 3, 4, 5, 6, 7], type(scanner).__name__
+    # A block NaN in every row of a dimension keeps a NaN bound: it
+    # matches no box, on either backend.
+    x[4:] = np.nan
+    table = _two_column_table(x, 4)
+    assert np.isnan(table.block_mbrs()[0][1, 0])
+    for scanner in (table, SQLiteBackend().bind_table(table)):
+        assert scanner.blocks_intersecting([0.0, 0.0], [10.0, 10.0]).tolist() == [0]
+        assert scanner.blocks_matching([0.0, 0.0], [10.0, 10.0])[1].tolist() == [0, 1, 3]
+
+
+def test_region_scan_reads_one_primary_key_range_per_block_run():
+    # Blocks 1, 2 and 5 hold x in [1, 3): two runs, so two range reads.
+    x = np.repeat([0.5, 1.5, 2.5, 3.5, 4.5, 1.5, 6.5, 7.5], 8)
+    table = _two_column_table(x, 8)
+    backend = SQLiteBackend()
+    handle = backend.bind_table(table)
+    handle.block_mbrs()  # read once per handle, on first use
+    statements: list[str] = []
+    backend._conn.set_trace_callback(statements.append)
+    try:
+        blocks, rows, _, (y,) = handle.scan_region([1.0, 0.0], [3.0, 100.0], ["y"])
+    finally:
+        backend._conn.set_trace_callback(None)
+    assert blocks.tolist() == [1, 2, 5]
+    np.testing.assert_array_equal(rows, np.r_[8:24, 40:48])
+    np.testing.assert_array_equal(y, rows + 0.5)
+    assert len(statements) == 2, statements
+    for sql in statements:
+        # Python >= 3.11 traces the statement with its values bound.
+        params = (0, 8) if "?" in sql else ()
+        plan = " ".join(
+            row[-1] for row in backend._conn.execute(f"EXPLAIN QUERY PLAN {sql}", params)
+        )
+        assert "USING INTEGER PRIMARY KEY" in plan, plan
+        assert "TEMP B-TREE" not in plan, plan
+
+
+def test_region_scan_refuses_a_short_rid_range():
+    backend = SQLiteBackend()
+    handle = backend.bind_table(_table(rows=40, tpb=8))
+    backend._conn.execute('DELETE FROM "sw_data_t" WHERE rid = 17')
+    with pytest.raises(RuntimeError, match="1 requested rows missing"):
+        handle.scan_region([0.0, 0.0], [10.0, 10.0], ["v"])
 
 
 def test_block_geometry_matches():

@@ -22,14 +22,18 @@ from repro.storage import HeapTable, TableSchema, cell_flat_ids
 
 
 def _loop_block_mbrs(table: HeapTable) -> tuple[np.ndarray, np.ndarray]:
-    """The per-block loop ``HeapTable._build_block_mbrs`` used to be."""
+    """The per-block loop ``HeapTable._build_block_mbrs`` used to be.
+
+    NaN-ignoring: one NaN coordinate must not blank its block's MBR (a
+    block NaN in every row of a dimension keeps a NaN bound there).
+    """
     coords = table.coordinates()
     mins = np.empty((table.num_blocks, table.ndim), dtype=float)
     maxs = np.empty((table.num_blocks, table.ndim), dtype=float)
     for b in range(table.num_blocks):
         rows = table.block_rows(b)
-        mins[b] = coords[rows].min(axis=0)
-        maxs[b] = coords[rows].max(axis=0)
+        mins[b] = np.fmin.reduce(coords[rows], axis=0)
+        maxs[b] = np.fmax.reduce(coords[rows], axis=0)
     return mins, maxs
 
 

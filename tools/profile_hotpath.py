@@ -43,10 +43,13 @@ cost of a search that runs to exhaustion — this one does::
 ``--ledger sqlite_firstk`` does one round of that workload (seed 5: six
 catalogs bulk-loaded into fresh SQLite files, three ten-result peeks
 each) three times over: un-profiled with the backend's parts timed —
-bulk load, the sample and the objective grids drawn over SQL,
-``scan_region``, ``install_cells`` (RAM), ``flush_installs`` (the journal
-protocol), the rest being the search core — then with every SQL statement
-counted (statements and commits per query), then under cProfile::
+bulk load, the sample (and inside it the full ``coordinates()`` pull) and
+the objective grids drawn over SQL, ``scan_region``, ``install_cells``
+(RAM), ``flush_installs`` (the journal protocol), the rest being the
+search core — then with every SQL statement counted (statements and
+commits per query) and every region scan's reads (``rid`` ranges per
+scan, candidate vs matching blocks, rows fetched vs matched), then under
+cProfile::
 
     python tools/profile_hotpath.py --ledger sqlite_firstk [--top N] [--sort ...]
 
@@ -214,11 +217,13 @@ _SETUP_PARTS = (
 )
 
 
-#: One ``sqlite_firstk`` round, same format.  None of these nests in another,
-#: so the round's wall time minus their sum is the search core.
+#: One ``sqlite_firstk`` round, same format.  The unindented parts do not
+#: nest in one another, so the round's wall time minus their sum is the
+#: search core.
 _SQLITE_PARTS = (
     ("bulk load", "repro.storage.sqlite_backend", "SQLiteBackend", "bind_table"),
     ("sample (SQL)", "repro.sampling.stratified", "StratifiedSampler", "sample"),
+    ("  coordinates() pull", "repro.storage.sqlite_backend", "SQLiteTable", "coordinates"),
     ("objective grids (SQL)", "repro.core.datamanager", None, "build_objective_grids"),
     ("scan_region", "repro.storage.sqlite_backend", "SQLiteTable", "scan_region"),
     ("install_cells", "repro.storage.sqlite_backend", "SQLiteBackend", "install_cells"),
@@ -269,6 +274,44 @@ def _time_parts(work, units: int, parts=_SETUP_PARTS) -> tuple[float, list[list[
     return wall, rows
 
 
+def _count_scans(work) -> dict[str, int] | None:
+    """Run ``work()`` counting what each SQLite region scan reads.
+
+    The counts are ``None`` on a checkout whose scans do not read ``rid``
+    ranges of the block map (no ``SQLiteTable._read_box``).
+    """
+    from repro.storage.pages import coalesce_runs
+    from repro.storage.sqlite_backend import SQLiteTable
+
+    original = vars(SQLiteTable).get("_read_box")
+    if original is None:
+        work()
+        return None
+    seen = dict.fromkeys(
+        ("scans", "ranges", "candidate blocks", "matching blocks", "rows fetched", "rows matched"),
+        0,
+    )
+
+    def counted(self, lows, highs, columns):
+        candidates = self.blocks_intersecting(lows, highs)
+        result = original(self, lows, highs, columns)
+        rows = result[0]
+        seen["scans"] += 1
+        seen["ranges"] += sum(1 for _run in coalesce_runs(candidates))
+        seen["candidate blocks"] += candidates.size
+        seen["matching blocks"] += self._blocks_of(rows).size
+        seen["rows fetched"] += self.rows_of_blocks(candidates).size
+        seen["rows matched"] += rows.size
+        return result
+
+    SQLiteTable._read_box = counted
+    try:
+        work()
+    finally:
+        SQLiteTable._read_box = original
+    return seen
+
+
 def _profile_ledger_sqlite(top: int, sort: str) -> int:
     """Time, count and cProfile one ``sqlite_firstk`` round (seed 5)."""
     import tempfile
@@ -300,11 +343,11 @@ def _profile_ledger_sqlite(top: int, sort: str) -> int:
             executed["statements"] += 1
             executed["commits"] += sql.lstrip().upper().startswith("COMMIT")
 
-        one_round(count)
+        scans = _count_scans(lambda: one_round(count))
         profile = cProfile.Profile()
         profile.runcall(one_round)
 
-    parts_ms = sum(float(total) for _label, _calls, total, _per in rows)
+    parts_ms = sum(float(total) for label, _calls, total, _per in rows if not label.startswith(" "))
     rows.append(["search core (rest)", "", f"{1e3 * wall - parts_ms:.2f}",
                  f"{(1e3 * wall - parts_ms) / queries:.3f}"])
     stream = io.StringIO()
@@ -320,6 +363,18 @@ def _profile_ledger_sqlite(top: int, sort: str) -> int:
             for label, key in (("SQL statement executions", "statements"), ("commits", "commits"))
         )
     )
+    if scans and scans["scans"]:
+        n = scans["scans"]
+        print(
+            f"region scans: {n} ({n / queries:.1f} per query)   "
+            f"rid ranges per scan: {scans['ranges'] / n:.2f}   "
+            f"blocks candidate / matching: {scans['candidate blocks']} / {scans['matching blocks']}"
+        )
+        print(
+            f"rows fetched / matched: {scans['rows fetched']} / {scans['rows matched']} "
+            f"({scans['rows fetched'] / queries:.0f} / {scans['rows matched'] / queries:.0f} "
+            f"per query; useful/attempted {scans['rows matched'] / max(scans['rows fetched'], 1):.3f})"
+        )
     print()
     print(f"== cProfile top {top} by {sort} ==")
     print(stream.getvalue())
