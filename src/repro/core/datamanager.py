@@ -14,19 +14,18 @@ Mirrors the worker component of the same name in the paper's architecture
 * **DBMS interaction** — a window read is one range-aggregate query over
   the bounding box of the window's unread cells.
 
-Implementation note: all per-cell state lives in grid-shaped numpy arrays.
-With ``use_kernels`` (the default) the count-like window queries —
-``window_count``, ``unread_objects``, ``is_read`` and ``count``
-aggregates — are served by :class:`~repro.core.kernels.DataKernels` as
-O(2^d) summed-area-table lookups whenever the tables are fresh (see its
-rebuild policy); real-valued ``sum``/``avg`` and the ``min``/``max``
-extrema stay on O(window) slice reductions so every value is bitwise
-identical to the naive path (see kernels.py for the exactness contract).
+Implementation note: all per-cell state lives in grid-shaped numpy arrays,
+and every window query is served by :class:`~repro.core.kernels.DataKernels`:
+the count-like ones — ``window_count``, ``unread_objects``, ``is_read``
+and ``count`` aggregates — as O(2^d) summed-area-table lookups whenever
+the tables are fresh (see its rebuild policy); real-valued ``sum``/``avg``
+and the ``min``/``max`` extrema stay on O(window) slice reductions so
+every value is bitwise identical to the naive reference in
+``tests/naive_oracle.py`` (see kernels.py for the exactness contract).
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
 from typing import Mapping, Sequence
 
@@ -62,10 +61,6 @@ class DataManager:
     noise:
         Optional estimation-error injection (Section 6.6); applied to
         window estimates while the window still has unread cells.
-    use_kernels:
-        Route count-like window queries through the summed-area-table
-        kernels (:mod:`repro.core.kernels`).  ``False`` keeps the naive
-        per-window slice reductions — same values, useful as a baseline.
     """
 
     def __init__(
@@ -77,7 +72,6 @@ class DataManager:
         sample: CellSample,
         noise: NoiseModel | None = None,
         sample_table=None,
-        use_kernels: bool = True,
     ) -> None:
         self._db = database
         self._table_name = table_name
@@ -120,7 +114,6 @@ class DataManager:
         # integrity layer.  Feeds the execution report's degradation flag.
         self.degraded_cells: set[int] = set()
 
-        self.use_kernels = use_kernels
         self._kernels: DataKernels | None = None
         # Optional observability (repro.obs); see attach_metrics.
         self.metrics = None
@@ -192,23 +185,17 @@ class DataManager:
 
     def is_read(self, window: Window) -> bool:
         """Whether every cell of the window is cached."""
-        if self.use_kernels:
-            return self.kernels.is_read(window)
-        return bool(self.read_mask[self.box(window)].all())
+        return self.kernels.is_read(window)
 
     # -- counts and cost inputs -----------------------------------------------------
 
     def window_count(self, window: Window) -> float:
         """Exact number of objects in the window."""
-        if self.use_kernels:
-            return self.kernels.window_count(window)
-        return float(self.true_count[self.box(window)].sum())
+        return self.kernels.window_count(window)
 
     def unread_objects(self, window: Window) -> float:
         """``|w|_nc``: objects in the window's non-cached cells."""
-        if self.use_kernels:
-            return self.kernels.unread_objects(window)
-        return float(self.unread_count[self.box(window)].sum())
+        return self.kernels.unread_objects(window)
 
     # -- estimation --------------------------------------------------------------------
 
@@ -221,7 +208,7 @@ class DataManager:
         """
         value = self._reduce(objective, window)
         if self.noise is not None and not self.is_read(window):
-            value = self.noise.perturb(window, value)
+            value = self.noise.perturb(window.lo, window.hi, value)
         return value
 
     def exact_value(self, objective: ContentObjective, window: Window) -> float:
@@ -252,27 +239,7 @@ class DataManager:
         return values
 
     def _reduce(self, objective: ContentObjective, window: Window) -> float:
-        if self.use_kernels:
-            return self.kernels.reduce(objective, window)
-        box = self.box(window)
-        agg = objective.aggregate.name
-        if agg == "count":
-            return float(self.true_count[box].sum())
-        key = objective.key
-        if agg == "sum":
-            return float(self.eff_sum[key][box].sum())
-        if agg == "avg":
-            count = self.true_count[box].sum()
-            if count <= 0:
-                return math.nan
-            return float(self.eff_sum[key][box].sum() / count)
-        if agg == "min":
-            value = float(self.eff_min[key][box].min())
-            return value if math.isfinite(value) else math.nan
-        if agg == "max":
-            value = float(self.eff_max[key][box].max())
-            return value if math.isfinite(value) else math.nan
-        raise ValueError(f"unsupported aggregate {agg!r}")  # pragma: no cover
+        return self.kernels.reduce(objective, window)
 
     # -- reads -------------------------------------------------------------------------
 

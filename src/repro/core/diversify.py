@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .clusters import ClusterTracker
 from .pqueue import QueueEntry, SpillableQueue
@@ -237,14 +239,25 @@ class SubAreaQueues:
         """Route the window to its sub-area queue."""
         self.queue_of(window).push(priority, window, version)
 
-    def push_many(self, entries: Iterable[QueueEntry]) -> None:
-        """Bulk insert, routed per sub-area (relative order preserved)."""
-        grouped: dict[int, list[QueueEntry]] = {}
-        for entry in entries:
-            idx = subarea_of(entry[1].anchor, self.grid_shape, self.tiles)
-            grouped.setdefault(idx, []).append(entry)
-        for idx, group in grouped.items():
-            self._queues[idx].push_many(group)
+    def push_many_arrays(
+        self,
+        utilities: np.ndarray,
+        benefits: np.ndarray,
+        lows: np.ndarray,
+        his: np.ndarray,
+        version: int,
+    ) -> None:
+        """Bulk insert, each row routed to its anchor's sub-area queue
+        (relative order preserved)."""
+        subareas = np.zeros(len(lows), dtype=np.int64)
+        for anchors, size, count in zip(lows.T, self.grid_shape, self.tiles):
+            subareas = subareas * count + np.minimum(count - 1, anchors * count // size)
+        for idx, queue in enumerate(self._queues):
+            rows = subareas == idx
+            if rows.any():
+                queue.push_many_arrays(
+                    utilities[rows], benefits[rows], lows[rows], his[rows], version
+                )
 
     def pop(self) -> QueueEntry | None:
         """Pop from the next non-empty sub-area, round-robin."""
@@ -269,7 +282,9 @@ class SubAreaQueues:
         """Whether any sub-area holds an entry scored before ``version``."""
         return any(queue.has_stale(version) for queue in self._queues)
 
-    def drain(self):
-        """Remove and yield every entry across all sub-areas."""
-        for queue in self._queues:
-            yield from queue.drain()
+    def drain_arrays(self):
+        """Remove every entry: each sub-area's content-ordered rows in turn,
+        as ``SpillableQueue.drain_arrays`` parallel arrays."""
+        parts = [queue.drain_arrays() for queue in self._queues]
+        live = [part for part in parts if part[0].size] or parts[:1]
+        return tuple(np.concatenate(column) for column in zip(*live))

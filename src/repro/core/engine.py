@@ -152,7 +152,6 @@ class SWEngine:
         sample_seed: int = 17,
         noise: NoiseModel | None = None,
         sampler: str = "stratified",
-        use_kernels: bool = True,
     ) -> None:
         if sampler not in ("stratified", "uniform"):
             raise ConfigError(
@@ -164,7 +163,6 @@ class SWEngine:
         self.sample_seed = sample_seed
         self.noise = noise
         self.sampler = sampler
-        self.use_kernels = use_kernels
         self._sample_cache: dict[tuple, CellSample] = {}
         self._data_cache: dict[tuple, DataManager] = {}
         self._semantic_cache = None
@@ -281,7 +279,6 @@ class SWEngine:
                 objectives,
                 self.sample_for(query, metrics=metrics),
                 noise=self.noise,
-                use_kernels=self.use_kernels,
             )
             if reuse_cache and self.noise is None:
                 self._data_cache[key] = data

@@ -19,9 +19,11 @@ structures:
   :class:`DataKernels`).
 
 **Exactness contract.**  The search must be *behavior-preserving*: the
-kernel path has to produce bit-identical utilities to the naive slice
-reductions, or exploration order (and therefore result emission order)
-could drift on priority ties.  Two facts make that possible:
+kernels have to produce bit-identical utilities to the naive per-window
+slice reductions — kept as the reference oracle in
+``tests/naive_oracle.py`` — or exploration order (and therefore result
+emission order) could drift on priority ties.  Two facts make that
+possible:
 
 * ``true_count`` / ``unread_count`` / ``read_mask`` are integer-valued,
   and float64 prefix sums over integers are exact below 2^53 — so every
@@ -54,7 +56,7 @@ from .window import Window
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .datamanager import DataManager
 
-__all__ = ["SummedAreaTable", "DataKernels"]
+__all__ = ["SummedAreaTable", "DataKernels", "placement_bounds"]
 
 # Above this many cells per window the sliding-window batch falls back to
 # per-placement slice reductions: numpy's buffered reduction may chunk
@@ -158,6 +160,26 @@ class SummedAreaTable:
             else:
                 out -= view
         return out
+
+
+def placement_bounds(
+    shape: Sequence[int],
+    lengths: Sequence[int],
+    anchor_slab: tuple[int, int] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lows, his)`` of every placement of a fixed window shape.
+
+    Rows are in row-major placement order — the order of the
+    ``placement_*`` arrays flattened; ``anchor_slab=(lo, hi)`` keeps the
+    placements whose first-dimension anchor falls in ``[lo, hi)``.
+    """
+    counts = [size - length + 1 for size, length in zip(shape, lengths)]
+    first = 0
+    if anchor_slab is not None:
+        first, counts[0] = anchor_slab[0], anchor_slab[1] - anchor_slab[0]
+    lows = np.indices(counts).reshape(len(counts), -1).T
+    lows[:, 0] += first
+    return lows, lows + np.asarray(lengths, dtype=lows.dtype)
 
 
 def _sliding_reduce(values: np.ndarray, lengths: Sequence[int], op: str) -> np.ndarray:
@@ -354,33 +376,22 @@ class DataKernels:
         self,
         objective: ContentObjective,
         lengths: Sequence[int],
-        windows: Sequence[Window] | None = None,
         anchor_slab: tuple[int, int] | None = None,
     ) -> np.ndarray:
         """Batch form of ``DataManager.estimate`` (noise included).
 
-        Noise perturbation is keyed per window, so when a
-        :class:`~repro.sampling.noise.NoiseModel` is attached the caller
-        must pass the row-major ``windows`` list matching the placements.
-        ``anchor_slab=(lo, hi)`` restricts the placements to those whose
-        first-dimension anchor falls in ``[lo, hi)`` — the distributed
-        workers' per-slab seeding path; ``windows`` then lists only
-        those placements.
+        Entries follow :func:`placement_bounds` order; ``anchor_slab=(lo,
+        hi)`` restricts the placements to first-dimension anchors in
+        ``[lo, hi)`` — the distributed workers' per-slab seeding path.
         """
-        values = self.placement_reduce(objective, lengths)
-        if anchor_slab is not None:
-            values = values[anchor_slab[0] : anchor_slab[1]]
-        values = values.reshape(-1)
+        lo, hi = anchor_slab if anchor_slab is not None else (0, None)
+        values = self.placement_reduce(objective, lengths)[lo:hi].reshape(-1)
         noise = self._data.noise
         if noise is None:
             return values
-        if windows is None:
-            raise ValueError("noise-model estimates need the placement windows")
-        fully = self.placement_fully_read(lengths)
-        if anchor_slab is not None:
-            fully = fully[anchor_slab[0] : anchor_slab[1]]
-        unread = ~fully.reshape(-1)
-        return noise.perturb_many(windows, values, unread)
+        unread = ~self.placement_fully_read(lengths)[lo:hi].reshape(-1)
+        lows, his = placement_bounds(self._data.grid.shape, lengths, anchor_slab)
+        return noise.perturb_many(lows, his, values, unread)
 
     # -- batch queries over arbitrary (mixed-shape) bound arrays -----------
 
@@ -401,11 +412,8 @@ class DataKernels:
         return np.array([float(arr[box].sum()) for box in self._boxes(lows, his)])
 
     def fully_read_bounds(self, lows: np.ndarray, his: np.ndarray) -> np.ndarray:
-        """Batch :meth:`is_read` over ``(P, d)`` bound arrays.
-
-        Nothing in the package calls it since validation went scalar; it
-        stays because the performance ledger's trace names it.
-        """
+        """Batch :meth:`is_read` over ``(P, d)`` bound arrays — which rows a
+        noise model perturbs in ``UtilityModel.bounds_profile``."""
         if self._stamp == self._data.version:
             card = np.prod(his - lows, axis=1)
             return self._read_sat.box_sums(lows, his) >= card  # type: ignore[union-attr]

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -56,24 +56,17 @@ QueueEntry = tuple[Priority, Window, int]
 _MIN_PRIORITY: Priority = (-math.inf, -math.inf)
 
 # Bucket entries keep packed bounds, not Window objects: (priority, lo, hi,
-# version).  Windows are only materialized when the entry surfaces again
-# (promote into the head, or drain).
+# version).  Windows are only materialized when the entry is popped.
 _BucketEntry = tuple[Priority, tuple, tuple, int]
 
 
-def _entry_order(entry: QueueEntry) -> tuple:
-    """Content-deterministic descending order over queue entries.
-
-    Used wherever entries are re-sequenced (promote, drain), so tie order
-    never depends on insertion history — the kernel batch path and the
-    naive scalar path must interleave identically on exact priority ties.
-    """
-    (utility, benefit), window, version = entry
-    return (-utility, -benefit, window.lo, window.hi, version)
-
-
 def _bucket_order(entry: _BucketEntry) -> tuple:
-    """:func:`_entry_order` over packed bucket entries."""
+    """Content-deterministic descending order over bucket entries.
+
+    Used where bucket entries are re-sequenced on promotion, so tie order
+    never depends on insertion history (:meth:`SpillableQueue.drain_arrays`
+    sorts by the same key).
+    """
     (utility, benefit), lo, hi, version = entry
     return (-utility, -benefit, lo, hi, version)
 
@@ -155,6 +148,9 @@ class SpillableQueue:
 
         Seqs are stamped in input order, so tie order among equal
         priorities matches an equivalent sequence of :meth:`push` calls.
+        The search inserts batches through :meth:`push_many_arrays`; this
+        tuple form stays only because the performance ledger's trace
+        names it.
         """
         added = []
         if self._threshold == _MIN_PRIORITY:
@@ -390,48 +386,15 @@ class SpillableQueue:
             entry[3] < version for bucket in self._buckets for entry in bucket
         )
 
-    def drain(self) -> Iterator[QueueEntry]:
-        """Remove and yield every entry, best first (periodic refresh).
-
-        The order is content-deterministic (priority, then window bounds)
-        rather than raw layout, so a refresh re-sequences ties the same
-        way no matter how the entries were inserted.
-        """
-        entries: list[QueueEntry] = []
-        unchecked = Window.unchecked
-        p = self._blk_pos
-        for i in range(p, self._blk_seq.size):
-            entries.append(
-                (
-                    (-float(self._blk_nu[i]), -float(self._blk_nb[i])),
-                    unchecked(
-                        tuple(self._blk_lo[i].tolist()),
-                        tuple(self._blk_hi[i].tolist()),
-                    ),
-                    int(self._blk_ver[i]),
-                )
-            )
-        for nu, nb, _, lo, hi, version in self._pending:
-            entries.append(((-nu, -nb), unchecked(tuple(lo), tuple(hi)), version))
-        for bucket in self._buckets:
-            for priority, lo, hi, version in bucket:
-                entries.append((priority, unchecked(tuple(lo), tuple(hi)), version))
-            bucket.clear()
-        self._clear_block()
-        self._pending = []
-        self._spilled = 0
-        self._threshold = _MIN_PRIORITY
-        entries.sort(key=_entry_order)
-        yield from entries
-
     def drain_arrays(self):
-        """Array form of :meth:`drain`: content-ordered parallel arrays.
+        """Remove every entry, as content-ordered parallel arrays.
 
         Returns ``(utilities, benefits, lows, his, versions)`` sorted by
-        the same content order :meth:`drain` uses, emptying the queue —
-        without materializing a single :class:`Window`.  The batched
-        refresh path re-scores stale rows on these arrays directly and
-        feeds them back through :meth:`push_many_arrays`.
+        ``(-utility, -benefit, lo, hi, version)`` rather than raw layout,
+        so a refresh re-sequences ties the same way no matter how the
+        entries were inserted — and without materializing a single
+        :class:`Window`.  The refresh re-scores stale rows on these arrays
+        and feeds them back through :meth:`push_many_arrays`.
         """
         parts = []
         if self._blk_seq.size - self._blk_pos > 0:

@@ -28,7 +28,6 @@ approximate.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -50,6 +49,7 @@ from .diversify import (
     SubAreaQueues,
     UtilityJumpPolicy,
 )
+from .kernels import placement_bounds
 from .prefetch import PrefetchState, PrefetchStrategy, prefetch_extend
 from .pqueue import SpillableQueue
 from .query import ResultWindow, SWQuery
@@ -290,11 +290,6 @@ class SteppingCore:
         """A ``repro.obs`` profiling scope, or nothing without a registry."""
         return self.metrics.span(name) if self.metrics is not None else nullcontext()
 
-    def _array_frontier(self) -> bool:
-        """Whether frontier rows can stay packed arrays: no noise model (it
-        keys on Window objects), no STATIC :class:`SubAreaQueues`."""
-        return self.data.noise is None and isinstance(self.queue, SpillableQueue)
-
     # -- hooks ----------------------------------------------------------------------------
 
     def _park_for_missing_cells(self, window: Window) -> bool:
@@ -347,73 +342,54 @@ class SteppingCore:
     def _seed_slab(self, lo: int, hi: int) -> None:
         """StartWindows(): every placement of the minimal qualifying shape
         whose first-dimension anchor falls in ``[lo, hi)``, in row-major order."""
-        shape = self.grid.shape
         mins = self._min_lengths
-        hi = min(hi, shape[0] - mins[0] + 1)
+        hi = min(hi, self.grid.shape[0] - mins[0] + 1)
         with self._span("seed"):
-            if lo >= hi or (self.data.use_kernels and self._batch_seed(lo, hi, mins)):
-                return
-            spans = [range(lo, hi)] + [
-                range(shape[d] - mins[d] + 1) for d in range(1, self.grid.ndim)
-            ]
-            for position in itertools.product(*spans):
-                self._push_unregistered(
-                    Window(tuple(position), tuple(p + l for p, l in zip(position, mins)))
-                )
+            if lo < hi:
+                self._batch_seed(lo, hi, mins)
 
-    def _batch_seed(self, lo: int, hi: int, mins: Sequence[int]) -> bool:
-        """Vectorized :meth:`_seed_slab`: one kernel pass over the slab.
+    def _batch_seed(self, lo: int, hi: int, mins: tuple[int, ...]) -> None:
+        """One kernel pass over the slab; the frontier takes the packed
+        bounds directly, without a :class:`Window` per placement."""
+        lows, his = placement_bounds(self.grid.shape, mins, (lo, hi))
+        utilities, benefits = self._score_rows(
+            lows, his, lambda: self.utility_model.placement_profile(mins, (lo, hi))
+        )
+        self.queue.push_many_arrays(utilities, benefits, lows, his, self.data.version)
+        n = len(utilities)
+        self.stats.generated += n
+        if self._mc_estimates is not None:
+            self._mc_generated.value += float(n)
 
-        Utilities, benefits, tie order and every counter come out exactly
-        as the scalar loop's — the kernel batch is bitwise-identical and
-        placements are enumerated in the same row-major order.  Returns
-        ``False`` when the benefit modifier cannot be batched, falling
-        back to the scalar loop.
+    def _score_rows(
+        self,
+        lows: np.ndarray,
+        his: np.ndarray,
+        profile: Callable[[], tuple[np.ndarray, np.ndarray]],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(utilities, benefits)`` of packed window rows, bitwise equal to
+        one :meth:`_utility` per row.
+
+        ``profile()`` yields the rows' ``(benefits, cost_terms)`` in one
+        kernel pass.  A benefit modifier without an array form (utility
+        jumps once clusters exist) scores row by row through
+        :meth:`_utility` instead.
         """
         modifier = self._batch_benefit_modifier()
         if modifier is None:
-            return False
-        shape = self.grid.shape
-        ndim = self.grid.ndim
-        counts = (hi - lo,) + tuple(shape[d] - mins[d] + 1 for d in range(1, ndim))
-        lows = np.indices(counts).reshape(ndim, -1).T
-        lows[:, 0] += lo
-        his = lows + np.asarray(mins, dtype=lows.dtype)
-        # Array path: skip materializing one Window per placement — the
-        # frontier takes the packed bounds directly.
-        array_path = self._array_frontier()
-        if array_path:
-            windows = None
-        else:
-            unchecked = Window.unchecked
-            windows = [
-                unchecked(tuple(l), tuple(h))
-                for l, h in zip(lows.tolist(), his.tolist())
+            scores = [
+                self._utility(Window.unchecked(tuple(lo), tuple(hi)))
+                for lo, hi in zip(lows.tolist(), his.tolist())
             ]
-
-        benefits, cost_terms = self.utility_model.placement_profile(
-            tuple(int(m) for m in mins), windows, anchor_slab=(lo, hi)
-        )
+            return tuple(np.array(scores, dtype=np.float64).reshape(-1, 2).T)
+        benefits, cost_terms = profile()
         n = len(benefits)
         self.stats.estimates += n
         if self._mc_estimates is not None:
             self._mc_estimates.value += float(n)
         modified = modifier(benefits)
         s = self.utility_model.s
-        utilities = s * modified + (1.0 - s) * cost_terms
-
-        version = self.data.version
-        if array_path:
-            self.queue.push_many_arrays(utilities, modified, lows, his, version)
-        else:
-            self.queue.push_many(
-                ((u, b), window, version)
-                for u, b, window in zip(utilities.tolist(), modified.tolist(), windows)
-            )
-        self.stats.generated += n
-        if self._mc_estimates is not None:
-            self._mc_generated.value += float(n)
-        return True
+        return s * modified + (1.0 - s) * cost_terms, modified
 
     def _key_of_bounds(self, lo: Sequence[int], hi: Sequence[int]) -> int:
         """``Window.key`` over packed bounds without building the Window."""
@@ -1022,6 +998,13 @@ class HeuristicSearch(SteppingCore):
             self._refresh_impl()
 
     def _refresh_impl(self) -> None:
+        """Re-score the stale frontier rows and re-enter the whole frontier.
+
+        ``drain_arrays`` hands the frontier back in content order; rows
+        scored before the current data version are re-scored in one batch
+        (:meth:`_score_rows` over ``bounds_profile``) and every row
+        re-enters through ``push_many_arrays`` at the current version.
+        """
         version = self.data.version
         if not self.queue.has_stale(version):
             # Every entry was scored at the current version: a drain
@@ -1030,59 +1013,14 @@ class HeuristicSearch(SteppingCore):
             if self.metrics is not None:
                 self.metrics.inc("search.refresh_skipped")
             return
-        if (
-            self.data.use_kernels
-            and self._array_frontier()
-            and self._refresh_batch(version)
-        ):
-            return
-        entries = list(self.queue.drain())
-        self.queue.push_many(
-            (
-                priority if entry_version >= version else self._utility(window),
-                window,
-                version,
-            )
-            for priority, window, entry_version in entries
-        )
-        self.stats.refreshes += 1
-        if self.metrics is not None:
-            self.metrics.inc("search.refreshes")
-        if self.trace is not None:
-            self.trace.record(
-                EventKind.REFRESH,
-                self.data.clock.now - self._start_time,
-                entries=len(entries),
-            )
-
-    def _refresh_batch(self, version: int) -> bool:
-        """Array-native refresh: re-score only the stale frontier rows.
-
-        ``drain_arrays`` hands back the frontier in the same content
-        order the scalar drain uses; stale rows (``entry_version <
-        version``) are re-scored in one ``bounds_profile`` call and the
-        whole frontier re-enters through ``push_many_arrays`` — seq
-        stamping, spill behavior, counters and the REFRESH trace event
-        all match the scalar path exactly.
-        """
-        modifier = self._batch_benefit_modifier()
-        if modifier is None:
-            return False
         utilities, benefits, lows, his, versions = self.queue.drain_arrays()
-        n = int(utilities.size)
         stale = versions < version
-        n_stale = int(stale.sum())
-        if n_stale:
-            new_benefits, cost_terms = self.utility_model.bounds_profile(
-                lows[stale], his[stale]
-            )
-            self.stats.estimates += n_stale
-            if self._mc_estimates is not None:
-                self._mc_estimates.value += float(n_stale)
-            modified = modifier(new_benefits)
-            s = self.utility_model.s
-            utilities[stale] = s * modified + (1.0 - s) * cost_terms
-            benefits[stale] = modified
+        stale_lows, stale_his = lows[stale], his[stale]
+        utilities[stale], benefits[stale] = self._score_rows(
+            stale_lows,
+            stale_his,
+            lambda: self.utility_model.bounds_profile(stale_lows, stale_his),
+        )
         self.queue.push_many_arrays(utilities, benefits, lows, his, version)
         self.stats.refreshes += 1
         if self.metrics is not None:
@@ -1091,6 +1029,5 @@ class HeuristicSearch(SteppingCore):
             self.trace.record(
                 EventKind.REFRESH,
                 self.data.clock.now - self._start_time,
-                entries=n,
+                entries=len(utilities),
             )
-        return True

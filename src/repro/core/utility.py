@@ -148,20 +148,12 @@ class UtilityModel:
     # -- batch evaluation over all placements of a fixed shape ------------------
 
     def placement_profile(
-        self,
-        lengths: Sequence[int],
-        windows: Sequence[Window] | None,
-        anchor_slab: tuple[int, int] | None = None,
+        self, lengths: Sequence[int], anchor_slab: tuple[int, int] | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(benefits, cost_terms)`` for every placement of one shape.
 
-        ``windows`` is the row-major list of placements of ``lengths``
-        (as produced by iterating lows with ``itertools.product``); both
-        returned arrays align with it.  It may be ``None`` when no noise
-        model is attached — shape benefits are placement-independent, so
-        the windows themselves are only needed for per-window noise
-        keying, and skipping their construction is the seeding fast
-        path.  ``anchor_slab=(lo, hi)`` limits the placements to
+        Both arrays follow :func:`~repro.core.kernels.placement_bounds`
+        order.  ``anchor_slab=(lo, hi)`` limits the placements to
         first-dimension anchors in ``[lo, hi)`` — the distributed
         workers seed (and re-seed adopted) anchor slabs through this.
         Every entry is bitwise identical to the scalar :meth:`benefit` /
@@ -178,12 +170,9 @@ class UtilityModel:
 
         # Shape benefits depend only on the window's shape, which is the
         # same for every placement here.
-        rep = (
-            windows[0]
-            if windows
-            else Window.unchecked(tuple(0 for _ in lengths), tuple(lengths))
+        shape_benefit = self._shape_benefit(
+            Window.unchecked(tuple(0 for _ in lengths), tuple(lengths))
         )
-        shape_benefit = self._shape_benefit(rep)
         benefits = np.full(cost_terms.shape, shape_benefit, dtype=np.float64)
         if shape_benefit > 0.0:
             estimates_memo: dict = {}
@@ -191,7 +180,7 @@ class UtilityModel:
                 estimates = estimates_memo.get(entry.memo_key)
                 if estimates is None:
                     estimates = kern.placement_estimates(
-                        entry.condition.objective, lengths, windows, anchor_slab
+                        entry.condition.objective, lengths, anchor_slab
                     )
                     estimates_memo[entry.memo_key] = estimates
                 np.minimum(
@@ -207,16 +196,13 @@ class UtilityModel:
         """``(benefits, cost_terms)`` for arbitrary packed window bounds.
 
         The mixed-shape sibling of :meth:`placement_profile`, serving
-        the batched neighbor expansion and the batched frontier refresh:
-        rows of ``(P, d)`` ``lows`` / ``his`` arrays may have different
-        shapes, so shape benefits are vectorized per row and content
-        estimates go through ``DataKernels.reduce_bounds``.  Only valid
-        without a noise model (perturbation is keyed per window object);
-        the search guards this.  Every entry is bitwise identical to the
-        scalar pair.
+        the frontier refresh: rows of ``(P, d)`` ``lows`` / ``his``
+        arrays may have different shapes, so shape benefits are
+        vectorized per row and content
+        estimates go through ``DataKernels.reduce_bounds`` — perturbed,
+        under a noise model, on the rows that are not fully read.  Every
+        entry is bitwise identical to the scalar pair.
         """
-        if self.data.noise is not None:
-            raise ValueError("bounds_profile does not support noise models")
         kern = self.data.kernels
         unread = kern.unread_bounds(lows, his)
         costs = unread * self._m / self._n
@@ -241,6 +227,9 @@ class UtilityModel:
             if not benefits.any():
                 break
         if benefits.any():
+            noise = self.data.noise
+            if noise is not None:
+                perturbed = ~kern.fully_read_bounds(lows, his)
             estimates_memo: dict = {}
             for entry in self._content:
                 estimates = estimates_memo.get(entry.memo_key)
@@ -248,6 +237,8 @@ class UtilityModel:
                     estimates = kern.reduce_bounds(
                         entry.condition.objective, lows, his
                     )
+                    if noise is not None:
+                        estimates = noise.perturb_many(lows, his, estimates, perturbed)
                     estimates_memo[entry.memo_key] = estimates
                 np.minimum(
                     benefits, self._content_benefits(entry, estimates), out=benefits

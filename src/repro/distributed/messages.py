@@ -140,6 +140,8 @@ class Network:
                 m.inc("net.messages_lost")
             return
         self._recipients.add(to)
+        if m is not None and len(copies) > 1:
+            m.inc("net.messages_duplicated", float(len(copies) - 1))
         for extra in copies:
             arrival = sent_at + latency + extra
             heapq.heappush(

@@ -12,8 +12,8 @@ each other at query end:
   baseline's sequential scan;
 * every disk read the search performed was classified cold or prefetch,
   and fed the prefetch controller exactly once;
-* distributed message flow only shrinks: sends >= receives >=
-  dedup-unique receives;
+* distributed message flow only shrinks: sends plus injected duplicate
+  copies >= receives >= dedup-unique receives;
 * span time accounting is conserved (``self_s`` never exceeds
   ``total_s``, nothing is negative).
 
@@ -275,8 +275,8 @@ class InvariantAuditor:
 
         if self._has("net.messages_sent"):
             self._at_least(
-                "network: sends >= receives",
-                c("net.messages_sent"),
+                "network: sends + duplicated >= receives",
+                c("net.messages_sent") + c("net.messages_duplicated"),
                 c("net.messages_received"),
                 out,
             )

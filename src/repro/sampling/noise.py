@@ -14,11 +14,7 @@ fixed bad sample — and experiments stay reproducible.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-
-from ..core.window import Window
 
 __all__ = ["NoiseModel"]
 
@@ -35,8 +31,8 @@ class NoiseModel:
         self.std_pct = std_pct
         self.seed = seed
 
-    def perturb(self, window: Window, value: float) -> float:
-        """The noisy estimate ``v * (1 ± n/100)`` for this window.
+    def perturb(self, lo: tuple[int, ...], hi: tuple[int, ...], value: float) -> float:
+        """The noisy estimate ``v * (1 ± n/100)`` for the window ``[lo, hi)``.
 
         Clamped at zero: count-like objectives cannot go negative, and a
         noise draw above 100 % must degrade the estimate to "nothing
@@ -46,7 +42,7 @@ class NoiseModel:
         """
         if self.noise_pct == 0 and self.std_pct == 0:
             return value
-        key = hash((self.seed, window.lo, window.hi)) & 0x7FFFFFFF
+        key = hash((self.seed, lo, hi)) & 0x7FFFFFFF
         rng = np.random.default_rng(key)
         n = rng.normal(self.noise_pct, self.std_pct)
         sign = 1.0 if rng.random() < 0.5 else -1.0
@@ -54,23 +50,19 @@ class NoiseModel:
         return value * factor
 
     def perturb_many(
-        self,
-        windows: Sequence[Window],
-        values: np.ndarray,
-        mask: np.ndarray | None = None,
+        self, lows: np.ndarray, his: np.ndarray, values: np.ndarray, unread: np.ndarray
     ) -> np.ndarray:
-        """Perturb a batch of window estimates (see :meth:`perturb`).
+        """Perturb the ``unread`` rows of a batch of ``(P, d)`` window bounds.
 
-        Each draw is seeded by the window's bounds, so this is a per-entry
-        loop by construction; ``mask`` restricts perturbation to the
-        windows where it applies (those with unread cells).  Entries are
-        routed through :meth:`perturb` one by one, keeping batch values
-        bitwise identical to the scalar estimation path.
+        Each draw is seeded by its row's bounds, so this is a per-row loop
+        through :meth:`perturb`, bitwise identical to the scalar path;
+        fully read windows keep their exact value.
         """
         out = np.array(values, dtype=np.float64, copy=True)
-        for i, window in enumerate(windows):
-            if mask is None or mask[i]:
-                out[i] = self.perturb(window, float(out[i]))
+        lo_rows = lows.tolist()
+        hi_rows = his.tolist()
+        for i in np.flatnonzero(unread).tolist():
+            out[i] = self.perturb(tuple(lo_rows[i]), tuple(hi_rows[i]), float(out[i]))
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -37,6 +37,7 @@ from repro.distributed import (
 )
 from repro.distributed.partitioning import plan_partitions
 from repro.errors import ConfigError, PartitionError
+from repro.obs import InvariantAuditor, MetricsRegistry
 from repro.storage import TableSchema
 from repro.workloads import Dataset
 
@@ -152,6 +153,31 @@ class TestChaosEquivalence:
         assert _result_set(report) == _result_set(baseline)
         assert report.degradations == ()
         assert report.crashed_workers == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_duplicated_deliveries_audit_clean(self, workload, baseline, seed):
+        """Regression: an injected duplicate copy is a receive without a
+        send, so ``sends >= receives`` failed on complete runs.  The extra
+        copies are counted, and only when one is added."""
+        dataset, query = workload
+        registry = MetricsRegistry()
+        report = run_distributed(
+            dataset,
+            query,
+            _config(faults=FaultPlan(seed=seed, duplicate_prob=0.3)),
+            metrics=registry,
+        )
+        assert report.outcome == "complete"
+        assert _result_set(report) == _result_set(baseline)
+        auditor = InvariantAuditor(registry)
+        assert auditor.violations() == []
+        assert "network: sends + duplicated >= receives" in auditor.checked
+        counters = registry.snapshot()["counters"]
+        assert counters["net.messages_received"] > counters["net.messages_sent"]
+        assert counters["net.messages_duplicated"] > 0
+        fault_free = MetricsRegistry()
+        run_distributed(dataset, query, _config(), metrics=fault_free)
+        assert "net.messages_duplicated" not in fault_free.snapshot()["counters"]
 
     def test_crash_only_plan(self, workload, baseline):
         """A clean mid-run crash recovers through anchor reassignment."""

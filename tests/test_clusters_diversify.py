@@ -163,5 +163,18 @@ class TestSubAreaQueues:
         for i in range(8):
             queues.push((0.5, 0.0), Window((i, i), (i + 1, i + 1)), 0)
         assert len(queues) == 8
-        assert len(list(queues.drain())) == 8
+        sizes = [len(q) for q in queues._queues]
+        utilities, _, lows, _, _ = queues.drain_arrays()
         assert len(queues) == 0
+        # Each sub-area's rows in turn, routed by anchor.
+        tiles = queues.tiles
+        subareas = [subarea_of(tuple(lo), (10, 10), tiles) for lo in lows.tolist()]
+        assert len(utilities) == 8 and subareas == sorted(subareas)
+        # An array push routes every row back to its anchor's queue.
+        queues.push_many_arrays(utilities, utilities, lows, lows + 1, 1)
+        assert [len(q) for q in queues._queues] == sizes == [5, 0, 0, 3]
+        assert all(
+            subarea_of(entry[1].anchor, (10, 10), tiles) == idx
+            for idx, queue in enumerate(queues._queues)
+            for entry in iter(queue.pop, None)
+        )

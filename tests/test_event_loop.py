@@ -221,7 +221,7 @@ class TestTimerCache:
         worker0.cost_model = cost_model
         boundary = plan.boundaries[1]
         worker0._explore(Window((boundary - 1, 0), (boundary + 1, 1)))
-        list(worker0.queue.drain())
+        worker0.queue.drain_arrays()
         [entry] = worker0._outstanding.values()
         return worker0, worker1, network, entry
 

@@ -1,11 +1,12 @@
 """Exactness tests for the hot-path kernels (``repro.core.kernels``).
 
 The kernel layer's contract is *bitwise* equality with the naive slice
-reductions it replaces — anything weaker would let exploration order
-drift on exact utility ties.  These tests exercise that contract on
-randomized grids in 1-3 dimensions, through the Data Manager (including
-cache invalidation on reads), through the batch ``placement_*`` path
-(noise model included), and end-to-end on a full search run.
+reductions of ``tests/naive_oracle.py`` — anything weaker would let
+exploration order drift on exact utility ties.  These tests exercise that
+contract on randomized grids in 1-3 dimensions, through the Data Manager
+(including cache invalidation on reads), through the batch
+``placement_*`` path (noise model included), and end-to-end on a full
+search run.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from repro.core.kernels import DataKernels, SummedAreaTable, _sliding_reduce
 from repro.sampling import NoiseModel, StratifiedSampler
 from repro.storage import Database, HeapTable, TableSchema
 from repro.workloads import make_database
+
+from .naive_oracle import NaiveDataManager, NaiveEngine, run_fingerprint
 
 
 def random_windows(rng, shape, k=60):
@@ -119,7 +122,7 @@ class TestSlidingReduce:
             assert out[pos] == float(values[box].sum())
 
 
-# -- DataKernels vs the naive Data Manager path ------------------------------
+# -- DataKernels vs the naive oracle Data Manager ----------------------------
 
 
 @pytest.fixture()
@@ -151,10 +154,10 @@ OBJECTIVES = [
 
 
 def make_pair(db, grid, noise=None):
-    """Two Data Managers over the same sample: kernels on / off."""
+    """Two Data Managers over the same sample: the naive oracle, the kernels."""
     sample = StratifiedSampler(0.3, seed=21).sample(db.table("pts"), grid)
-    dm_naive = DataManager(db, "pts", grid, OBJECTIVES, sample, noise=noise, use_kernels=False)
-    dm_kern = DataManager(db, "pts", grid, OBJECTIVES, sample, noise=noise, use_kernels=True)
+    dm_naive = NaiveDataManager(db, "pts", grid, OBJECTIVES, sample, noise=noise)
+    dm_kern = DataManager(db, "pts", grid, OBJECTIVES, sample, noise=noise)
     return dm_naive, dm_kern
 
 
@@ -293,17 +296,9 @@ class TestPlacementParity:
             for pos in np.ndindex(*shape_counts)
         ]
         avg = ContentObjective.of("avg", col("v"))
-        batch = kern.placement_estimates(avg, lengths, windows)
+        batch = kern.placement_estimates(avg, lengths)
         for i, window in enumerate(windows):
             assert same_float(float(batch[i]), dm_naive.estimate(avg, window)), window
-
-    def test_placement_estimates_without_windows_requires_no_noise(self, sparse_db, grid):
-        noise = NoiseModel(20.0)
-        _, dm_kern = make_pair(sparse_db, grid, noise=noise)
-        with pytest.raises(ValueError):
-            dm_kern.kernels.placement_estimates(
-                ContentObjective.of("avg", col("v")), (2, 2)
-            )
 
 
 # -- end-to-end run parity ---------------------------------------------------
@@ -315,17 +310,12 @@ class TestPlacementParity:
     SearchConfig(alpha=1.0),
 ])
 def test_kernel_run_is_byte_identical(tiny_dataset, tiny_query, config):
-    runs = {}
-    for use_kernels in (False, True):
+    runs = []
+    for engine_cls in (NaiveEngine, SWEngine):
         db = make_database(tiny_dataset, "cluster")
-        engine = SWEngine(db, tiny_dataset.name, sample_fraction=0.2, use_kernels=use_kernels)
-        run = engine.execute(tiny_query, config).run
-        runs[use_kernels] = (
-            [(r.window, r.time, tuple(sorted(r.objective_values.items()))) for r in run.results],
-            run.completion_time_s,
-            run.stats,
-        )
-    assert runs[True] == runs[False]
+        engine = engine_cls(db, tiny_dataset.name, sample_fraction=0.2)
+        runs.append(run_fingerprint(engine.execute(tiny_query, config).run))
+    assert runs[0] == runs[1]
 
 
 def test_kernels_property_is_cached(sparse_db, grid):

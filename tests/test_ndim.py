@@ -33,6 +33,8 @@ from repro.dbms import run_sql_baseline
 from repro.storage import Database, HeapTable, TableSchema
 from repro.storage.placement import cell_flat_ids, order_rows
 
+from .naive_oracle import NaiveEngine
+
 
 def make_cube_db():
     """A 6x6x6 grid with a hot 2x2x2 sub-cube of high values."""
@@ -126,10 +128,8 @@ class Test3D:
     def test_exhaustive_kernel_run_equals_naive(self, cube_query):
         """One window at a time in any dimensionality: same pops, same bytes."""
         fingerprints = []
-        for use_kernels in (True, False):
-            engine = SWEngine(
-                make_cube_db(), "cube", sample_fraction=0.3, use_kernels=use_kernels
-            )
+        for engine_cls in (SWEngine, NaiveEngine):
+            engine = engine_cls(make_cube_db(), "cube", sample_fraction=0.3)
             run = engine.execute(cube_query, SearchConfig(alpha=0.5)).run
             assert not run.interrupted
             fingerprints.append(

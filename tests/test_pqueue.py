@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.core import SpillableQueue, Window
 
+from .naive_oracle import drain_entries
+
 
 def w(i: int) -> Window:
     return Window((i, 0), (i + 1, 1))
@@ -63,7 +65,7 @@ class TestBasicQueue:
         q = SpillableQueue()
         for i in range(5):
             q.push((i / 10, 0.0), w(i), 0)
-        entries = list(q.drain())
+        entries = drain_entries(q)
         assert len(entries) == 5
         assert len(q) == 0
 
@@ -197,7 +199,7 @@ class TestSpilling:
 
 
 class TestBulkAndDeterminism:
-    """push_many / drain / promote introduced for the kernel batch path."""
+    """push_many / drain_arrays / promote introduced for the kernel batch path."""
 
     def _entries(self):
         # Tie-heavy: many exact priority collisions to stress tie order.
@@ -256,8 +258,8 @@ class TestBulkAndDeterminism:
         q_fwd.push_many(entries)
         q_rev = SpillableQueue()
         q_rev.push_many(entries[::-1])
-        drained = list(q_fwd.drain())
-        assert drained == list(q_rev.drain())
+        drained = drain_entries(q_fwd)
+        assert drained == drain_entries(q_rev)
         keys = [
             (-p[0], -p[1], window.lo, window.hi, version)
             for p, window, version in drained
@@ -348,7 +350,7 @@ class TestHeadCapacityBoundaries:
                 q.push_many_arrays(*self._arrays_for(second), 2)
             else:
                 q.push_many(second)
-            drained = list(q.drain())
+            drained = drain_entries(q)
             log.append(drained)
             assert len(q) == 0 and q.spilled == 0
             q.push_many(drained)

@@ -211,23 +211,47 @@ class TestNoiseModel:
     def test_deterministic_per_window(self):
         noise = NoiseModel(20.0, seed=1)
         w = Window((0, 0), (2, 2))
-        assert noise.perturb(w, 100.0) == noise.perturb(w, 100.0)
+        assert noise.perturb(w.lo, w.hi, 100.0) == noise.perturb(w.lo, w.hi, 100.0)
 
     def test_different_windows_differ(self):
         noise = NoiseModel(20.0, seed=1)
-        a = noise.perturb(Window((0, 0), (2, 2)), 100.0)
-        b = noise.perturb(Window((1, 0), (3, 2)), 100.0)
+        a = noise.perturb((0, 0), (2, 2), 100.0)
+        b = noise.perturb((1, 0), (3, 2), 100.0)
         assert a != b
+
+    def test_draws_pinned(self):
+        """The draw is keyed on the bounds alone: these values were drawn
+        when perturbation still took ``Window`` objects."""
+        noise = NoiseModel(20.0, seed=1)
+        assert noise.perturb((0, 0), (2, 2), 100.0) == 80.8362258953278
+        assert noise.perturb((1, 0), (3, 2), 100.0) == 120.64865473763587
+        noise = NoiseModel(150.0, std_pct=50.0, seed=3)
+        assert [noise.perturb((i, 0), (i + 1, 1), 40.0) for i in range(4)] == [
+            118.60253206881296, 97.19085194309267, 77.8378448132324, 0.0,
+        ]
+
+    def test_perturb_many_touches_only_unread_rows(self):
+        noise = NoiseModel(20.0, seed=1)
+        lows = np.array([[0, 0], [1, 0], [4, 4]])
+        his = lows + 2
+        out = noise.perturb_many(
+            lows, his, np.array([100.0, 100.0, 7.0]), np.array([True, False, True])
+        )
+        assert out.tolist() == [
+            noise.perturb((0, 0), (2, 2), 100.0),
+            100.0,
+            noise.perturb((4, 4), (6, 6), 7.0),
+        ]
 
     def test_zero_noise_identity(self):
         noise = NoiseModel(0.0, std_pct=0.0)
-        assert noise.perturb(Window((0, 0), (1, 1)), 42.0) == 42.0
+        assert noise.perturb((0, 0), (1, 1), 42.0) == 42.0
 
     def test_mean_magnitude(self):
         """Average |perturbation| tracks the configured percentage."""
         noise = NoiseModel(20.0, std_pct=0.0, seed=2)
         deviations = [
-            abs(noise.perturb(Window((i, 0), (i + 1, 1)), 100.0) - 100.0)
+            abs(noise.perturb((i, 0), (i + 1, 1), 100.0) - 100.0)
             for i in range(200)
         ]
         assert np.mean(deviations) == pytest.approx(20.0, rel=0.05)
@@ -242,7 +266,7 @@ class TestNoiseModel:
         """
         noise = NoiseModel(150.0, std_pct=50.0, seed=3)
         values = [
-            noise.perturb(Window((i, 0), (i + 1, 1)), 40.0) for i in range(300)
+            noise.perturb((i, 0), (i + 1, 1), 40.0) for i in range(300)
         ]
         assert min(values) >= 0.0
         assert any(v == 0.0 for v in values)  # the clamp actually engages

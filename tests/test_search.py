@@ -33,6 +33,8 @@ from repro.storage import Database, HeapTable, TableSchema
 from repro.storage.placement import cell_flat_ids
 from repro.workloads import make_database
 
+from .naive_oracle import NaiveEngine
+
 
 def brute_force_results(query: SWQuery, table: HeapTable) -> set[Window]:
     """Reference: evaluate every window exactly with numpy."""
@@ -93,8 +95,8 @@ def brute_force_results(query: SWQuery, table: HeapTable) -> set[Window]:
     return out
 
 
-def run_search(db, table_name, query, config=None, **engine_kwargs):
-    engine = SWEngine(db, table_name, sample_fraction=0.3, **engine_kwargs)
+def run_search(db, table_name, query, config=None, engine_cls=SWEngine, **engine_kwargs):
+    engine = engine_cls(db, table_name, sample_fraction=0.3, **engine_kwargs)
     report = engine.execute(query, config)
     return report.run
 
@@ -323,14 +325,14 @@ class TestSearchBehaviour:
             ],
         )
         stats = []
-        for use_kernels in (True, False):
+        for engine_cls in (SWEngine, NaiveEngine):
             db = make_database(tiny_dataset, "cluster")
             run = run_search(
                 db,
                 tiny_dataset.name,
                 query,
                 SearchConfig(assume_nonnegative=True),
-                use_kernels=use_kernels,
+                engine_cls=engine_cls,
             )
             stats.append((run.stats.capped_extensions, run.stats.pruned_extensions))
         # The batched expansion counts caps and prunes exactly like the
@@ -409,11 +411,9 @@ class TestWindowKeys:
 
     def test_batch_and_scalar_seeding_mark_same_keys(self, tiny_dataset, tiny_query):
         searches = []
-        for use_kernels in (True, False):
+        for engine_cls in (SWEngine, NaiveEngine):
             db = make_database(tiny_dataset, "cluster")
-            engine = SWEngine(
-                db, tiny_dataset.name, sample_fraction=0.2, use_kernels=use_kernels
-            )
+            engine = engine_cls(db, tiny_dataset.name, sample_fraction=0.2)
             search = engine.prepare(tiny_query)
             search._seed_start_windows()
             searches.append(search)

@@ -71,9 +71,9 @@ class TestWorkerMechanics:
     def test_seeds_only_own_anchors(self):
         worker, _, plan, _ = self._one_worker(workers=2, wid=0)
         lo, hi = plan.anchor_slab(0)
-        entries = list(worker.queue.drain())
-        assert entries, "worker should have seeded start windows"
-        assert all(lo <= window.lo[0] < hi for _, window, _ in entries)
+        lows = worker.queue.drain_arrays()[2]
+        assert len(lows), "worker should have seeded start windows"
+        assert all(lo <= anchor < hi for anchor in lows[:, 0].tolist())
 
     def test_boundary_window_requests_remote_cells(self):
         worker, network, plan, _ = self._one_worker(workers=2, wid=0)
@@ -284,7 +284,7 @@ class TestReliabilityLayer:
         boundary = plan.boundaries[1]
         window = Window((boundary - 1, 0), (boundary + 1, 1))
         worker0._explore(window)
-        list(worker0.queue.drain())
+        worker0.queue.drain_arrays()
         [entry] = worker0._outstanding.values()
         # With an empty queue and nothing arriving, the worker must still
         # wake up at its retransmission deadline rather than quiesce.

@@ -2,11 +2,11 @@
 """Profile the hot-path end-to-end workload: cProfile + obs-span breakdown.
 
 Runs the same time-budgeted exploration as
-``benchmarks/bench_hotpath_kernels.py`` (kernel path, 200x200 query
-grid) and reports where the wall time goes, from two angles::
+``benchmarks/bench_hotpath_kernels.py``'s overhead sections (200x200
+query grid) and reports where the wall time goes, from two angles::
 
     python tools/profile_hotpath.py [--top N] [--sort tottime|cumtime]
-                                    [--repeat K] [--naive]
+                                    [--repeat K]
 
 * **cProfile top-N** — functions ranked by self time (``tottime``, the
   default) or cumulative time; the Python-level view of the inner loop.
@@ -87,7 +87,7 @@ from repro.workloads.synthetic import synthetic_dataset
 from benchmarks.bench_hotpath_kernels import _seed_heavy_query
 
 
-def _build_workload(use_kernels: bool, metrics: bool):
+def _build_workload(metrics: bool):
     dataset = synthetic_dataset("high", scale=0.5)
     extent = dataset.grid.area[0].hi - dataset.grid.area[0].lo
     query = _seed_heavy_query(dataset, steps=(extent / 200, extent / 200))
@@ -97,9 +97,7 @@ def _build_workload(use_kernels: bool, metrics: bool):
         # Setup (database + offline sample) stays outside the caller's
         # timing/profiling window, matching the benchmark's protocol.
         database = fresh_database(table, metrics=metrics)
-        engine = SWEngine(
-            database, dataset.name, sample_fraction=0.05, use_kernels=use_kernels
-        )
+        engine = SWEngine(database, dataset.name, sample_fraction=0.05)
         engine.sample_for(query)
 
         def execute():
@@ -440,11 +438,6 @@ def main(argv: list[str] | None = None) -> int:
         "--repeat", type=int, default=3, help="workload runs inside one profile (default 3)"
     )
     parser.add_argument(
-        "--naive",
-        action="store_true",
-        help="profile the scalar oracle path instead of the kernel path",
-    )
-    parser.add_argument(
         "--distributed",
         type=int,
         metavar="N",
@@ -469,11 +462,10 @@ def main(argv: list[str] | None = None) -> int:
         return _profile_ledger_serial(args.top, args.sort)
     if args.ledger == "sqlite_firstk":
         return _profile_ledger_sqlite(args.top, args.sort)
-    use_kernels = not args.naive
 
     # Wall time first, un-instrumented: cProfile roughly doubles the cost
     # of tight Python loops, so the honest number comes from outside it.
-    build = _build_workload(use_kernels, metrics=False)
+    build = _build_workload(metrics=False)
     build()[0]()  # warm-up: first-touch imports and caches
     wall = float("inf")
     report = None
@@ -494,12 +486,11 @@ def main(argv: list[str] | None = None) -> int:
     stats.sort_stats(args.sort).print_stats(args.top)
 
     # Span breakdown needs a metrics registry attached; do one extra run.
-    execute, database = _build_workload(use_kernels, metrics=True)()
+    execute, database = _build_workload(metrics=True)()
     report = execute()
     counters = database.metrics.snapshot()["counters"]
 
-    path = "kernel" if use_kernels else "naive"
-    print(f"== hot path profile ({path}, {args.repeat} runs) ==")
+    print(f"== hot path profile ({args.repeat} runs) ==")
     print(f"best wall time: {wall:.4f}s   results: {len(report.run.results)}")
     print()
     print(f"== cProfile top {args.top} by {args.sort} ==")
