@@ -247,10 +247,11 @@ def export_table_sqlite(table, path: str | Path) -> Path:
     """Load one heap table into a SQLite database file.
 
     Binds the table through :class:`~repro.storage.sqlite_backend.SQLiteBackend`,
-    so the file carries the full backend schema (data rows, per-block
-    MBRs, catalog entry) and can be served directly by a later
-    ``Database(backend=f"sqlite:{path}")``.  Values round-trip
-    bit-exactly (see :func:`import_table_sqlite`).
+    so the file carries the full backend schema (one float64 BLOB per
+    heap block, per-block MBRs, catalog entry) and can be served directly
+    by a later ``Database(backend=f"sqlite:{path}")``.  Values are stored
+    as bytes, so they round-trip bit-exactly (see
+    :func:`import_table_sqlite`).
     """
     from .storage.sqlite_backend import SQLiteBackend
 
@@ -269,7 +270,9 @@ def import_table_sqlite(path: str | Path, name: str) -> dict[str, np.ndarray]:
 
     The round-trip contract: for any table written by
     :func:`export_table_sqlite`, the returned arrays equal the source
-    columns bit-for-bit, NaNs included.
+    columns bit-for-bit — -0.0 and every NaN bit pattern included.  A
+    file written when the store held one row per tuple (NaN as NULL) is
+    converted on this read, its NaNs coming back as ``np.nan``.
     """
     from .storage.sqlite_backend import SQLiteBackend
 

@@ -48,8 +48,8 @@ is the canonical implementation) must provide:
   returning ``(block_ids, rows, coordinates, values)``: what
   ``blocks_matching``, ``coordinates_of(rows)`` and one
   ``gather(c, rows)`` per requested column return, in one call, which
-  is what a window read costs (on a SQL backend, one ``rid`` range read
-  per run of consecutive candidate blocks).
+  is what a window read costs (on a SQL backend, one ``block_id`` range
+  read per run of consecutive candidate blocks).
 """
 
 from __future__ import annotations

@@ -4,8 +4,12 @@ This is the development-tier realization of the paper's PostgreSQL
 deployment (the production tier named in ROADMAP.md).  A bound table
 becomes three SQLite objects:
 
-* ``sw_data_<name>`` — one row per tuple, ``rid`` (the physical row id)
-  as the INTEGER PRIMARY KEY plus one REAL column per schema column;
+* ``sw_data_<name>`` — one row per heap block: ``block_id`` as the
+  INTEGER PRIMARY KEY and ``payload``, a BLOB holding the block's rows as
+  a row-major little-endian float64 matrix over every schema column in
+  schema order (``tobytes()``), so a run of consecutive blocks reads back
+  as one matrix through :func:`numpy.frombuffer`, with no Python object
+  per stored tuple;
 * ``sw_mbr_<name>`` — per-block coordinate MBRs (what a BRIN/GiST index
   would hold), read once per handle by the bitmap prefilter;
 * a row in the ``sw_tables`` catalog carrying the schema and block size,
@@ -15,15 +19,17 @@ becomes three SQLite objects:
 A region scan runs the simulator's plan, bitmap index scan then heap
 reads: the blocks whose MBR meets the box
 (:func:`~repro.storage.table.intersecting_blocks`), each run of
-consecutive blocks read as one ``rid`` range on the primary key — the
-coordinates and the objective columns in its select list — and the box
-filtered in numpy.  The per-cell
+consecutive blocks read as one ``block_id`` range on the primary key,
+and the box filtered in numpy.  The per-cell
 aggregation stays in the shared numpy code of
 :mod:`repro.storage.database`, which guarantees the float-accumulation
 order (and therefore every byte of every result) is identical to the
-simulator's.  Values round-trip bit-exactly: SQLite
-REALs are IEEE doubles; NaNs (which SQLite would coerce to NULL) are
-stored as NULL explicitly and restored to NaN on read.
+simulator's.  Values are stored as bytes, so they round-trip
+bit-exactly with no NULL mapping: −0.0, NaN and every NaN bit pattern
+come back as written.  A store written when ``sw_data_<name>`` held one
+row per tuple (a ``rid`` key, one REAL per column, NULL for NaN) is
+converted to blocks once, in one transaction, when
+:meth:`SQLiteBackend.handle` first opens it.
 
 Installed cells dedup **in RAM** — per ``(table, grid)`` one set of
 installed flat ids, loaded from the store on first touch (SNIPPETS.md
@@ -73,8 +79,10 @@ from .table import HeapTable, TableSchema, block_bounds, intersecting_blocks
 __all__ = ["SQLiteBackend", "SQLiteTable"]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
-# Stay under every historical SQLITE_MAX_VARIABLE_NUMBER (999).
+# Install rows applied per transaction (one journal point each).
 _IN_CHUNK = 500
+# A stored value: little-endian IEEE double, as bytes.
+_F8 = np.dtype("<f8")
 
 
 def _quoted(name: str) -> str:
@@ -118,23 +126,9 @@ def _driver_errors(method):
     return translating
 
 
-def _in_chunks(ids: Sequence[int]):
-    """``(placeholders, chunk)`` pairs, each ``IN`` list under the cap."""
-    for start in range(0, len(ids), _IN_CHUNK):
-        chunk = ids[start : start + _IN_CHUNK]
-        yield ",".join("?" * len(chunk)), chunk
-
-
 def _decode(fetched: list[tuple], width: int) -> np.ndarray:
-    """Fetched rows as ``(len(fetched), width)`` floats, NULL as NaN.
-
-    Transposed: one numpy conversion per column (``None`` converts to
-    NaN) instead of one Python call per value.
-    """
-    out = np.empty((len(fetched), width), dtype=float)
-    for d, column in enumerate(zip(*fetched)):
-        out[:, d] = column
-    return out
+    """Fetched REAL rows as ``(len(fetched), width)`` floats, NULL as NaN."""
+    return np.array(fetched, dtype=float).reshape(-1, width)
 
 
 class SQLiteTable:
@@ -161,7 +155,13 @@ class SQLiteTable:
         self.tuples_per_block = tuples_per_block
         self._num_rows = num_rows
         self._num_blocks = math.ceil(num_rows / tuples_per_block)
-        self._data_sql = _quoted(f"sw_data_{name}")
+        # Payload column of each schema column, and of the coordinates.
+        self._index = {c: i for i, c in enumerate(schema.columns)}
+        self._coord_index = [self._index[c] for c in schema.coordinate_columns]
+        self._range_sql = (
+            f"SELECT payload FROM {_quoted(f'sw_data_{name}')}"
+            " WHERE block_id >= ? AND block_id < ? ORDER BY block_id"
+        )
         self._mbr_sql = _quoted(f"sw_mbr_{name}")
         self._mbrs: tuple[np.ndarray, np.ndarray] | None = None  # read on first use
 
@@ -186,67 +186,72 @@ class SQLiteTable:
 
     @_driver_errors
     def column(self, name: str) -> np.ndarray:
-        """Full column in physical order, via one ordered SELECT."""
+        """Full column in physical order, from one read of every block."""
         self._check_column(name)
-        cur = self._conn.execute(
-            f"SELECT {_quoted(name)} FROM {self._data_sql} ORDER BY rid"
-        )
-        return _decode(cur.fetchall(), 1)[:, 0]
+        return self._read_blocks(np.arange(self._num_blocks))[:, self._index[name]].copy()
 
     @_driver_errors
     def gather(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Values of one column for the given row ids (order-aligned)."""
         self._check_column(name)
-        return self._fetch_rows((name,), rows)[:, 0]
+        data, at = self._blocks_holding(rows)
+        return data[at, self._index[name]]
 
     @_driver_errors
     def coordinates(self) -> np.ndarray:
         """``(num_rows, ndim)`` coordinate matrix in physical order."""
-        cols = ", ".join(_quoted(c) for c in self.schema.coordinate_columns)
-        cur = self._conn.execute(f"SELECT {cols} FROM {self._data_sql} ORDER BY rid")
-        return _decode(cur.fetchall(), self.ndim)
+        return self._read_blocks(np.arange(self._num_blocks))[:, self._coord_index]
 
     @_driver_errors
     def coordinates_of(self, rows: np.ndarray) -> np.ndarray:
         """``(len(rows), ndim)`` coordinate rows for the given row ids."""
-        return self._fetch_rows(self.schema.coordinate_columns, rows)
+        data, at = self._blocks_holding(rows)
+        return data[at[:, None], self._coord_index]
 
-    def _fetch_rows(self, columns: Sequence[str], rows: np.ndarray) -> np.ndarray:
-        """Gather named columns for arbitrary row ids, position-aligned.
+    def _blocks_holding(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks from the first to the last of ``rows``, and where each row is.
 
-        Queries chunked ``WHERE rid IN (...)`` over the *unique sorted*
-        ids (each chunk ordered by rid, so fetched rows align with the
-        chunk), then scatters back through the inverse permutation so
-        duplicates and arbitrary input order are honoured.
+        Returns ``(data, at)``: ``data[at[i]]`` is row ``rows[i]``, so
+        duplicates and arbitrary input order are served by indexing.  One
+        range read: a sample's rows touch a third of the blocks in runs
+        of two, and a statement costs about what a dozen blocks do.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return np.empty((0, len(columns)), dtype=float)
-        uniq, inverse = np.unique(rows, return_inverse=True)
-        if uniq[0] < 0 or uniq[-1] >= self._num_rows:
-            raise ValueError(
-                f"row ids out of range [0, {self._num_rows}): {uniq[0]}..{uniq[-1]}"
-            )
-        col_sql = ", ".join(_quoted(c) for c in columns)
-        out = np.empty((uniq.size, len(columns)), dtype=float)
-        pos = 0
-        for marks, chunk in _in_chunks(uniq):
-            cur = self._conn.execute(
-                f"SELECT {col_sql} FROM {self._data_sql} "
-                f"WHERE rid IN ({marks}) ORDER BY rid",
-                [int(r) for r in chunk],
-            )
-            fetched = cur.fetchall()
-            out[pos : pos + len(fetched)] = _decode(fetched, len(columns))
-            pos += len(fetched)
-        self._check_fetched(uniq.size, pos)
-        return out[inverse]
+        if not rows.size:
+            return self._read_blocks(np.arange(0)), rows
+        low, high = int(rows.min()), int(rows.max())
+        if low < 0 or high >= self._num_rows:
+            raise ValueError(f"row ids out of range [0, {self._num_rows}): {low}..{high}")
+        first = low // self.tuples_per_block
+        blocks = np.arange(first, high // self.tuples_per_block + 1)
+        return self._read_blocks(blocks), rows - first * self.tuples_per_block
 
-    def _check_fetched(self, requested: int, fetched: int) -> None:
+    def _read_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """The rows of ascending distinct ``blocks`` as one ``(rows, width)`` matrix.
+
+        Each run of consecutive blocks is one ``block_id`` range read on
+        the INTEGER PRIMARY KEY (in block order already: no index, no
+        sort), and the payloads join into one buffer that numpy reads as
+        the matrix.  A read short in blocks or in bytes raises: rows would
+        misalign.
+        """
+        payloads: list[tuple[bytes]] = []
+        for block, count in coalesce_runs(blocks):
+            part = self._conn.execute(self._range_sql, (block, block + count)).fetchall()
+            self._check_fetched(count, len(part), "blocks")
+            payloads += part
+        data = b"".join([payload for (payload,) in payloads])
+        tpb = self.tuples_per_block
+        rows = int((np.minimum(blocks * tpb + tpb, self._num_rows) - blocks * tpb).sum())
+        width = len(self._index)
+        self._check_fetched(rows * width * _F8.itemsize, len(data), "payload bytes")
+        return np.frombuffer(data, _F8).reshape(rows, width)
+
+    def _check_fetched(self, requested: int, fetched: int, unit: str) -> None:
         """Refuse a read that came back short: rows would misalign."""
         if fetched != requested:
             raise RuntimeError(
-                f"table {self.name!r}: {requested - fetched} requested rows missing"
+                f"table {self.name!r}: {requested - fetched} requested {unit} missing"
             )
 
     # -- block geometry ----------------------------------------------------------
@@ -337,32 +342,21 @@ class SQLiteTable:
         """Rows, coordinates and ``columns`` of every tuple in the box.
 
         The simulator's plan — bitmap index scan, then heap reads: the
-        candidate blocks come from the block MBRs, each run of
-        consecutive blocks is one ``rid`` range read on the INTEGER
-        PRIMARY KEY (already in ``rid`` order: no secondary index, no
-        sort), and the box is filtered in numpy with the simulator's own
-        comparisons.  ``rid`` is not selected: a range *is* its rids.
+        candidate blocks come from the block MBRs, each run of them is
+        one ``block_id`` range read (:meth:`_read_blocks`), and the box
+        is filtered in numpy with the simulator's own comparisons.
         """
         candidates = self.blocks_intersecting(lows, highs)
-        ndim = self.ndim
-        select = ", ".join(_quoted(c) for c in (*self.schema.coordinate_columns, *columns))
-        stmt = f"SELECT {select} FROM {self._data_sql} WHERE rid >= ? AND rid < ? ORDER BY rid"
-        tpb = self.tuples_per_block
-        fetched: list[tuple] = []
-        for block, count in coalesce_runs(candidates):
-            start, end = block * tpb, min((block + count) * tpb, self._num_rows)
-            part = self._conn.execute(stmt, (start, end)).fetchall()
-            self._check_fetched(end - start, len(part))
-            fetched += part
-        decoded = _decode(fetched, ndim + len(columns))
-        inside = np.ones(len(fetched), dtype=bool)
-        for d in range(ndim):
-            inside &= decoded[:, d] >= lows[d]
-            inside &= decoded[:, d] < highs[d]
+        data = self._read_blocks(candidates)
+        coords = data[:, self._coord_index]
+        inside = np.ones(len(coords), dtype=bool)
+        for d in range(self.ndim):
+            inside &= coords[:, d] >= lows[d]
+            inside &= coords[:, d] < highs[d]
         return (
             self.rows_of_blocks(candidates)[inside],
-            decoded[inside, :ndim],
-            tuple(decoded[inside, ndim + i] for i in range(len(columns))),
+            coords[inside],
+            tuple(data[inside, self._index[c]] for c in columns),
         )
 
     def _blocks_of(self, sorted_rows: np.ndarray) -> np.ndarray:
@@ -442,20 +436,12 @@ class SQLiteBackend(StorageBackend):
                 f"table name {name!r} not storable in the SQLite backend "
                 "(allowed: letters, digits, '_', '.', '-')"
             )
-        data_sql = _quoted(f"sw_data_{name}")
         mbr_sql = _quoted(f"sw_mbr_{name}")
         columns = table.schema.columns
         with self._conn:
             self._drop_table(name)
-            col_defs = ", ".join(f"{_quoted(c)} REAL" for c in columns)
-            self._conn.execute(
-                f"CREATE TABLE {data_sql} (rid INTEGER PRIMARY KEY, {col_defs})"
-            )
-            full = np.empty((table.num_rows, 1 + len(columns)), dtype=float)
-            full[:, 0] = np.arange(table.num_rows)
-            for idx, column in enumerate(columns):
-                full[:, 1 + idx] = table.column(column)
-            self._bulk_insert(data_sql, full)
+            data = np.column_stack([table.column(column) for column in columns])
+            self._store_blocks(name, data, table.tuples_per_block)
             ndim = table.ndim
             mbr_defs = ", ".join(
                 f"lo{d} REAL, hi{d} REAL" for d in range(ndim)
@@ -468,7 +454,12 @@ class SQLiteBackend(StorageBackend):
             mbr[:, 0] = np.arange(table.num_blocks)
             mbr[:, 1::2] = mins
             mbr[:, 2::2] = maxs
-            self._bulk_insert(mbr_sql, mbr)
+            # A NaN bound binds as NULL; SQLite's key affinity turns the
+            # lossless float block ids back into integers.
+            self._conn.executemany(
+                f"INSERT INTO {mbr_sql} VALUES ({','.join('?' * mbr.shape[1])})",
+                mbr.tolist(),
+            )
             self._conn.execute(
                 "INSERT INTO sw_tables VALUES (?, ?, ?, ?, ?)",
                 (
@@ -485,31 +476,40 @@ class SQLiteBackend(StorageBackend):
         self._handles[name] = handle
         return handle
 
-    def _bulk_insert(self, table_sql: str, matrix: np.ndarray) -> None:
-        """Multi-row ``VALUES`` bulk load of a float matrix (row 0 = key).
+    def _store_blocks(self, name: str, data: np.ndarray, tpb: int) -> None:
+        """Create ``sw_data_<name>`` holding ``data``'s rows, one block per row."""
+        data_sql = _quoted(f"sw_data_{name}")
+        self._conn.execute(
+            f"CREATE TABLE {data_sql} (block_id INTEGER PRIMARY KEY, payload BLOB)"
+        )
+        data = np.ascontiguousarray(data, dtype=_F8)
+        self._conn.executemany(
+            f"INSERT INTO {data_sql} VALUES (?, ?)",
+            (
+                (block, data[start : start + tpb].tobytes())
+                for block, start in enumerate(range(0, len(data), tpb))
+            ),
+        )
 
-        One flat ``ravel().tolist()`` conversion plus a few hundred rows
-        per statement beats ``executemany`` by ~3x on the bind path; NaN
-        cells bind as NULL at the driver level, and SQLite's column
-        affinity converts the lossless float keys back to INTEGER.
+    def _convert_row_layout(self, name: str, columns: Sequence[str], tpb: int) -> None:
+        """Rewrite a one-row-per-tuple ``sw_data_<name>`` as blocks, once.
+
+        Such a store keys its rows by a ``rid`` column and holds one REAL
+        per schema column, NULL for NaN, maybe under a coordinate index
+        (dropped with the table).  One transaction: a crash leaves either
+        layout whole.
         """
-        width = matrix.shape[1]
-        flat = matrix.ravel().tolist()
-        row_sql = "(" + ",".join("?" * width) + ")"
-        # Stay under SQLITE_MAX_VARIABLE_NUMBER on conservative builds.
-        batch = max(1, 900 // width)
-        per = batch * width
-        stmt = f"INSERT INTO {table_sql} VALUES {','.join([row_sql] * batch)}"
-        i = 0
-        while i + per <= len(flat):
-            self._conn.execute(stmt, flat[i : i + per])
-            i += per
-        remainder = (len(flat) - i) // width
-        if remainder:
-            self._conn.execute(
-                f"INSERT INTO {table_sql} VALUES {','.join([row_sql] * remainder)}",
-                flat[i:],
-            )
+        data_sql = _quoted(f"sw_data_{name}")
+        info = self._conn.execute(f"PRAGMA table_info({data_sql})").fetchall()
+        if "rid" not in {column[1] for column in info}:
+            return
+        select = ", ".join(_quoted(c) for c in columns)
+        with self._conn:
+            self._conn.execute("BEGIN")
+            fetched = self._conn.execute(f"SELECT {select} FROM {data_sql} ORDER BY rid")
+            data = _decode(fetched.fetchall(), len(columns))
+            self._conn.execute(f"DROP TABLE {data_sql}")
+            self._store_blocks(name, data, tpb)
 
     def _drop_table(self, name: str) -> None:
         self._conn.execute(f"DROP TABLE IF EXISTS {_quoted(f'sw_data_{name}')}")
@@ -540,6 +540,7 @@ class SQLiteBackend(StorageBackend):
             raise KeyError(f"no table {name!r} in SQLite store {self.path!r}")
         tpb, num_rows, columns, coords = row
         schema = TableSchema(json.loads(columns), json.loads(coords))
+        self._convert_row_layout(name, schema.columns, int(tpb))
         handle = SQLiteTable(self._conn, name, schema, int(tpb), int(num_rows))
         self._handles[name] = handle
         return handle

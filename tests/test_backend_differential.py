@@ -207,8 +207,25 @@ def test_random_queries_byte_identical(backend_pair, params):
 # -- tier 3: hypothesis tables ------------------------------------------------
 
 
+#: -0.0, x86's default NaN, and NaNs carrying payloads.
+_ODD_BITS = np.array(
+    [
+        0x8000_0000_0000_0000,
+        0xFFF8_0000_0000_0000,
+        0x7FF8_0000_0000_0001,
+        0xFFFC_DEAD_BEEF_0001,
+    ],
+    dtype=np.uint64,
+).view(np.float64)
+
+
 def _random_table(
-    seed: int, rows: int, tpb: int, nan_values: bool, nan_coords: bool = False
+    seed: int,
+    rows: int,
+    tpb: int,
+    nan_values: bool,
+    nan_coords: bool = False,
+    odd_bits: bool = False,
 ) -> HeapTable:
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 10.0, rows)
@@ -223,6 +240,12 @@ def _random_table(
         # rows of its block from the MBR prefilter.
         for coordinate in (x, y):
             coordinate[rng.random(rows) < 0.05] = np.nan
+    if odd_bits:
+        # Values numpy's canonical NaN and +0.0 would erase: the store
+        # must keep every bit, in coordinate and value columns alike.
+        for column in (x, y, v):
+            hit = np.flatnonzero(rng.random(rows) < 0.05)
+            column[hit] = _ODD_BITS[rng.integers(0, _ODD_BITS.size, hit.size)]
     schema = TableSchema(["x", "y", "value"], ["x", "y"])
     return HeapTable(
         f"rand{seed}", schema, {"x": x, "y": y, "value": v}, tuples_per_block=tpb
@@ -404,8 +427,11 @@ def test_quarantined_gather_parity(backend_pair):
 
 
 column_lists = st.lists(st.sampled_from(["value", "x", "y"]), max_size=4)
-# Tables for the fused scan also sprinkle NaN coordinates.
-scan_tables = st.tuples(table_params, st.booleans()).map(lambda t: (*t[0], t[1]))
+# Tables for the fused scan also sprinkle NaN coordinates, and -0.0 and
+# non-canonical NaNs in every column.
+scan_tables = st.tuples(table_params, st.booleans(), st.booleans()).map(
+    lambda t: (*t[0], t[1], t[2])
+)
 
 
 @given(table=scan_tables, box=box_params, columns=column_lists)
@@ -416,6 +442,8 @@ scan_tables = st.tuples(table_params, st.booleans()).map(lambda t: (*t[0], t[1])
 @example(table=(5, 257, 16, False), box=(0.0, 0.0, 10.0, 10.0), columns=["value"])
 @example(table=(6, 400, 4, False), box=(4.0, 4.0, 0.5, 0.5), columns=["value"])
 @example(table=(7, 300, 8, True, True), box=(0.0, 0.0, 10.0, 10.0), columns=["x", "value"])
+@example(table=(8, 300, 8, True, True, True), box=(0.0, 0.0, 10.0, 10.0), columns=["x", "value"])
+@example(table=(9, 50, 1, False, False, True), box=(0.0, 0.0, 10.0, 10.0), columns=["value", "y"])
 @settings(
     max_examples=100,
     deadline=None,
@@ -427,7 +455,8 @@ def test_scan_region_bit_identical(backend_pair, table, box, columns):
     The pinned examples are the whole-table box over NaN values, a
     column named twice, coordinate columns requested as values, no
     columns at all, a one-row last block, a small box over scattered
-    blocks (several ``rid`` ranges) and NaN coordinates;
+    blocks (several ``block_id`` ranges), NaN coordinates, -0.0 and
+    non-canonical NaNs in every column, and one tuple per block;
     ``_EMPTY_BOX`` below adds the box nothing lies in.
     """
     heap = _random_table(*table)

@@ -97,6 +97,32 @@ def test_io_export_import_round_trip(tmp_path):
         )
 
 
+# x86's default NaN (0.0 * inf), a NaN with a payload, and -0.0.
+_ODD_BITS = np.array(
+    [0xFFF8_0000_0000_0000, 0x7FF8_0000_0000_0001, 0x8000_0000_0000_0000], dtype=np.uint64
+).view(np.float64)
+
+
+def test_nan_bits_and_negative_zero_round_trip(tmp_path):
+    # Both NaNs used to come back as numpy's canonical NaN: the store
+    # held every NaN as NULL.
+    base = _table(rows=40, tpb=8)
+    columns = {c: base.column(c).copy() for c in base.schema.columns}
+    columns["v"][[1, 9, 17]] = _ODD_BITS
+    columns["x"][[2, 10, 18]] = _ODD_BITS  # row 18's -0.0 lies in the box
+    table = HeapTable("t", base.schema, columns, tuples_per_block=8)
+    handle = SQLiteBackend().bind_table(table)
+    rows = np.arange(table.num_rows)[::-1]
+    for c in table.schema.columns:
+        assert handle.column(c).tobytes() == table.column(c).tobytes(), c
+        assert handle.gather(c, rows).tobytes() == table.gather(c, rows).tobytes(), c
+    assert handle.coordinates().tobytes() == table.coordinates().tobytes()
+    _assert_scans_equal(handle, table)
+    dump = import_table_sqlite(export_table_sqlite(table, tmp_path / "odd.db"), "t")
+    for c in table.schema.columns:
+        assert dump[c].tobytes() == table.column(c).tobytes(), c
+
+
 def test_file_store_reopens_from_catalog(tmp_path):
     table = _table(rows=40, tpb=8)
     path = str(tmp_path / "dev.db")
@@ -123,6 +149,11 @@ def _coordinate_indexes(backend: SQLiteBackend) -> list[str]:
     return [name for (name,) in names if name.startswith("sw_idx_")]
 
 
+def _data_columns(backend: SQLiteBackend, name: str = "t") -> list[str]:
+    info = backend._conn.execute(f'PRAGMA table_info("sw_data_{name}")')
+    return [column[1] for column in info]
+
+
 def _assert_scans_equal(handle, table, columns=("v", "x")) -> None:
     for lows, highs in (([0.0, 0.0], [10.0, 10.0]), ([2.5, 1.0], [6.0, 4.5])):
         got = handle.scan_region(lows, highs, columns)
@@ -131,23 +162,74 @@ def _assert_scans_equal(handle, table, columns=("v", "x")) -> None:
             assert part.dtype == ref.dtype and part.tobytes() == ref.tobytes()
 
 
-def test_region_scans_need_no_coordinate_index_old_stores_keep_working(tmp_path):
-    table = _table(rows=100, tpb=8)
-    path = str(tmp_path / "dev.db")
-    fresh = SQLiteBackend(path)
-    _assert_scans_equal(fresh.bind_table(table), table)
-    assert _coordinate_indexes(fresh) == []
-    # Stores written before scans followed the block map carry a
-    # composite index on the coordinate columns.
-    fresh._conn.execute('CREATE INDEX "sw_idx_t" ON "sw_data_t" ("x", "y")')
-    fresh.close()
+def _assert_reads_equal(handle, table) -> None:
+    _assert_scans_equal(handle, table)
+    rows = np.array([99, 0, 8, 8, 57, 3], dtype=np.int64)
+    for c in table.schema.columns:
+        assert handle.column(c).tobytes() == table.column(c).tobytes(), c
+        assert handle.gather(c, rows).tobytes() == table.gather(c, rows).tobytes(), c
 
-    reopened = SQLiteBackend(path)
-    _assert_scans_equal(reopened.handle("t"), table)
-    reopened.bind_table(table)  # the old table goes, its index with it
-    assert _coordinate_indexes(reopened) == []
-    _assert_scans_equal(reopened.handle("t"), table)
-    reopened.close()
+
+def _write_row_layout(path: str, table: HeapTable) -> None:
+    """A file store as written when ``sw_data_*`` held one row per tuple.
+
+    The backend writes the catalog and the MBRs; the data table is then
+    rebuilt with that layout's DDL: a ``rid`` key, one REAL per column,
+    NULL for NaN, and a composite index on the coordinate columns.
+    """
+    backend = SQLiteBackend(path)
+    backend.bind_table(table)
+    columns = table.schema.columns
+    data = f'"sw_data_{table.name}"'
+    rows = [
+        (rid, *(None if np.isnan(value) else float(value) for value in values))
+        for rid, values in enumerate(zip(*(table.column(c) for c in columns)))
+    ]
+    with backend._conn as conn:
+        conn.execute(f"DROP TABLE {data}")
+        reals = ", ".join(f'"{c}" REAL' for c in columns)
+        conn.execute(f"CREATE TABLE {data} (rid INTEGER PRIMARY KEY, {reals})")
+        conn.executemany(f"INSERT INTO {data} VALUES (?{', ?' * len(columns)})", rows)
+        coords = ", ".join(f'"{c}"' for c in table.schema.coordinate_columns)
+        conn.execute(f'CREATE INDEX "sw_idx_{table.name}" ON {data} ({coords})')
+    backend.close()
+
+
+def _verbs(statements: list[str]) -> list[str]:
+    return [sql.split()[0].upper() for sql in statements]
+
+
+def test_region_scans_need_no_coordinate_index_old_stores_keep_working(tmp_path):
+    table = _table(rows=100, tpb=8, nan_at=(5, 60))  # NULL reads back as np.nan
+    path = str(tmp_path / "old.db")
+    _write_row_layout(path, table)
+    old = SQLiteBackend(path)
+    assert _data_columns(old)[0] == "rid" and _coordinate_indexes(old) == ["sw_idx_t"]
+    old.close()
+
+    # The first open converts, in one transaction.
+    first = SQLiteBackend(path)
+    statements: list[str] = []
+    first._conn.set_trace_callback(statements.append)
+    handle = first.handle("t")
+    first._conn.set_trace_callback(None)
+    verbs = _verbs(statements)
+    assert [v for v in verbs if v in ("BEGIN", "DROP", "CREATE", "COMMIT")] == [
+        "BEGIN", "DROP", "CREATE", "COMMIT"
+    ], statements
+    assert verbs.count("INSERT") == table.num_blocks
+    assert _data_columns(first) == ["block_id", "payload"]
+    assert _coordinate_indexes(first) == []
+    _assert_reads_equal(handle, table)
+    first.close()
+
+    # A second open finds blocks and writes nothing.
+    second = SQLiteBackend(path)
+    statements.clear()
+    second._conn.set_trace_callback(statements.append)
+    _assert_reads_equal(second.handle("t"), table)
+    second.close()
+    assert not {"INSERT", "DROP", "CREATE"} & set(_verbs(statements)), statements
 
 
 def test_old_store_nan_block_bounds_are_rebuilt_on_open(tmp_path):
@@ -157,8 +239,8 @@ def test_old_store_nan_block_bounds_are_rebuilt_on_open(tmp_path):
     table = HeapTable("t", table.schema, {"x": x, "y": table.column("y"),
                                           "v": table.column("v")}, tuples_per_block=8)
     path = str(tmp_path / "dev.db")
+    _write_row_layout(path, table)
     old = SQLiteBackend(path)
-    old.bind_table(table)
     # Stores written before the MBRs ignored NaN coordinates hold NULL
     # (NaN) bounds for such a block in every dimension.
     with old._conn:
@@ -170,6 +252,7 @@ def test_old_store_nan_block_bounds_are_rebuilt_on_open(tmp_path):
 
     reopened = SQLiteBackend(path)
     handle = reopened.handle("t")
+    assert _data_columns(reopened) == ["block_id", "payload"]
     for got, want in zip(handle.block_mbrs(), table.block_mbrs()):
         assert got.tobytes() == want.tobytes()
     assert 1 in handle.blocks_matching([0.0, 0.0], [10.0, 10.0])[0]
@@ -271,12 +354,28 @@ def test_region_scan_reads_one_primary_key_range_per_block_run():
         assert "TEMP B-TREE" not in plan, plan
 
 
-def test_region_scan_refuses_a_short_rid_range():
+@pytest.mark.parametrize(
+    "damage, missing",
+    [
+        ('DELETE FROM "sw_data_t" WHERE block_id = 2', "1 requested blocks"),
+        (
+            'UPDATE "sw_data_t" SET payload = substr(payload, 1, 16) WHERE block_id = 2',
+            "176 requested payload bytes",  # 8 rows x 3 columns x 8 bytes, less 16
+        ),
+    ],
+    ids=["deleted-block", "truncated-payload"],
+)
+def test_short_block_read_fails_loudly(damage, missing):
     backend = SQLiteBackend()
     handle = backend.bind_table(_table(rows=40, tpb=8))
-    backend._conn.execute('DELETE FROM "sw_data_t" WHERE rid = 17')
-    with pytest.raises(RuntimeError, match="1 requested rows missing"):
-        handle.scan_region([0.0, 0.0], [10.0, 10.0], ["v"])
+    backend._conn.execute(damage)
+    for read in (
+        lambda: handle.scan_region([0.0, 0.0], [10.0, 10.0], ["v"]),
+        lambda: handle.gather("v", np.array([30, 17, 3])),
+        handle.coordinates,
+    ):
+        with pytest.raises(RuntimeError, match=f"{missing} missing"):
+            read()
 
 
 def test_block_geometry_matches():

@@ -46,10 +46,11 @@ each) three times over: un-profiled with the backend's parts timed —
 bulk load, the sample (and inside it the full ``coordinates()`` pull) and
 the objective grids drawn over SQL, ``scan_region``, ``install_cells``
 (RAM), ``flush_installs`` (the journal protocol), the rest being the
-search core — then with every SQL statement counted (statements and
-commits per query) and every region scan's reads (``rid`` ranges per
-scan, candidate vs matching blocks, rows fetched vs matched), then under
-cProfile::
+search core, and the ``coordinates()`` pull in ms per query on a line of
+its own — then with every SQL statement counted (statements and commits
+per query) and every region scan's reads (block-range statements per
+scan, blocks fetched vs blocks matching, payload bytes per query), then
+under cProfile::
 
     python tools/profile_hotpath.py --ledger sqlite_firstk [--top N] [--sort ...]
 
@@ -275,8 +276,10 @@ def _time_parts(work, units: int, parts=_SETUP_PARTS) -> tuple[float, list[list[
 def _count_scans(work) -> dict[str, int] | None:
     """Run ``work()`` counting what each SQLite region scan reads.
 
-    The counts are ``None`` on a checkout whose scans do not read ``rid``
-    ranges of the block map (no ``SQLiteTable._read_box``).
+    The counts are ``None`` on a checkout whose scans do not read block
+    ranges of the block map (no ``SQLiteTable._read_box``).  Payload
+    bytes are the fetched rows at eight bytes per schema column: what a
+    scan reads when a stored block is one row.
     """
     from repro.storage.pages import coalesce_runs
     from repro.storage.sqlite_backend import SQLiteTable
@@ -286,20 +289,18 @@ def _count_scans(work) -> dict[str, int] | None:
         work()
         return None
     seen = dict.fromkeys(
-        ("scans", "ranges", "candidate blocks", "matching blocks", "rows fetched", "rows matched"),
-        0,
+        ("scans", "ranges", "blocks fetched", "blocks matching", "payload bytes"), 0
     )
 
     def counted(self, lows, highs, columns):
         candidates = self.blocks_intersecting(lows, highs)
         result = original(self, lows, highs, columns)
-        rows = result[0]
         seen["scans"] += 1
         seen["ranges"] += sum(1 for _run in coalesce_runs(candidates))
-        seen["candidate blocks"] += candidates.size
-        seen["matching blocks"] += self._blocks_of(rows).size
-        seen["rows fetched"] += self.rows_of_blocks(candidates).size
-        seen["rows matched"] += rows.size
+        seen["blocks fetched"] += candidates.size
+        seen["blocks matching"] += self._blocks_of(result[0]).size
+        fetched = self.rows_of_blocks(candidates).size
+        seen["payload bytes"] += 8 * fetched * len(self.schema.columns)
         return result
 
     SQLiteTable._read_box = counted
@@ -361,17 +362,20 @@ def _profile_ledger_sqlite(top: int, sort: str) -> int:
             for label, key in (("SQL statement executions", "statements"), ("commits", "commits"))
         )
     )
+    for label, calls, _total, per_query in rows:
+        if label.strip() == "coordinates() pull":
+            print(f"sampler coordinates() pull: {per_query} ms per query ({calls} pulls)")
     if scans and scans["scans"]:
         n = scans["scans"]
+        fetched, matching = scans["blocks fetched"], scans["blocks matching"]
         print(
             f"region scans: {n} ({n / queries:.1f} per query)   "
-            f"rid ranges per scan: {scans['ranges'] / n:.2f}   "
-            f"blocks candidate / matching: {scans['candidate blocks']} / {scans['matching blocks']}"
+            f"block-range statements per scan: {scans['ranges'] / n:.2f}"
         )
         print(
-            f"rows fetched / matched: {scans['rows fetched']} / {scans['rows matched']} "
-            f"({scans['rows fetched'] / queries:.0f} / {scans['rows matched'] / queries:.0f} "
-            f"per query; useful/attempted {scans['rows matched'] / max(scans['rows fetched'], 1):.3f})"
+            f"blocks fetched / matching: {fetched} / {matching} "
+            f"(useful/attempted {matching / max(fetched, 1):.3f})   "
+            f"payload bytes per query: {scans['payload bytes'] / queries:.0f}"
         )
     print()
     print(f"== cProfile top {top} by {sort} ==")
