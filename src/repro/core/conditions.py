@@ -40,17 +40,19 @@ __all__ = [
 ]
 
 
-def _ne(left: float, right: float) -> bool:
+def _ne(left, right):
     """``!=`` with SQL-like NaN handling (``nan != x`` is True in Python)."""
-    return left != right and left == left and right == right
+    return (left != right) & (left == left) & (right == right)
 
 
 class ComparisonOp(Enum):
     """Algebraic comparison operators supported in conditions.
 
     ``op.value`` is the symbol; ``op.test`` is the comparison as a plain
-    callable for hot loops.  NaN operands never satisfy: the ordered
-    comparisons and ``=`` are False on NaN already, ``!=`` guards it.
+    callable for hot loops, elementwise on numpy arrays (the SQL
+    baseline filters every placement of a shape at once).  NaN operands
+    never satisfy: the ordered comparisons and ``=`` are False on NaN
+    already, ``!=`` guards it.
     """
 
     LT = "<", operator.lt
@@ -161,10 +163,6 @@ class ShapeCondition:
     def evaluate(self, window: Window) -> bool:
         """Exact truth value of the condition for ``window``."""
         return self.op.test(self.objective.value(window), self.value)
-
-    def objective_value(self, window: Window) -> float:
-        """The shape objective's exact value."""
-        return self.objective.value(window)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.objective!r} {self.op.value} {self.value}"

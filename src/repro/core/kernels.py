@@ -38,10 +38,21 @@ possible:
   are order-insensitive, so their sliding reductions are trivially
   exact; single-window ``min``/``max``/``sum``/``avg`` queries keep the
   existing slice path behind this same API.
+
+The one real-valued SAT user is the SQL baseline
+(``repro.dbms.executor``), whose reference is a per-window
+inclusion-exclusion sum over zero-padded prefix sums, not a slice
+reduction.  ``placement_sums`` / ``box_sums`` (and the n-d ``box_sum``)
+add the 2^d corners in that reference's order — ``itertools.product((0,
+1), repeat=d)``, dim 0 most significant, starting from zero — and
+subtracting a corner rounds exactly as adding its negation, so every
+value is the reference's bit for bit.  The 1-d/2-d scalar fast paths
+serve only the integer-valued search tables, where any order is exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING, Sequence
 
@@ -54,7 +65,7 @@ from .window import Window
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .datamanager import DataManager
 
-__all__ = ["SummedAreaTable", "DataKernels", "placement_bounds"]
+__all__ = ["SummedAreaTable", "DataKernels", "placement_bounds", "sliding_reduce"]
 
 # Above this many cells per window the sliding-window batch falls back to
 # per-placement slice reductions: numpy's buffered reduction may chunk
@@ -87,10 +98,11 @@ class SummedAreaTable:
         # Corner reads return Python floats; the table is only ever
         # refilled in place, so the bound method stays valid.
         self._item = self.table.item
-        # (sign, offset-selector) per corner of the inclusion-exclusion.
+        # (sign, hi-selector) per corner of the inclusion-exclusion, dim 0
+        # most significant: real-valued sums depend on this order.
         self._corners = [
-            ((-1) ** (self.ndim - bin(mask).count("1")), mask)
-            for mask in range(1 << self.ndim)
+            ((-1) ** (self.ndim - sum(corner)), corner)
+            for corner in itertools.product((0, 1), repeat=self.ndim)
         ]
         self.refill(values)
 
@@ -116,11 +128,8 @@ class SummedAreaTable:
         if self.ndim == 1:
             return item(hi[0]) - item(lo[0])
         total = 0.0
-        for sign, mask in self._corners:
-            idx = tuple(
-                hi[d] if mask >> d & 1 else lo[d] for d in range(self.ndim)
-            )
-            total += sign * item(idx)
+        for sign, corner in self._corners:
+            total += sign * item(tuple(h if c else l for l, h, c in zip(lo, hi, corner)))
         return total
 
     def window_sum(self, window: Window) -> float:
@@ -132,14 +141,9 @@ class SummedAreaTable:
         lo = np.asarray(lo)
         hi = np.asarray(hi)
         out = np.zeros(len(lo), dtype=np.float64)
-        for sign, mask in self._corners:
-            idx = tuple(
-                (hi if mask >> d & 1 else lo)[:, d] for d in range(self.ndim)
-            )
-            if sign > 0:
-                out += self.table[idx]
-            else:
-                out -= self.table[idx]
+        for sign, corner in self._corners:
+            idx = tuple((hi if c else lo)[:, d] for d, c in enumerate(corner))
+            (np.add if sign > 0 else np.subtract)(out, self.table[idx], out=out)
         return out
 
     def placement_sums(self, lengths: Sequence[int]) -> np.ndarray:
@@ -156,19 +160,9 @@ class SummedAreaTable:
                 f"window shape {tuple(lengths)} does not fit grid {self.shape}"
             )
         out = np.zeros(counts, dtype=np.float64)
-        for sign, mask in self._corners:
-            view = self.table[
-                tuple(
-                    slice(lengths[d], lengths[d] + counts[d])
-                    if mask >> d & 1
-                    else slice(0, counts[d])
-                    for d in range(self.ndim)
-                )
-            ]
-            if sign > 0:
-                out += view
-            else:
-                out -= view
+        for sign, corner in self._corners:
+            box = (slice(l * c, l * c + n) for l, c, n in zip(lengths, corner, counts))
+            (np.add if sign > 0 else np.subtract)(out, self.table[tuple(box)], out=out)
         return out
 
 
@@ -192,7 +186,7 @@ def placement_bounds(
     return lows, lows + np.asarray(lengths, dtype=lows.dtype)
 
 
-def _sliding_reduce(values: np.ndarray, lengths: Sequence[int], op: str) -> np.ndarray:
+def sliding_reduce(values: np.ndarray, lengths: Sequence[int], op: str) -> np.ndarray:
     """Per-placement slice reductions of a fixed window shape, vectorized.
 
     Bitwise-identical to ``values[box].sum()`` (resp. ``.min()`` /
@@ -364,17 +358,17 @@ class DataKernels:
             return self.placement_counts(lengths)
         key = objective.key
         if agg == "sum":
-            return _sliding_reduce(data.eff_sum[key], lengths, "sum")
+            return sliding_reduce(data.eff_sum[key], lengths, "sum")
         if agg == "avg":
             counts = self.placement_counts(lengths)
-            sums = _sliding_reduce(data.eff_sum[key], lengths, "sum")
+            sums = sliding_reduce(data.eff_sum[key], lengths, "sum")
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(counts > 0, sums / counts, math.nan)
         if agg == "min":
-            values = _sliding_reduce(data.eff_min[key], lengths, "min")
+            values = sliding_reduce(data.eff_min[key], lengths, "min")
             return np.where(np.isfinite(values), values, math.nan)
         if agg == "max":
-            values = _sliding_reduce(data.eff_max[key], lengths, "max")
+            values = sliding_reduce(data.eff_max[key], lengths, "max")
             return np.where(np.isfinite(values), values, math.nan)
         raise ValueError(f"unsupported aggregate {agg!r}")  # pragma: no cover
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from ..sampling.estimators import default_eps
 from .conditions import (
-    ComparisonOp,
     ConditionSet,
     ContentCondition,
     ShapeKind,
@@ -34,26 +33,6 @@ from .datamanager import DataManager
 from .window import Window
 
 __all__ = ["UtilityModel"]
-
-_OP_UFUNCS = {
-    ComparisonOp.LT: np.less,
-    ComparisonOp.LE: np.less_equal,
-    ComparisonOp.GT: np.greater,
-    ComparisonOp.GE: np.greater_equal,
-    ComparisonOp.EQ: np.equal,
-    ComparisonOp.NE: np.not_equal,
-}
-
-
-def _op_mask(op: ComparisonOp, values: np.ndarray, threshold: float) -> np.ndarray:
-    """Vectorized ``ComparisonOp.apply`` — NaN operands never satisfy."""
-    if math.isnan(threshold):
-        return np.zeros(values.shape, dtype=bool)
-    mask = _OP_UFUNCS[op](values, threshold)
-    if op is ComparisonOp.NE:
-        # numpy's ``!=`` is True for NaN; the scalar semantics are False.
-        mask &= ~np.isnan(values)
-    return mask
 
 
 @dataclass(frozen=True)
@@ -215,7 +194,7 @@ class UtilityModel:
                 values = lengths[:, cond.objective.dim].astype(np.float64)
             else:
                 values = np.prod(lengths, axis=1).astype(np.float64)
-            satisfied = _op_mask(cond.op, values, cond.value)
+            satisfied = cond.op.test(values, cond.value)
             if satisfied.all():
                 continue  # per-row benefit is 1.0 — min() is a no-op
             vals = np.where(
@@ -251,7 +230,7 @@ class UtilityModel:
         """Vectorized :meth:`_content_benefit` over an estimate array."""
         cond = entry.condition
         nan_mask = np.isnan(estimates)
-        satisfied = _op_mask(cond.op, estimates, cond.value)
+        satisfied = cond.op.test(estimates, cond.value)
         with np.errstate(invalid="ignore"):
             out = np.maximum(0.0, 1.0 - np.abs(estimates - cond.value) / entry.eps)
         out = np.where(satisfied, 1.0, out)

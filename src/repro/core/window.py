@@ -282,8 +282,9 @@ __all__.append("neighbor_bounds")
 def enumerate_windows(grid: Grid, max_lengths: Sequence[int] | None = None) -> Iterator[Window]:
     """Yield every window of ``grid`` (optionally bounded per-dimension).
 
-    This is the naive enumeration from the start of Section 4.1 and the
-    backbone of the recursive-CTE SQL baseline (Section 3).  ``max_lengths``
+    This is the naive enumeration from the start of Section 4.1, kept as
+    a reference for tests (the SQL baseline enumerates placements per
+    shape in ``repro.dbms.executor``).  ``max_lengths``
     bounds the per-dimension window length, mirroring the pruning that
     shape-based conditions allow.
     """

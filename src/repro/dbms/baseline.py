@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 from ..core.query import ResultWindow, SWQuery
 from ..storage.database import Database
-from .executor import enumerate_windows_filtered, materialize_cells
+from .executor import CellGrids, enumerate_windows_filtered
 
 __all__ = ["BaselineReport", "run_sql_baseline"]
 
@@ -66,8 +66,8 @@ def run_sql_baseline(
     scan = database.full_scan_cell_aggregates(table_name, query.grid, objectives)
     io_time = scan.elapsed_s
 
-    cells = materialize_cells(
-        query.grid, scan.cells, [obj.key for obj in objectives]
+    cells = CellGrids.from_arrays(
+        query.grid, scan.cells_arrays, [obj.key for obj in objectives]
     )
     results, enumerated = enumerate_windows_filtered(query, cells, pushdown=pushdown)
     cpu_time = database.cost_model.sql_window_s(enumerated)

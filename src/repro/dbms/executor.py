@@ -5,14 +5,16 @@ once every cell's aggregates are computed (step 1, a GROUP BY over the
 scan), every possible window is generated by combining adjacent cells
 (step 2, the recursive CTEs) and filtered against the conditions (step 3).
 
-The combination step uses n-dimensional prefix sums — each window's
-``count``/``sum`` is an O(2^n) inclusion–exclusion lookup — which is the
-efficient equivalent of the CTE's incremental combination.  ``min``/``max``
-aggregates fall back to box reductions.
+The combination step scores every placement of one window shape in a
+single array pass: ``count``/``sum`` come from the kernels' summed-area
+tables (``SummedAreaTable.placement_sums``, 2^n shifted slices of the
+prefix array), ``min``/``max`` from ``sliding_reduce`` over the
+±inf-filled cell grids.  Only qualifying placements become windows.
 
 The enumeration respects the shape bounds implied by the conditions, as a
 competent SQL author would push those predicates into the recursive step;
-:func:`enumerate_all` exists for the truly naive variant (ablation).
+``pushdown=False`` generates every window of the grid instead (the naive
+CTE, an ablation).
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from ..core.aggregates import CellStats
-from ..core.conditions import ContentCondition
+from ..core.conditions import ContentObjective
 from ..core.grid import Grid
+from ..core.kernels import SummedAreaTable, sliding_reduce
 from ..core.query import ResultWindow, SWQuery
 from ..core.window import Window
 from ..storage.database import COUNT_KEY
@@ -43,9 +46,25 @@ class CellGrids:
     mins: dict[str, np.ndarray]
     maxs: dict[str, np.ndarray]
 
-    def box(self, window: Window) -> tuple[slice, ...]:
-        """Slice tuple for a window."""
-        return tuple(slice(l, u) for l, u in zip(window.lo, window.hi))
+    @classmethod
+    def from_arrays(
+        cls, grid: Grid, cells_arrays: tuple, objective_keys: Sequence[str]
+    ) -> "CellGrids":
+        """Scatter a scan's columnar ``CellScan.cells_arrays`` into dense
+        grid arrays; cells the scan did not return stay empty (count 0,
+        sum 0, min +inf, max -inf)."""
+        unique_cells, counts, per_key = cells_arrays
+        out = cls(
+            counts=np.zeros(grid.shape, dtype=float),
+            sums={k: np.zeros(grid.shape, dtype=float) for k in objective_keys},
+            mins={k: np.full(grid.shape, np.inf) for k in objective_keys},
+            maxs={k: np.full(grid.shape, -np.inf) for k in objective_keys},
+        )
+        out.counts.flat[unique_cells] = counts
+        for key in objective_keys:
+            for dense, column in zip((out.sums, out.mins, out.maxs), per_key.get(key, ())):
+                dense[key].flat[unique_cells] = column
+        return out
 
 
 def materialize_cells(
@@ -53,20 +72,22 @@ def materialize_cells(
     scan_cells: Mapping[int, Mapping[str, CellStats]],
     objective_keys: Sequence[str],
 ) -> CellGrids:
-    """Spread a full-scan's per-cell stats into dense grid arrays."""
-    counts = np.zeros(grid.shape, dtype=float)
-    sums = {k: np.zeros(grid.shape, dtype=float) for k in objective_keys}
-    mins = {k: np.full(grid.shape, np.inf) for k in objective_keys}
-    maxs = {k: np.full(grid.shape, -np.inf) for k in objective_keys}
-    for flat_id, stats in scan_cells.items():
-        idx = grid.index_of_flat(flat_id)
-        counts[idx] = stats[COUNT_KEY].count
-        for key in objective_keys:
-            if key in stats:
-                sums[key][idx] = stats[key].total
-                mins[key][idx] = stats[key].minimum
-                maxs[key][idx] = stats[key].maximum
-    return CellGrids(counts=counts, sums=sums, mins=mins, maxs=maxs)
+    """Spread a full-scan's per-cell stats (``CellScan.cells``) into dense
+    grid arrays — :meth:`CellGrids.from_arrays` over the dict view.  The
+    scan carries values only for aggregates that read them, so a key the
+    cells lack (``count()``'s) keeps its empty grids."""
+    stats = list(scan_cells.values())
+    per_key = {
+        key: tuple(
+            np.array([getattr(cell[key], field) for cell in stats], dtype=float)
+            for field in ("total", "minimum", "maximum")
+        )
+        for key in objective_keys
+        if stats and key in stats[0]
+    }
+    counts = np.array([cell[COUNT_KEY].count for cell in stats], dtype=float)
+    unique_cells = np.fromiter(scan_cells, dtype=np.int64, count=len(stats))
+    return CellGrids.from_arrays(grid, (unique_cells, counts, per_key), objective_keys)
 
 
 def enumerate_windows_filtered(
@@ -75,10 +96,10 @@ def enumerate_windows_filtered(
     """Generate + filter every window within the condition shape bounds.
 
     Returns the qualifying windows (times left at 0; the caller stamps
-    them with the blocking completion time) and the number of windows
-    enumerated (the CPU-charge basis).  ``pushdown=False`` generates every
-    window of the grid (the naive CTE), relying purely on the final
-    filter.
+    them with the blocking completion time) in shape-major,
+    ``lo``-lexicographic order, and the number of windows enumerated (the
+    CPU-charge basis).  ``pushdown=False`` generates every window of the
+    grid (the naive CTE), relying purely on the final filter.
     """
     grid = query.grid
     conditions = query.conditions
@@ -91,29 +112,33 @@ def enumerate_windows_filtered(
         min_lengths = (1,) * grid.ndim
         max_card = None
 
-    count_prefix = _prefix(cells.counts)
-    sum_prefix = {k: _prefix(v) for k, v in cells.sums.items()}
+    count_sat = SummedAreaTable(cells.counts)
+    sum_sats = {k: SummedAreaTable(v) for k, v in cells.sums.items()}
 
     results: list[ResultWindow] = []
     enumerated = 0
-    content = conditions.content_conditions
     for shape in _shapes(grid.shape, min_lengths, max_lengths, max_card):
-        for lo in itertools.product(
-            *(range(grid.shape[d] - shape[d] + 1) for d in range(grid.ndim))
-        ):
-            enumerated += 1
-            hi = tuple(l + s for l, s in zip(lo, shape))
-            window = Window(lo, hi)
-            if not conditions.shape_satisfied(window):
-                continue
-            values = _window_values(window, cells, count_prefix, sum_prefix, content)
-            if values is None:
-                continue
+        positions = tuple(s - l + 1 for s, l in zip(grid.shape, shape))
+        enumerated += math.prod(positions)
+        # Shape conditions read only the lengths: one check per shape.
+        if not conditions.shape_satisfied(Window((0,) * grid.ndim, shape)):
+            continue
+        values: dict[str, np.ndarray] = {}
+        mask = np.ones(positions, dtype=bool)
+        for cond in conditions.content_conditions:
+            name = repr(cond.objective)
+            if name not in values:
+                values[name] = _placement_values(
+                    cond.objective, shape, cells, count_sat, sum_sats
+                )
+            mask &= cond.op.test(values[name], cond.value)
+        for lo in zip(*(axis.tolist() for axis in np.nonzero(mask))):
+            window = Window(lo, tuple(l + s for l, s in zip(lo, shape)))
             results.append(
                 ResultWindow(
                     window=window,
                     bounds=window.rect(grid),
-                    objective_values=values,
+                    objective_values={k: v.item(lo) for k, v in values.items()},
                     time=0.0,
                 )
             )
@@ -136,57 +161,26 @@ def _shapes(
         yield shape
 
 
-def _window_values(
-    window: Window,
+def _placement_values(
+    objective: ContentObjective,
+    shape: tuple[int, ...],
     cells: CellGrids,
-    count_prefix: np.ndarray,
-    sum_prefix: Mapping[str, np.ndarray],
-    conditions: Sequence[ContentCondition],
-) -> dict[str, float] | None:
-    """Exact objective values if all content conditions pass, else None."""
-    count = _box_sum(count_prefix, window)
-    values: dict[str, float] = {}
-    for cond in conditions:
-        agg = cond.objective.aggregate.name
-        key = cond.objective.key
-        if agg == "count":
-            value = count
-        elif agg == "sum":
-            value = _box_sum(sum_prefix[key], window)
-        elif agg == "avg":
-            value = _box_sum(sum_prefix[key], window) / count if count > 0 else math.nan
-        elif agg == "min":
-            value = float(cells.mins[key][cells.box(window)].min())
-            value = value if math.isfinite(value) else math.nan
-        elif agg == "max":
-            value = float(cells.maxs[key][cells.box(window)].max())
-            value = value if math.isfinite(value) else math.nan
-        else:  # pragma: no cover - unsupported aggregates rejected earlier
-            raise ValueError(f"unsupported aggregate {agg!r}")
-        if not cond.evaluate_value(value):
-            return None
-        values[repr(cond.objective)] = value
-    return values
-
-
-def _prefix(grid_values: np.ndarray) -> np.ndarray:
-    """N-dimensional inclusive prefix sum, zero-padded at the front."""
-    out = grid_values
-    for axis in range(grid_values.ndim):
-        out = np.cumsum(out, axis=axis)
-    padded = np.zeros(tuple(s + 1 for s in grid_values.shape))
-    padded[tuple(slice(1, None) for _ in range(grid_values.ndim))] = out
-    return padded
-
-
-def _box_sum(prefix: np.ndarray, window: Window) -> float:
-    """Inclusion–exclusion box sum over a zero-padded prefix array."""
-    total = 0.0
-    ndim = window.ndim
-    for corner in itertools.product((0, 1), repeat=ndim):
-        idx = tuple(
-            window.hi[d] if corner[d] else window.lo[d] for d in range(ndim)
-        )
-        sign = (-1) ** (ndim - sum(corner))
-        total += sign * prefix[idx]
-    return float(total)
+    count_sat: SummedAreaTable,
+    sum_sats: Mapping[str, SummedAreaTable],
+) -> np.ndarray:
+    """Exact objective values of every placement of ``shape``."""
+    agg = objective.aggregate.name
+    key = objective.key
+    if agg == "count":
+        return count_sat.placement_sums(shape)
+    if agg == "sum":
+        return sum_sats[key].placement_sums(shape)
+    if agg == "avg":
+        count = count_sat.placement_sums(shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(count > 0, sum_sats[key].placement_sums(shape) / count, math.nan)
+    if agg in ("min", "max"):
+        grids = cells.mins if agg == "min" else cells.maxs
+        value = sliding_reduce(grids[key], shape, agg)
+        return np.where(np.isfinite(value), value, math.nan)
+    raise ValueError(f"unsupported aggregate {agg!r}")  # pragma: no cover

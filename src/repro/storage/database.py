@@ -72,7 +72,8 @@ class CellScan:
         Maps flat cell id -> per-objective :class:`CellStats`; the special
         key ``"__count__"`` always carries the tuple count of the cell
         (the paper computes this extra aggregate "for free" to refine
-        cost estimates).  What the blocking baseline and tests read.
+        cost estimates).  What tests and ``materialize_cells`` read; the
+        blocking baseline scatters ``cells_arrays`` directly.
         """
         unique_cells, counts, per_key = self.cells_arrays
         out: dict[int, dict[str, CellStats]] = {}

@@ -11,28 +11,39 @@ oracle those promises are tested against:
 * :class:`NaiveSearch` — seeding scores one :class:`Window` per start
   placement in an ``itertools.product`` loop, and the periodic refresh
   re-scores each stale frontier entry through ``_utility``;
-* :class:`NaiveEngine` — an :class:`SWEngine` whose queries run on both.
+* :class:`NaiveEngine` — an :class:`SWEngine` whose queries run on both;
+* :func:`naive_enumerate_windows_filtered` — the SQL baseline's window
+  enumerator as one ``itertools.product`` loop over every placement,
+  with its own zero-padded prefix sums and one 2^n-corner box sum per
+  candidate window (``repro.dbms.executor`` scores each shape's
+  placements in one array pass and must match it bit for bit).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Mapping, Sequence
 from unittest import mock
+
+import numpy as np
 
 from repro.core import SWEngine, Window
 from repro.core import engine as engine_module
-from repro.core.conditions import ContentObjective
+from repro.core.conditions import ContentCondition, ContentObjective
 from repro.core.datamanager import DataManager
 from repro.core.diversify import SubAreaQueues
+from repro.core.query import ResultWindow, SWQuery
 from repro.core.search import HeuristicSearch
 from repro.core.trace import EventKind
+from repro.dbms.executor import CellGrids, _shapes
 
 __all__ = [
     "NaiveDataManager",
     "NaiveEngine",
     "NaiveSearch",
     "drain_entries",
+    "naive_enumerate_windows_filtered",
     "push_entries",
     "run_fingerprint",
 ]
@@ -160,3 +171,109 @@ def run_fingerprint(run) -> tuple:
         run.completion_time_s,
         run.stats,
     )
+
+
+def naive_enumerate_windows_filtered(
+    query: SWQuery, cells: CellGrids, pushdown: bool = True
+) -> tuple[list[ResultWindow], int]:
+    """Generate + filter every window within the condition shape bounds,
+    one placement at a time — ``enumerate_windows_filtered``'s oracle."""
+    grid = query.grid
+    conditions = query.conditions
+    if pushdown:
+        max_lengths = conditions.max_lengths(grid.shape)
+        min_lengths = conditions.min_lengths(grid.shape)
+        max_card = conditions.max_cardinality(grid.shape)
+    else:
+        max_lengths = grid.shape
+        min_lengths = (1,) * grid.ndim
+        max_card = None
+
+    count_prefix = _prefix(cells.counts)
+    sum_prefix = {k: _prefix(v) for k, v in cells.sums.items()}
+
+    results: list[ResultWindow] = []
+    enumerated = 0
+    content = conditions.content_conditions
+    for shape in _shapes(grid.shape, min_lengths, max_lengths, max_card):
+        for lo in itertools.product(
+            *(range(grid.shape[d] - shape[d] + 1) for d in range(grid.ndim))
+        ):
+            enumerated += 1
+            hi = tuple(l + s for l, s in zip(lo, shape))
+            window = Window(lo, hi)
+            if not conditions.shape_satisfied(window):
+                continue
+            values = _window_values(window, cells, count_prefix, sum_prefix, content)
+            if values is None:
+                continue
+            results.append(
+                ResultWindow(
+                    window=window,
+                    bounds=window.rect(grid),
+                    objective_values=values,
+                    time=0.0,
+                )
+            )
+    return results, enumerated
+
+
+def _cell_box(window: Window) -> tuple[slice, ...]:
+    """Slice tuple for a window."""
+    return tuple(slice(l, u) for l, u in zip(window.lo, window.hi))
+
+
+def _window_values(
+    window: Window,
+    cells: CellGrids,
+    count_prefix: np.ndarray,
+    sum_prefix: Mapping[str, np.ndarray],
+    conditions: Sequence[ContentCondition],
+) -> dict[str, float] | None:
+    """Exact objective values if all content conditions pass, else None."""
+    count = _box_sum(count_prefix, window)
+    values: dict[str, float] = {}
+    for cond in conditions:
+        agg = cond.objective.aggregate.name
+        key = cond.objective.key
+        if agg == "count":
+            value = count
+        elif agg == "sum":
+            value = _box_sum(sum_prefix[key], window)
+        elif agg == "avg":
+            value = _box_sum(sum_prefix[key], window) / count if count > 0 else math.nan
+        elif agg == "min":
+            value = float(cells.mins[key][_cell_box(window)].min())
+            value = value if math.isfinite(value) else math.nan
+        elif agg == "max":
+            value = float(cells.maxs[key][_cell_box(window)].max())
+            value = value if math.isfinite(value) else math.nan
+        else:
+            raise ValueError(f"unsupported aggregate {agg!r}")
+        if not cond.evaluate_value(value):
+            return None
+        values[repr(cond.objective)] = value
+    return values
+
+
+def _prefix(grid_values: np.ndarray) -> np.ndarray:
+    """N-dimensional inclusive prefix sum, zero-padded at the front."""
+    out = grid_values
+    for axis in range(grid_values.ndim):
+        out = np.cumsum(out, axis=axis)
+    padded = np.zeros(tuple(s + 1 for s in grid_values.shape))
+    padded[tuple(slice(1, None) for _ in range(grid_values.ndim))] = out
+    return padded
+
+
+def _box_sum(prefix: np.ndarray, window: Window) -> float:
+    """Inclusion–exclusion box sum over a zero-padded prefix array."""
+    total = 0.0
+    ndim = window.ndim
+    for corner in itertools.product((0, 1), repeat=ndim):
+        idx = tuple(
+            window.hi[d] if corner[d] else window.lo[d] for d in range(ndim)
+        )
+        sign = (-1) ** (ndim - sum(corner))
+        total += sign * prefix[idx]
+    return float(total)

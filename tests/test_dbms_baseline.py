@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 
 import pytest
 
@@ -16,28 +17,69 @@ from repro.core import (
     ShapeObjective,
     col,
 )
-from repro.dbms import run_sql_baseline
-from repro.dbms.executor import _box_sum, _prefix
+from repro.core.kernels import SummedAreaTable, placement_bounds
+from repro.dbms import CellGrids, materialize_cells, run_sql_baseline
 from repro.core.window import Window
 import numpy as np
 
+from .naive_oracle import _box_sum, _prefix
+
+
+def sat_box_sum(values: np.ndarray, window: Window) -> float:
+    """The baseline's box sum: one row of ``SummedAreaTable.box_sums``."""
+    lows, his = np.array([window.lo]), np.array([window.hi])
+    return float(SummedAreaTable(values).box_sums(lows, his)[0])
+
 
 class TestPrefixSums:
+    """The kernels' summed-area table against the oracle's prefix sums."""
+
     def test_prefix_box_sum_2d(self):
         values = np.arange(12, dtype=float).reshape(3, 4)
-        prefix = _prefix(values)
         w = Window((1, 1), (3, 3))
-        assert _box_sum(prefix, w) == values[1:3, 1:3].sum()
+        assert sat_box_sum(values, w) == _box_sum(_prefix(values), w) == values[1:3, 1:3].sum()
 
     def test_prefix_box_sum_full(self):
         values = np.arange(6, dtype=float).reshape(2, 3)
-        prefix = _prefix(values)
-        assert _box_sum(prefix, Window((0, 0), (2, 3))) == values.sum()
+        w = Window((0, 0), (2, 3))
+        assert sat_box_sum(values, w) == _box_sum(_prefix(values), w) == values.sum()
 
     def test_prefix_box_sum_1d(self):
         values = np.array([1.0, 2.0, 3.0, 4.0])
+        w = Window((1,), (3,))
+        assert sat_box_sum(values, w) == _box_sum(_prefix(values), w) == 5.0
+
+    @pytest.mark.parametrize("shape", [(9,), (6, 7), (4, 5, 3), (3, 4, 3, 2)])
+    def test_real_valued_sums_bit_equal_to_oracle(self, shape):
+        # Real-valued corner sums round by the order the corners are
+        # added in; the table adds them in the oracle's order, dim 0 most
+        # significant, so every placement's sum is the same float.
+        rng = np.random.default_rng(29)
+        values = rng.normal(0.0, 100.0, size=shape)
+        sat = SummedAreaTable(values)
         prefix = _prefix(values)
-        assert _box_sum(prefix, Window((1,), (3,))) == 5.0
+        for lengths in itertools.product(*(range(1, s + 1) for s in shape)):
+            lows, his = placement_bounds(shape, lengths)
+            want = np.array([
+                _box_sum(prefix, Window(tuple(lo), tuple(hi)))
+                for lo, hi in zip(lows.tolist(), his.tolist())
+            ])
+            assert sat.placement_sums(lengths).reshape(-1).tobytes() == want.tobytes()
+            assert sat.box_sums(lows, his).tobytes() == want.tobytes()
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("op", list(ComparisonOp))
+def test_comparison_on_arrays_equals_scalar_results(op):
+    left = np.array([-1.0, 0.0, 1.0, 2.5, NAN, np.inf, -np.inf])
+    for right in (0.0, 1.0, 2.5, NAN, np.inf):
+        got = op.test(left, right)
+        assert got.dtype == np.bool_
+        assert got.tolist() == [op.test(value, right) for value in left.tolist()]
+    for value in left.tolist():
+        assert op.test(value, NAN) is False
 
 
 class TestBaseline:
@@ -101,6 +143,26 @@ class TestBaseline:
         for result in baseline.results:
             assert result.objective_values["max(value)"] < 30.0
             assert result.objective_values["min(value)"] > 15.0
+
+
+def test_materialized_cells_equal_scattered_arrays(tiny_dataset, tiny_db):
+    """The dict view and the columnar scan give byte-equal grids, also for
+    ``count()``, whose key the scan's cells do not carry."""
+    objectives = [ContentObjective.of("count")] + [
+        ContentObjective.of(agg, col("value")) for agg in ("sum", "avg", "min", "max")
+    ]
+    grid = tiny_dataset.grid
+    scan = tiny_db.full_scan_cell_aggregates(tiny_dataset.name, grid, objectives)
+    keys = [obj.key for obj in objectives]
+    assert "*" in keys and scan.cells
+    got = materialize_cells(grid, scan.cells, keys)
+    want = CellGrids.from_arrays(grid, scan.cells_arrays, keys)
+    assert got.counts.tobytes() == want.counts.tobytes()
+    for field in ("sums", "mins", "maxs"):
+        got_grids, want_grids = getattr(got, field), getattr(want, field)
+        assert got_grids.keys() == want_grids.keys() == set(keys)
+        for key in keys:
+            assert got_grids[key].tobytes() == want_grids[key].tobytes()
 
 
 class TestPushdownAblation:

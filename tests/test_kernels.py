@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import ContentObjective, Grid, Rect, SearchConfig, SWEngine, Window, col
 from repro.core.datamanager import DataManager
-from repro.core.kernels import DataKernels, SummedAreaTable, _sliding_reduce
+from repro.core.kernels import DataKernels, SummedAreaTable, sliding_reduce
 from repro.sampling import NoiseModel, StratifiedSampler
 from repro.storage import Database, HeapTable, TableSchema
 from repro.workloads import make_database
@@ -115,7 +115,7 @@ class TestSummedAreaTable:
             assert sat.table.tobytes() == SummedAreaTable(values).table.tobytes()
 
 
-# -- _sliding_reduce ---------------------------------------------------------
+# -- sliding_reduce ----------------------------------------------------------
 
 
 class TestSlidingReduce:
@@ -130,7 +130,7 @@ class TestSlidingReduce:
     def test_bitwise_parity_with_slices(self, op, shape, lengths):
         rng = np.random.default_rng(11)
         values = rng.normal(0.0, 100.0, size=shape)
-        out = _sliding_reduce(values, lengths, op)
+        out = sliding_reduce(values, lengths, op)
         for pos in np.ndindex(*out.shape):
             box = tuple(slice(p, p + l) for p, l in zip(pos, lengths))
             expected = float(getattr(values[box], op)())
@@ -142,7 +142,7 @@ class TestSlidingReduce:
         rng = np.random.default_rng(13)
         values = rng.normal(0.0, 10.0, size=(80, 80))
         lengths = (70, 70)  # 4900 cells > 4096
-        out = _sliding_reduce(values, lengths, "sum")
+        out = sliding_reduce(values, lengths, "sum")
         for pos in np.ndindex(*out.shape):
             box = tuple(slice(p, p + l) for p, l in zip(pos, lengths))
             assert out[pos] == float(values[box].sum())
