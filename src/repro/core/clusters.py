@@ -94,7 +94,6 @@ class ClusterTracker:
 
 def final_clusters(results: Sequence[ResultWindow], grid: Grid) -> list[list[ResultWindow]]:
     """Group results into the final clusters (post-hoc analysis)."""
-    tracker = ClusterTracker(grid)
     # Re-run the union-find, but remember membership.
     parent = list(range(len(results)))
 

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..sampling.estimators import ObjectiveGrids, build_objective_grids
+from ..sampling.estimators import ObjectiveGrids
 from ..sampling.noise import NoiseModel
 from ..sampling.stratified import CellSample
 from ..storage.database import COUNT_KEY, Database
@@ -57,7 +57,11 @@ class DataManager:
         Distinct content objectives of the query.
     sample:
         The precomputed stratified sample (its per-cell true counts are
-        exact because ratios are stored with it).
+        exact because ratios are stored with it).  Its per-objective
+        grids are read through the database's store
+        (:meth:`~repro.storage.database.Database.objective_grids`), built
+        once per (sample, objective) and shared read-only; the manager's
+        estimates start from private copies of them.
     noise:
         Optional estimation-error injection (Section 6.6); applied to
         window estimates while the window still has unread cells.
@@ -97,9 +101,7 @@ class DataManager:
         self.eff_min: dict[str, np.ndarray] = {}
         self.eff_max: dict[str, np.ndarray] = {}
         for key, obj in self._objectives.items():
-            grids = build_objective_grids(
-                self._sample_table, grid, sample, obj, metrics=database.metrics
-            )
+            grids = database.objective_grids(self._sample_table, grid, sample, obj)
             self._grids[key] = grids
             self.eff_sum[key] = grids.scaled_sum.copy()
             self.eff_min[key] = grids.sample_min.copy()

@@ -22,7 +22,7 @@ from ..costs import CostModel
 from ..errors import ConfigError
 from ..faults import Degradation, outcome_of
 from ..sampling.noise import NoiseModel
-from ..sampling.stratified import CellSample, StratifiedSampler
+from ..sampling.stratified import CellSample
 from ..storage.database import Database
 from .datamanager import DataManager
 from .query import ResultWindow, SWQuery
@@ -163,7 +163,6 @@ class SWEngine:
         self.sample_seed = sample_seed
         self.noise = noise
         self.sampler = sampler
-        self._sample_cache: dict[tuple, CellSample] = {}
         self._data_cache: dict[tuple, DataManager] = {}
         self._semantic_cache = None
 
@@ -188,50 +187,24 @@ class SWEngine:
     # -- sample management -------------------------------------------------------
 
     def sample_for(self, query: SWQuery, metrics=None) -> CellSample:
-        """The precomputed stratified sample for this query's grid.
+        """The precomputed sample for this query's grid.
 
         Samples are built offline in the paper's protocol, so this charges
-        no simulated time; they are cached per grid geometry.  Sample
-        construction counters land in ``metrics`` (defaulting to the
-        database's registry) only when the sample is actually built.
+        no simulated time; they are stored per stored table, in the
+        Database (:meth:`~repro.storage.database.Database.sample`), so
+        every engine over one database shares them.  Sample construction
+        counters land in ``metrics`` (defaulting to the database's
+        registry) only when the sample is actually built.
         """
-        if metrics is None:
-            metrics = self.database.metrics
-        key = (
-            query.grid.area.lower,
-            query.grid.area.upper,
-            query.grid.steps,
+        return self.database.sample(
+            self.table_name,
+            query.grid,
             self.sample_fraction,
             self.sample_seed,
+            self.sampler,
+            shared=self._semantic_cache,
+            metrics=metrics,
         )
-        if key not in self._sample_cache:
-            table = self.database.table(self.table_name)
-            shared = self._semantic_cache
-            if shared is not None:
-                sample = shared.sample_lookup(table, (self.sampler,) + key)
-                if sample is not None:
-                    self._sample_cache[key] = sample
-                    return sample
-            if self.sampler == "uniform":
-                from ..sampling.stratified import uniform_sample
-
-                self._sample_cache[key] = uniform_sample(
-                    table,
-                    query.grid,
-                    self.sample_fraction,
-                    seed=self.sample_seed,
-                    metrics=metrics,
-                )
-            else:
-                sampler = StratifiedSampler(self.sample_fraction, seed=self.sample_seed)
-                self._sample_cache[key] = sampler.sample(table, query.grid, metrics=metrics)
-            if shared is not None:
-                shared.sample_publish(
-                    table, (self.sampler,) + key, self._sample_cache[key]
-                )
-        elif metrics is not None:
-            metrics.inc("sample.cache_hits")
-        return self._sample_cache[key]
 
     # -- execution -----------------------------------------------------------------
 

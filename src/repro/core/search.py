@@ -629,9 +629,16 @@ class HeuristicSearch(SteppingCore):
             )
         self._last_result_time = 0.0
 
-        self.tracker = ClusterTracker(self.grid)
+        # Only the two jump policies read the result clusters; without
+        # one there is no tracker to fold every result into.
+        jumps = config.diversification in (
+            Diversification.UTILITY_JUMPS,
+            Diversification.DIST_JUMPS,
+        )
+        self.tracker = ClusterTracker(self.grid) if jumps else None
         self.policy = self._make_policy()
-        self._modify_benefit = self.policy.modified_benefit
+        if type(self.policy).modified_benefit is not JumpPolicy.modified_benefit:
+            self._modify_benefit = self.policy.modified_benefit
         self._prune_conditions = self._anti_monotone_conditions()
         self._cancelled = False
         self._restored = False
@@ -945,10 +952,11 @@ class HeuristicSearch(SteppingCore):
             self._scrubber.restore_state(state["scrubber"])
         # The cluster tracker is a pure fold over the result windows in
         # emission order; rebuild it and repoint the policy at it.
-        self.tracker = ClusterTracker(self.grid)
-        for result in self._results:
-            self.tracker.add(result.window)
-        self.policy.tracker = self.tracker
+        if self.tracker is not None:
+            self.tracker = ClusterTracker(self.grid)
+            for result in self._results:
+                self.tracker.add(result.window)
+            self.policy.tracker = self.tracker
         self._start_time = float(state["start_time"])
         self._last_result_time = float(state["last_result_time"])
         if self.trace is not None and state["trace"] is not None:
@@ -977,7 +985,8 @@ class HeuristicSearch(SteppingCore):
         return {"backend": self.data.backend_name} if kind is EventKind.READ else {}
 
     def _emit(self, result: ResultWindow) -> None:
-        self.tracker.add(result.window)
+        if self.tracker is not None:
+            self.tracker.add(result.window)
         if self.metrics is not None:
             self._mh_result_delay.observe(result.time - self._last_result_time)
             self._last_result_time = result.time

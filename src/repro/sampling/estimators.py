@@ -38,7 +38,8 @@ class ObjectiveGrids:
     ``sample_max`` hold ``+inf`` / ``-inf`` for cells without sampled
     tuples (the reduction identities).  ``value_min``/``value_max`` are the
     global sample extrema of the expression, used to derive the default
-    benefit precision ``eps``.
+    benefit precision ``eps``.  The arrays are read-only: the grids are
+    shared by every Data Manager over the same sample and objective.
     """
 
     scaled_sum: np.ndarray
@@ -46,6 +47,10 @@ class ObjectiveGrids:
     sample_max: np.ndarray
     value_min: float
     value_max: float
+
+    def __post_init__(self) -> None:
+        for array in (self.scaled_sum, self.sample_min, self.sample_max):
+            array.setflags(write=False)
 
 
 def build_objective_grids(

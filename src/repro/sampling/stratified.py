@@ -42,12 +42,19 @@ class CellSample:
         the stratified ratios are stored with the sample.
     cell_sample_counts:
         Sampled tuple count per cell, shape ``grid.shape``.
+
+    The arrays are read-only: one sample is shared by every engine over
+    its database, so an in-place write would corrupt later estimates.
     """
 
     rows: np.ndarray
     cells: np.ndarray
     cell_true_counts: np.ndarray
     cell_sample_counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in (self.rows, self.cells, self.cell_true_counts, self.cell_sample_counts):
+            array.setflags(write=False)
 
     @property
     def size(self) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +33,10 @@ from .integrity import BlockIntegrity, StorageFaultPlan
 from .resilience import BackendFaultPlan, ResilienceConfig, ResilientBackend
 from .placement import cell_flat_ids
 from .table import HeapTable
+
+if TYPE_CHECKING:
+    from ..sampling.estimators import ObjectiveGrids
+    from ..sampling.stratified import CellSample
 
 __all__ = ["CellScan", "Database"]
 
@@ -93,6 +97,13 @@ COUNT_KEY = "__count__"
 class Database:
     """A catalog of heap tables, each with its own disk and buffer pool.
 
+    The catalog also owns the offline estimation inputs of its tables: a
+    sample per (table, sampler, grid geometry, fraction, seed) and the
+    objective grids per (sample, objective), each built on first use and
+    shared by every engine over this database (:meth:`sample`,
+    :meth:`objective_grids`).  A table name is bound once, so a stored
+    input never outlives the data it was drawn from.
+
     Parameters
     ----------
     cost_model:
@@ -138,6 +149,11 @@ class Database:
         # Optional integrity layer (see attach_integrity).
         self._integrity: dict[str, BlockIntegrity] = {}
         self._integrity_plan: StorageFaultPlan | None = None
+        # Offline estimation inputs (see sample / objective_grids).
+        self._samples: dict[tuple, CellSample] = {}
+        # id(sample) -> (sample, {objective: grids}); holding the
+        # sample keeps its id from being reused while the entry lives.
+        self._grids: dict[int, tuple[CellSample, dict[tuple, ObjectiveGrids]]] = {}
 
     # -- catalog ----------------------------------------------------------------
 
@@ -281,6 +297,78 @@ class Database:
     def table_names(self) -> tuple[str, ...]:
         """All registered table names."""
         return tuple(sorted(self._tables))
+
+    # -- offline estimation inputs -----------------------------------------------
+
+    def sample(
+        self,
+        table_name: str,
+        grid: Grid,
+        fraction: float,
+        seed: int,
+        sampler: str = "stratified",
+        shared=None,
+        metrics=None,
+    ) -> CellSample:
+        """The precomputed sample of a table under a grid, built on first use.
+
+        Sampling is offline in the paper's protocol, so this charges no
+        simulated time.  A stored sample is returned as is (counted as
+        ``sample.cache_hits``); otherwise ``shared`` — a cross-session
+        store offering ``sample_lookup`` / ``sample_publish``, such as
+        ``repro.serve.SemanticCache`` — is consulted, and only then is
+        the sample drawn, its construction counters landing in
+        ``metrics`` (defaulting to this database's registry).
+        """
+        if metrics is None:
+            metrics = self.metrics
+        key = (sampler, grid.area.lower, grid.area.upper, grid.steps, fraction, seed)
+        sample = self._samples.get((table_name, key))
+        if sample is not None:
+            if metrics is not None:
+                metrics.inc("sample.cache_hits")
+            return sample
+        # Imported here: the sampling package reads tables through storage.
+        from ..sampling.stratified import StratifiedSampler, uniform_sample
+
+        table = self.table(table_name)
+        if shared is not None:
+            sample = shared.sample_lookup(table, key)
+        if sample is None:
+            if sampler == "uniform":
+                sample = uniform_sample(table, grid, fraction, seed=seed, metrics=metrics)
+            else:
+                sample = StratifiedSampler(fraction, seed=seed).sample(
+                    table, grid, metrics=metrics
+                )
+            if shared is not None:
+                shared.sample_publish(table, key, sample)
+        self._samples[table_name, key] = sample
+        return sample
+
+    def objective_grids(
+        self,
+        table: HeapTable,
+        grid: Grid,
+        sample: CellSample,
+        objective: ContentObjective,
+    ) -> ObjectiveGrids:
+        """One objective's sample grids over ``sample``, built on first use.
+
+        ``table`` is the table the sample's rows index into.  Grids
+        depend on the objective's expression and on whether its
+        aggregate reads values, so those two key them.
+        """
+        _, built = self._grids.setdefault(id(sample), (sample, {}))
+        key = (objective.key, objective.aggregate.needs_values)
+        grids = built.get(key)
+        if grids is None:
+            from ..sampling.estimators import build_objective_grids
+
+            grids = built[key] = build_objective_grids(
+                table, grid, sample, objective, metrics=self.metrics
+            )
+        return grids
 
     # -- lifetime -------------------------------------------------------------------
 

@@ -32,10 +32,12 @@ class TestEngine:
         assert report.disk_stats["mean_read_ms"] == pytest.approx(expected)
 
     def test_sample_cached_per_grid(self, tiny_dataset, tiny_query, tiny_db):
+        """The sample is stored in the Database: engines over it share it."""
         engine = SWEngine(tiny_db, tiny_dataset.name, sample_fraction=0.3)
         sample_a = engine.sample_for(tiny_query)
         sample_b = engine.sample_for(tiny_query)
-        assert sample_a is sample_b
+        other = SWEngine(tiny_db, tiny_dataset.name, sample_fraction=0.3)
+        assert sample_a is sample_b is other.sample_for(tiny_query)
 
     def test_execute_iter_streams_online(self, tiny_dataset, tiny_query, tiny_db):
         engine = SWEngine(tiny_db, tiny_dataset.name, sample_fraction=0.3)

@@ -138,3 +138,30 @@ class TestDistJumpPolicy:
     def test_k_validation(self, grid):
         with pytest.raises(ValueError, match="candidate count"):
             DistJumpPolicy(ClusterTracker(grid), k=0)
+
+
+class TestSearchWiring:
+    @pytest.mark.parametrize(
+        "diversification, tracked, modified",
+        [
+            ("none", False, False),
+            ("static", False, False),
+            ("dist_jumps", True, False),
+            ("utility_jumps", True, True),
+        ],
+    )
+    def test_tracker_only_for_jump_policies(
+        self, tiny_dataset, tiny_query, tiny_db, diversification, tracked, modified
+    ):
+        """No cluster fold without a policy that reads it; no call for an
+        identity benefit."""
+        from repro.core import SearchConfig, SWEngine
+
+        config = SearchConfig(diversification=diversification, step_limit=300)
+        search = SWEngine(tiny_db, tiny_dataset.name).prepare(tiny_query, config)
+        assert (search.tracker is not None) == tracked
+        assert (search._modify_benefit is not None) == modified
+        run = search.run()
+        assert run.results
+        if tracked:
+            assert search.tracker.num_clusters > 0

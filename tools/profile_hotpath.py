@@ -46,11 +46,12 @@ each) three times over: un-profiled with the backend's parts timed —
 bulk load, the sample (and inside it the full ``coordinates()`` pull) and
 the objective grids drawn over SQL, ``scan_region``, ``install_cells``
 (RAM), ``flush_installs`` (the journal protocol), the rest being the
-search core, and the ``coordinates()`` pull in ms per query on a line of
-its own — then with every SQL statement counted (statements and commits
-per query) and every region scan's reads (block-range statements per
-scan, blocks fetched vs blocks matching, payload bytes per query), then
-under cProfile::
+search core, the ``coordinates()`` pull in ms per query on a line of
+its own, and samples and objective grids built against those the
+Database's store already held (store hits) — then with every SQL
+statement counted (statements and commits per query) and every region
+scan's reads (block-range statements per scan, blocks fetched vs blocks
+matching, payload bytes per query), then under cProfile::
 
     python tools/profile_hotpath.py --ledger sqlite_firstk [--top N] [--sort ...]
 
@@ -275,15 +276,25 @@ _SETUP_PARTS = (
 
 #: One ``sqlite_firstk`` round, same format.  The unindented parts do not
 #: nest in one another, so the round's wall time minus their sum is the
-#: search core.
+#: search core.  The grid builder is listed once per module that may hold
+#: it, so the tool also runs on a checkout whose Data Manager builds grids.
 _SQLITE_PARTS = (
     ("bulk load", "repro.storage.sqlite_backend", "SQLiteBackend", "bind_table"),
     ("sample (SQL)", "repro.sampling.stratified", "StratifiedSampler", "sample"),
     ("  coordinates() pull", "repro.storage.sqlite_backend", "SQLiteTable", "coordinates"),
     ("objective grids (SQL)", "repro.core.datamanager", None, "build_objective_grids"),
+    ("objective grids (SQL)", "repro.sampling.estimators", None, "build_objective_grids"),
     ("scan_region", "repro.storage.sqlite_backend", "SQLiteTable", "scan_region"),
     ("install_cells", "repro.storage.sqlite_backend", "SQLiteBackend", "install_cells"),
     ("flush_installs", "repro.storage.sqlite_backend", "SQLiteBackend", "flush_installs"),
+)
+
+
+#: What asks the Database's store for a sample or a grid, counted beside
+#: ``_SQLITE_PARTS``: an ask that built nothing was a store hit.
+_STORE_ASKS = (
+    ("sample asks", "repro.core.engine", "SWEngine", "sample_for"),
+    ("grid asks", "repro.storage.database", "Database", "objective_grids"),
 )
 
 
@@ -392,7 +403,9 @@ def _profile_ledger_sqlite(top: int, sort: str) -> int:
                 database.backend.close()
 
         one_round()  # warm-up: first-touch imports and caches
-        wall, rows = _time_parts(one_round, queries, _SQLITE_PARTS)
+        wall, rows = _time_parts(one_round, queries, _SQLITE_PARTS + _STORE_ASKS)
+        asks = {label.strip(): int(n) for label, n, _total, _per in rows}
+        rows = [row for row in rows if row[0] not in {label for label, *_ in _STORE_ASKS}]
         executed = {"statements": 0, "commits": 0}
 
         def count(sql: str) -> None:
@@ -423,6 +436,16 @@ def _profile_ledger_sqlite(top: int, sort: str) -> int:
     for label, calls, _total, per_query in rows:
         if label.strip() == "coordinates() pull":
             print(f"sampler coordinates() pull: {per_query} ms per query ({calls} pulls)")
+    built = {kind: asks.get(f"{kind} (SQL)", 0) for kind in ("sample", "objective grids")}
+    # A checkout without the grid store builds grids on every ask.
+    asked = {"sample": asks.get("sample asks", 0),
+             "objective grids": asks.get("grid asks", built["objective grids"])}
+    print(
+        "   ".join(
+            f"{kind}: {built[kind]} built, {asked[kind] - built[kind]} store hits per round"
+            for kind in ("sample", "objective grids")
+        )
+    )
     if scans and scans["scans"]:
         n = scans["scans"]
         fetched, matching = scans["blocks fetched"], scans["blocks matching"]
