@@ -2,12 +2,13 @@
 
 Three sections, each asserting both *speed* and *exactness*:
 
-* **micro** — ``SummedAreaTable.window_sum`` / ``placement_sums`` versus
+* **micro** — ``SummedAreaTable.box_sum`` / ``placement_sums`` versus
   per-window ``ndarray`` slice sums over random boxes (values must match
   exactly: integer-valued float64 prefix sums are exact below 2^53), and
   what ``DataKernels`` pays for answering count queries from its tables:
   an in-place refill of the two mutable tables per version bump, against
-  a slice reduction per count query;
+  a slice reduction per count query; and the search's per-window scalar
+  cost, one ``_utility`` on a 2x4 window at 20x20 and at 100x100;
 * **observability overhead** — a metrics registry attached versus
   detached on a time-budgeted exploration over a fine 200x200 query grid,
   with byte-identical runs and a clean invariant audit;
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench import emit_json, fresh_database, get_table, print_table
-from repro.core import SearchConfig, SWEngine
+from repro.core import SearchConfig, SWEngine, Window
 from repro.core.conditions import (
     ComparisonOp,
     ContentCondition,
@@ -46,7 +47,8 @@ from repro.core.expressions import col
 from repro.core.kernels import SummedAreaTable
 from repro.core.query import SWQuery
 from repro.obs import InvariantAuditor
-from repro.workloads.synthetic import synthetic_dataset
+from repro.workloads import make_database
+from repro.workloads.synthetic import synthetic_dataset, synthetic_query
 
 
 _BENCH_FILE = Path(__file__).resolve().parents[1] / "BENCH_hotpath.json"
@@ -154,6 +156,7 @@ def _run_micro() -> dict:
         "placement_sat_s": place_s,
         "placement_speedup": naive_place_s / place_s,
         **_run_refill_cost(),
+        **_run_scoring_cost(),
     }
 
 
@@ -223,6 +226,39 @@ def _run_refill_cost() -> dict:
     return out
 
 
+#: Grids of the per-window scoring measurement, by synthetic scale: the
+#: ledger's ``serial_full`` grid and the paper's.
+_SCORING_SCALES = {"20x20": 0.2, "100x100": 1.0}
+
+
+def _run_scoring_cost() -> dict:
+    """Microseconds per ``SteppingCore._utility`` on a 2x4 window.
+
+    The synthetic query admits the shape (``card`` 8 in ``(5, 10)``), so
+    every call pays the whole pass: the shape memo, the cost term and one
+    ``avg`` estimate.  No read runs in between, so the tables stay fresh.
+    """
+    out: dict = {}
+    rng = np.random.default_rng(13)
+    for name, scale in _SCORING_SCALES.items():
+        dataset = synthetic_dataset("high", scale=scale)
+        search = SWEngine(make_database(dataset, "cluster"), dataset.name).prepare(
+            synthetic_query(dataset)
+        )
+        rows, cols = search.grid.shape
+        windows = [
+            Window((i, j), (i + 2, j + 4))
+            for i, j in zip(rng.integers(0, rows - 1, 64), rng.integers(0, cols - 3, 64))
+        ]
+
+        def score():
+            for window in windows:
+                search._utility(window)
+
+        out[f"utility_{name}_us"] = _best_us(score, 50) / len(windows)
+    return out
+
+
 def test_sat_micro_kernels(benchmark):
     out = benchmark.pedantic(_run_micro, rounds=1, iterations=1)
     print_table(
@@ -244,6 +280,10 @@ def test_sat_micro_kernels(benchmark):
         ],
     )
     print(f"slice query {out['slice_query_us']:.2f} us, SAT lookup {out['sat_lookup_us']:.2f} us")
+    print(
+        "_utility on a 2x4 window: "
+        + ", ".join(f"{name} {out[f'utility_{name}_us']:.2f} us" for name in _SCORING_SCALES)
+    )
     _record("micro", out)
     emit_json("hotpath_micro", out)
     # Batch placement sums replace ~n^2 slice reductions with 2^d shifted

@@ -95,9 +95,13 @@ class SummedAreaTable:
         self.shape = values.shape
         self.ndim = values.ndim
         self.table = np.zeros(tuple(s + 1 for s in values.shape), dtype=np.float64)
-        # Corner reads return Python floats; the table is only ever
-        # refilled in place, so the bound method stays valid.
+        # Corner reads return Python floats: 1-d and 2-d ones index a flat
+        # memoryview of the table (no numpy call per corner), higher ranks
+        # call ``item``.  The table is only ever refilled in place, so both
+        # stay valid.
         self._item = self.table.item
+        self._flat = memoryview(self.table.reshape(-1))
+        self._width = self.table.shape[-1]
         # (sign, hi-selector) per corner of the inclusion-exclusion, dim 0
         # most significant: real-valued sums depend on this order.
         self._corners = [
@@ -120,21 +124,20 @@ class SummedAreaTable:
 
     def box_sum(self, lo: Sequence[int], hi: Sequence[int]) -> float:
         """Sum over the half-open box ``[lo, hi)`` — O(2^d) lookups."""
-        item = self._item
+        flat = self._flat
         if self.ndim == 2:
             l0, l1 = lo
             h0, h1 = hi
-            return item(h0, h1) - item(l0, h1) - item(h0, l1) + item(l0, l1)
+            top = h0 * self._width
+            bottom = l0 * self._width
+            return flat[top + h1] - flat[bottom + h1] - flat[top + l1] + flat[bottom + l1]
         if self.ndim == 1:
-            return item(hi[0]) - item(lo[0])
+            return flat[hi[0]] - flat[lo[0]]
         total = 0.0
+        item = self._item
         for sign, corner in self._corners:
             total += sign * item(tuple(h if c else l for l, h, c in zip(lo, hi, corner)))
         return total
-
-    def window_sum(self, window: Window) -> float:
-        """Sum over a :class:`Window`'s cells."""
-        return self.box_sum(window.lo, window.hi)
 
     def box_sums(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`box_sum` over ``(P, d)`` bound arrays."""
@@ -236,11 +239,11 @@ class DataKernels:
     query that reads one — a count query or a ``placement_*`` batch —
     refills both in place first (:meth:`SummedAreaTable.refill`), and
     every later query reads them until the next bump.  A table lookup
-    saves ~1.3 µs over a slice reduction and a refill costs ~16 µs at
-    20x20 and ~135 µs at 100x100, so this pays when a search asks more
-    count queries per bump than the grid's break-even (DESIGN.md §8
-    has the figures, and the fine-grid cost).  ``rebuilds`` counts the
-    refills.
+    saves ~1.9 µs over a slice reduction and a refill costs ~21 µs at
+    20x20 and ~170 µs at 100x100, so this pays when a search asks more
+    count queries per bump than the grid's break-even, about 11 and 89
+    (DESIGN.md §8 has the figures, and the fine-grid cost).
+    ``rebuilds`` counts the refills.
     """
 
     def __init__(self, data: "DataManager") -> None:
@@ -263,6 +266,14 @@ class DataKernels:
         self._stamp = data.version
         self.rebuilds += 1
 
+    def fresh_tables(self) -> tuple[SummedAreaTable, SummedAreaTable]:
+        """``(unread, read)`` tables, refilled first if stale — the one
+        freshness check of a per-window scoring pass, which then reads
+        both without asking again."""
+        if self._stamp != self._data.version:
+            self._refresh()
+        return self._unread_sat, self._read_sat
+
     @property
     def count_table(self) -> SummedAreaTable:
         """SAT over the exact per-cell counts (static)."""
@@ -284,22 +295,22 @@ class DataKernels:
 
     def window_count(self, window: Window) -> float:
         """Exact object count of the window (== naive slice sum)."""
-        return self._count_sat.window_sum(window)
+        return self._count_sat.box_sum(window.lo, window.hi)
 
     def unread_objects(self, window: Window) -> float:
         """Objects in the window's non-cached cells (== naive slice sum)."""
         self._refresh()
-        return self._unread_sat.window_sum(window)
+        return self._unread_sat.box_sum(window.lo, window.hi)
 
     def read_cells(self, window: Window) -> int:
         """Number of cached cells inside the window."""
         self._refresh()
-        return int(self._read_sat.window_sum(window))
+        return int(self._read_sat.box_sum(window.lo, window.hi))
 
     def is_read(self, window: Window) -> bool:
         """Whether every cell of the window is cached."""
         self._refresh()
-        return self._read_sat.window_sum(window) == window.cardinality
+        return self._read_sat.box_sum(window.lo, window.hi) == window.cardinality
 
     def reduce(self, objective: ContentObjective, window: Window) -> float:
         """Estimated objective value — the Data Manager's ``_reduce``.
@@ -310,14 +321,15 @@ class DataKernels:
         """
         data = self._data
         agg = objective.aggregate.name
+        lo, hi = window.lo, window.hi
         if agg == "count":
-            return self.window_count(window)
+            return self._count_sat.box_sum(lo, hi)
         key = objective.key
-        box = data.box(window)
+        box = tuple(map(slice, lo, hi))
         if agg == "sum":
             return float(data.eff_sum[key][box].sum())
         if agg == "avg":
-            count = self.window_count(window)
+            count = self._count_sat.box_sum(lo, hi)
             if count <= 0:
                 return math.nan
             return float(data.eff_sum[key][box].sum() / count)

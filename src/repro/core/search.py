@@ -320,10 +320,11 @@ class SteppingCore:
         self.stats.estimates += 1
         if self._mc_estimates is not None:
             self._mc_estimates.value += 1.0
-        benefit = self.utility_model.benefit(window)
+        model = self.utility_model
+        benefit, cost_term = model.score(window)
         if self._modify_benefit is not None:
             benefit = self._modify_benefit(window, benefit)
-        return (self.utility_model.utility_with_benefit(window, benefit), benefit)
+        return (model.combine(benefit, cost_term), benefit)
 
     def _still_best(self, window: Window, version: int) -> bool:
         """The lazy utility update: a popped stale entry is re-estimated and,
@@ -389,8 +390,7 @@ class SteppingCore:
         if self._mc_estimates is not None:
             self._mc_estimates.value += float(n)
         modified = modifier(benefits)
-        s = self.utility_model.s
-        return s * modified + (1.0 - s) * cost_terms, modified
+        return self.utility_model.combine(modified, cost_terms), modified
 
     def _key_of_bounds(self, lo: Sequence[int], hi: Sequence[int]) -> int:
         """``Window.key`` over packed bounds without building the Window."""
@@ -538,7 +538,7 @@ class SteppingCore:
 
     def _check_window(self, window: Window) -> ResultWindow | None:
         """UpdateResult(): exact validation of every condition."""
-        if not self.query.conditions.shape_satisfied(window):
+        if not self.utility_model.shape_terms(window)[1]:
             return None
         objective_values = self.data.exact_values(self._cond_labels, window)
         if objective_values is None:

@@ -18,7 +18,7 @@ their natural precision is the grid extent in the relevant dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import sub
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ from ..sampling.estimators import default_eps
 from .conditions import (
     ConditionSet,
     ContentCondition,
+    ContentObjective,
     ShapeKind,
 )
 from .datamanager import DataManager
@@ -35,16 +36,12 @@ from .window import Window
 __all__ = ["UtilityModel"]
 
 
-@dataclass(frozen=True)
-class _ContentEntry:
-    condition: ContentCondition
-    eps: float
-    #: Conditions over one objective share this key — and one estimate.
-    memo_key: str
-
-
 class UtilityModel:
-    """Computes benefits, costs and utilities against a Data Manager."""
+    """Computes benefits, costs and utilities against a Data Manager.
+
+    :meth:`score` is the per-window pass the search runs; :meth:`benefit`,
+    :meth:`utility` and :meth:`utility_with_benefit` are views of it.
+    """
 
     def __init__(self, conditions: ConditionSet, data: DataManager, s: float = 0.5) -> None:
         if not 0 <= s <= 1:
@@ -59,14 +56,20 @@ class UtilityModel:
         k = conditions.max_cardinality(grid.shape)
         self._k = float(k) if k is not None else float(self._m)
 
-        self._content: list[_ContentEntry] = []
+        # Content conditions grouped by objective, in first-appearance
+        # order: an interval predicate (``avg(v) > a AND avg(v) < b``)
+        # shares one estimate per window.
+        groups: dict[str, tuple[ContentObjective, list[tuple[ContentCondition, float]]]] = {}
         for cond in conditions.content_conditions:
             eps = cond.eps
             if eps is None:
                 eps = default_eps(cond, data.objective_grids(cond.objective.key), self._n)
             if eps <= 0:
                 raise ValueError(f"eps for condition {cond!r} must be positive, got {eps}")
-            self._content.append(_ContentEntry(cond, eps, repr(cond.objective)))
+            groups.setdefault(repr(cond.objective), (cond.objective, []))[1].append(
+                (cond, eps)
+            )
+        self._groups = list(groups.values())
         # Shape values are exact; their natural precision is the grid
         # extent in the relevant dimension (the cell count for ``card``).
         self._shape = [
@@ -78,13 +81,74 @@ class UtilityModel:
             )
             for cond in conditions.shape_conditions
         ]
+        # Per window shape (``hi - lo``): its shape benefit, whether its
+        # shape conditions hold, and its cell count.  A search meets at
+        # most one entry per shape the grid admits.
+        self._shapes: dict[tuple[int, ...], tuple[float, bool, int]] = {}
 
     @property
     def k(self) -> float:
         """The cost normalizer (max cardinality or total cell count)."""
         return self._k
 
-    # -- components -----------------------------------------------------------
+    # -- the per-window pass --------------------------------------------------
+
+    def score(self, window: Window) -> tuple[float, float]:
+        """``(B_w, 1 - min(C_w / k, 1))`` of one window, in one pass.
+
+        Shape-only terms come from the per-shape memo; the kernels'
+        version stamp is checked once, after which the unread and read
+        tables are read directly and each objective is reduced once
+        (``DataKernels.reduce``).  Every value is bitwise the composition
+        of :meth:`cost`, ``DataManager.estimate`` and the per-condition
+        benefits that ``tests/naive_oracle.py`` keeps.
+        """
+        lo = window.lo
+        hi = window.hi
+        benefit, _, cardinality = self.shape_terms(window)
+        data = self.data
+        kern = data.kernels
+        unread, read = kern.fresh_tables()
+        cost = unread.box_sum(lo, hi) * self._m / self._n
+        cost_term = 1.0 - min(cost / self._k, 1.0)
+        if benefit == 0.0:
+            return 0.0, cost_term
+        noise = data.noise
+        if noise is not None and read.box_sum(lo, hi) == cardinality:
+            noise = None  # a fully read window's estimate is exact
+        for objective, conditions in self._groups:
+            estimate = kern.reduce(objective, window)
+            if noise is not None:
+                estimate = noise.perturb(lo, hi, estimate)
+            if math.isnan(estimate):
+                return 0.0, cost_term
+            for cond, eps in conditions:
+                if not cond.op.test(estimate, cond.value):
+                    benefit = min(benefit, max(0.0, 1.0 - abs(estimate - cond.value) / eps))
+                    if benefit == 0.0:
+                        return 0.0, cost_term
+        return benefit, cost_term
+
+    def shape_terms(self, window: Window) -> tuple[float, bool, int]:
+        """``(shape benefit, shape conditions hold, cardinality)`` of the
+        window's shape — memoised, as none of them reads data."""
+        lengths = tuple(map(sub, window.hi, window.lo))
+        terms = self._shapes.get(lengths)
+        if terms is None:
+            origin = Window.unchecked((0,) * len(lengths), lengths)
+            terms = self._shapes[lengths] = (
+                self._shape_benefit(origin),
+                self.conditions.shape_satisfied(origin),
+                math.prod(lengths),
+            )
+        return terms
+
+    def combine(self, benefit, cost_term):
+        """``U_w = s*B + (1-s)*(1 - min(C/k, 1))`` from its two terms —
+        floats or arrays alike."""
+        return self.s * benefit + (1.0 - self.s) * cost_term
+
+    # -- views ----------------------------------------------------------------
 
     def cost(self, window: Window) -> float:
         """``C_w``: unread objects normalized by mean cell density."""
@@ -92,37 +156,15 @@ class UtilityModel:
 
     def benefit(self, window: Window) -> float:
         """``B_w``: minimum per-condition benefit, in [0, 1]."""
-        benefit = self._shape_benefit(window)
-        if benefit == 0.0:
-            return 0.0
-        # Interval predicates (``avg(v) > a AND avg(v) < b``) share one
-        # objective; estimate it once per window, not per condition.
-        estimates: dict[str, float] = {}
-        for entry in self._content:
-            cond = entry.condition
-            estimate = estimates.get(entry.memo_key)
-            if estimate is None:
-                estimate = estimates[entry.memo_key] = self.data.estimate(
-                    cond.objective, window
-                )
-            if math.isnan(estimate):
-                return 0.0
-            if not cond.op.test(estimate, cond.value):
-                benefit = min(
-                    benefit, max(0.0, 1.0 - abs(estimate - cond.value) / entry.eps)
-                )
-                if benefit == 0.0:
-                    return 0.0
-        return benefit
+        return self.score(window)[0]
 
     def utility(self, window: Window) -> float:
         """``U_w = s*B + (1-s)*(1 - min(C/k, 1))``."""
-        return self.utility_with_benefit(window, self.benefit(window))
+        return self.combine(*self.score(window))
 
     def utility_with_benefit(self, window: Window, benefit: float) -> float:
         """Utility using an externally modified benefit (diversification)."""
-        cost_term = 1.0 - min(self.cost(window) / self._k, 1.0)
-        return self.s * benefit + (1.0 - self.s) * cost_term
+        return self.combine(benefit, self.score(window)[1])
 
     # -- batch evaluation over all placements of a fixed shape ------------------
 
@@ -149,23 +191,14 @@ class UtilityModel:
 
         # Shape benefits depend only on the window's shape, which is the
         # same for every placement here.
-        shape_benefit = self._shape_benefit(
-            Window.unchecked(tuple(0 for _ in lengths), tuple(lengths))
-        )
+        shape_benefit = self.shape_terms(
+            Window.unchecked((0,) * len(lengths), tuple(lengths))
+        )[0]
         benefits = np.full(cost_terms.shape, shape_benefit, dtype=np.float64)
         if shape_benefit > 0.0:
-            estimates_memo: dict = {}
-            for entry in self._content:
-                estimates = estimates_memo.get(entry.memo_key)
-                if estimates is None:
-                    estimates = kern.placement_estimates(
-                        entry.condition.objective, lengths, anchor_slab
-                    )
-                    estimates_memo[entry.memo_key] = estimates
-                np.minimum(
-                    benefits, self._content_benefits(entry, estimates), out=benefits
-                )
-                if not benefits.any():
+            for objective, conditions in self._groups:
+                estimates = kern.placement_estimates(objective, lengths, anchor_slab)
+                if not self._min_content_benefits(benefits, conditions, estimates):
                     break
         return benefits, cost_terms
 
@@ -209,33 +242,32 @@ class UtilityModel:
             noise = self.data.noise
             if noise is not None:
                 perturbed = ~kern.fully_read_bounds(lows, his)
-            estimates_memo: dict = {}
-            for entry in self._content:
-                estimates = estimates_memo.get(entry.memo_key)
-                if estimates is None:
-                    estimates = kern.reduce_bounds(
-                        entry.condition.objective, lows, his
-                    )
-                    if noise is not None:
-                        estimates = noise.perturb_many(lows, his, estimates, perturbed)
-                    estimates_memo[entry.memo_key] = estimates
-                np.minimum(
-                    benefits, self._content_benefits(entry, estimates), out=benefits
-                )
-                if not benefits.any():
+            for objective, conditions in self._groups:
+                estimates = kern.reduce_bounds(objective, lows, his)
+                if noise is not None:
+                    estimates = noise.perturb_many(lows, his, estimates, perturbed)
+                if not self._min_content_benefits(benefits, conditions, estimates):
                     break
         return benefits, cost_terms
 
-    def _content_benefits(self, entry: _ContentEntry, estimates: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_content_benefit` over an estimate array."""
-        cond = entry.condition
+    @staticmethod
+    def _min_content_benefits(
+        benefits: np.ndarray,
+        conditions: list[tuple[ContentCondition, float]],
+        estimates: np.ndarray,
+    ) -> bool:
+        """Lower ``benefits`` in place to each condition's benefit over one
+        objective's estimates (:meth:`score`'s rule, vectorized); whether
+        any benefit is left above zero."""
         nan_mask = np.isnan(estimates)
-        satisfied = cond.op.test(estimates, cond.value)
-        with np.errstate(invalid="ignore"):
-            out = np.maximum(0.0, 1.0 - np.abs(estimates - cond.value) / entry.eps)
-        out = np.where(satisfied, 1.0, out)
-        out[nan_mask] = 0.0
-        return out
+        for cond, eps in conditions:
+            satisfied = cond.op.test(estimates, cond.value)
+            with np.errstate(invalid="ignore"):
+                out = np.maximum(0.0, 1.0 - np.abs(estimates - cond.value) / eps)
+            out = np.where(satisfied, 1.0, out)
+            out[nan_mask] = 0.0
+            np.minimum(benefits, out, out=benefits)
+        return bool(benefits.any())
 
     # -- per-condition benefits -------------------------------------------------
 

@@ -8,9 +8,9 @@ guarantee an efficient linear order (Section 6, Table 2).
 
 We therefore build the index the same way — one-at-a-time insertion with
 Guttman's quadratic split — and derive the ``-ind`` placement from a DFS
-over its leaves.  The tree also serves as a standalone spatial index
-(range search), exercised by tests and available through
-:class:`repro.storage.database.Database`.
+over its leaves.  Placement reads only that leaf order
+(``storage/placement.py``); ``RTree.search`` (range search) has no
+caller outside the tests.
 """
 
 from __future__ import annotations

@@ -8,9 +8,12 @@ oracle those promises are tested against:
 
 * :class:`NaiveDataManager` — every window query is a numpy slice
   reduction over the Data Manager's grid arrays;
-* :class:`NaiveSearch` — seeding scores one :class:`Window` per start
-  placement in an ``itertools.product`` loop, and the periodic refresh
-  re-scores each stale frontier entry through ``_utility``;
+* :class:`NaiveSearch` — a window's utility is composed per window
+  (shape conditions evaluated afresh, one ``DataManager.estimate`` per
+  objective, the cost through ``DataManager.unread_objects``), seeding
+  scores one :class:`Window` per start placement in an
+  ``itertools.product`` loop, and the periodic refresh re-scores each
+  stale frontier entry through ``_utility``;
 * :class:`NaiveEngine` — an :class:`SWEngine` whose queries run on both;
 * :func:`naive_enumerate_windows_filtered` — the SQL baseline's window
   enumerator as one ``itertools.product`` loop over every placement,
@@ -36,6 +39,7 @@ from repro.core.diversify import SubAreaQueues
 from repro.core.query import ResultWindow, SWQuery
 from repro.core.search import HeuristicSearch
 from repro.core.trace import EventKind
+from repro.core.utility import UtilityModel
 from repro.dbms.executor import CellGrids, _shapes
 
 __all__ = [
@@ -43,6 +47,7 @@ __all__ = [
     "NaiveEngine",
     "NaiveSearch",
     "drain_entries",
+    "naive_benefit",
     "naive_enumerate_windows_filtered",
     "push_entries",
     "run_fingerprint",
@@ -83,6 +88,24 @@ class NaiveDataManager(DataManager):
         raise ValueError(f"unsupported aggregate {agg!r}")
 
 
+def naive_benefit(model: UtilityModel, window: Window) -> float:
+    """``B_w`` composed per window: the shape conditions evaluated on the
+    window, then one ``DataManager.estimate`` per objective."""
+    benefit = model._shape_benefit(window)
+    if benefit == 0.0:
+        return 0.0
+    for objective, conditions in model._groups:
+        estimate = model.data.estimate(objective, window)
+        if math.isnan(estimate):
+            return 0.0
+        for cond, eps in conditions:
+            if not cond.op.test(estimate, cond.value):
+                benefit = min(benefit, max(0.0, 1.0 - abs(estimate - cond.value) / eps))
+                if benefit == 0.0:
+                    return 0.0
+    return benefit
+
+
 def drain_entries(queue) -> list:
     """Empty a frontier into ``(priority, Window, version)`` entries."""
     utilities, benefits, lows, his, versions = queue.drain_arrays()
@@ -109,7 +132,31 @@ def push_entries(queue, entries) -> None:
 
 
 class NaiveSearch(HeuristicSearch):
-    """Algorithm 1 with per-window seeding and per-entry refresh."""
+    """Algorithm 1 with per-window scoring, seeding and refresh."""
+
+    def _utility(self, window: Window) -> tuple[float, float]:
+        self.stats.estimates += 1
+        if self._mc_estimates is not None:
+            self._mc_estimates.value += 1.0
+        model = self.utility_model
+        benefit = naive_benefit(model, window)
+        if self._modify_benefit is not None:
+            benefit = self._modify_benefit(window, benefit)
+        cost_term = 1.0 - min(model.cost(window) / model.k, 1.0)
+        return (model.s * benefit + (1.0 - model.s) * cost_term, benefit)
+
+    def _check_window(self, window: Window) -> ResultWindow | None:
+        if not self.query.conditions.shape_satisfied(window):
+            return None
+        objective_values = self.data.exact_values(self._cond_labels, window)
+        if objective_values is None:
+            return None
+        return ResultWindow(
+            window=window,
+            bounds=window.rect(self.grid),
+            objective_values=objective_values,
+            time=self.data.clock.now - self._start_time,
+        )
 
     def _batch_seed(self, lo: int, hi: int, mins: tuple[int, ...]) -> None:
         shape = self.grid.shape

@@ -20,13 +20,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ContentObjective, Grid, Rect, SearchConfig, SWEngine, Window, col
+from repro.core.conditions import (
+    ComparisonOp,
+    ConditionSet,
+    ContentCondition,
+    ShapeCondition,
+    ShapeKind,
+    ShapeObjective,
+)
 from repro.core.datamanager import DataManager
+from repro.core.query import SWQuery
+from repro.core.search import HeuristicSearch
 from repro.core.kernels import DataKernels, SummedAreaTable, sliding_reduce
 from repro.sampling import NoiseModel, StratifiedSampler
 from repro.storage import Database, HeapTable, TableSchema
 from repro.workloads import make_database
 
-from .naive_oracle import NaiveDataManager, NaiveEngine, run_fingerprint
+from .naive_oracle import NaiveDataManager, NaiveEngine, NaiveSearch, run_fingerprint
 
 
 def random_windows(rng, shape, k=60):
@@ -57,7 +67,7 @@ class TestSummedAreaTable:
         sat = SummedAreaTable(values)
         for window in random_windows(rng, shape):
             box = tuple(slice(l, h) for l, h in zip(window.lo, window.hi))
-            assert sat.window_sum(window) == float(values[box].sum())
+            assert sat.box_sum(window.lo, window.hi) == float(values[box].sum())
 
     @pytest.mark.parametrize("shape", [(64,), (17, 23), (7, 9, 11)])
     def test_box_sums_vectorized(self, shape):
@@ -69,7 +79,7 @@ class TestSummedAreaTable:
         hi = np.array([w.hi for w in windows])
         batch = sat.box_sums(lo, hi)
         for i, window in enumerate(windows):
-            assert batch[i] == sat.window_sum(window)
+            assert batch[i] == sat.box_sum(window.lo, window.hi)
 
     @pytest.mark.parametrize("shape", [(64,), (17, 23), (7, 9, 11)])
     def test_placement_sums_match_every_slice(self, shape):
@@ -108,11 +118,15 @@ class TestSummedAreaTable:
 
         sat = SummedAreaTable(draw())
         table, corners = sat.table, sat._corners
+        full = (tuple(0 for _ in shape), shape)
         for _ in range(3):
+            sat.box_sum(*full)  # corner reads before a refill must not pin old values
             values = draw()
             sat.refill(values)
             assert sat.table is table and sat._corners is corners
-            assert sat.table.tobytes() == SummedAreaTable(values).table.tobytes()
+            fresh = SummedAreaTable(values)
+            assert sat.table.tobytes() == fresh.table.tobytes()
+            assert sat.box_sum(*full) == fresh.box_sum(*full)
 
 
 # -- sliding_reduce ----------------------------------------------------------
@@ -457,6 +471,123 @@ def test_count_queries_match_oracle_under_mutations(data):
             fresh_read = SummedAreaTable(dm.read_mask).table
             assert kern._unread_sat.table.tobytes() == fresh_unread.tobytes()
             assert kern._read_sat.table.tobytes() == fresh_read.tobytes()
+
+
+# -- the per-window scoring pass under interleaved reads and installs --------
+
+
+#: Per dimensionality, the grids of the scoring test.
+SCORING_SHAPES = {1: [(30,)], 2: [(6, 7), (12, 10)], 3: [(4, 5, 6)]}
+_SCORING_INPUTS: dict = {}
+
+
+def scoring_inputs(shape):
+    """``(db, grid, sample)`` like :func:`mutation_inputs`, plus a value
+    column ``v`` for the real-valued aggregates."""
+    if shape not in _SCORING_INPUTS:
+        rng = np.random.default_rng(7 * math.prod(shape))
+        n = 300
+        columns = {
+            f"x{d}": rng.uniform(0, size * (0.5 if d == 0 else 1.0), n)
+            for d, size in enumerate(shape)
+        }
+        columns["v"] = rng.normal(25.0, 5.0, n)
+        schema = TableSchema(list(columns), [f"x{d}" for d in range(len(shape))])
+        db = Database()
+        db.register(HeapTable("pts", schema, columns, tuples_per_block=16))
+        grid = Grid(Rect.from_bounds([(0.0, float(s)) for s in shape]), (1.0,) * len(shape))
+        sample = StratifiedSampler(0.3, seed=21).sample(db.table("pts"), grid)
+        _SCORING_INPUTS[shape] = (db, grid, sample)
+    return _SCORING_INPUTS[shape]
+
+
+@st.composite
+def scoring_conditions(draw, ndim):
+    """One aggregate's interval predicate and one shape condition."""
+    agg = draw(st.sampled_from(["count", "sum", "avg", "min", "max"]))
+    objective = ContentObjective.of(agg, None if agg == "count" else col("v"))
+    scale = {"count": 8.0, "sum": 200.0}.get(agg, 25.0)
+    low = draw(st.floats(0.0, 1.5)) * scale
+    high = low + draw(st.floats(0.0, 1.0)) * scale
+    eps = draw(st.one_of(st.none(), st.floats(0.1, 2.0).map(lambda f: f * scale)))
+    kind = draw(st.sampled_from(list(ShapeKind)))
+    shape_objective = ShapeObjective(
+        kind, draw(st.integers(0, ndim - 1)) if kind is ShapeKind.LENGTH else None
+    )
+    above = draw(st.sampled_from([ComparisonOp.GT, ComparisonOp.GE]))
+    below = draw(st.sampled_from([ComparisonOp.LT, ComparisonOp.LE]))
+    shape_op = draw(st.sampled_from(list(ComparisonOp)))
+    # From 2 up: ``card < 1`` admits no window and makes ``k`` zero.
+    shape_value = float(draw(st.integers(2, 4)))
+    return [
+        ContentCondition(objective, above, low, eps),
+        ContentCondition(objective, below, high, eps),
+        ShapeCondition(shape_objective, shape_op, shape_value),
+    ]
+
+
+def float_bits(value: float) -> str:
+    """``float.hex``, with every NaN one token."""
+    return "nan" if math.isnan(value) else float(value).hex()
+
+
+def check_bits(search, window) -> tuple | str | None:
+    """``search._check_window(window)`` by bits — or the error it raises
+    on a window with unread cells."""
+    try:
+        result = search._check_window(window)
+    except ValueError:
+        return "unread"
+    if result is None:
+        return None
+    values = sorted((k, float_bits(v)) for k, v in result.objective_values.items())
+    return result.window, result.bounds, float_bits(result.time), values
+
+
+SCORING_OPS = ("read", "install", "score", "score", "check")
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_scoring_pass_matches_oracle_under_mutations(data):
+    """``_utility`` and ``_check_window`` on 1-3-d grids, every aggregate,
+    with and without noise, equal the oracle's per-window composition bit
+    for bit while reads and installs make the tables stale."""
+    # Two draws in four are 2-d, the rank of the paper's and the ledger's
+    # grids, whose corner reads do row arithmetic on the flat table view.
+    ndim = data.draw(st.sampled_from([1, 2, 2, 3]))
+    shape = data.draw(st.sampled_from(SCORING_SHAPES[ndim]))
+    db, grid, sample = scoring_inputs(shape)
+    conditions = data.draw(scoring_conditions(ndim))
+    query = SWQuery(tuple(f"x{d}" for d in range(ndim)), grid, ConditionSet.of(conditions, ndim))
+    noise = data.draw(st.sampled_from([None, NoiseModel(30.0)]))
+    objectives = query.conditions.content_objectives()
+    config = SearchConfig(s=data.draw(st.sampled_from([0.0, 0.5, 1.0])))
+    naive = NaiveSearch(
+        query, NaiveDataManager(db, "pts", grid, objectives, sample, noise=noise), config
+    )
+    search = HeuristicSearch(
+        query, DataManager(db, "pts", grid, objectives, sample, noise=noise), config
+    )
+    source = NaiveDataManager(db, "pts", grid, objectives, sample)
+    for op in data.draw(st.lists(st.sampled_from(SCORING_OPS), min_size=1, max_size=40)):
+        window = Window(*data.draw(boxes(shape)))
+        if op == "read":
+            for core in (naive, search):
+                core.data.read_window(window)
+        elif op == "install":
+            cell = window.lo
+            source.read_window(Window.single_cell(cell))
+            for core in (naive, search):
+                core.data.install_cell(cell, source.cell_payload(cell))
+        elif op == "score":
+            want = [float_bits(v) for v in naive._utility(window)]
+            assert [float_bits(v) for v in search._utility(window)] == want
+            model = search.utility_model
+            assert float_bits(model.benefit(window)) == want[1]
+            assert float_bits(model.utility(window)) == want[0]
+        else:
+            assert check_bits(search, window) == check_bits(naive, window)
 
 
 # -- end-to-end run parity ---------------------------------------------------

@@ -13,9 +13,13 @@ sub-area queues, and utility jumps refreshing once clusters exist.
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import pytest
 
 from repro.core import SearchConfig, SWEngine
+from repro.core.kernels import DataKernels, SummedAreaTable
 from repro.core.trace import EventKind, SearchTrace
 from repro.obs import MetricsRegistry
 from repro.sampling import NoiseModel
@@ -39,12 +43,39 @@ def _twin_runs(dataset, query, config, placement="cluster", **engine_kw):
     return out
 
 
+#: Every window query the kernels answer, and the corner read under them.
+KERNEL_QUERIES = [
+    (DataKernels, name)
+    for name, attr in vars(DataKernels).items()
+    if not name.startswith("__") and name != "_refresh"
+    and (callable(attr) or isinstance(attr, property))
+] + [(SummedAreaTable, "box_sum")]
+
+
 def test_naive_engine_runs_the_oracle(tiny_dataset, tiny_query, tiny_db):
     search = NaiveEngine(tiny_db, tiny_dataset.name).prepare(tiny_query)
     assert type(search) is NaiveSearch and type(search.data) is NaiveDataManager
     search = SWEngine(tiny_db, tiny_dataset.name).prepare(tiny_query)
     assert not isinstance(search, NaiveSearch)
     assert not isinstance(search.data, NaiveDataManager)
+    # The oracle scores without the kernels, or parity would compare
+    # them with themselves: a naive run survives every kernel query raising.
+    assert {"fresh_tables", "reduce", "unread_objects", "placement_estimates"} <= {
+        name for _, name in KERNEL_QUERIES
+    }
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the naive oracle asked the kernels")
+
+    with contextlib.ExitStack() as stack:
+        for owner, name in KERNEL_QUERIES:
+            stack.enter_context(mock.patch.object(owner, name, property(forbidden)))
+        naive = NaiveEngine(make_database(tiny_dataset, "cluster"), tiny_dataset.name)
+        run = naive.execute(tiny_query).run
+    kernel = SWEngine(make_database(tiny_dataset, "cluster"), tiny_dataset.name)
+    assert run.results and run_fingerprint(run) == run_fingerprint(
+        kernel.execute(tiny_query).run
+    )
 
 
 @pytest.mark.parametrize("spread", SPREADS)

@@ -58,7 +58,8 @@ matching, payload bytes per query), then under cProfile::
 ``--ledger serial_full|sqlite_firstk`` and ``--distributed N`` also print
 ``DataKernels``' table traffic per search query, from an un-profiled
 pass: count queries (``unread_objects`` / ``read_cells`` / ``is_read``
-calls and ``unread_bounds`` / ``fully_read_bounds`` rows), summed-area
+calls, one per ``fresh_tables`` call of a window's scoring pass, and
+``unread_bounds`` / ``fully_read_bounds`` rows), summed-area
 table refills, and count queries per refill.
 
 ``--ledger-setup`` profiles what happens *before* the first search step
@@ -130,8 +131,12 @@ def _span_rows(counters: dict) -> list[list[str]]:
     return rows
 
 
-#: ``DataKernels`` count queries; a ``*_bounds`` call is one query per row.
-_COUNT_QUERIES = ("unread_objects", "read_cells", "is_read", "unread_bounds", "fully_read_bounds")
+#: ``DataKernels`` count queries; a ``*_bounds`` call is one query per row,
+#: and ``fresh_tables`` one per scoring pass (its cost lookup).
+_COUNT_QUERIES = (
+    "unread_objects", "read_cells", "is_read", "fresh_tables", "unread_bounds",
+    "fully_read_bounds",
+)
 
 
 def _count_refills(work) -> dict[str, int]:
