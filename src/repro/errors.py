@@ -24,7 +24,6 @@ __all__ = [
     "SimulationLimitError",
     "CorruptBlockError",
     "BackendError",
-    "TornWriteError",
     "CheckpointError",
 ]
 
@@ -79,35 +78,19 @@ class BackendError(ReproError, RuntimeError):
     """A storage-backend operation failed (transiently or terminally).
 
     The real-backend analogue of a PostgreSQL query timeout, a
-    ``SQLITE_BUSY`` lock, or a dropped connection.  Like
-    :class:`CorruptBlockError`, this never escapes to user code: the
-    resilience layer (:mod:`repro.storage.resilience`) retries with
+    ``SQLITE_BUSY`` lock, a dropped connection or a store that returned
+    less than it holds (a short block read).  Like
+    :class:`CorruptBlockError`, this never escapes a resilient database:
+    the resilience layer (:mod:`repro.storage.resilience`) retries with
     capped backoff, trips a circuit breaker, and degrades to the
     simulator fallback instead of raising.  ``kind`` names the fault
-    taxon (``transient`` / ``busy`` / ``slow`` / ``disconnect`` /
-    ``torn_install``).
+    taxon it is counted under (``transient`` / ``busy`` /
+    ``disconnect``, the names the layer's drawn faults use too).
     """
 
     def __init__(self, message: str, kind: str = "transient") -> None:
         self.kind = kind
         super().__init__(message)
-
-
-class TornWriteError(BackendError):
-    """An ``install_cells`` write tore partway through its journal protocol.
-
-    Raised by a backend whose install was interrupted mid-flight (fault
-    injection, or a real crash surfacing on the next call).  The install
-    journal makes the operation recoverable: a retry — or reopening the
-    store — rolls the pending install forward idempotently.  ``point``
-    names the protocol step the tear occurred at.
-    """
-
-    def __init__(self, point: str) -> None:
-        self.point = point
-        super().__init__(
-            f"install_cells torn at journal point {point!r}", kind="torn_install"
-        )
 
 
 class CheckpointError(ReproError, RuntimeError):

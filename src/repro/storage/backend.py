@@ -21,7 +21,7 @@ in-memory strategy), deduped by the one rule in
 accounting.  The cell *values* stay in the SW layer's own cache (paper
 Section 5); nothing but the ids crosses the seam downward.
 ``install_cells`` never writes: a backend that persists the record
-(SQLite) buffers the new ids and makes them durable in
+(SQLite) buffers the new ids and writes them in one transaction in
 ``flush_installs``, which the search calls once at the end of a query,
 so no write sits between a request and its results.
 

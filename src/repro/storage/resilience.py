@@ -68,9 +68,11 @@ __all__ = [
 #: retryable error (query timeout); ``busy`` is lock contention
 #: (``SQLITE_BUSY``); ``slow`` is a straggler — the call *succeeds* after
 #: extra simulated latency; ``disconnect`` is a dropped connection;
-#: ``torn_install`` interrupts a ``flush_installs`` write mid-journal
-#: (read operations degrade it to ``transient``; an install op with
-#: nothing to write, ``install_cells`` included, is modelled as failed).
+#: ``torn_install`` is an install op (``install_cells`` or
+#: ``flush_installs``) that fails mid-write: like every drawn fault the
+#: attempt fails without calling the store, and because a flush is one
+#: transaction the retry writes the whole batch (read operations degrade
+#: it to ``transient``).
 BACKEND_FAULT_KINDS = ("transient", "busy", "slow", "disconnect", "torn_install")
 
 
@@ -372,8 +374,7 @@ class ResilientBackend(StorageBackend):
         the byte-identical simulator mirror, the *result set* of a
         degraded run still matches the fault-free golden run — what
         degraded is the real store's participation (reads it did not
-        serve, installs it may have missed, pending journal recovery on
-        reopen).
+        serve, installs it may have missed).
         """
         now = self.stats()
         base = baseline or {name: 0 for name in _STAT_NAMES}
@@ -454,18 +455,6 @@ class ResilientBackend(StorageBackend):
                     # taxonomy, same counters, same retry path.
                     failed_kind = err.kind
                     self._inc(f"storage.backend.faults.{failed_kind}")
-            elif fault == "torn_install" and self._arm_tear():
-                # Actually tear the journaled install mid-protocol so the
-                # kill-point recovery path is exercised, not just modeled.
-                try:
-                    result = primary()
-                except BackendError as err:
-                    failed_kind = err.kind
-                else:
-                    # The install wrote nothing, so there was nothing to
-                    # tear: take the trigger back and model the fault.
-                    self.inner.disarm_install_tear()
-                    failed_kind = fault
             else:
                 failed_kind = fault
             if failed_kind is None:
@@ -500,13 +489,6 @@ class ResilientBackend(StorageBackend):
             self._inc("storage.backend.fallback_reads")
         self._record("FALLBACK", op=op, reason=reason)
         return fallback()
-
-    def _arm_tear(self) -> bool:
-        arm = getattr(self.inner, "arm_install_tear", None)
-        if arm is None:
-            return False
-        arm(1)
-        return True
 
     # -- table lifecycle -----------------------------------------------------
 
@@ -578,8 +560,8 @@ class ResilientBackend(StorageBackend):
         return counts
 
     def flush_installs(self) -> None:
-        # An install op: a drawn ``torn_install`` really tears the journal
-        # protocol, and its retry really rolls the pending row forward.
+        # An install op: a drawn ``torn_install`` fails the attempt before
+        # the store sees it, and the retry writes the whole batch.
         self._guarded(
             "flush_installs", self.inner.flush_installs, lambda: None, install=True
         )

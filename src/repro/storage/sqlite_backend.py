@@ -42,16 +42,14 @@ The cell values are never written: they live in the SW layer's cache.
 
 :meth:`SQLiteBackend.flush_installs` makes them durable — at the end of a
 query, at checkpoint capture, before any read of the persisted record and
-on :meth:`SQLiteBackend.close` — through a **crash-consistent** journal
-protocol (intent → install → commit, DESIGN.md §16): the batch's ids
-are committed to ``sw_install_journal`` *before* any data row
-(from then on the journal, not RAM, holds it), the data rows are applied
-in idempotent chunks, and the journal row is deleted last.  A tear at
-any point between those transactions (fault injection via
-:meth:`SQLiteBackend.arm_install_tear`, or a real crash) leaves a pending
-journal row that the next flush — or simply reopening the file — rolls
-forward.  A crash before a flush loses only the installs buffered since
-the previous one, which nothing has read; never half a batch.
+on :meth:`SQLiteBackend.close` — in **one transaction** (DESIGN.md §15):
+every pending batch goes in through one ``INSERT … ON CONFLICT DO
+NOTHING`` and leaves RAM only once it is committed.  SQLite's rollback
+journal is the crash protocol: a flush that fails rolls back whole and
+keeps its batches buffered for the next flush, and a process killed
+inside one leaves a hot journal that the next open rolls back.  A crash
+loses only the installs buffered since the last flush, which nothing has
+read; never part of a flush.
 
 The driver's ``sqlite3.OperationalError`` / ``DatabaseError`` (locked
 file, I/O error, not a database) leaves this module — the constructor
@@ -71,7 +69,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import BackendError, ConfigError, TornWriteError
+from ..errors import BackendError, ConfigError
 from .backend import StorageBackend
 from .pages import coalesce_runs
 from .table import HeapTable, TableSchema, block_bounds, intersecting_blocks
@@ -79,8 +77,7 @@ from .table import HeapTable, TableSchema, block_bounds, intersecting_blocks
 __all__ = ["SQLiteBackend", "SQLiteTable"]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
-# Install rows applied per transaction (one journal point each).
-_IN_CHUNK = 500
+_INSERT_INSTALL = "INSERT INTO sw_cell_installs VALUES (?, ?, ?) ON CONFLICT DO NOTHING"
 # A stored value: little-endian IEEE double, as bytes.
 _F8 = np.dtype("<f8")
 
@@ -248,10 +245,16 @@ class SQLiteTable:
         return np.frombuffer(data, _F8).reshape(rows, width)
 
     def _check_fetched(self, requested: int, fetched: int, unit: str) -> None:
-        """Refuse a read that came back short: rows would misalign."""
+        """Refuse a read that came back short: rows would misalign.
+
+        A store that lost rows or bytes is a fault of the store, so it
+        fails as ``disconnect``: a resilient database retries the read
+        and serves it from its mirror.
+        """
         if fetched != requested:
-            raise RuntimeError(
-                f"table {self.name!r}: {requested - fetched} requested {unit} missing"
+            raise BackendError(
+                f"table {self.name!r}: {requested - fetched} requested {unit} missing",
+                kind="disconnect",
             )
 
     # -- block geometry ----------------------------------------------------------
@@ -400,9 +403,8 @@ class SQLiteBackend(StorageBackend):
         self._conn = sqlite3.connect(path)
         self._closed = False
         self._handles: dict[str, SQLiteTable] = {}
-        self._install_kill: int | None = None
         # Installed flat ids per (table, grid key) — what the store holds
-        # plus what waits in ``_pending`` — and the not-yet-journalled ids.
+        # plus what waits in ``_pending`` — and the not-yet-flushed ids.
         self._seen: dict[tuple[str, str], set[int]] = {}
         self._pending: dict[tuple[str, str], list[int]] = {}
         with self._conn:
@@ -416,14 +418,23 @@ class SQLiteBackend(StorageBackend):
                 " table_name TEXT, grid_key TEXT, flat_id INTEGER,"
                 " PRIMARY KEY (table_name, grid_key, flat_id))"
             )
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS sw_install_journal ("
-                " journal_id INTEGER PRIMARY KEY AUTOINCREMENT,"
-                " table_name TEXT, grid_key TEXT, payload TEXT)"
-            )
             # Files written before the stat rows left the store carry them.
             self._conn.execute("DROP TABLE IF EXISTS sw_cell_stats")
-        self.recovered_installs = self._recover_journal()
+            # Files written before a flush was one transaction may hold a
+            # torn flush's intent rows: their ids are applied once, in the
+            # transaction that drops the table.
+            if self._conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE name = 'sw_install_journal'"
+            ).fetchone():
+                self._conn.execute("BEGIN")
+                intents = self._conn.execute(
+                    "SELECT table_name, grid_key, payload FROM sw_install_journal"
+                ).fetchall()
+                self._conn.executemany(
+                    _INSERT_INSTALL,
+                    [(*key, i) for *key, payload in intents for i in json.loads(payload)["ids"]],
+                )
+                self._conn.execute("DROP TABLE sw_install_journal")
 
     # -- table lifecycle -----------------------------------------------------
 
@@ -519,9 +530,8 @@ class SQLiteBackend(StorageBackend):
         self._handles.pop(name, None)
 
     def _clear_installs(self, name: str) -> None:
-        """Forget one table's install record: stored, journalled, buffered."""
-        for side in ("sw_cell_installs", "sw_install_journal"):
-            self._conn.execute(f"DELETE FROM {side} WHERE table_name = ?", (name,))
+        """Forget one table's install record: stored and buffered."""
+        self._conn.execute("DELETE FROM sw_cell_installs WHERE table_name = ?", (name,))
         for memo in (self._seen, self._pending):
             for key in [k for k in memo if k[0] == name]:
                 del memo[key]
@@ -582,98 +592,20 @@ class SQLiteBackend(StorageBackend):
 
     @_driver_errors
     def flush_installs(self) -> None:
-        """Journal every buffered install batch; afterwards store == RAM.
+        """Write every buffered install batch in one transaction.
 
-        Rolls forward whatever an earlier torn flush left in the journal,
-        then writes each pending batch through intent → apply → commit.
-        A batch leaves RAM once its intent row is committed: from then on
-        the journal holds it, and a tear is rolled forward by the next
-        flush or the next open.
+        Afterwards store == RAM.  A failure anywhere rolls the whole
+        flush back and leaves the batches buffered: the next flush (or
+        the resilience layer's retry) writes them again, idempotently.
         """
-        self._recover_journal()
-        for key, ids in list(self._pending.items()):
-            # Intent: the full payload hits durable storage before any
-            # data row does, so every later tear rolls forward.
-            with self._conn:
-                jid = self._conn.execute(
-                    "INSERT INTO sw_install_journal (table_name, grid_key, payload)"
-                    " VALUES (?, ?, ?)",
-                    (*key, json.dumps({"ids": ids})),
-                ).lastrowid
-            del self._pending[key]
-            self._install_point("intent")
-            self._roll_forward(jid, *key, ids)
-
-    def _roll_forward(self, jid: int, table_name: str, gkey: str, ids: Sequence[int]) -> None:
-        """Apply one journalled batch and retire its journal row."""
-        self._apply_install(table_name, gkey, ids)
-        with self._conn:
-            self._install_point("commit")
-            self._conn.execute(
-                "DELETE FROM sw_install_journal WHERE journal_id = ?", (jid,)
-            )
-
-    def _apply_install(self, table_name: str, gkey: str, ids: Sequence[int]) -> None:
-        """Apply an install payload in idempotent per-chunk transactions.
-
-        ``ON CONFLICT DO NOTHING`` makes every chunk safely re-runnable,
-        so journal recovery can restart the whole apply from the top; a
-        kill point after each chunk lets the tear tests interrupt at
-        every transaction boundary of the protocol.
-        """
-        for start in range(0, len(ids), _IN_CHUNK):
-            chunk = ids[start : start + _IN_CHUNK]
-            with self._conn:
-                self._conn.executemany(
-                    "INSERT INTO sw_cell_installs VALUES (?, ?, ?)"
-                    " ON CONFLICT DO NOTHING",
-                    ((table_name, gkey, c) for c in chunk),
-                )
-            self._install_point(f"install[{start // _IN_CHUNK}]")
-
-    def _recover_journal(self) -> int:
-        """Roll every pending install intent forward; returns how many.
-
-        Runs on open and at the head of every flush: a pending
-        ``sw_install_journal`` row means a flush tore (or its process
-        crashed) between the intent and the commit, so the payload is
-        re-applied — idempotently — and the row retired.
-        """
-        rows = self._conn.execute(
-            "SELECT journal_id, table_name, grid_key, payload"
-            " FROM sw_install_journal ORDER BY journal_id"
-        ).fetchall()
-        for jid, table_name, gkey, payload in rows:
-            # Payloads written before the stat rows left carry more keys.
-            self._roll_forward(jid, table_name, gkey, json.loads(payload)["ids"])
-        return len(rows)
-
-    def arm_install_tear(self, after_points: int = 1) -> None:
-        """Tear the next flush at its ``after_points``-th journal point.
-
-        Fault-injection hook for the resilience layer and the kill-point
-        tests: the flush raises :class:`~repro.errors.TornWriteError`
-        when it reaches that point, leaving the store exactly as a crash
-        there would.  Points are counted across the protocol — the
-        intent commit, each apply chunk, the final commit-delete.
-        """
-        self._install_kill = int(after_points)
-
-    def disarm_install_tear(self) -> None:
-        """Take back an armed tear that no flush has reached yet.
-
-        A flush with nothing to write never reaches a journal point, so
-        it leaves the trigger armed for whichever flush comes next.
-        """
-        self._install_kill = None
-
-    def _install_point(self, label: str) -> None:
-        if self._install_kill is None:
+        if not self._pending:
             return
-        self._install_kill -= 1
-        if self._install_kill <= 0:
-            self._install_kill = None
-            raise TornWriteError(label)
+        with self._conn:
+            self._conn.executemany(
+                _INSERT_INSTALL,
+                (key + (flat_id,) for key, ids in self._pending.items() for flat_id in ids),
+            )
+        self._pending.clear()
 
     @_driver_errors
     def installed_cell_count(self, table_name: str, gkey: str | None = None) -> int:
@@ -725,8 +657,7 @@ class SQLiteBackend(StorageBackend):
         """Flush buffered installs and close the connection (idempotent).
 
         Handles become unusable.  A flush that fails still closes: the
-        error propagates, and what reached the journal is rolled forward
-        by the next open.
+        error propagates, and the batches it held are lost, as in a crash.
         """
         if self._closed:
             return

@@ -1,13 +1,15 @@
-"""Backend resilience: seeded faults, retry/breaker/fallback, journal.
+"""Backend resilience: seeded faults, retry/breaker/fallback, torn flushes.
 
 The contract under test (ISSUE 9 / DESIGN.md §16): under **any** injected
 backend fault plan, a run either completes with a result set
 byte-identical to the fault-free golden run, or reports ``degraded`` /
 ``aborted`` with a machine-checkable reason — no exception escapes the
 engine — and replaying the same ``(seed, plan)`` is byte-deterministic.
-Kill-point tests interrupt the SQLite install journal at every
-transaction boundary and verify the store recovers on reopen with
-installed-cell accounting identical to the simulator oracle.
+A drawn ``torn_install`` fails its attempt before the store sees it, and
+the retry writes the whole batch, with installed-cell accounting
+identical to the simulator oracle.  Flushes aborted inside SQLite after
+each of their rows leave the file at the previous flush, and the
+guard's retry of such an abort writes every buffered batch.
 
 Seeds extend under ``CHAOS_SEED`` (the dedicated CI matrix),
 mirroring the storage-chaos suite.
@@ -22,7 +24,7 @@ import pytest
 
 from repro.core import SearchConfig, SWEngine
 from repro.core.trace import EventKind, SearchTrace
-from repro.errors import BackendError, ConfigError, TornWriteError
+from repro.errors import BackendError, ConfigError
 from repro.obs import InvariantAuditor, MetricsRegistry
 from repro.storage import (
     BACKEND_FAULT_KINDS,
@@ -36,8 +38,9 @@ from repro.storage import (
     SQLiteBackend,
     TableSchema,
 )
-from repro.storage.sqlite_backend import _IN_CHUNK
 from repro.workloads import make_database, synthetic_dataset, synthetic_query
+
+from .test_install_flush import _aborting
 
 pytestmark = pytest.mark.backend_chaos
 
@@ -309,9 +312,6 @@ def test_attach_resilience_detach_restores_direct_handles():
     assert not getattr(database.backend, "resilient", False)
 
 
-# -- the install journal under kill points ------------------------------------
-
-
 def _heap(rows: int = 120) -> HeapTable:
     rng = np.random.default_rng(7)
     return HeapTable(
@@ -322,131 +322,113 @@ def _heap(rows: int = 120) -> HeapTable:
     )
 
 
-def _journal_ids():
-    """An install spanning several apply chunks."""
-    return list(range(int(2.4 * _IN_CHUNK)))
+# -- a flush torn inside SQLite ------------------------------------------------
 
-
-def _journal_rows(backend) -> int:
-    return backend._conn.execute("SELECT COUNT(*) FROM sw_install_journal").fetchone()[0]
+_BATCHES = {"g": list(range(1, 9)), "h": list(range(5)), "k": [3]}
 
 
 def test_install_journal_recovers_at_every_kill_point(tmp_path):
-    """Tear the flush at each protocol point; reopening always recovers it."""
+    """Tear the flush after each of its rows; reopening keeps the previous flush.
+
+    The flush is one transaction over several ``(table, grid)`` batches,
+    so SQLite's rollback journal is the install journal: wherever the
+    statement dies, the file holds the last committed flush and nothing
+    of the torn one.
+    """
     path = str(tmp_path / "tear.db")
-    ids = _journal_ids()
+    backend = SQLiteBackend(path)
+    backend.bind_table(_heap())
+    backend.install_cells("jt", "g", [0, 1])
+    backend.close()
     oracle = SimulatorBackend()
     oracle.bind_table(_heap())
-    expected = oracle.install_cells("jt", "g", ids)
+    oracle.install_cells("jt", "g", [0, 1])
+    expected = {g: oracle.install_cells("jt", g, ids) for g, ids in _BATCHES.items()}
+    rows = sum(installed for installed, _ in expected.values())
 
-    point = 1
-    torn_points = []
-    while True:
+    torn = 0
+    for kill in range(rows):
         backend = SQLiteBackend(path)
-        if point == 1:
-            backend.bind_table(_heap())
-        backend.arm_install_tear(point)
-        # The install itself is RAM only; the tear surfaces from the flush.
-        counts = backend.install_cells("jt", "g", ids)
-        assert counts == expected
-        try:
-            backend.flush_installs()
-        except TornWriteError as err:
-            torn_points.append(err.point)
-            backend._conn.close()  # a crash: ``close()`` would flush again
-            # Reopen = crash recovery: the pending intent rolls forward.
-            reopened = SQLiteBackend(path)
-            assert reopened.recovered_installs == 1
-            assert reopened.installed_cell_count("jt", "g") == len(ids)
-            # Reset the record so the next kill point starts clean.
-            reopened.restore_install_state("jt", {"installs": {}})
-            reopened.close()
-            point += 1
-            continue
-        backend._install_kill = None  # disarm the unspent trigger
-        backend.close()
-        break
+        assert {g: backend.install_cells("jt", g, ids) for g, ids in _BATCHES.items()} == expected
+        with pytest.raises(BackendError, match="interrupted"):
+            with _aborting(backend, kill):
+                backend.flush_installs()
+        torn += 1
+        backend._conn.close()  # a crash: ``close()`` would flush again
+        reopened = SQLiteBackend(path)
+        assert reopened.install_state("jt") == {"installs": {"g": [0, 1]}}, kill
+        reopened.close()
+    assert torn == rows == 13
 
-    # intent + 3 id chunks + commit = 5 distinct points.
-    assert len(torn_points) == 5
-    assert torn_points[0] == "intent" and torn_points[-1] == "commit"
-    assert len(set(torn_points)) == len(torn_points)
+    backend = SQLiteBackend(path)
+    for g, ids in _BATCHES.items():
+        backend.install_cells("jt", g, ids)
+    backend.close()
+    installs = SQLiteBackend(path).install_state("jt")["installs"]
+    assert installs == {"g": list(range(9)), "h": list(range(5)), "k": [3]}
 
 
 def test_torn_install_retry_resumes_pending_journal(tmp_path):
-    """A same-process retry rolls the pending intent forward, same counts."""
+    """A flush aborted by the store itself: the guard's retry writes the pending batches.
+
+    No fault is drawn; SQLite interrupts the first attempt mid-statement.
+    The batches stay buffered, so the retry writes them all, and the
+    counts equal the simulator's.
+    """
     path = str(tmp_path / "resume.db")
-    ids = _journal_ids()
-    backend = SQLiteBackend(path)
+    inner = SQLiteBackend(path)
+    registry = MetricsRegistry()
+    backend = ResilientBackend(inner, BackendFaultPlan(seed=0), metrics=registry)
     backend.bind_table(_heap())
-    backend.arm_install_tear(2)
-    counts = backend.install_cells("jt", "g", ids)
-    with pytest.raises(TornWriteError):
-        backend.flush_installs()
-    assert _journal_rows(backend) == 1
-    backend.flush_installs()
     oracle = SimulatorBackend()
     oracle.bind_table(_heap())
-    assert counts == oracle.install_cells("jt", "g", ids)
-    assert backend.installed_cell_count("jt", "g") == len(ids)
-    # The journal is empty again; a reopen recovers nothing.
+    for g, ids in _BATCHES.items():
+        assert backend.install_cells("jt", g, ids) == oracle.install_cells("jt", g, ids)
+
+    with _aborting(inner, 4):
+        backend.flush_installs()
+    assert not inner._pending
+    stats = backend.stats()
+    assert (stats["injected_faults"], stats["retries"], stats["failures"]) == (1, 1, 0)
+    assert registry.value("storage.backend.faults.disconnect") == 1
+    assert backend.install_cells("jt", "g", [8, 9]) == oracle.install_cells("jt", "g", [8, 9])
     backend.close()
-    assert SQLiteBackend(path).recovered_installs == 0
+
+    reopened = SQLiteBackend(path)
+    expected = {g: c for g, c in oracle.install_state("jt")["installs"].items() if c}
+    assert reopened.install_state("jt") == {"installs": expected}
+    reopened.close()
 
 
 # -- installs that change nothing write nothing -------------------------------
 
 
-def test_noop_install_skips_journal_and_leaves_tear_armed(tmp_path):
+def test_noop_install_writes_nothing(tmp_path):
     """Every cell already stored: simulator counts, no write."""
     backend = SQLiteBackend(str(tmp_path / "noop.db"))
     backend.bind_table(_heap())
-    ids = _journal_ids()
+    ids = list(range(1200))
     oracle = SimulatorBackend()
     oracle.bind_table(_heap())
     assert backend.install_cells("jt", "g", ids) == oracle.install_cells("jt", "g", ids)
     backend.flush_installs()
     before = backend._conn.total_changes
 
-    backend.arm_install_tear(1)
     assert backend.install_cells("jt", "g", ids) == oracle.install_cells("jt", "g", ids)
     assert backend.install_cells("jt", "g", ids[:7]) == (0, 7)
     backend.flush_installs()
-    assert _journal_rows(backend) == 0
     assert backend._conn.total_changes == before, "a flush with nothing new must not write"
-    # The trigger is unspent: the next flush that does write tears.
     assert backend.install_cells("jt", "g", [max(ids) + 1]) == (1, 0)
-    with pytest.raises(TornWriteError, match="intent"):
-        backend.flush_installs()
-    assert backend.install_cells("jt", "g", [max(ids) + 1]) == (0, 1)
     backend.flush_installs()
     assert backend.installed_cell_count("jt", "g") == len(ids) + 1
-
-
-def test_pending_journal_rolls_forward_before_the_short_cut(tmp_path):
-    """A torn flush's payload is re-applied even once its rows all exist."""
-    backend = SQLiteBackend(str(tmp_path / "pending.db"))
-    backend.bind_table(_heap())
-    ids = _journal_ids()
-    # Tear at the commit point: every row applied, journal row pending.
-    backend.arm_install_tear(5)
-    # Counted once, against the pre-intent state, however the flush fares.
-    assert backend.install_cells("jt", "g", ids) == (len(ids), 0)
-    with pytest.raises(TornWriteError, match="commit"):
-        backend.flush_installs()
-    assert _journal_rows(backend) == 1
-    # Reading the record flushes first: the pending intent is retired.
-    assert backend.installed_cell_count("jt", "g") == len(ids)
-    assert _journal_rows(backend) == 0
-    assert backend.install_cells("jt", "g", ids) == (0, len(ids))
 
 
 def test_torn_fault_on_noop_install_is_modelled_not_leaked():
     """A torn_install drawn for an install with nothing to tear.
 
-    The guard arms the tear, the install changes nothing and returns, so
-    the guard must take the trigger back (or the next, unfaulted install
-    would tear) and count the attempt as the failure the plan asked for.
+    Like every drawn fault it fails the attempt without calling the
+    store: the plan's failure is counted, and the next, unfaulted
+    install is untouched by it.
     """
     heap = _heap()
     inner = SQLiteBackend()
@@ -457,7 +439,6 @@ def test_torn_fault_on_noop_install_is_modelled_not_leaked():
     backend.bind_table(heap)
     assert backend.install_cells("jt", "g", [1, 2, 3]) == (3, 0)
     assert backend.install_cells("jt", "g", [1, 2, 3]) == (0, 3)
-    assert inner._install_kill is None
     assert backend.install_cells("jt", "g", [4]) == (1, 0)
     stats = backend.stats()
     assert (stats["injected_faults"], stats["retries"], stats["failures"]) == (1, 1, 0)
@@ -483,6 +464,18 @@ def test_locked_database_is_retried_then_served_from_the_mirror(tmp_path):
     inner._conn.execute("PRAGMA busy_timeout = 0")  # fail fast, not after 5 s
     engine = SWEngine(database, _DATASET.name, sample_fraction=0.1)
     before = database.backend.stats()
+    changes = inner._conn.total_changes
+    # Every flush finds nothing buffered (no install got past its first
+    # SELECT), so it succeeds without touching the file.
+    flushed = []
+    flush = inner.flush_installs
+
+    def empty_flush():
+        assert not inner._pending
+        flush()
+        flushed.append(True)
+
+    inner.flush_installs = empty_flush
     locker = sqlite3.connect(path)
     try:
         locker.execute("BEGIN EXCLUSIVE")
@@ -498,7 +491,10 @@ def test_locked_database_is_retried_then_served_from_the_mirror(tmp_path):
     assert _result_set(report) == _result_set(golden)
     stats = database.backend.stats()
     assert stats["retries"] > 0 and stats["fallback_reads"] > 0
-    assert stats["successes"] == before["successes"], "nothing reached the locked file"
+    # Nothing reached the locked file: the only successes are the flushes.
+    assert flushed, "the terminal step flushes"
+    assert stats["successes"] - before["successes"] == len(flushed)
+    assert inner._conn.total_changes == changes
     assert {e.detail["fault"] for e in trace.events(EventKind.BACKEND_RETRY)} == {"busy"}
     audit = InvariantAuditor(registry).report()
     assert audit["ok"], audit["violations"]

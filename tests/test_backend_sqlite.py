@@ -16,10 +16,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ContentObjective, Grid, Rect, col
+from repro.core import ContentObjective, Grid, Rect, SWEngine, col
 from repro.errors import BackendError, ConfigError
 from repro.io import export_table_sqlite, import_table_sqlite
+from repro.obs import InvariantAuditor, MetricsRegistry
 from repro.storage import (
+    BackendFaultPlan,
     Database,
     HeapTable,
     SimulatorBackend,
@@ -30,6 +32,7 @@ from repro.storage import (
     resolve_backend,
 )
 from repro.storage.integrity import StorageFaultPlan
+from repro.workloads import make_database, synthetic_dataset, synthetic_query
 
 pytestmark = pytest.mark.backend
 
@@ -357,9 +360,9 @@ def test_region_scan_reads_one_primary_key_range_per_block_run():
 @pytest.mark.parametrize(
     "damage, missing",
     [
-        ('DELETE FROM "sw_data_t" WHERE block_id = 2', "1 requested blocks"),
+        ('DELETE FROM "sw_data_{}" WHERE block_id = 2', "1 requested blocks"),
         (
-            'UPDATE "sw_data_t" SET payload = substr(payload, 1, 16) WHERE block_id = 2',
+            'UPDATE "sw_data_{}" SET payload = substr(payload, 1, 16) WHERE block_id = 2',
             "176 requested payload bytes",  # 8 rows x 3 columns x 8 bytes, less 16
         ),
     ],
@@ -368,14 +371,33 @@ def test_region_scan_reads_one_primary_key_range_per_block_run():
 def test_short_block_read_fails_loudly(damage, missing):
     backend = SQLiteBackend()
     handle = backend.bind_table(_table(rows=40, tpb=8))
-    backend._conn.execute(damage)
+    backend._conn.execute(damage.format("t"))
     for read in (
         lambda: handle.scan_region([0.0, 0.0], [10.0, 10.0], ["v"]),
         lambda: handle.gather("v", np.array([30, 17, 3])),
         handle.coordinates,
     ):
-        with pytest.raises(RuntimeError, match=f"{missing} missing"):
+        with pytest.raises(BackendError, match=f"{missing} missing") as raised:
             read()
+        assert raised.value.kind == "disconnect"
+
+    # A resilient database retries the short read, then serves it from the mirror.
+    dataset = synthetic_dataset("high", scale=0.2, seed=5)
+    query = synthetic_query(dataset)
+    golden = SWEngine(make_database(dataset, "cluster"), dataset.name).execute(query)
+    database = make_database(dataset, "cluster", backend="sqlite:")
+    registry = MetricsRegistry()
+    database.attach_metrics(registry)
+    database.attach_resilience(BackendFaultPlan(seed=0))
+    database.backend.inner._conn.execute(damage.format(dataset.name))
+    report = SWEngine(database, dataset.name).execute(query)
+    assert report.outcome == "degraded"
+    assert [(r.bounds, r.objective_values) for r in report.results] == [
+        (r.bounds, r.objective_values) for r in golden.results
+    ]
+    assert database.backend.stats()["fallback_reads"] > 0
+    audit = InvariantAuditor(registry).report()
+    assert audit["ok"], audit["violations"]
 
 
 def test_block_geometry_matches():
@@ -602,7 +624,6 @@ def test_database_closes_through_the_resilience_wrapper(tmp_path):
         assert inner._pending, "installs wait in RAM until a flush"
     assert inner._closed
     reopened = SQLiteBackend(path)
-    assert reopened.recovered_installs == 0
     assert reopened.installed_cell_count("t") > 0
     reopened.close()
 

@@ -314,10 +314,10 @@ class TestBackendChaosCLI:
         assert code == 0 and any("stopped after 3 results" in line for line in lines)
         reopened = SQLiteBackend(str(path))
         try:
-            assert reopened.recovered_installs == 0
             assert reopened.installed_cell_count("synth_high") > 0
-            journal = reopened._conn.execute("SELECT COUNT(*) FROM sw_install_journal")
-            assert journal.fetchone()[0] == 0
+            assert not reopened._conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE name = 'sw_install_journal'"
+            ).fetchone()
         finally:
             reopened.close()
 

@@ -24,12 +24,15 @@ _SUBMIT = {"session": "s1", "workload": "synth-high", "scale": 0.3, "seed": 101}
 
 
 def _stored(path) -> tuple[int, int]:
-    """``(installed ids, journal rows)`` as a second connection sees them."""
+    """``(installed ids, journal tables)`` as a second connection sees them."""
     conn = sqlite3.connect(path)
     try:
         return tuple(
-            conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-            for table in ("sw_cell_installs", "sw_install_journal")
+            conn.execute(sql).fetchone()[0]
+            for sql in (
+                "SELECT COUNT(*) FROM sw_cell_installs",
+                "SELECT COUNT(*) FROM sqlite_master WHERE name = 'sw_install_journal'",
+            )
         )
     finally:
         conn.close()

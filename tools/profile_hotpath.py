@@ -45,7 +45,7 @@ catalogs bulk-loaded into fresh SQLite files, three ten-result peeks
 each) three times over: un-profiled with the backend's parts timed —
 bulk load, the sample (and inside it the full ``coordinates()`` pull) and
 the objective grids drawn over SQL, ``scan_region``, ``install_cells``
-(RAM), ``flush_installs`` (the journal protocol), the rest being the
+(RAM), ``flush_installs`` (one transaction), the rest being the
 search core, the ``coordinates()`` pull in ms per query on a line of
 its own, and samples and objective grids built against those the
 Database's store already held (store hits) — then with every SQL
