@@ -274,8 +274,9 @@ class SWEngine:
                 deadline_s=search.config.deadline_s,
                 cancelled=lambda: search.cancelled,
             )
-            if trace is not None:
-                backend.trace = trace
+        if trace is not None:
+            # Integrity and resilience events land in this search's trace.
+            self.database.attach_trace(trace)
         return search
 
     def execute(

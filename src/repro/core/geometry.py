@@ -120,11 +120,6 @@ class Rect:
         return tuple(iv.hi for iv in self.intervals)
 
     @property
-    def center(self) -> tuple[float, ...]:
-        """Geometric centre point."""
-        return tuple(iv.midpoint for iv in self.intervals)
-
-    @property
     def volume(self) -> float:
         """Product of the per-dimension extents."""
         return math.prod(iv.length for iv in self.intervals)

@@ -34,22 +34,28 @@ Backend selection precedence (:func:`resolve_backend`):
 
 Unknown URL schemes raise :class:`~repro.errors.ConfigError`.
 
-A **table handle** (duck-typed; :class:`~repro.storage.table.HeapTable`
-is the canonical implementation) must provide:
+A **table handle** is what callers above the seam read a table through.
+Its identity, shape and block layout come from
+:class:`~repro.storage.pages.BlockLayout`, which every handle inherits:
+``name``, ``schema``, ``tuples_per_block``, ``num_rows``, ``num_blocks``,
+``ndim`` and ``block_rows`` (no I/O).  Beyond that, callers call:
 
-* identity and shape — ``name``, ``schema``, ``tuples_per_block``,
-  ``num_rows``, ``num_blocks``, ``ndim``;
-* block geometry — ``block_rows``, ``rows_of_blocks``, ``block_mbrs``;
-* the bitmap index scan — ``blocks_intersecting``, ``blocks_matching``;
-* row access — ``column`` (full column, physical order), ``gather``
-  (one column for given row ids), ``coordinates`` and
-  ``coordinates_of`` (the coordinate matrix, whole or per-row);
-* the fused region scan — ``scan_region(lows, highs, columns)``
-  returning ``(block_ids, rows, coordinates, values)``: what
-  ``blocks_matching``, ``coordinates_of(rows)`` and one
-  ``gather(c, rows)`` per requested column return, in one call, which
-  is what a window read costs (on a SQL backend, one ``block_id`` range
-  read per run of consecutive candidate blocks).
+* ``block_mbrs()`` — per-block coordinate MBRs as ``(mins, maxs)``,
+  what the bitmap prefilter reads (the SQLite loader persists them);
+* ``column(name)`` — one full column in physical order (the integrity
+  layer's checksums, the semantic cache's signatures, the loader
+  round-trip);
+* ``gather(name, rows)`` — one column for given row ids, aligned with
+  ``rows`` (the sampler's objective grids, block verification);
+* ``coordinates()`` — the ``(num_rows, ndim)`` coordinate matrix
+  (sample construction, the distributed partitioner);
+* ``scan_region(lows, highs, columns)`` — every read the
+  :class:`~repro.storage.database.Database` makes: the bitmap index
+  scan fused with the matching tuples' coordinates and the requested
+  columns, returned as ``(block_ids, rows, coordinates, values)``.  A
+  window read scans the window's box; the blocking full scan scans the
+  grid's area.  On a SQL backend it is one ``block_id`` range read per
+  run of consecutive candidate blocks.
 """
 
 from __future__ import annotations

@@ -65,10 +65,6 @@ class BufferPool:
         """Whether a block is cached (does not touch recency)."""
         return block_id in self._blocks
 
-    def cached_blocks(self) -> list[int]:
-        """Cached block ids in LRU order (oldest first); for checkpoints."""
-        return list(self._blocks)
-
     def protect(self, block_id: int) -> None:
         """Pin a block: eviction will never drop it (quarantine/repair)."""
         self._protected.add(int(block_id))

@@ -407,26 +407,20 @@ class Database:
         scan = table.scan_region(lows, highs, columns)
         integ = self._integrity.get(table_name)
         lost: list[int] = []
-        lost_rows = np.empty(0, dtype=np.int64)
+        lost_coords: list[np.ndarray] = []
         if integ is not None and integ.quarantined:
             # Already-quarantined pages (earlier scans or scrub) are gone.
-            scan, dropped, rows_dropped = _strip_blocks(table, scan, integ.quarantined)
+            scan, dropped, coords_dropped = _strip_blocks(table, scan, integ.quarantined)
             lost.extend(int(b) for b in dropped)
-            lost_rows = rows_dropped
+            lost_coords.append(coords_dropped)
         try:
             self._buffers[table_name].access(scan[0])
         except CorruptBlockError as err:
-            scan, dropped, rows_dropped = _strip_blocks(table, scan, err.block_ids)
+            scan, dropped, coords_dropped = _strip_blocks(table, scan, err.block_ids)
             lost.extend(int(b) for b in dropped)
-            lost_rows = np.concatenate([lost_rows, rows_dropped])
-        blocks, matching_rows, coords, values = scan
-
-        degraded: tuple[int, ...] = ()
-        if lost_rows.size and integ is not None:
-            flat = cell_flat_ids(table.coordinates_of(lost_rows), grid)
-            cells_lost = np.unique(flat[flat >= 0])
-            degraded = tuple(int(c) for c in cells_lost)
-            integ.record_degraded_cells(degraded)
+            lost_coords.append(coords_dropped)
+        blocks = scan[0]
+        degraded = _degraded_cells(integ, grid, lost_coords)
 
         # The executor still inspects every tuple on the fetched pages.
         tuples_scanned = int(blocks.size) * table.tuples_per_block
@@ -436,15 +430,7 @@ class Database:
             self.metrics.inc("db.tuples_scanned", float(tuples_scanned))
             self.metrics.inc(f"db.backend_reads.{self.backend.name}")
 
-        arrays = self._aggregate_rows(
-            table,
-            grid,
-            matching_rows,
-            lows,
-            highs,
-            objectives,
-            scanned=(coords, dict(zip(columns, values))),
-        )
+        arrays = _aggregate_rows(grid, scan[2], dict(zip(columns, scan[3])), objectives)
         self._install_cell_summaries(table_name, grid, arrays[0])
         return CellScan(
             cells_arrays=arrays,
@@ -466,7 +452,9 @@ class Database:
 
         This is the first stage of the complex-SQL baseline: "PostgreSQL
         did a single read of the data file, and then aggregated and
-        processed all windows in memory" (Section 6.1).
+        processed all windows in memory" (Section 6.1).  The read is
+        charged as one sequential scan of every block; the tuples then
+        cross the backend seam as one region scan of the grid's area.
         """
         table = self.table(table_name)
         start = self.clock.now
@@ -478,23 +466,19 @@ class Database:
         if self.metrics is not None:
             self.metrics.inc("db.full_scans")
             self.metrics.inc("db.tuples_scanned", float(table.num_rows))
-        rows = np.arange(table.num_rows, dtype=np.int64)
+        columns = _objective_columns(objectives)
+        scan = table.scan_region(grid.area.lower, grid.area.upper, columns)
         integ = self._integrity.get(table_name)
         lost_blocks: tuple[int, ...] = ()
-        degraded: tuple[int, ...] = ()
+        lost_coords: list[np.ndarray] = []
         if integ is not None and integ.quarantined:
+            # The sequential read touched every block: all quarantined
+            # pages are lost, whether or not they hold in-area tuples.
             lost_blocks = tuple(sorted(integ.quarantined))
-            row_lost = np.isin(
-                rows // table.tuples_per_block,
-                np.asarray(lost_blocks, dtype=np.int64),
-            )
-            flat = cell_flat_ids(table.coordinates_of(rows[row_lost]), grid)
-            degraded = tuple(int(c) for c in np.unique(flat[flat >= 0]))
-            integ.record_degraded_cells(degraded)
-            rows = rows[~row_lost]
-        arrays = self._aggregate_rows(
-            table, grid, rows, grid.area.lower, grid.area.upper, objectives
-        )
+            scan, _dropped, coords_dropped = _strip_blocks(table, scan, integ.quarantined)
+            lost_coords.append(coords_dropped)
+        degraded = _degraded_cells(integ, grid, lost_coords)
+        arrays = _aggregate_rows(grid, scan[2], dict(zip(columns, scan[3])), objectives)
         return CellScan(
             cells_arrays=arrays,
             tuples_scanned=table.num_rows,
@@ -523,86 +507,6 @@ class Database:
             self.metrics.inc("db.cells_installed", float(installed))
             self.metrics.inc("db.cell_installs_deduped", float(deduped))
 
-    def _aggregate_rows(
-        self,
-        table: HeapTable,
-        grid: Grid,
-        rows: np.ndarray,
-        lows: Sequence[float],
-        highs: Sequence[float],
-        objectives: Sequence[ContentObjective],
-        scanned: tuple[np.ndarray, dict[str, np.ndarray]] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, dict[str, tuple]]:
-        """Group ``rows`` by grid cell and reduce each objective per cell.
-
-        Returns ``(unique_cells, counts, per_key)``, the columnar form
-        :class:`CellScan` carries.  ``scanned`` is ``(coordinates,
-        {column: values})`` of exactly ``rows`` when a region scan
-        already fetched them — and thereby proved every row lies in the
-        box; without it coordinates are looked up and filtered here, and
-        columns gathered on demand.
-        """
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), {})
-        fetched: dict[str, np.ndarray] = {}
-        if scanned is not None:
-            if rows.size == 0:
-                return empty
-            in_rows = rows
-            coords, fetched = scanned
-            flat = cell_flat_ids(coords, grid)
-        else:
-            coords = table.coordinates_of(rows)
-            mask = np.ones(rows.size, dtype=bool)
-            for d in range(table.ndim):
-                mask &= (coords[:, d] >= lows[d]) & (coords[:, d] < highs[d])
-            in_rows = rows[mask]
-            if in_rows.size == 0:
-                return empty
-            flat = cell_flat_ids(coords[mask], grid)
-        valid = flat >= 0
-        if not valid.all():
-            in_rows = in_rows[valid]
-            flat = flat[valid]
-            fetched = {name: column[valid] for name, column in fetched.items()}
-        if in_rows.size == 0:
-            return empty
-
-        # Group rows by cell with one stable argsort; segment reductions
-        # via ``reduceat`` then replace the per-row ``ufunc.at`` scatter
-        # (an interpreted loop) for min/max, which are order-insensitive.
-        # Sums stay on ``bincount``: its strictly sequential input-order
-        # accumulation is the float contract the golden traces pin, and
-        # ``add.reduceat`` sums pairwise.
-        order = np.argsort(flat, kind="stable")
-        sorted_flat = flat[order]
-        boundary = np.empty(sorted_flat.size, dtype=bool)
-        boundary[0] = True
-        np.not_equal(sorted_flat[1:], sorted_flat[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        unique_cells = sorted_flat[starts]
-        counts = np.diff(np.append(starts, sorted_flat.size))
-        inverse = np.empty(sorted_flat.size, dtype=np.int64)
-        inverse[order] = np.cumsum(boundary) - 1
-
-        columns = _RowColumns(table, in_rows, fetched)
-        per_objective: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for objective in objectives:
-            if not objective.aggregate.needs_values:
-                continue
-            key = objective.key
-            if key in per_objective:
-                continue
-            values = np.broadcast_to(
-                objective.expr.evaluate(columns), in_rows.shape  # type: ignore[union-attr]
-            ).astype(float)
-            sums = np.bincount(inverse, weights=values, minlength=unique_cells.size)
-            values_sorted = values[order]
-            mins = np.minimum.reduceat(values_sorted, starts)
-            maxs = np.maximum.reduceat(values_sorted, starts)
-            per_objective[key] = (sums, mins, maxs)
-
-        return unique_cells, counts, per_objective
-
 
 def _objective_columns(objectives: Sequence[ContentObjective]) -> tuple[str, ...]:
     """Columns the aggregation of ``objectives`` will read, sorted."""
@@ -613,24 +517,64 @@ def _objective_columns(objectives: Sequence[ContentObjective]) -> tuple[str, ...
     return tuple(sorted(names))
 
 
-class _RowColumns(dict):
-    """Lazy per-row column gather for expression evaluation.
+def _aggregate_rows(
+    grid: Grid,
+    coords: np.ndarray,
+    columns: Mapping[str, np.ndarray],
+    objectives: Sequence[ContentObjective],
+) -> tuple[np.ndarray, np.ndarray, dict[str, tuple]]:
+    """Group scanned tuples by grid cell and reduce each objective per cell.
 
-    Aggregation only touches the columns an objective expression
-    references; gathering the rest of the schema up front is wasted work
-    on the read hot path, so columns a region scan did not already fetch
-    materialize on first access.
+    ``coords`` and ``columns`` (``{name: values}``, every column the
+    objectives read) are a region scan's, aligned row by row in
+    ascending row order.  Returns ``(unique_cells, counts, per_key)``,
+    the columnar form :class:`CellScan` carries.
     """
+    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), {})
+    if not len(coords):
+        return empty
+    flat = cell_flat_ids(coords, grid)
+    valid = flat >= 0
+    if not valid.all():
+        flat = flat[valid]
+        columns = {name: values[valid] for name, values in columns.items()}
+    if flat.size == 0:
+        return empty
 
-    def __init__(self, table: HeapTable, rows: np.ndarray, fetched: Mapping[str, np.ndarray]) -> None:
-        super().__init__(fetched)
-        self._table = table
-        self._rows = rows
+    # Group rows by cell with one stable argsort; segment reductions
+    # via ``reduceat`` then replace the per-row ``ufunc.at`` scatter
+    # (an interpreted loop) for min/max, which are order-insensitive.
+    # Sums stay on ``bincount``: its strictly sequential input-order
+    # accumulation is the float contract the golden traces pin, and
+    # ``add.reduceat`` sums pairwise.
+    order = np.argsort(flat, kind="stable")
+    sorted_flat = flat[order]
+    boundary = np.empty(sorted_flat.size, dtype=bool)
+    boundary[0] = True
+    np.not_equal(sorted_flat[1:], sorted_flat[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    unique_cells = sorted_flat[starts]
+    counts = np.diff(np.append(starts, sorted_flat.size))
+    inverse = np.empty(sorted_flat.size, dtype=np.int64)
+    inverse[order] = np.cumsum(boundary) - 1
 
-    def __missing__(self, key: str) -> np.ndarray:
-        values = self._table.gather(key, self._rows)
-        self[key] = values
-        return values
+    per_objective: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    for objective in objectives:
+        if not objective.aggregate.needs_values:
+            continue
+        key = objective.key
+        if key in per_objective:
+            continue
+        values = np.broadcast_to(
+            objective.expr.evaluate(columns), flat.shape  # type: ignore[union-attr]
+        ).astype(float)
+        sums = np.bincount(inverse, weights=values, minlength=unique_cells.size)
+        values_sorted = values[order]
+        mins = np.minimum.reduceat(values_sorted, starts)
+        maxs = np.maximum.reduceat(values_sorted, starts)
+        per_objective[key] = (sums, mins, maxs)
+
+    return unique_cells, counts, per_objective
 
 
 def _strip_blocks(
@@ -641,17 +585,35 @@ def _strip_blocks(
     """Drop quarantined blocks (and their rows) from one region scan.
 
     ``scan`` is a ``scan_region`` result.  Returns ``(kept_scan,
-    dropped_blocks, dropped_rows)`` — one row mask filters rows,
-    coordinates and values alike, so they stay aligned; dropped rows
-    are the matching tuples this scan can no longer deliver.
+    dropped_blocks, dropped_coords)`` — one row mask filters rows,
+    coordinates and values alike, so they stay aligned; the dropped
+    coordinates are those of the matching tuples this scan can no
+    longer deliver.
     """
     blocks, rows, coords, values = scan
     bad_arr = np.fromiter((int(b) for b in bad), dtype=np.int64, count=len(bad))
     drop_mask = np.isin(blocks, bad_arr)
     dropped = blocks[drop_mask]
     if dropped.size == 0:
-        return scan, dropped, np.empty(0, dtype=np.int64)
+        return scan, dropped, coords[:0]
     row_drop = np.isin(rows // table.tuples_per_block, dropped)
     keep = ~row_drop
     kept = (blocks[~drop_mask], rows[keep], coords[keep], tuple(v[keep] for v in values))
-    return kept, dropped, rows[row_drop]
+    return kept, dropped, coords[row_drop]
+
+
+def _degraded_cells(
+    integ: BlockIntegrity | None, grid: Grid, lost_coords: Sequence[np.ndarray]
+) -> tuple[int, ...]:
+    """Grid cells that lost tuples to stripped pages, recorded on ``integ``.
+
+    ``lost_coords`` holds the dropped coordinates of each strip a scan
+    made; a scan that stripped nothing degrades nothing.
+    """
+    coords = np.concatenate(lost_coords) if lost_coords else ()
+    if integ is None or not len(coords):
+        return ()
+    flat = cell_flat_ids(coords, grid)
+    degraded = tuple(int(c) for c in np.unique(flat[flat >= 0]))
+    integ.record_degraded_cells(degraded)
+    return degraded

@@ -1,10 +1,13 @@
-"""Block (page) arithmetic for heap tables.
+"""Block (page) layout of heap tables.
 
 A heap table stores tuples in physical order, split into fixed-size blocks
 of ``tuples_per_block`` rows (PostgreSQL's 8 KB pages hold a comparable
-number of the paper's tuples).  This module holds the pure arithmetic that
-maps rows to blocks and coalesces block id sets into contiguous *runs* —
-the unit at which the simulated disk charges seeks.
+number of the paper's tuples).  :class:`BlockLayout` is the one place that
+decides which rows live in which block; every table handle — the
+simulator's :class:`~repro.storage.table.HeapTable`, the SQLite handle
+and the resilience wrapper — inherits it.  :func:`coalesce_runs` groups
+block id sets into contiguous *runs*, the unit at which the simulated
+disk charges seeks and the SQLite backend issues range reads.
 """
 
 from __future__ import annotations
@@ -13,38 +16,79 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["block_of_row", "row_range_of_block", "blocks_of_rows", "coalesce_runs"]
+__all__ = ["BlockLayout", "coalesce_runs"]
 
 
-def block_of_row(row: int, tuples_per_block: int) -> int:
-    """Block id containing physical row index ``row``."""
-    if row < 0:
-        raise ValueError(f"row index must be non-negative, got {row}")
-    if tuples_per_block <= 0:
-        raise ValueError(f"tuples_per_block must be positive, got {tuples_per_block}")
-    return row // tuples_per_block
+class BlockLayout:
+    """Identity, shape and row↔block arithmetic of one stored table.
 
+    ``num_rows`` rows in physical order, ``tuples_per_block`` to a block;
+    the last block may be short.  ``schema`` is the table's
+    :class:`~repro.storage.table.TableSchema`.
+    """
 
-def row_range_of_block(block: int, tuples_per_block: int, num_rows: int) -> range:
-    """Physical row indices stored in ``block`` (clipped to table size)."""
-    if block < 0:
-        raise ValueError(f"block id must be non-negative, got {block}")
-    start = block * tuples_per_block
-    if start >= num_rows:
-        raise ValueError(f"block {block} is beyond the table ({num_rows} rows)")
-    return range(start, min(start + tuples_per_block, num_rows))
+    def __init__(self, name: str, schema, tuples_per_block: int, num_rows: int) -> None:
+        if tuples_per_block <= 0:
+            raise ValueError(f"tuples_per_block must be positive, got {tuples_per_block}")
+        self.name = name
+        self.schema = schema
+        self.tuples_per_block = tuples_per_block
+        self.num_rows = num_rows
+        self.num_blocks = -(-num_rows // tuples_per_block)
+        self.ndim = len(schema.coordinate_columns)
 
+    def block_rows(self, block_id: int) -> slice:
+        """Physical row slice stored in the given block."""
+        if not 0 <= block_id < self.num_blocks:
+            raise ValueError(f"block {block_id} out of range [0, {self.num_blocks})")
+        start = block_id * self.tuples_per_block
+        return slice(start, min(start + self.tuples_per_block, self.num_rows))
 
-def blocks_of_rows(rows: np.ndarray, tuples_per_block: int) -> np.ndarray:
-    """Sorted unique block ids covering the given physical row indices."""
-    if tuples_per_block <= 0:
-        raise ValueError(f"tuples_per_block must be positive, got {tuples_per_block}")
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if rows.min() < 0:
-        raise ValueError(f"row indices must be non-negative, got min {rows.min()}")
-    return np.unique(rows // tuples_per_block)
+    def rows_of_blocks(self, block_ids: np.ndarray) -> np.ndarray:
+        """Physical row ids contained in the given blocks (vectorized).
+
+        ``block_ids`` is expected sorted ascending and duplicate-free
+        (the bitmap scan's output).
+        """
+        block_ids = np.asarray(block_ids, dtype=np.int64)
+        if block_ids.size == 0:
+            return np.empty(0, dtype=np.int64)
+        tpb = self.tuples_per_block
+        first = int(block_ids[0])
+        last = int(block_ids[-1])
+        if last - first + 1 == block_ids.size:
+            # Contiguous run of blocks: one arange instead of repeat/cumsum.
+            return np.arange(
+                first * tpb, min(last * tpb + tpb, self.num_rows), dtype=np.int64
+            )
+        starts = block_ids * tpb
+        counts = np.minimum(starts + tpb, self.num_rows) - starts
+        total = int(counts.sum())
+        cum = np.cumsum(counts)
+        offsets = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
+        return np.repeat(starts, counts) + offsets
+
+    def blocks_of(self, sorted_rows: np.ndarray) -> np.ndarray:
+        """Distinct block ids of ascending row ids, in ascending order.
+
+        The rows ascend, so their block ids do too: deduplicate by run
+        boundaries instead of re-sorting.
+        """
+        bids = sorted_rows // self.tuples_per_block
+        if bids.size:
+            keep = np.empty(bids.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(bids[1:], bids[:-1], out=keep[1:])
+            bids = bids[keep]
+        return bids
+
+    def check_column(self, name: str) -> None:
+        """Raise ``KeyError`` naming the schema when ``name`` is no column."""
+        if name not in self.schema.columns:
+            raise KeyError(
+                f"table {self.name!r} has no column {name!r}; "
+                f"columns: {self.schema.columns}"
+            )
 
 
 def coalesce_runs(block_ids: Sequence[int] | np.ndarray) -> Iterator[tuple[int, int]]:

@@ -52,6 +52,7 @@ from ..costs import CostModel, DEFAULT_COST_MODEL
 from ..errors import BackendError, ConfigError
 from ..faults import Degradation, FaultTally, FaultVocabulary, event_kind
 from .backend import SimulatorBackend, StorageBackend
+from .pages import BlockLayout
 from .table import HeapTable
 
 __all__ = [
@@ -591,49 +592,22 @@ class ResilientBackend(StorageBackend):
         self.inner.close()
 
 
-class ResilientTable:
+class ResilientTable(BlockLayout):
     """Table handle routing data access through the resilience guard.
 
-    Metadata and block geometry (pure arithmetic, no I/O) come from the
-    mirror handle directly; every data-touching method — column draws,
-    gathers, MBRs, the bitmap index scan — attempts the primary handle
-    under the guard and falls back to the byte-identical mirror.  When
-    the primary bind itself failed, every call takes the fallback path
-    (counted, traced, degraded) rather than raising.
+    Shape and block layout (no I/O) are the mirror handle's, inherited
+    from :class:`~repro.storage.pages.BlockLayout`; every data-touching
+    method — column draws, gathers, MBRs, the region scan — attempts the
+    primary handle under the guard and falls back to the byte-identical
+    mirror.  When the primary bind itself failed, every call takes the
+    fallback path (counted, traced, degraded) rather than raising.
     """
 
     def __init__(self, backend: ResilientBackend, primary, mirror) -> None:
+        super().__init__(mirror.name, mirror.schema, mirror.tuples_per_block, mirror.num_rows)
         self._rb = backend
         self._primary = primary
         self._mirror = mirror
-        self.name = mirror.name
-        self.schema = mirror.schema
-        self.tuples_per_block = mirror.tuples_per_block
-
-    # -- shape and geometry (no I/O; served locally) -------------------------
-
-    @property
-    def num_rows(self) -> int:
-        """Total tuples."""
-        return self._mirror.num_rows
-
-    @property
-    def num_blocks(self) -> int:
-        """Total blocks in the stored heap file."""
-        return self._mirror.num_blocks
-
-    @property
-    def ndim(self) -> int:
-        """Number of coordinate columns."""
-        return self._mirror.ndim
-
-    def block_rows(self, block_id: int):
-        """Physical row slice stored in the given block."""
-        return self._mirror.block_rows(block_id)
-
-    def rows_of_blocks(self, block_ids: np.ndarray) -> np.ndarray:
-        """Physical row ids contained in the given (sorted) blocks."""
-        return self._mirror.rows_of_blocks(block_ids)
 
     # -- guarded data access -------------------------------------------------
 
@@ -661,21 +635,9 @@ class ResilientTable:
         """``(num_rows, ndim)`` coordinate matrix in physical order."""
         return self._read("coordinates", "coordinates")
 
-    def coordinates_of(self, rows: np.ndarray) -> np.ndarray:
-        """``(len(rows), ndim)`` coordinate rows for the given row ids."""
-        return self._read("coordinates_of", "coordinates_of", rows)
-
     def block_mbrs(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-block MBRs."""
         return self._read("block_mbrs", "block_mbrs")
-
-    def blocks_intersecting(self, lows, highs) -> np.ndarray:
-        """Sorted block ids whose MBR intersects the half-open box."""
-        return self._read("blocks_intersecting", "blocks_intersecting", lows, highs)
-
-    def blocks_matching(self, lows, highs) -> tuple[np.ndarray, np.ndarray]:
-        """Exact bitmap-index scan: ``(block_ids, matching_rows)``."""
-        return self._read("blocks_matching", "blocks_matching", lows, highs)
 
     def scan_region(self, lows, highs, columns=()) -> tuple:
         """Fused region scan, guarded (and mirrored) as one operation."""

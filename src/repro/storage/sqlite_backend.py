@@ -62,7 +62,6 @@ from __future__ import annotations
 import functools
 import inspect
 import json
-import math
 import re
 import sqlite3
 from typing import Sequence
@@ -71,7 +70,7 @@ import numpy as np
 
 from ..errors import BackendError, ConfigError
 from .backend import StorageBackend
-from .pages import coalesce_runs
+from .pages import BlockLayout, coalesce_runs
 from .table import HeapTable, TableSchema, block_bounds, intersecting_blocks
 
 __all__ = ["SQLiteBackend", "SQLiteTable"]
@@ -128,7 +127,7 @@ def _decode(fetched: list[tuple], width: int) -> np.ndarray:
     return np.array(fetched, dtype=float).reshape(-1, width)
 
 
-class SQLiteTable:
+class SQLiteTable(BlockLayout):
     """Table handle serving row data from SQLite queries.
 
     Implements the handle contract of :mod:`repro.storage.backend`:
@@ -146,12 +145,8 @@ class SQLiteTable:
         tuples_per_block: int,
         num_rows: int,
     ) -> None:
+        super().__init__(name, schema, tuples_per_block, num_rows)
         self._conn = conn
-        self.name = name
-        self.schema = schema
-        self.tuples_per_block = tuples_per_block
-        self._num_rows = num_rows
-        self._num_blocks = math.ceil(num_rows / tuples_per_block)
         # Payload column of each schema column, and of the coordinates.
         self._index = {c: i for i, c in enumerate(schema.columns)}
         self._coord_index = [self._index[c] for c in schema.coordinate_columns]
@@ -162,42 +157,25 @@ class SQLiteTable:
         self._mbr_sql = _quoted(f"sw_mbr_{name}")
         self._mbrs: tuple[np.ndarray, np.ndarray] | None = None  # read on first use
 
-    # -- shape ----------------------------------------------------------------
-
-    @property
-    def num_rows(self) -> int:
-        """Total tuples."""
-        return self._num_rows
-
-    @property
-    def num_blocks(self) -> int:
-        """Total blocks in the stored heap file."""
-        return self._num_blocks
-
-    @property
-    def ndim(self) -> int:
-        """Number of coordinate columns."""
-        return len(self.schema.coordinate_columns)
-
     # -- row access ---------------------------------------------------------------
 
     @_driver_errors
     def column(self, name: str) -> np.ndarray:
         """Full column in physical order, from one read of every block."""
-        self._check_column(name)
-        return self._read_blocks(np.arange(self._num_blocks))[:, self._index[name]].copy()
+        self.check_column(name)
+        return self._read_blocks(np.arange(self.num_blocks))[:, self._index[name]].copy()
 
     @_driver_errors
     def gather(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Values of one column for the given row ids (order-aligned)."""
-        self._check_column(name)
+        self.check_column(name)
         data, at = self._blocks_holding(rows)
         return data[at, self._index[name]]
 
     @_driver_errors
     def coordinates(self) -> np.ndarray:
         """``(num_rows, ndim)`` coordinate matrix in physical order."""
-        return self._read_blocks(np.arange(self._num_blocks))[:, self._coord_index]
+        return self._read_blocks(np.arange(self.num_blocks))[:, self._coord_index]
 
     @_driver_errors
     def coordinates_of(self, rows: np.ndarray) -> np.ndarray:
@@ -217,8 +195,8 @@ class SQLiteTable:
         if not rows.size:
             return self._read_blocks(np.arange(0)), rows
         low, high = int(rows.min()), int(rows.max())
-        if low < 0 or high >= self._num_rows:
-            raise ValueError(f"row ids out of range [0, {self._num_rows}): {low}..{high}")
+        if low < 0 or high >= self.num_rows:
+            raise ValueError(f"row ids out of range [0, {self.num_rows}): {low}..{high}")
         first = low // self.tuples_per_block
         blocks = np.arange(first, high // self.tuples_per_block + 1)
         return self._read_blocks(blocks), rows - first * self.tuples_per_block
@@ -239,7 +217,7 @@ class SQLiteTable:
             payloads += part
         data = b"".join([payload for (payload,) in payloads])
         tpb = self.tuples_per_block
-        rows = int((np.minimum(blocks * tpb + tpb, self._num_rows) - blocks * tpb).sum())
+        rows = int((np.minimum(blocks * tpb + tpb, self.num_rows) - blocks * tpb).sum())
         width = len(self._index)
         self._check_fetched(rows * width * _F8.itemsize, len(data), "payload bytes")
         return np.frombuffer(data, _F8).reshape(rows, width)
@@ -257,27 +235,7 @@ class SQLiteTable:
                 kind="disconnect",
             )
 
-    # -- block geometry ----------------------------------------------------------
-
-    def block_rows(self, block_id: int) -> slice:
-        """Physical row slice stored in the given block."""
-        if not 0 <= block_id < self._num_blocks:
-            raise ValueError(f"block {block_id} out of range [0, {self._num_blocks})")
-        start = block_id * self.tuples_per_block
-        return slice(start, min(start + self.tuples_per_block, self._num_rows))
-
-    def rows_of_blocks(self, block_ids: np.ndarray) -> np.ndarray:
-        """Physical row ids contained in the given (sorted) blocks."""
-        block_ids = np.asarray(block_ids, dtype=np.int64)
-        if block_ids.size == 0:
-            return np.empty(0, dtype=np.int64)
-        tpb = self.tuples_per_block
-        starts = block_ids * tpb
-        counts = np.minimum(starts + tpb, self._num_rows) - starts
-        total = int(counts.sum())
-        cum = np.cumsum(counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-        return np.repeat(starts, counts) + offsets
+    # -- block MBRs ---------------------------------------------------------------
 
     @_driver_errors
     def block_mbrs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -319,7 +277,7 @@ class SQLiteTable:
         the simulator's in-memory scan produces.
         """
         rows, _coords, _values = self._read_box(lows, highs, ())
-        return self._blocks_of(rows), rows
+        return self.blocks_of(rows), rows
 
     @_driver_errors
     def scan_region(
@@ -335,9 +293,9 @@ class SQLiteTable:
         window read aggregates cross the backend seam in one call.
         """
         for name in columns:
-            self._check_column(name)
+            self.check_column(name)
         rows, coords, values = self._read_box(lows, highs, columns)
-        return self._blocks_of(rows), rows, coords, values
+        return self.blocks_of(rows), rows, coords, values
 
     def _read_box(
         self, lows: Sequence[float], highs: Sequence[float], columns: Sequence[str]
@@ -362,27 +320,10 @@ class SQLiteTable:
             tuple(data[inside, self._index[c]] for c in columns),
         )
 
-    def _blocks_of(self, sorted_rows: np.ndarray) -> np.ndarray:
-        """Distinct block ids of ascending row ids (run boundaries)."""
-        bids = sorted_rows // self.tuples_per_block
-        if bids.size:
-            keep = np.empty(bids.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(bids[1:], bids[:-1], out=keep[1:])
-            bids = bids[keep]
-        return bids
-
-    def _check_column(self, name: str) -> None:
-        if name not in self.schema.columns:
-            raise KeyError(
-                f"table {self.name!r} has no column {name!r}; "
-                f"columns: {self.schema.columns}"
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"SQLiteTable({self.name!r}, rows={self._num_rows}, "
-            f"blocks={self._num_blocks}x{self.tuples_per_block})"
+            f"SQLiteTable({self.name!r}, rows={self.num_rows}, "
+            f"blocks={self.num_blocks}x{self.tuples_per_block})"
         )
 
 

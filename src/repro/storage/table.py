@@ -10,10 +10,11 @@ index scan, reading the data pages determined during the scan").
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from .pages import BlockLayout
 
 __all__ = ["TableSchema", "HeapTable", "block_bounds", "intersecting_blocks"]
 
@@ -85,7 +86,7 @@ class TableSchema:
         return f"TableSchema(columns={self.columns}, coords={self.coordinate_columns})"
 
 
-class HeapTable:
+class HeapTable(BlockLayout):
     """An immutable column-store heap file with per-block MBRs.
 
     Parameters
@@ -110,8 +111,6 @@ class HeapTable:
         columns: Mapping[str, np.ndarray],
         tuples_per_block: int = 64,
     ) -> None:
-        if tuples_per_block <= 0:
-            raise ValueError(f"tuples_per_block must be positive, got {tuples_per_block}")
         missing = [c for c in schema.columns if c not in columns]
         if missing:
             raise ValueError(f"missing column data: {missing}")
@@ -122,12 +121,8 @@ class HeapTable:
         if num_rows == 0:
             raise ValueError("a heap table cannot be empty")
 
-        self.name = name
-        self.schema = schema
-        self.tuples_per_block = tuples_per_block
+        super().__init__(name, schema, tuples_per_block, num_rows)
         self._data = {c: np.ascontiguousarray(columns[c], dtype=float) for c in schema.columns}
-        self._num_rows = num_rows
-        self._num_blocks = math.ceil(num_rows / tuples_per_block)
         self._coords = np.column_stack(
             [self._data[c] for c in schema.coordinate_columns]
         )
@@ -145,34 +140,12 @@ class HeapTable:
             np.ascontiguousarray(self._block_maxs[:, d]) for d in range(self.ndim)
         )
 
-    # -- shape ----------------------------------------------------------------
-
-    @property
-    def num_rows(self) -> int:
-        """Total tuples."""
-        return self._num_rows
-
-    @property
-    def num_blocks(self) -> int:
-        """Total blocks in the heap file."""
-        return self._num_blocks
-
-    @property
-    def ndim(self) -> int:
-        """Number of coordinate columns."""
-        return len(self.schema.coordinate_columns)
-
     # -- column access ----------------------------------------------------------
 
     def column(self, name: str) -> np.ndarray:
         """Full column array in physical order (read-only view)."""
-        try:
-            view = self._data[name].view()
-        except KeyError:
-            raise KeyError(
-                f"table {self.name!r} has no column {name!r}; "
-                f"columns: {self.schema.columns}"
-            ) from None
+        self.check_column(name)
+        view = self._data[name].view()
         view.setflags(write=False)
         return view
 
@@ -186,14 +159,8 @@ class HeapTable:
         be unsorted and may contain duplicates; the result aligns with it
         position by position.
         """
-        try:
-            column = self._data[name]
-        except KeyError:
-            raise KeyError(
-                f"table {self.name!r} has no column {name!r}; "
-                f"columns: {self.schema.columns}"
-            ) from None
-        return column[np.asarray(rows, dtype=np.int64)]
+        self.check_column(name)
+        return self._data[name][np.asarray(rows, dtype=np.int64)]
 
     def coordinates(self) -> np.ndarray:
         """``(num_rows, ndim)`` coordinate matrix in physical order (cached)."""
@@ -210,37 +177,6 @@ class HeapTable:
         bitmap prefilter runs on, exposed for backends that persist it.
         """
         return self._block_mins, self._block_maxs
-
-    def block_rows(self, block_id: int) -> slice:
-        """Physical row slice stored in the given block."""
-        if not 0 <= block_id < self._num_blocks:
-            raise ValueError(f"block {block_id} out of range [0, {self._num_blocks})")
-        start = block_id * self.tuples_per_block
-        return slice(start, min(start + self.tuples_per_block, self._num_rows))
-
-    def rows_of_blocks(self, block_ids: np.ndarray) -> np.ndarray:
-        """Physical row indices contained in the given blocks (vectorized).
-
-        ``block_ids`` is expected sorted ascending and duplicate-free
-        (the bitmap scan's output).
-        """
-        block_ids = np.asarray(block_ids, dtype=np.int64)
-        if block_ids.size == 0:
-            return np.empty(0, dtype=np.int64)
-        tpb = self.tuples_per_block
-        first = int(block_ids[0])
-        last = int(block_ids[-1])
-        if last - first + 1 == block_ids.size:
-            # Contiguous run of blocks: one arange instead of repeat/cumsum.
-            return np.arange(
-                first * tpb, min(last * tpb + tpb, self._num_rows), dtype=np.int64
-            )
-        starts = block_ids * tpb
-        counts = np.minimum(starts + tpb, self._num_rows) - starts
-        total = int(counts.sum())
-        cum = np.cumsum(counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-        return np.repeat(starts, counts) + offsets
 
     # -- bitmap "index scan" -----------------------------------------------------
 
@@ -277,16 +213,7 @@ class HeapTable:
             m = (vals >= lows[d]) & (vals < highs[d])
             if not m.all():
                 rows = rows[m]
-        matching = rows
-        # ``rows`` ascends, so the block ids of ``matching`` are already
-        # sorted — deduplicate by run boundaries instead of re-sorting.
-        bids = matching // self.tuples_per_block
-        if bids.size:
-            keep = np.empty(bids.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(bids[1:], bids[:-1], out=keep[1:])
-            bids = bids[keep]
-        return bids, matching
+        return self.blocks_of(rows), rows
 
     def scan_region(
         self,
@@ -309,11 +236,11 @@ class HeapTable:
         return block_ids, rows, self._coords[rows], values
 
     def _build_block_mbrs(self) -> tuple[np.ndarray, np.ndarray]:
-        starts = np.arange(0, self._num_rows, self.tuples_per_block)
+        starts = np.arange(0, self.num_rows, self.tuples_per_block)
         return block_bounds(self._coords, starts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"HeapTable({self.name!r}, rows={self._num_rows}, "
-            f"blocks={self._num_blocks}x{self.tuples_per_block})"
+            f"HeapTable({self.name!r}, rows={self.num_rows}, "
+            f"blocks={self.num_blocks}x{self.tuples_per_block})"
         )

@@ -24,6 +24,7 @@ from repro.storage import (
     BackendFaultPlan,
     Database,
     HeapTable,
+    ResilientBackend,
     SimulatorBackend,
     SQLiteBackend,
     TableSchema,
@@ -401,14 +402,28 @@ def test_short_block_read_fails_loudly(damage, missing):
 
 
 def test_block_geometry_matches():
-    table = _table(rows=103, tpb=16)  # ragged final block
-    handle = SQLiteBackend().bind_table(table)
-    assert handle.num_blocks == table.num_blocks
-    assert handle.block_rows(6) == table.block_rows(6)
-    with pytest.raises(ValueError):
-        handle.block_rows(handle.num_blocks)
-    ids = np.array([0, 2, 6], dtype=np.int64)
-    np.testing.assert_array_equal(handle.rows_of_blocks(ids), table.rows_of_blocks(ids))
+    # Random (rows, block size) pairs, ragged final blocks included: the
+    # simulator, SQLite and resilient handles share one block layout.
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        rows, tpb = int(rng.integers(1, 200)), int(rng.integers(1, 40))
+        table = _table(rows=rows, tpb=tpb)
+        handles = (
+            SQLiteBackend().bind_table(table),
+            ResilientBackend(SQLiteBackend(), BackendFaultPlan(seed=0)).bind_table(table),
+        )
+        picked = rng.integers(1, table.num_blocks + 1)
+        ids = np.sort(rng.choice(table.num_blocks, picked, replace=False))
+        for handle in handles:
+            shape = (handle.num_rows, handle.num_blocks, handle.ndim, handle.tuples_per_block)
+            assert shape == (table.num_rows, table.num_blocks, table.ndim, tpb)
+            for block in range(table.num_blocks):
+                assert handle.block_rows(block) == table.block_rows(block)
+            with pytest.raises(ValueError):
+                handle.block_rows(handle.num_blocks)
+            rows_of = table.rows_of_blocks(ids)
+            np.testing.assert_array_equal(handle.rows_of_blocks(ids), rows_of)
+            np.testing.assert_array_equal(handle.blocks_of(rows_of), ids)
 
 
 # -- install dedup ------------------------------------------------------------

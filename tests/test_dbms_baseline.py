@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import (
     ComparisonOp,
     ContentCondition,
     ContentObjective,
+    Grid,
+    Rect,
     SWEngine,
     SWQuery,
     ShapeCondition,
@@ -20,7 +24,8 @@ from repro.core import (
 from repro.core.kernels import SummedAreaTable, placement_bounds
 from repro.dbms import CellGrids, materialize_cells, run_sql_baseline
 from repro.core.window import Window
-import numpy as np
+from repro.storage import Database, HeapTable, TableSchema
+from repro.storage.integrity import StorageFaultPlan
 
 from .naive_oracle import _box_sum, _prefix
 
@@ -176,3 +181,116 @@ class TestPushdownAblation:
         assert {r.window for r in pushed.results} == {r.window for r in naive.results}
         assert naive.windows_enumerated > 2 * pushed.windows_enumerated
         assert naive.cpu_time_s > pushed.cpu_time_s
+
+
+# -- the full scan against a per-row group-by ---------------------------------
+
+
+_FULL_SCAN_OBJECTIVES = [
+    ContentObjective.of("count"),
+    ContentObjective.of("avg", col("v")),
+    ContentObjective.of("sum", col("v") * col("w")),
+    ContentObjective.of("max", col("w")),
+]
+
+
+def _group_by_rows(table, grid, objectives, lost_blocks):
+    """``cells_arrays`` of a full scan, one row at a time in row order.
+
+    Reads every column once through ``HeapTable.column``; a row counts
+    when each coordinate lies in the grid's half-open area and its block
+    is not lost.  Cell ids, sums (accumulated in row order, as the scan
+    promises) and NaN-propagating minima and maxima are computed in plain
+    Python, independently of the program's numpy grouping.
+    """
+    coords = [table.column(c) for c in table.schema.coordinate_columns]
+    data = {c: table.column(c) for c in table.schema.columns}
+    keyed = {o.key: o for o in objectives if o.aggregate.needs_values}
+    cells: dict[int, list] = {}
+    for row in range(table.num_rows):
+        if row // table.tuples_per_block in lost_blocks:
+            continue
+        flat = 0
+        for d, interval in enumerate(grid.area.intervals):
+            x = float(coords[d][row])
+            if not interval.lo <= x < interval.hi:
+                break
+            flat = flat * grid.shape[d] + min(
+                int((x - interval.lo) / grid.steps[d]), grid.shape[d] - 1
+            )
+        else:
+            entry = cells.setdefault(flat, [0, {}])
+            entry[0] += 1
+            one_row = {c: data[c][row : row + 1] for c in data}
+            for key, objective in keyed.items():
+                value = float(objective.expr.evaluate(one_row)[0])
+                if key not in entry[1]:
+                    entry[1][key] = [0.0 + value, value, value]
+                    continue
+                acc = entry[1][key]
+                acc[0] += value
+                if not np.isnan(acc[1]) and (np.isnan(value) or value < acc[1]):
+                    acc[1] = value
+                if not np.isnan(acc[2]) and (np.isnan(value) or value > acc[2]):
+                    acc[2] = value
+    order = sorted(cells)
+    per_key = {
+        key: tuple(np.array([cells[c][1][key][i] for c in order]) for i in range(3))
+        for key in (keyed if cells else ())
+    }
+    return np.array(order, dtype=np.int64), np.array([cells[c][0] for c in order]), per_key
+
+
+@given(
+    ndim=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    rows=st.integers(1, 150),
+    tpb=st.integers(1, 16),
+    nan_every=st.integers(2, 9),
+    lost=st.sets(st.integers(0, 20), max_size=4),
+    backend=st.sampled_from(("simulator", "sqlite:")),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_full_scan_equals_a_per_row_group_by(ndim, seed, rows, tpb, nan_every, lost, backend):
+    rng = np.random.default_rng(seed)
+    names = [f"c{d}" for d in range(ndim)]
+    # Coordinates spill over the grid's [0, 10) area on both sides, and
+    # some are NaN.
+    data = {name: rng.uniform(-2.0, 12.0, rows) for name in names}
+    data[names[-1]][::nan_every] = np.nan
+    data["v"] = rng.normal(0.0, 3.0, rows)
+    data["v"][1::nan_every] = np.nan
+    # No zero factor: the minimum of 0.0 and -0.0 is numpy's choice.
+    data["w"] = rng.choice([-2.0, -1.0, 1.0, 2.0], rows)
+    table = HeapTable("t", TableSchema([*names, "v", "w"], names), data, tpb)
+    grid = Grid(Rect.from_bounds([(0.0, 10.0)] * ndim), (2.5,) * ndim)
+    lost = {b for b in lost if b < table.num_blocks}
+
+    with Database(backend=backend) as db:
+        db.register(table)
+        if lost:
+            # Torn pages with no replica and no re-read: the sequential
+            # read quarantines every one of them.
+            db.attach_integrity(
+                StorageFaultPlan(
+                    corrupt_blocks=tuple((b, "torn") for b in sorted(lost)),
+                    replicas=0,
+                    max_rereads=0,
+                )
+            )
+        scan = db.full_scan_cell_aggregates("t", grid, _FULL_SCAN_OBJECTIVES)
+
+    cells, counts, per_key = _group_by_rows(table, grid, _FULL_SCAN_OBJECTIVES, lost)
+    got_cells, got_counts, got_per_key = scan.cells_arrays
+    assert got_cells.tobytes() == cells.tobytes()
+    assert got_counts.astype(np.int64).tobytes() == counts.astype(np.int64).tobytes()
+    assert got_per_key.keys() == per_key.keys()
+    for key, want in per_key.items():
+        for got_part, want_part in zip(got_per_key[key], want):
+            assert np.asarray(got_part, dtype=float).tobytes() == want_part.astype(float).tobytes()
+    assert scan.lost_blocks == tuple(sorted(lost))
+    assert (scan.tuples_scanned, scan.blocks_touched) == (table.num_rows, table.num_blocks)
+    # Degraded: the in-area cells of the lost blocks' rows.
+    kept_blocks = set(range(table.num_blocks)) - lost
+    degraded = _group_by_rows(table, grid, [], kept_blocks)[0]
+    assert scan.degraded_cells == tuple(degraded.tolist())

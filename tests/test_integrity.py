@@ -49,8 +49,6 @@ def _execute(workload, plan=None, trace=None, metrics=None, **config_kw):
         database.attach_metrics(metrics)
     if plan is not None:
         database.attach_integrity(plan)
-        if trace is not None:
-            database.attach_trace(trace)
     engine = SWEngine(database, dataset.name, sample_fraction=0.1)
     report = engine.execute(
         query, SearchConfig(alpha=1.0, **config_kw), trace=trace
@@ -241,6 +239,21 @@ class TestScrub:
         )
         assert trace.events(EventKind.CORRUPT)
         assert trace.events(EventKind.REPAIR)
+
+    def test_traced_execute_records_every_quarantine(self, workload):
+        # ``execute(trace=...)`` alone wires the integrity layer into the
+        # trace: one CORRUPT event per unrepairable block it quarantines.
+        dataset, _ = workload
+        trace = SearchTrace()
+        plan = StorageFaultPlan(
+            corrupt_blocks=tuple((b, "torn") for b in range(0, 40, 2)),
+            replicas=0,
+            max_rereads=0,
+        )
+        _, database = _execute(workload, plan=plan, trace=trace)
+        quarantined = database.integrity(dataset.name).quarantined
+        assert quarantined
+        assert len(trace.events(EventKind.CORRUPT)) == len(quarantined)
 
 
 class TestScrubCli:

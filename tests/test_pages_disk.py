@@ -9,53 +9,88 @@ from hypothesis import strategies as st
 
 from repro.clock import SimClock
 from repro.costs import CostModel
-from repro.storage import SimulatedDisk
-from repro.storage.pages import (
-    block_of_row,
-    blocks_of_rows,
-    coalesce_runs,
-    row_range_of_block,
-)
+from repro.storage import SimulatedDisk, TableSchema
+from repro.storage.pages import BlockLayout, coalesce_runs
+
+
+def _layout(num_rows: int, tuples_per_block: int) -> BlockLayout:
+    return BlockLayout("t", TableSchema(["x", "v"], ["x"]), tuples_per_block, num_rows)
 
 
 class TestPages:
+    def test_shape(self):
+        layout = _layout(20, 8)
+        assert (layout.num_rows, layout.num_blocks, layout.ndim) == (20, 3, 1)
+        assert _layout(24, 8).num_blocks == 3
+
     def test_block_of_row(self):
-        assert block_of_row(0, 8) == 0
-        assert block_of_row(7, 8) == 0
-        assert block_of_row(8, 8) == 1
+        layout = _layout(20, 8)
+        assert layout.blocks_of(np.array([0])).tolist() == [0]
+        assert layout.blocks_of(np.array([7])).tolist() == [0]
+        assert layout.blocks_of(np.array([8])).tolist() == [1]
 
     def test_block_of_row_validation(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            block_of_row(-1, 8)
+        with pytest.raises(ValueError, match="out of range"):
+            _layout(20, 8).block_rows(-1)
         with pytest.raises(ValueError, match="positive"):
-            block_of_row(0, 0)
+            _layout(20, 0)
 
     def test_row_range_of_block(self):
-        assert row_range_of_block(1, 8, 20) == range(8, 16)
-        assert row_range_of_block(2, 8, 20) == range(16, 20)  # clipped
+        layout = _layout(20, 8)
+        assert layout.block_rows(0) == slice(0, 8)
+        assert layout.block_rows(1) == slice(8, 16)
+        assert layout.block_rows(2) == slice(16, 20)  # the short last block
 
     def test_row_range_beyond_table(self):
-        with pytest.raises(ValueError, match="beyond the table"):
-            row_range_of_block(3, 8, 20)
+        with pytest.raises(ValueError, match="out of range"):
+            _layout(20, 8).block_rows(3)
 
     def test_blocks_of_rows(self):
         rows = np.array([0, 1, 9, 17, 18])
-        np.testing.assert_array_equal(blocks_of_rows(rows, 8), [0, 1, 2])
+        np.testing.assert_array_equal(_layout(20, 8).blocks_of(rows), [0, 1, 2])
 
     def test_blocks_of_rows_empty(self):
-        assert blocks_of_rows(np.array([]), 8).size == 0
-
-    def test_blocks_of_rows_rejects_negative_rows(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            blocks_of_rows(np.array([3, -1, 5]), 8)
+        assert _layout(20, 8).blocks_of(np.empty(0, dtype=np.int64)).size == 0
 
     def test_blocks_of_rows_rejects_bad_block_size(self):
-        with pytest.raises(ValueError, match="positive"):
-            blocks_of_rows(np.array([1, 2]), 0)
-        # Validated even for empty input: a bad block size is a caller
-        # bug regardless of what rows happen to arrive.
-        with pytest.raises(ValueError, match="positive"):
-            blocks_of_rows(np.array([]), -4)
+        for tuples_per_block in (0, -4):
+            with pytest.raises(ValueError, match="positive"):
+                _layout(20, tuples_per_block)
+
+    def test_rows_of_blocks_contiguous(self):
+        layout = _layout(20, 8)
+        rows = layout.rows_of_blocks(np.array([1, 2]))
+        assert rows.dtype == np.int64
+        assert rows.tolist() == list(range(8, 20))  # ends at the short block
+        assert layout.rows_of_blocks(np.empty(0, dtype=np.int64)).size == 0
+
+    def test_rows_of_blocks_scattered(self):
+        layout = _layout(20, 8)
+        rows = layout.rows_of_blocks(np.array([0, 2]))
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [*range(0, 8), *range(16, 20)]
+
+    @given(
+        num_rows=st.integers(1, 300),
+        tuples_per_block=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_rows_of_blocks_inverts_blocks_of(self, num_rows, tuples_per_block, data):
+        layout = _layout(num_rows, tuples_per_block)
+        blocks = sorted(
+            data.draw(st.sets(st.integers(0, layout.num_blocks - 1), min_size=1))
+        )
+        rows = layout.rows_of_blocks(np.array(blocks))
+        assert rows.tolist() == [
+            r for b in blocks for r in range(num_rows)[layout.block_rows(b)]
+        ]
+        assert layout.blocks_of(rows).tolist() == blocks
+
+    def test_check_column(self):
+        layout = _layout(20, 8)
+        layout.check_column("v")
+        with pytest.raises(KeyError, match="no column 'nope'"):
+            layout.check_column("nope")
 
     def test_coalesce_runs(self):
         runs = list(coalesce_runs([1, 2, 3, 7, 8, 11]))

@@ -371,7 +371,7 @@ def _count_scans(work) -> dict[str, int] | None:
         seen["scans"] += 1
         seen["ranges"] += sum(1 for _run in coalesce_runs(candidates))
         seen["blocks fetched"] += candidates.size
-        seen["blocks matching"] += self._blocks_of(result[0]).size
+        seen["blocks matching"] += self.blocks_of(result[0]).size
         fetched = self.rows_of_blocks(candidates).size
         seen["payload bytes"] += 8 * fetched * len(self.schema.columns)
         return result
