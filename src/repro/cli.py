@@ -286,17 +286,21 @@ def _dispatch(args: argparse.Namespace, out: Callable[[str], None]) -> int:
             return _cmd_serve_network(args, out)
 
     dataset, query = _load_workload(args.workload, args.scale, args.seed)
+    banner = (
+        f"workload {args.workload}: {dataset.num_rows:,} tuples, grid "
+        f"{dataset.grid.shape}, placement {args.placement}"
+    )
+    if args.command == "serve":
+        # Each served session builds its own database (SessionManager.submit).
+        out(banner)
+        return _cmd_serve(args, dataset, query, out)
     database = make_database(
         dataset, args.placement, axis_dim=args.axis_dim, backend=args.backend
     )
     # Closing is what makes an abandoned stream's cell installs durable
     # (``run --limit`` never reaches the search's terminal step).
     with database:
-        out(
-            f"workload {args.workload}: {dataset.num_rows:,} tuples, grid "
-            f"{dataset.grid.shape}, placement {args.placement}, "
-            f"backend {database.backend.describe()}"
-        )
+        out(f"{banner}, backend {database.backend.describe()}")
 
         if args.command == "run":
             return _cmd_run(args, database, dataset, query, out)
@@ -310,8 +314,6 @@ def _dispatch(args: argparse.Namespace, out: Callable[[str], None]) -> int:
             return _cmd_metrics(args, database, dataset, query, out)
         if args.command == "scrub":
             return _cmd_scrub(args, database, dataset, out)
-        if args.command == "serve":
-            return _cmd_serve(args, dataset, query, out)
         raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover
 
 
@@ -585,6 +587,11 @@ def _parse_listen(listen: str) -> tuple[str, int]:
 
 def _validate_serve_args(args) -> None:
     """Fail fast on out-of-range serve knobs (exit code 2 via main)."""
+    if args.backend is not None:
+        raise ConfigError(
+            "--backend does not apply to serve: sessions choose their store "
+            "through DATABASE_URL"
+        )
     if args.sessions < 1:
         raise ConfigError(f"--sessions must be >= 1, got {args.sessions}")
     if args.max_live < 1:
@@ -617,7 +624,6 @@ def _cmd_serve(args, dataset, query: SWQuery, out) -> int:
     from .obs import MetricsRegistry
     from .serve import SemanticCache, SessionManager, parse_quota_specs, serve_workload
 
-    _validate_serve_args(args)
     quotas = parse_quota_specs(args.tenant_quota or [])
     registry = MetricsRegistry()
     trace = SearchTrace()
@@ -713,7 +719,6 @@ def _cmd_serve_network(args, out) -> int:
         replay_journal,
     )
 
-    _validate_serve_args(args)
     if args.replay is not None:
         report = replay_journal(args.replay)
         verdict = "byte-identical" if report.matches else "MISMATCH"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..errors import CheckpointError
 from .grid import Grid
 from .query import ResultWindow
 from .trace import EventKind, SearchTrace, TraceEvent
@@ -27,6 +28,7 @@ from .window import Window
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
+    "check_capture",
     "window_to_state",
     "window_from_state",
     "result_to_state",
@@ -42,6 +44,34 @@ __all__ = [
 # Version 3: a distributed worker's ``generated`` is a sorted list of
 # packed integer keys, like the serial capture's, and holds no seeds.
 CHECKPOINT_FORMAT_VERSION = 3
+
+
+def check_capture(state: dict, fingerprint: dict, kind: str | None = None) -> None:
+    """Refuse a capture of another format, kind or configuration.
+
+    ``kind`` is ``None`` for a serial capture and ``"distributed"`` for a
+    coordinator's; ``fingerprint`` is what the resuming run would write
+    under ``state["config"]``.  A mismatch names the differing keys.
+    """
+    if state.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint format {state.get('format_version')!r} "
+            f"(expected {CHECKPOINT_FORMAT_VERSION})"
+        )
+    if state.get("kind") != kind:
+        raise CheckpointError(
+            f"expected a {kind or 'serial'} checkpoint, got kind={state.get('kind')!r}"
+        )
+    saved = state["config"]
+    if saved != fingerprint:
+        mismatched = sorted(
+            k for k in set(saved) | set(fingerprint) if saved.get(k) != fingerprint.get(k)
+        )
+        scope = f"{kind} " if kind else ""
+        raise CheckpointError(
+            f"checkpoint was taken under a different {scope}configuration; "
+            f"mismatched keys: {mismatched}"
+        )
 
 
 def window_to_state(window: Window | None) -> list | None:

@@ -93,25 +93,17 @@ class ClusterTracker:
 
 
 def final_clusters(results: Sequence[ResultWindow], grid: Grid) -> list[list[ResultWindow]]:
-    """Group results into the final clusters (post-hoc analysis)."""
-    # Re-run the union-find, but remember membership.
-    parent = list(range(len(results)))
+    """Group results into the final clusters (post-hoc analysis).
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, res in enumerate(results):
-        for j in range(i):
-            if res.window.overlaps(results[j].window):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    Groups come in the order of their first member, members in result
+    order.
+    """
+    tracker = ClusterTracker(grid)
+    for res in results:
+        tracker.add(res.window)
     groups: dict[int, list[ResultWindow]] = {}
     for i, res in enumerate(results):
-        groups.setdefault(find(i), []).append(res)
+        groups.setdefault(tracker._find(i), []).append(res)
     return list(groups.values())
 
 

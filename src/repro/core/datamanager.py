@@ -408,17 +408,10 @@ class DataManager:
         unchanged — cached cells are exact, and the new table holds the
         same tuples for them — so nothing already read is re-read.  The
         old table's disk is retired; its read counter is preserved in
-        :attr:`blocks_read_cumulative`.  Any attached semantic cache is
-        told to drop the old binding: its entries describe a table this
-        manager no longer serves, and the adopted table's contents are
-        not cell-for-cell equivalent to what was published.
+        :attr:`blocks_read_cumulative`.  Only distributed workers rebind,
+        and their managers never attach a semantic cache.
         """
         self._retired_blocks_read += self._db.disk(self._table_name).blocks_read
-        if self._cache is not None:
-            self._cache.on_table_rebind(self._cache_table_sig)
-            self._cache = None
-            self._cache_table_sig = None
-            self._cache_grid_sig = None
         # Keep the *backend handle* register() returns, not the raw heap
         # table — under a real backend the two differ, and every later
         # read must go through the handle.

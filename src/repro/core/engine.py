@@ -237,9 +237,7 @@ class SWEngine:
             self.database.attach_metrics(metrics)
         objectives = query.conditions.content_objectives()
         key = (
-            query.grid.area.lower,
-            query.grid.area.upper,
-            query.grid.steps,
+            query.grid.key,
             tuple(sorted(f"{o.aggregate.name}:{o.key}" for o in objectives)),
         )
         if reuse_cache and self.noise is None and key in self._data_cache:

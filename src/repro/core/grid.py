@@ -81,6 +81,16 @@ class Grid:
         return self._shape  # type: ignore[attr-defined]
 
     @property
+    def key(self) -> tuple:
+        """``(area.lower, area.upper, steps)``: the geometry as a hashable value.
+
+        Two grids with equal keys address the same cells by the same flat
+        ids; stored cell installs and the serve cache's grid signatures
+        are built from its ``repr``.
+        """
+        return (self.area.lower, self.area.upper, self.steps)
+
+    @property
     def key_multipliers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``(m_lo, m_hi)``: per-dimension multipliers of ``Window.key``."""
         return self._key_multipliers  # type: ignore[attr-defined]

@@ -77,9 +77,9 @@ class SearchConfig:
     to its start), while ``deadline_s`` is an *absolute* simulated-clock
     deadline that survives checkpoint/resume.  ``step_limit`` caps the
     cumulative number of explored windows (the deterministic kill point
-    the checkpoint tests use).  ``memory_budget_entries`` caps the queue
-    head (spilling the tail to buckets) and ``memory_budget_blocks``
-    shrinks the table's buffer pool for the duration of the query.
+    the checkpoint tests use).  ``head_capacity`` caps the queue head
+    (spilling the tail to buckets) and ``memory_budget_blocks`` shrinks
+    the table's buffer pool for the duration of the query.
     ``scrub_blocks_per_step`` > 0 advances the background integrity
     scrubber by that many blocks after each exploration (requires a
     storage fault plan attached to the database).
@@ -103,7 +103,6 @@ class SearchConfig:
     time_limit_s: float | None = None
     deadline_s: float | None = None
     step_limit: int | None = None
-    memory_budget_entries: int | None = None
     memory_budget_blocks: int | None = None
     scrub_blocks_per_step: int = 0
 
@@ -122,10 +121,6 @@ class SearchConfig:
             raise ValueError(f"deadline_s must be >= 0, got {self.deadline_s}")
         if self.step_limit is not None and self.step_limit < 1:
             raise ValueError(f"step_limit must be >= 1, got {self.step_limit}")
-        if self.memory_budget_entries is not None and self.memory_budget_entries < 2:
-            raise ValueError(
-                f"memory_budget_entries must be >= 2, got {self.memory_budget_entries}"
-            )
         if self.memory_budget_blocks is not None and self.memory_budget_blocks < 1:
             raise ValueError(
                 f"memory_budget_blocks must be >= 1, got {self.memory_budget_blocks}"
@@ -135,12 +130,24 @@ class SearchConfig:
                 f"scrub_blocks_per_step must be >= 0, got {self.scrub_blocks_per_step}"
             )
 
-    @property
-    def effective_head_capacity(self) -> int:
-        """Queue head capacity after applying the memory budget."""
-        if self.memory_budget_entries is None:
-            return self.head_capacity
-        return min(self.head_capacity, self.memory_budget_entries)
+    def fingerprint(self) -> dict:
+        """The knobs that must match between a checkpoint and its resume.
+
+        Lifecycle limits (time/deadline/steps) are deliberately excluded —
+        resuming with a higher step limit is the whole point — but every
+        knob that alters exploration order or simulated time is in.
+        """
+        return {
+            "s": self.s,
+            "alpha": self.alpha,
+            "prefetch": self.prefetch.value,
+            "diversification": self.diversification.value,
+            "refresh_reads": self.refresh_reads,
+            "lazy_updates": self.lazy_updates,
+            "assume_nonnegative": self.assume_nonnegative,
+            "head_capacity": self.head_capacity,
+            "scrub_blocks_per_step": self.scrub_blocks_per_step,
+        }
 
 
 @dataclass
@@ -617,7 +624,7 @@ class HeuristicSearch(SteppingCore):
         metrics=None,
     ) -> None:
         config = config or SearchConfig()
-        capacity = config.effective_head_capacity
+        capacity = config.head_capacity
         if config.diversification is Diversification.STATIC:
             queue = SubAreaQueues(config.static_subareas, query.grid.shape, capacity)
         else:
@@ -850,23 +857,9 @@ class HeuristicSearch(SteppingCore):
     # -- checkpoint/resume ----------------------------------------------------------------
 
     def _config_fingerprint(self) -> dict:
-        """The knobs that must match between capture and resume.
-
-        Lifecycle limits (time/deadline/steps) are deliberately excluded —
-        resuming with a higher step limit is the whole point — but
-        anything that alters exploration order or simulated time is in.
-        """
-        cfg = self.config
+        """:meth:`SearchConfig.fingerprint` plus the grid, table and objectives."""
         return {
-            "s": cfg.s,
-            "alpha": cfg.alpha,
-            "prefetch": cfg.prefetch.value,
-            "diversification": cfg.diversification.value,
-            "refresh_reads": cfg.refresh_reads,
-            "lazy_updates": cfg.lazy_updates,
-            "assume_nonnegative": cfg.assume_nonnegative,
-            "head_capacity": cfg.effective_head_capacity,
-            "scrub_blocks_per_step": cfg.scrub_blocks_per_step,
+            **self.config.fingerprint(),
             "grid_shape": list(self.grid.shape),
             "table": self.data.table_name,
             "objectives": sorted(
@@ -923,22 +916,7 @@ class HeuristicSearch(SteppingCore):
         query and configuration; the next ``run()`` / ``iter_results``
         continues exactly where the capture stopped (seeding is skipped).
         """
-        if state.get("format_version") != ckpt.CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint format {state.get('format_version')!r} "
-                f"(expected {ckpt.CHECKPOINT_FORMAT_VERSION})"
-            )
-        fingerprint = self._config_fingerprint()
-        if state["config"] != fingerprint:
-            mismatched = sorted(
-                k
-                for k in set(state["config"]) | set(fingerprint)
-                if state["config"].get(k) != fingerprint.get(k)
-            )
-            raise CheckpointError(
-                f"checkpoint was taken under a different configuration; "
-                f"mismatched keys: {mismatched}"
-            )
+        ckpt.check_capture(state, self._config_fingerprint())
         integ = self.data.database.integrity(self.data.table_name)
         if (integ is None) != (state["integrity"] is None):
             raise CheckpointError(

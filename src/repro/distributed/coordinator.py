@@ -627,7 +627,6 @@ def _distributed_fingerprint(config: DistributedConfig) -> dict:
     whole point — but anything that alters partitioning, placement,
     sampling or exploration order is in.
     """
-    s = config.search
     placement = (
         config.placement.value
         if isinstance(config.placement, Placement)
@@ -645,17 +644,7 @@ def _distributed_fingerprint(config: DistributedConfig) -> dict:
         "skew": config.skew,
         "successor_policy": config.successor_policy.value,
         "hedge_delay_ms": config.hedge_delay_ms,
-        "search": {
-            "s": s.s,
-            "alpha": s.alpha,
-            "prefetch": s.prefetch.value,
-            "diversification": s.diversification.value,
-            "refresh_reads": s.refresh_reads,
-            "lazy_updates": s.lazy_updates,
-            "assume_nonnegative": s.assume_nonnegative,
-            "head_capacity": s.effective_head_capacity,
-            "scrub_blocks_per_step": s.scrub_blocks_per_step,
-        },
+        "search": config.search.fingerprint(),
     }
 
 
@@ -710,27 +699,7 @@ def _restore_distributed(
     under the same config (enforced via the fingerprint) with their
     clocks not yet past the capture point (enforced per worker).
     """
-    if state.get("format_version") != ckpt.CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint format {state.get('format_version')!r} "
-            f"(expected {ckpt.CHECKPOINT_FORMAT_VERSION})"
-        )
-    if state.get("kind") != "distributed":
-        raise CheckpointError(
-            f"expected a distributed checkpoint, got kind={state.get('kind')!r}"
-        )
-    fingerprint = _distributed_fingerprint(config)
-    saved = state["config"]
-    if saved != fingerprint:
-        mismatched = sorted(
-            k
-            for k in set(saved) | set(fingerprint)
-            if saved.get(k) != fingerprint.get(k)
-        )
-        raise CheckpointError(
-            f"checkpoint was taken under a different distributed "
-            f"configuration; mismatched keys: {mismatched}"
-        )
+    ckpt.check_capture(state, _distributed_fingerprint(config), kind="distributed")
     worker_states = state["workers"]
     if len(worker_states) != len(workers):  # pragma: no cover - fingerprint covers
         raise CheckpointError(

@@ -190,17 +190,6 @@ class OwnershipRouter:
         """Contiguous anchor ranges that no live worker owns."""
         return tuple(self._lost)
 
-    def reassign(self, dead: int) -> dict[int, tuple[int, int]]:
-        """Hand one dead worker's slab to its live neighbors (midpoint).
-
-        Back-compat wrapper over :meth:`reassign_batch` with the SPLIT
-        policy; returns ``{adopter: (lo, hi)}``.
-        """
-        return {
-            adopter: rng
-            for adopter, rng, _ in self.reassign_batch([dead])
-        }
-
     def reassign_batch(
         self,
         dead: Iterable[int],

@@ -40,7 +40,7 @@ worker honours ``s``, ``alpha``, ``prefetch``, ``lazy_updates`` and
 ``head_capacity``; it ignores ``diversification`` (and its tuning knobs),
 ``refresh_reads``, ``assume_nonnegative``, ``scrub_blocks_per_step``,
 ``time_limit_s``, ``deadline_s``, ``step_limit`` and
-``memory_budget_entries`` — the paper evaluates those on one node only.
+``memory_budget_blocks`` — the paper evaluates those on one node only.
 """
 
 from __future__ import annotations

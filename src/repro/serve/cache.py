@@ -18,10 +18,10 @@ Two signatures with different invariances keep the sharing sound:
   row ids index into the heap file, so samples are only shareable
   between sessions seeing the same placement.
 
-Entries are exact — promotion happens only after a real read — so there
-is no coherence protocol; the only invalidation is a table *rebind*
-(distributed anchor adoption swaps the heap file under a manager), which
-drops every entry under the old signature.  Eviction is LRU over cell
+Entries are exact — promotion happens only after a real read — and
+keyed by content, so there is no coherence protocol and no invalidation.
+(The one table *rebind*, distributed anchor adoption, happens on worker
+Data Managers, which never attach a cache.)  Eviction is LRU over cell
 entries under a cell budget, skipping pinned ``(table, grid)`` bindings.
 """
 
@@ -84,7 +84,7 @@ def _sorted_bytes(column):
 def grid_signature(grid: Grid) -> str:
     """Signature of a grid geometry (area bounds and step vector)."""
     h = hashlib.sha1()
-    h.update(repr((grid.area.lower, grid.area.upper, grid.steps)).encode())
+    h.update(repr(grid.key).encode())
     return "g:" + h.hexdigest()
 
 
@@ -244,7 +244,7 @@ class SemanticCache:
             evicted += 1
         return evicted
 
-    # -- pinning and invalidation --------------------------------------------------
+    # -- pinning -----------------------------------------------------------------
 
     def pin(self, table_sig: str, grid_sig: str) -> None:
         """Exempt a binding's entries from eviction (live hot session)."""
@@ -259,23 +259,6 @@ class SemanticCache:
             self.metrics.gauge("serve.cache.resident_cells").set(
                 float(len(self._cells))
             )
-
-    def invalidate_table(self, table_sig: str) -> int:
-        """Drop every cell entry under a table signature; returns the count."""
-        doomed = [k for k in self._cells if k[0] == table_sig]
-        for key in doomed:
-            del self._cells[key]
-        self._pinned = {p for p in self._pinned if p[0] != table_sig}
-        if doomed and self.metrics is not None:
-            self.metrics.inc("serve.cache.invalidated_cells", float(len(doomed)))
-            self.metrics.gauge("serve.cache.resident_cells").set(
-                float(len(self._cells))
-            )
-        return len(doomed)
-
-    def on_table_rebind(self, table_sig: str) -> None:
-        """Data-manager hook: a heap table was swapped out under a binding."""
-        self.invalidate_table(table_sig)
 
     # -- sample store ---------------------------------------------------------------
 

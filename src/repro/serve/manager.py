@@ -399,8 +399,7 @@ def serve_workload(
 ) -> QueryScheduler:
     """Build a scheduler over already-submitted sessions and run it."""
     if isinstance(policy, str):
-        weights = {t: manager.ledger.weight(t) for t in manager.ledger.tenants()}
-        policy = make_policy(policy, seed, weights=weights)
+        policy = make_policy(policy, seed, ledger=manager.ledger)
     for session in manager.live_sessions():
         policy.on_admit(session)
     scheduler = QueryScheduler(manager, policy, slice_steps=slice_steps, park=park)

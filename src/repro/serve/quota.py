@@ -20,9 +20,10 @@ never an exception.  ``REJECTED`` remains the *fleet-capacity* outcome;
 ``THROTTLED`` is always a *per-tenant* one.
 
 Fair share between admitted tenants is a scheduling concern: tiers map
-to weights (:data:`TIER_WEIGHTS`) consumed by
-:class:`~repro.serve.scheduler.WeightedFairPolicy`, which charges each
-slice against the owning tenant's virtual time at rate ``1/weight``.
+to weights (:data:`TIER_WEIGHTS`), and
+:class:`~repro.serve.scheduler.WeightedFairPolicy` asks the ledger for
+each tenant's weight (:meth:`QuotaLedger.weight`) and charges each slice
+against the owning tenant's virtual time at rate ``1/weight``.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 
-from .quota import TIER_WEIGHTS
+from .quota import QuotaLedger
 from .session import ExplorationSession
 
 __all__ = [
@@ -172,8 +172,9 @@ class DeadlinePolicy(SchedulingPolicy):
 class WeightedFairPolicy(SchedulingPolicy):
     """Weighted fair queueing between tenants (stride scheduling).
 
-    Every live session belongs to a tenant carrying a fair-share weight
-    (tier-derived, see :data:`~repro.serve.quota.TIER_WEIGHTS`).  Picking
+    Every live session belongs to a tenant carrying a fair-share weight,
+    read from the quota ledger (:meth:`~repro.serve.quota.QuotaLedger.weight`:
+    the tenant's quota, else the ledger's default quota).  Picking
     a tenant's session advances that tenant's *virtual time* by
     ``1/weight``; the runnable tenant with the lowest virtual time runs
     next.  Over any interval where two tenants stay runnable, their
@@ -191,18 +192,13 @@ class WeightedFairPolicy(SchedulingPolicy):
 
     name = "wfq"
 
-    def __init__(self, weights: dict[str, float] | None = None) -> None:
-        for tenant, weight in (weights or {}).items():
-            if weight <= 0:
-                raise ValueError(
-                    f"tenant {tenant!r} weight must be positive, got {weight}"
-                )
-        self.weights = dict(weights or {})
+    def __init__(self, ledger: QuotaLedger | None = None) -> None:
+        self.ledger = ledger if ledger is not None else QuotaLedger()
         self._vtime: dict[str, float] = {}
 
     def weight_of(self, tenant: str) -> float:
-        """The tenant's configured weight (default: standard tier)."""
-        return self.weights.get(tenant, TIER_WEIGHTS["standard"])
+        """The tenant's fair-share weight, as the ledger has it."""
+        return self.ledger.weight(tenant)
 
     def on_admit(self, session: ExplorationSession) -> None:
         tenant = session.tenant
@@ -225,7 +221,7 @@ class WeightedFairPolicy(SchedulingPolicy):
 
 
 def make_policy(
-    name: str, seed: int = 0, weights: dict[str, float] | None = None
+    name: str, seed: int = 0, ledger: QuotaLedger | None = None
 ) -> SchedulingPolicy:
     """Policy factory for the CLI, server and benchmarks."""
     if name == "rr":
@@ -235,7 +231,7 @@ def make_policy(
     if name == "deadline":
         return DeadlinePolicy()
     if name == "wfq":
-        return WeightedFairPolicy(weights)
+        return WeightedFairPolicy(ledger)
     raise ValueError(f"unknown scheduling policy {name!r}")
 
 

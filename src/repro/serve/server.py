@@ -203,8 +203,7 @@ class ServeCore:
             quotas=config.quotas,
             default_quota=config.default_quota,
         )
-        weights = {name: q.share_weight for name, q in config.quotas.items()}
-        self.policy = make_policy(config.policy, config.seed, weights=weights)
+        self.policy = make_policy(config.policy, config.seed, ledger=self.manager.ledger)
         self.scheduler = QueryScheduler(
             self.manager, self.policy, slice_steps=config.slice_steps, park=config.park
         )

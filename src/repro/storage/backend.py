@@ -86,9 +86,7 @@ def grid_key(grid) -> str:
     Used to scope installed cell summaries: flat cell ids are only
     comparable within one grid geometry.
     """
-    return repr(
-        (tuple(grid.area.lower), tuple(grid.area.upper), tuple(grid.steps))
-    )
+    return repr(grid.key)
 
 
 class StorageBackend(ABC):

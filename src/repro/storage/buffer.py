@@ -5,7 +5,8 @@ setup, i.e. under 10 % of the data) are what turns dispersed access
 patterns into *re-reads*: pages touched early get evicted and fetched
 again.  :class:`BufferPool` reproduces this with plain LRU replacement —
 close enough to PostgreSQL's clock-sweep for the block-count statistics
-that drive Table 2.
+that drive Table 2.  :class:`PoolGroup` sums the pools of many served
+sessions for reporting; it never resizes them.
 """
 
 from __future__ import annotations
@@ -201,11 +202,8 @@ class PoolGroup:
 
     The serving layer runs one pool per session (each session owns its
     database instance), but operators reason about *one* memory budget.
-    A group registers member pools under stable names, aggregates their
-    occupancy and hit statistics, and can :meth:`rebalance` a global
-    block budget across members — deterministically, by equal split in
-    sorted-name order with the remainder going to the lexicographically
-    first names, so a fixed member set always produces the same shares.
+    A group registers member pools under stable names and sums their
+    occupancy and hit statistics for reports.
     """
 
     def __init__(self) -> None:
@@ -239,23 +237,3 @@ class PoolGroup:
             "hits": sum(p.hits for p in pools),
             "misses": sum(p.misses for p in pools),
         }
-
-    def rebalance(self, total_blocks: int) -> dict[str, int]:
-        """Split a global block budget across members; returns the shares.
-
-        Every member gets at least one block (pool capacities must stay
-        positive), so the effective budget is ``max(total_blocks,
-        len(group))``.
-        """
-        names = self.names()
-        if not names:
-            return {}
-        if total_blocks < 1:
-            raise ValueError(f"block budget must be positive, got {total_blocks}")
-        base, extra = divmod(total_blocks, len(names))
-        shares: dict[str, int] = {}
-        for i, name in enumerate(names):
-            share = max(1, base + (1 if i < extra else 0))
-            self._pools[name].resize(share)
-            shares[name] = share
-        return shares

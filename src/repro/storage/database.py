@@ -208,15 +208,8 @@ class Database:
 
         Builds a :class:`BlockIntegrity` layer — checksum table, fault
         injector, repair state machine — for every current and future
-        table, and hooks it into each disk's read path.  Pass ``None`` to
-        detach: reads stop verifying and pay nothing again.
+        table, and hooks it into each disk's read path.
         """
-        if plan is None:
-            self._integrity_plan = None
-            self._integrity.clear()
-            for disk in self._disks.values():
-                disk.integrity = None
-            return
         self._integrity_plan = plan
         for name in self._tables:
             self._build_integrity(name)
@@ -322,7 +315,7 @@ class Database:
         """
         if metrics is None:
             metrics = self.metrics
-        key = (sampler, grid.area.lower, grid.area.upper, grid.steps, fraction, seed)
+        key = (sampler, grid.key, fraction, seed)
         sample = self._samples.get((table_name, key))
         if sample is not None:
             if metrics is not None:

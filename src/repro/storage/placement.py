@@ -11,6 +11,9 @@ The paper evaluates four orderings of the on-disk tuple sequence:
   (``-clust``): per-cell (or per-generated-cluster) grouping with no
   enforced order between groups.
 
+Two ablations outside the paper: ``random`` (a uniform permutation) and
+``str``, the Sort-Tile-Recursive order — a sort that no tree is built for.
+
 Each function returns a permutation of row indices; the
 :class:`~repro.storage.table.HeapTable` builder applies it to produce the
 physical order.
@@ -18,6 +21,7 @@ physical order.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -39,10 +43,10 @@ __all__ = [
 class Placement(Enum):
     """Named placement strategies (suffixes used in the paper's labels).
 
-    ``STR`` is not in the paper: it orders tuples by a bulk-loaded
-    (Sort-Tile-Recursive) R-tree instead of the insertion-built one,
-    isolating how much of the ``-ind`` penalty comes from insertion-order
-    leaf quality (an ablation).
+    ``STR`` is not in the paper: it orders tuples by the Sort-Tile-Recursive
+    sort that packs a bulk-loaded R-tree, instead of the insertion-built
+    tree's leaf order, isolating how much of the ``-ind`` penalty comes
+    from insertion-order leaf quality (an ablation).
     """
 
     AXIS = "axis"
@@ -83,13 +87,26 @@ def index_order(coords: np.ndarray, max_entries: int = 64, seed: int = 7) -> np.
 
 
 def str_order(coords: np.ndarray, max_entries: int = 64) -> np.ndarray:
-    """STR-bulk-loaded R-tree leaf order (ablation against ``index_order``)."""
+    """Sort-Tile-Recursive order (Leutenegger et al.; ablation against ``index_order``).
+
+    Sort on the first coordinate, cut into ``ceil(sqrt(leaves))`` strips
+    of equal row count, and sort each strip on the second coordinate.
+    Packing this sequence ``max_entries`` rows per leaf gives an
+    STR-loaded R-tree whose leaf order is this sequence, so no tree is
+    built.  1-d input is a plain sort.
+    """
     coords = _as_coords(coords)
-    tree = RTree.bulk_load_str(coords, max_entries=max_entries)
-    order = np.asarray(tree.leaf_order(), dtype=np.int64)
-    if order.shape[0] != coords.shape[0]:
-        raise RuntimeError("STR leaf order lost rows — bulk-load bug")
-    return order
+    n, ndim = coords.shape
+    by_x = np.argsort(coords[:, 0], kind="stable")
+    if ndim == 1:
+        return by_x
+    strips = max(1, math.ceil(math.sqrt(math.ceil(n / max_entries))))
+    rows_per_strip = math.ceil(n / strips)
+    pieces = []
+    for start in range(0, n, rows_per_strip):
+        strip = by_x[start : start + rows_per_strip]
+        pieces.append(strip[np.argsort(coords[strip, 1], kind="stable")])
+    return np.concatenate(pieces)
 
 
 def hilbert_order(coords: np.ndarray, order_bits: int = 12) -> np.ndarray:
@@ -102,25 +119,17 @@ def hilbert_order(coords: np.ndarray, order_bits: int = 12) -> np.ndarray:
     return curve_order(coords, lows, lows + spans, order=order_bits)
 
 
-def cluster_order(coords: np.ndarray, grid: Grid, shuffle_groups: bool = False, seed: int = 11) -> np.ndarray:
+def cluster_order(coords: np.ndarray, grid: Grid) -> np.ndarray:
     """Group tuples by grid cell (``-clust``): same-region tuples contiguous.
 
     The paper's ``-clust`` clusters "tuples from the same part of the
     search area" together on disk; we use grid cells as the regions, in
-    row-major order.  ``shuffle_groups=True`` additionally randomizes the
-    group order ("no locality is enforced between the clusters") — a
-    strictly worse variant kept for ablations.
+    row-major order.
     """
     coords = _as_coords(coords)
     if coords.shape[1] != grid.ndim:
         raise ValueError("coordinate dimensionality does not match the grid")
-    flat_ids = cell_flat_ids(coords, grid)
-    group_keys = flat_ids
-    if shuffle_groups:
-        rng = np.random.default_rng(seed)
-        remap = rng.permutation(grid.num_cells)
-        group_keys = remap[flat_ids]
-    return np.argsort(group_keys, kind="stable")
+    return np.argsort(cell_flat_ids(coords, grid), kind="stable")
 
 
 def random_order(num_rows: int, seed: int = 13) -> np.ndarray:
@@ -170,7 +179,7 @@ def order_rows(
     if placement is Placement.CLUSTER:
         if grid is None:
             raise ValueError("cluster placement requires the grid")
-        return cluster_order(coords, grid, seed=seed)
+        return cluster_order(coords, grid)
     if placement is Placement.RANDOM:
         return random_order(np.asarray(coords).shape[0], seed=seed)
     if placement is Placement.STR:

@@ -8,17 +8,14 @@ guarantee an efficient linear order (Section 6, Table 2).
 
 We therefore build the index the same way — one-at-a-time insertion with
 Guttman's quadratic split — and derive the ``-ind`` placement from a DFS
-over its leaves.  Placement reads only that leaf order
-(``storage/placement.py``); ``RTree.search`` (range search) has no
-caller outside the tests.
+over its leaves.  That leaf order is all the tree is used for
+(``storage/placement.py::index_order``); it answers no range queries.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterator, Sequence
-
-import numpy as np
 
 __all__ = ["RTree"]
 
@@ -78,22 +75,6 @@ class RTree:
         self._max = max_entries
         self._min = max(2, max_entries // 2)
         self._root = _Node(ndim, leaf=True)
-        self._size = 0
-
-    @property
-    def size(self) -> int:
-        """Number of indexed points."""
-        return self._size
-
-    @property
-    def height(self) -> int:
-        """Tree height (1 for a single leaf)."""
-        height = 1
-        node = self._root
-        while not node.leaf:
-            node = node.children[0]
-            height += 1
-        return height
 
     # -- insertion -----------------------------------------------------------
 
@@ -106,59 +87,7 @@ class RTree:
         leaf = path[-1]
         leaf.payloads.append((point, payload))
         self._extend_mbrs(path, point)
-        self._size += 1
         self._handle_overflow(path)
-
-    def bulk_insert(self, points: np.ndarray, payloads: Sequence[int] | None = None) -> None:
-        """Insert many points (row ``i`` gets payload ``payloads[i]`` or ``i``)."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self._ndim:
-            raise ValueError(f"points must be (n, {self._ndim})")
-        ids = range(points.shape[0]) if payloads is None else payloads
-        for row, payload in zip(points, ids):
-            self.insert(tuple(row), int(payload))
-
-    @classmethod
-    def bulk_load_str(cls, points: np.ndarray, max_entries: int = 32) -> "RTree":
-        """Sort-Tile-Recursive bulk loading (Leutenegger et al.).
-
-        STR packs leaves by sorting on the first coordinate, slicing into
-        vertical strips, and sorting each strip by the second coordinate —
-        producing near-optimal leaves.  Insertion-built trees (the paper's
-        ``-ind`` placement) are measurably worse; keeping both makes the
-        comparison an explicit ablation.
-        """
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2:
-            raise ValueError("points must be a (n, ndim) array")
-        n, ndim = points.shape
-        tree = cls(ndim, max_entries=max_entries)
-        if n == 0:
-            return tree
-        order = _str_order(points, max_entries)
-        # Build leaves directly in packed order, then stitch upward.
-        leaves: list[_Node] = []
-        for start in range(0, n, max_entries):
-            leaf = _Node(ndim, leaf=True)
-            for row in order[start : start + max_entries]:
-                point = tuple(points[row])
-                leaf.payloads.append((point, int(row)))
-                for d in range(ndim):
-                    leaf.mins[d] = min(leaf.mins[d], point[d])
-                    leaf.maxs[d] = max(leaf.maxs[d], point[d])
-            leaves.append(leaf)
-        level = leaves
-        while len(level) > 1:
-            parents: list[_Node] = []
-            for start in range(0, len(level), max_entries):
-                parent = _Node(ndim, leaf=False)
-                parent.children = level[start : start + max_entries]
-                tree._recompute_mbr(parent)
-                parents.append(parent)
-            level = parents
-        tree._root = level[0]
-        tree._size = n
-        return tree
 
     def _choose_path(self, point: tuple[float, ...]) -> list[_Node]:
         path = [self._root]
@@ -268,27 +197,7 @@ class RTree:
             node.mins[d] = min(c.mins[d] for c in node.children)
             node.maxs[d] = max(c.maxs[d] for c in node.children)
 
-    # -- queries -------------------------------------------------------------
-
-    def search(self, lows: Sequence[float], highs: Sequence[float]) -> list[int]:
-        """Payloads of all points inside the half-open box ``[lows, highs)``."""
-        if len(lows) != self._ndim or len(highs) != self._ndim:
-            raise ValueError("query box dimensionality mismatch")
-        out: list[int] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if self._size == 0:
-                break
-            if any(node.mins[d] >= highs[d] or node.maxs[d] < lows[d] for d in range(self._ndim)):
-                continue
-            if node.leaf:
-                for point, payload in node.payloads:
-                    if all(lows[d] <= point[d] < highs[d] for d in range(self._ndim)):
-                        out.append(payload)
-            else:
-                stack.extend(node.children)
-        return out
+    # -- placement ---------------------------------------------------------
 
     def leaf_order(self) -> list[int]:
         """Payloads in depth-first leaf order — the ``-ind`` placement."""
@@ -297,14 +206,6 @@ class RTree:
             if node.leaf:
                 order.extend(payload for _, payload in node.payloads)
         return order
-
-    def leaf_mbrs(self) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
-        """MBRs of all leaves, in DFS order (used by tests/diagnostics)."""
-        return [
-            (tuple(n.mins), tuple(n.maxs))
-            for n in self._dfs()
-            if n.leaf and n.count() > 0
-        ]
 
     def _dfs(self) -> Iterator[_Node]:
         stack = [self._root]
@@ -315,18 +216,3 @@ class RTree:
                 # Reverse keeps child order stable for the DFS.
                 stack.extend(reversed(node.children))
 
-
-def _str_order(points: np.ndarray, leaf_capacity: int) -> np.ndarray:
-    """Row permutation packing points into STR tiles."""
-    n, ndim = points.shape
-    num_leaves = math.ceil(n / leaf_capacity)
-    if ndim == 1:
-        return np.argsort(points[:, 0], kind="stable")
-    strips = max(1, math.ceil(math.sqrt(num_leaves)))
-    rows_per_strip = math.ceil(n / strips)
-    by_x = np.argsort(points[:, 0], kind="stable")
-    pieces = []
-    for start in range(0, n, rows_per_strip):
-        strip = by_x[start : start + rows_per_strip]
-        pieces.append(strip[np.argsort(points[strip, 1], kind="stable")])
-    return np.concatenate(pieces)

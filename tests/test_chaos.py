@@ -276,8 +276,8 @@ class TestOwnershipRouter:
 
     def test_midpoint_split_between_neighbors(self):
         router = self._router()
-        adopted = router.reassign(1)  # slab [3, 6) with neighbors 0 and 2
-        assert adopted == {0: (3, 5), 2: (5, 6)}
+        adopted = router.reassign_batch([1])  # slab [3, 6) with neighbors 0 and 2
+        assert adopted == [(0, (3, 5), (1,)), (2, (5, 6), (1,))]
         assert router.owner_of_cell(4) == 0
         assert router.owner_of_cell(5) == 2
         assert router.owned_range(1) is None
@@ -285,13 +285,13 @@ class TestOwnershipRouter:
 
     def test_edge_slab_goes_to_single_neighbor(self):
         router = self._router()
-        assert router.reassign(0) == {1: (0, 3)}
+        assert router.reassign_batch([0]) == [(1, (0, 3), (0,))]
         assert router.owned_range(1) == (0, 6)
 
     def test_cascading_loss(self):
         router = self._router(workers=2)
-        assert router.reassign(0) == {1: (0, 6)}
-        assert router.reassign(1) == {}
+        assert router.reassign_batch([0]) == [(1, (0, 6), (0,))]
+        assert router.reassign_batch([1]) == []
         assert router.lost_slabs() == ((0, 12),)
         assert router.owner_of_cell(3) is None
 

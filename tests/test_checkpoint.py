@@ -320,6 +320,48 @@ class TestDistributedResume:
             _dist_config(checkpoint_after_steps=0)
 
 
+class TestFingerprints:
+    """The ``config`` dicts a capture stores, pinned key for key and in order.
+
+    Checkpoints written before ``SearchConfig.fingerprint`` existed must
+    still restore, so the dicts (and their key order, which the ``.npz``
+    writer keeps) may not drift.
+    """
+
+    def test_serial_fingerprint_is_pinned(self, workload):
+        dataset, query = workload
+        search = _engine(dataset).prepare(
+            query, SearchConfig(alpha=1.0, s=0.7, refresh_reads=3, head_capacity=4096)
+        )
+        expected = {
+            "s": 0.7, "alpha": 1.0, "prefetch": "dynamic", "diversification": "none",
+            "refresh_reads": 3, "lazy_updates": True, "assume_nonnegative": False,
+            "head_capacity": 4096, "scrub_blocks_per_step": 0, "grid_shape": [20, 20],
+            "table": "synth_high", "objectives": ["avg(value)", "avg(value)"],
+        }
+        assert list(search._config_fingerprint().items()) == list(expected.items())
+
+    def test_distributed_fingerprint_is_pinned(self):
+        from repro.distributed.coordinator import _distributed_fingerprint
+
+        config = _dist_config()
+        config.search = SearchConfig(alpha=1.0, lazy_updates=False, head_capacity=512)
+        search = {
+            "s": 0.8, "alpha": 1.0, "prefetch": "dynamic", "diversification": "none",
+            "refresh_reads": 0, "lazy_updates": False, "assume_nonnegative": False,
+            "head_capacity": 512, "scrub_blocks_per_step": 0,
+        }
+        expected = {
+            "num_workers": 2, "overlap": "no_overlap", "placement": "cluster",
+            "tuples_per_block": 8, "buffer_fraction": 0.15, "sample_fraction": 0.1,
+            "sample_seed": 17, "balance_by_data": True, "skew": 0.0,
+            "successor_policy": "split", "hedge_delay_ms": 0.0, "search": search,
+        }
+        fingerprint = _distributed_fingerprint(config)
+        assert list(fingerprint.items()) == list(expected.items())
+        assert list(fingerprint["search"].items()) == list(search.items())
+
+
 class TestCheckpointFile:
     def test_round_trip_preserves_arrays_and_nonfinite(self, tmp_path):
         import numpy as np

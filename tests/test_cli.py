@@ -252,6 +252,18 @@ class TestMetricsCommand:
         text = "\n".join(lines)
         assert text.startswith("error:") and needle in text
 
+    def test_serve_refuses_backend_and_builds_no_database(self, tmp_path):
+        """Served sessions build their own databases; ``--backend`` would be ignored."""
+        store = tmp_path / "s.db"
+        code, lines = run_cli(
+            "serve", "--backend", f"sqlite:{store}", "--sessions", "2",
+            "--step-budget", "20", "--scale", "0.1",
+        )
+        assert code == 2
+        text = "\n".join(lines)
+        assert text.startswith("error:") and "DATABASE_URL" in text
+        assert not store.exists()
+
     def test_serve_with_tenant_quotas_throttles(self):
         code, lines = run_cli(
             "serve", "--workload", "synth-medium", "--scale", "0.15",

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Grid, Rect, ResultWindow, Window
 from repro.core.clusters import ClusterTracker, cluster_discovery_times, final_clusters
@@ -83,6 +85,41 @@ class TestPostHocClustering:
         ]
         groups = final_clusters(results, grid)
         assert sorted(len(g) for g in groups) == [1, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 9), st.integers(0, 9), st.integers(1, 3), st.integers(1, 3)
+            ),
+            max_size=24,
+        )
+    )
+    def test_final_clusters_are_overlap_components(self, boxes):
+        """Connected components of the overlap graph, in first-member order."""
+        grid = Grid(Rect.from_bounds([(0.0, 10.0), (0.0, 10.0)]), (1.0, 1.0))
+        results = [
+            res(Window((x, y), (min(x + w, 10), min(y + h, 10))), grid, float(i))
+            for i, (x, y, w, h) in enumerate(boxes)
+        ]
+        component = list(range(len(results)))
+        for i in range(len(results)):
+            # Depth-first labelling from each still-unlabelled result.
+            if component[i] != i:
+                continue
+            stack = [i]
+            while stack:
+                j = stack.pop()
+                for k in range(len(results)):
+                    if k > i and component[k] == k and (
+                        results[j].window.overlaps(results[k].window)
+                    ):
+                        component[k] = i
+                        stack.append(k)
+        expected: dict[int, list[ResultWindow]] = {}
+        for i, r in enumerate(results):
+            expected.setdefault(component[i], []).append(r)
+        assert final_clusters(results, grid) == list(expected.values())
 
     def test_discovery_times(self, grid):
         results = [

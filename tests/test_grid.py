@@ -110,3 +110,28 @@ class TestBoxRect:
         grid = Grid(Rect.from_bounds([(0.0, 10.5)]), (3.0,))
         rect = grid.box_rect((2,), (4,))
         assert rect.upper == (10.5,)
+
+
+class TestGridKey:
+    def test_key_strings_are_pinned(self):
+        """``grid_key`` is stored in SQLite files and ``grid_signature`` is
+        compared across served sessions, so both must stay byte-stable."""
+        from repro.serve import grid_signature
+        from repro.storage import grid_key
+
+        cases = [
+            (
+                Grid(Rect.from_bounds([(0.0, 10.0), (0.0, 10.0)]), (1.0, 1.0)),
+                "((0.0, 0.0), (10.0, 10.0), (1.0, 1.0))",
+                "g:b4620afa3d95ad34ef43889fbb4b52baa6644590",
+            ),
+            (
+                Grid(Rect.from_bounds([(0, 5840)]), (365,)),
+                "((0,), (5840,), (365,))",
+                "g:74e685587851817f1a9f8e053ab48523a01b0986",
+            ),
+        ]
+        for grid, key, signature in cases:
+            assert grid.key == (grid.area.lower, grid.area.upper, grid.steps)
+            assert grid_key(grid) == key
+            assert grid_signature(grid) == signature

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cli import main
 from repro.core import Grid, Rect, Window, prefetch_extend
 from repro.distributed import DistributedConfig, run_distributed
-from repro.storage.placement import cluster_order
 from repro.workloads import make_database, stock_dataset, stock_query
 
 
@@ -40,21 +37,6 @@ class TestCliRendering:
 
 
 class TestPlacementVariants:
-    def test_shuffled_cluster_order_is_permutation(self):
-        rng = np.random.default_rng(3)
-        coords = rng.uniform(0, 10, (200, 2))
-        grid = Grid(Rect.from_bounds([(0.0, 10.0), (0.0, 10.0)]), (1.0, 1.0))
-        perm = cluster_order(coords, grid, shuffle_groups=True, seed=5)
-        assert sorted(perm) == list(range(200))
-
-    def test_shuffled_groups_differ_from_rowmajor(self):
-        rng = np.random.default_rng(4)
-        coords = rng.uniform(0, 10, (300, 2))
-        grid = Grid(Rect.from_bounds([(0.0, 10.0), (0.0, 10.0)]), (1.0, 1.0))
-        plain = cluster_order(coords, grid, shuffle_groups=False)
-        shuffled = cluster_order(coords, grid, shuffle_groups=True, seed=5)
-        assert not np.array_equal(plain, shuffled)
-
     def test_distributed_with_axis_placement(self):
         dataset = stock_dataset(years=8, bull_years=(2, 5), seed=6)
         query = stock_query(dataset)

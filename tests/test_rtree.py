@@ -1,4 +1,8 @@
-"""Unit and property tests for the Guttman R-tree."""
+"""Unit and property tests for the Guttman R-tree behind the ``-ind`` placement.
+
+The tree is built by :meth:`RTree.insert` and read only through
+:meth:`RTree.leaf_order`, so every check goes through those two.
+"""
 
 from __future__ import annotations
 
@@ -10,39 +14,36 @@ from hypothesis import strategies as st
 from repro.storage import RTree
 
 
-def brute_force(points, lows, highs):
-    return sorted(
-        i
-        for i, p in enumerate(points)
-        if all(lo <= v < hi for v, lo, hi in zip(p, lows, highs))
-    )
+def _leaves(tree):
+    return [node for node in tree._dfs() if node.leaf]
+
+
+def _assert_mbrs_cover(tree):
+    """Every node's MBR covers its points (leaves) or children (inner)."""
+    for node in tree._dfs():
+        if node.leaf:
+            boxes = [(p, p) for p, _ in node.payloads]
+        else:
+            boxes = [(c.mins, c.maxs) for c in node.children]
+        for lo, hi in boxes:
+            assert all(m <= v for m, v in zip(node.mins, lo))
+            assert all(v <= m for m, v in zip(node.maxs, hi))
 
 
 class TestRTreeBasics:
     def test_empty_tree(self):
-        tree = RTree(2)
-        assert tree.size == 0
-        assert tree.search((0, 0), (10, 10)) == []
+        assert RTree(2).leaf_order() == []
 
-    def test_insert_and_search(self):
+    def test_insert_and_leaf_order(self):
         tree = RTree(2, max_entries=4)
         tree.insert((1.0, 1.0), 0)
         tree.insert((5.0, 5.0), 1)
-        assert sorted(tree.search((0, 0), (2, 2))) == [0]
-        assert sorted(tree.search((0, 0), (10, 10))) == [0, 1]
-
-    def test_half_open_semantics(self):
-        tree = RTree(1, max_entries=4)
-        tree.insert((5.0,), 0)
-        assert tree.search((5.0,), (6.0,)) == [0]
-        assert tree.search((4.0,), (5.0,)) == []
+        assert tree.leaf_order() == [0, 1]
 
     def test_dimension_validation(self):
         tree = RTree(2)
         with pytest.raises(ValueError, match="dims"):
             tree.insert((1.0,), 0)
-        with pytest.raises(ValueError, match="mismatch"):
-            tree.search((0,), (1,))
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="ndim"):
@@ -54,17 +55,20 @@ class TestRTreeBasics:
         tree = RTree(2, max_entries=4)
         for i in range(30):
             tree.insert((float(i % 6), float(i // 6)), i)
-        assert tree.height >= 2
-        assert tree.size == 30
+        assert not tree._root.leaf
+        # Quadratic split keeps every leaf between min fill and capacity.
+        assert all(2 <= len(leaf.payloads) <= 4 for leaf in _leaves(tree))
+        assert sorted(tree.leaf_order()) == list(range(30))
+        _assert_mbrs_cover(tree)
 
     def test_duplicates_allowed(self):
         tree = RTree(2, max_entries=4)
         tree.insert((1.0, 1.0), 0)
         tree.insert((1.0, 1.0), 1)
-        assert sorted(tree.search((0, 0), (2, 2))) == [0, 1]
+        assert sorted(tree.leaf_order()) == [0, 1]
 
 
-class TestRTreeAgainstBruteForce:
+class TestRTreeProperties:
     @settings(max_examples=25, deadline=None)
     @given(
         st.lists(
@@ -73,25 +77,18 @@ class TestRTreeAgainstBruteForce:
             ),
             min_size=1,
             max_size=120,
-        ),
-        st.tuples(st.floats(0, 100, allow_nan=False), st.floats(0, 100, allow_nan=False)),
-        st.tuples(st.floats(0, 100, allow_nan=False), st.floats(0, 100, allow_nan=False)),
+        )
     )
-    def test_search_matches_brute_force(self, points, corner_a, corner_b):
-        lows = tuple(min(a, b) for a, b in zip(corner_a, corner_b))
-        highs = tuple(max(a, b) for a, b in zip(corner_a, corner_b))
+    def test_leaf_order_matches_inserted_points(self, points):
         tree = RTree(2, max_entries=5)
         for i, p in enumerate(points):
             tree.insert(p, i)
-        assert sorted(tree.search(lows, highs)) == brute_force(points, lows, highs)
-
-    def test_bulk_insert(self):
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(0, 10, (200, 2))
-        tree = RTree(2, max_entries=8)
-        tree.bulk_insert(pts)
-        assert tree.size == 200
-        assert sorted(tree.search((0, 0), (10.001, 10.001))) == list(range(200))
+        assert sorted(tree.leaf_order()) == list(range(len(points)))
+        for leaf in _leaves(tree):
+            assert len(leaf.payloads) <= 5
+            for point, payload in leaf.payloads:
+                assert point == tuple(float(v) for v in points[payload])
+        _assert_mbrs_cover(tree)
 
 
 class TestLeafOrder:
@@ -99,7 +96,8 @@ class TestLeafOrder:
         rng = np.random.default_rng(4)
         pts = rng.uniform(0, 10, (150, 2))
         tree = RTree(2, max_entries=8)
-        tree.bulk_insert(pts)
+        for i, p in enumerate(pts):
+            tree.insert(tuple(p), i)
         order = tree.leaf_order()
         assert sorted(order) == list(range(150))
 
@@ -119,8 +117,9 @@ class TestLeafOrder:
         rng = np.random.default_rng(6)
         pts = rng.uniform(0, 10, (100, 2))
         tree = RTree(2, max_entries=8)
-        tree.bulk_insert(pts)
-        mbrs = tree.leaf_mbrs()
+        for i, p in enumerate(pts):
+            tree.insert(tuple(p), i)
+        mbrs = [(leaf.mins, leaf.maxs) for leaf in _leaves(tree)]
         for p in pts:
             assert any(
                 all(lo <= v <= hi for v, lo, hi in zip(p, mins, maxs))

@@ -381,7 +381,7 @@ def _pool(capacity: int) -> BufferPool:
 
 
 class TestPoolGroup:
-    def test_register_totals_rebalance(self):
+    def test_register_and_totals(self):
         group = PoolGroup()
         a, b = _pool(10), _pool(20)
         group.register("a", a)
@@ -390,17 +390,6 @@ class TestPoolGroup:
             group.register("a", a)
         assert group.names() == ["a", "b"] and len(group) == 2
         assert group.totals()["capacity"] == 30
-        shares = group.rebalance(7)
-        assert shares == {"a": 4, "b": 3}
-        assert a.capacity == 4 and b.capacity == 3
         group.unregister("a")
         group.unregister("missing")  # no-op
         assert group.names() == ["b"]
-
-    def test_rebalance_floors_at_one_block(self):
-        group = PoolGroup()
-        pools = {n: _pool(8) for n in ("a", "b", "c")}
-        for name, pool in pools.items():
-            group.register(name, pool)
-        shares = group.rebalance(2)
-        assert all(v >= 1 for v in shares.values())

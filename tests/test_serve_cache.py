@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import SearchConfig, SWEngine
+from repro.core import SWEngine
 from repro.obs import MetricsRegistry
 from repro.serve import (
     SemanticCache,
@@ -191,43 +191,6 @@ class TestEviction:
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="budget_cells"):
             SemanticCache(budget_cells=0)
-
-
-class TestInvalidation:
-    def test_invalidate_table_drops_all_grids(self):
-        cache = SemanticCache()
-        cache.publish("t:x", "g:1", [(0, {"k": 0})])
-        cache.publish("t:x", "g:2", [(0, {"k": 0})])
-        cache.publish("t:z", "g:1", [(0, {"k": 0})])
-        cache.pin("t:x", "g:1")
-        assert cache.invalidate_table("t:x") == 2
-        assert len(cache) == 1
-        assert cache.stats()["pinned_bindings"] == 0
-        assert cache.consult("t:z", "g:1", [0]).keys() == {0}
-
-    def test_rebind_detaches_and_invalidates(self, dataset):
-        """DataManager.rebind_table must drop the old signature's entries."""
-        query = synthetic_query(dataset)
-        cache = SemanticCache()
-        engine = SWEngine(make_database(dataset, "cluster"), dataset.name)
-        engine.attach_semantic_cache(cache)
-        search = engine.prepare(query, SearchConfig(alpha=1.0))
-        search.run()
-        tsig = table_signature(engine.database.table(dataset.name))
-        assert any(k[0] == tsig for k in cache._cells)
-
-        from repro.storage.table import HeapTable
-
-        donor = make_table(dataset, "random")
-        replacement = HeapTable(
-            "adopted",
-            donor.schema,
-            {name: donor.column(name) for name in donor.schema.columns},
-            tuples_per_block=donor.tuples_per_block,
-        )
-        search.data.rebind_table(replacement)
-        assert not any(k[0] == tsig for k in cache._cells)
-        assert search.data._cache is None  # detached: no stale promotion
 
 
 class TestSampleStore:

@@ -206,9 +206,16 @@ class _FakeSession:
         self.slices_taken = 0
 
 
+def _weighted(**weights: float) -> WeightedFairPolicy:
+    """A policy over a ledger giving each named tenant an explicit weight."""
+    return WeightedFairPolicy(
+        QuotaLedger({t: TenantQuota(weight=w) for t, w in weights.items()})
+    )
+
+
 class TestWeightedFairPolicy:
     def test_slice_ratio_tracks_weights(self):
-        policy = WeightedFairPolicy({"free": 1.0, "prem": 16.0})
+        policy = _weighted(free=1.0, prem=16.0)
         live = [_FakeSession("f1", "free"), _FakeSession("p1", "prem")]
         for session in live:
             policy.on_admit(session)
@@ -220,7 +227,7 @@ class TestWeightedFairPolicy:
         assert counts["prem"] / counts["free"] == pytest.approx(16.0, rel=0.15)
 
     def test_no_runnable_tenant_is_starved(self):
-        policy = WeightedFairPolicy({"a": 1.0, "b": 100.0})
+        policy = _weighted(a=1.0, b=100.0)
         live = [_FakeSession("a1", "a"), _FakeSession("b1", "b")]
         counts = {"a": 0, "b": 0}
         for _ in range(505):
@@ -230,7 +237,7 @@ class TestWeightedFairPolicy:
         assert counts["a"] >= 5  # ~1 in 101 slices, never zero
 
     def test_late_joiner_gets_no_back_credit(self):
-        policy = WeightedFairPolicy({"a": 1.0, "b": 1.0})
+        policy = _weighted(a=1.0, b=1.0)
         first = [_FakeSession("a1", "a")]
         policy.on_admit(first[0])
         for _ in range(50):
@@ -259,7 +266,38 @@ class TestWeightedFairPolicy:
 
     def test_rejects_non_positive_weight(self):
         with pytest.raises(ValueError, match="weight"):
-            WeightedFairPolicy({"t": 0.0})
+            _weighted(t=0.0)
+
+    def test_weights_come_from_the_ledger_default_quota(self, workload):
+        """A tenant with no listed quota is weighted by the default quota."""
+        dataset, query = workload
+        standard = TenantQuota(tier="standard")
+        core = ServeCore(
+            ServeConfig(
+                max_live=2,
+                use_cache=False,
+                policy="wfq",
+                quotas={"std": standard},
+                default_quota=TenantQuota(tier="premium"),
+            )
+        )
+        assert core.manager.ledger.weight("guest") == TIER_WEIGHTS["premium"]
+        assert core.policy.weight_of("guest") == TIER_WEIGHTS["premium"]
+        assert core.policy.weight_of("std") == TIER_WEIGHTS["standard"]
+        for tenant in ("guest", "std"):
+            core.manager.submit(
+                f"{tenant}-1", dataset, query, SearchConfig(alpha=1.0), tenant=tenant
+            )
+        for session in core.manager.live_sessions():
+            core.policy.on_admit(session)
+        live = core.manager.live_sessions()
+        picks = {"guest": 0, "std": 0}
+        for _ in range(40):
+            chosen = core.policy.pick(live)
+            chosen.slices_taken += 1
+            picks[chosen.tenant] += 1
+        # premium 16 : standard 4
+        assert picks == {"guest": 32, "std": 8}
 
 
 def _session_bytes(core: ServeCore, name: str) -> bytes:

@@ -1,6 +1,13 @@
-"""Tests for STR bulk loading and the str placement ablation."""
+"""Tests for the Sort-Tile-Recursive order and the str placement ablation.
+
+An STR bulk load packs leaves from one sort; ``str_order`` is that sort,
+so no tree is built.  Leaf MBRs below are the ``max_entries``-row chunks
+of the order.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -15,69 +22,64 @@ def points():
     return rng.uniform(0, 10, (500, 2))
 
 
-def leaves_touched(tree, lows, highs):
-    count = 0
-    for mins, maxs in tree.leaf_mbrs():
-        if all(mi < h and ma >= l for mi, ma, l, h in zip(mins, maxs, lows, highs)):
-            count += 1
-    return count
+def _strips(coords, max_entries):
+    """The row ranges of ``str_order``'s strips, in order."""
+    n = coords.shape[0]
+    strips = max(1, math.ceil(math.sqrt(math.ceil(n / max_entries))))
+    per_strip = math.ceil(n / strips)
+    return [(lo, min(lo + per_strip, n)) for lo in range(0, n, per_strip)]
+
+
+def _touches(mins, maxs, lows, highs):
+    return all(mi < h and ma >= l for mi, ma, l, h in zip(mins, maxs, lows, highs))
 
 
 class TestStrBulkLoad:
-    def test_search_matches_brute_force(self, points):
-        tree = RTree.bulk_load_str(points, max_entries=16)
-        lows, highs = (2.0, 3.0), (5.0, 6.0)
-        expected = sorted(
-            i
-            for i, p in enumerate(points)
-            if lows[0] <= p[0] < highs[0] and lows[1] <= p[1] < highs[1]
-        )
-        assert sorted(tree.search(lows, highs)) == expected
-
     def test_size_and_leaf_order(self, points):
-        tree = RTree.bulk_load_str(points, max_entries=16)
-        assert tree.size == 500
-        assert sorted(tree.leaf_order()) == list(range(500))
+        order = str_order(points, max_entries=16)
+        assert order.shape == (500,)
+        assert sorted(order) == list(range(500))
 
-    def test_leaves_are_full(self, points):
-        tree = RTree.bulk_load_str(points, max_entries=16)
-        sizes = [len(n.payloads) for n in tree._dfs() if n.leaf]
-        # Packed loading: all leaves full except possibly the last few.
-        assert sum(sizes) == 500
-        assert sum(1 for s in sizes if s == 16) >= len(sizes) - 2
+    def test_strips_sorted_on_x(self, points):
+        order = str_order(points, max_entries=16)
+        ranges = _strips(points, 16)
+        assert len(ranges) == 6
+        for (lo, hi), (nlo, nhi) in zip(ranges, ranges[1:]):
+            assert points[order[lo:hi], 0].max() <= points[order[nlo:nhi], 0].min()
+
+    def test_rows_within_a_strip_sorted_on_y(self, points):
+        order = str_order(points, max_entries=16)
+        for lo, hi in _strips(points, 16):
+            assert np.all(np.diff(points[order[lo:hi], 1]) >= 0)
 
     def test_empty_input(self):
-        tree = RTree.bulk_load_str(np.empty((0, 2)))
-        assert tree.size == 0
-        assert tree.search((0, 0), (1, 1)) == []
+        with pytest.raises(ValueError, match="non-empty"):
+            str_order(np.empty((0, 2)))
 
     def test_1d_input(self):
-        pts = np.array([[3.0], [1.0], [2.0], [5.0]])
-        tree = RTree.bulk_load_str(pts, max_entries=4)
-        assert sorted(tree.search((1.5,), (5.0,))) == [0, 2]
+        pts = np.array([[3.0], [1.0], [2.0], [5.0], [2.0]])
+        np.testing.assert_array_equal(str_order(pts, max_entries=4), [1, 2, 4, 0, 3])
 
     def test_str_beats_insertion_on_query_fanout(self, points):
         """The quality gap justifying the -ind vs STR ablation."""
-        packed = RTree.bulk_load_str(points, max_entries=16)
+        order = str_order(points, max_entries=16)
+        packed = [
+            (points[chunk].min(axis=0), points[chunk].max(axis=0))
+            for chunk in np.array_split(order, range(16, 500, 16))
+        ]
         inserted = RTree(2, max_entries=16)
         rng = np.random.default_rng(92)
         for i in rng.permutation(500):
             inserted.insert(tuple(points[i]), int(i))
+        inserted_leaves = [(n.mins, n.maxs) for n in inserted._dfs() if n.leaf]
         total_packed = total_inserted = 0
         for seed in range(40):
             r = np.random.default_rng(seed)
             lo = r.uniform(0, 8, 2)
             hi = lo + 2
-            total_packed += leaves_touched(packed, lo, hi)
-            total_inserted += leaves_touched(inserted, lo, hi)
+            total_packed += sum(_touches(mi, ma, lo, hi) for mi, ma in packed)
+            total_inserted += sum(_touches(mi, ma, lo, hi) for mi, ma in inserted_leaves)
         assert total_packed < total_inserted
-
-    def test_multilevel_tree(self):
-        rng = np.random.default_rng(93)
-        pts = rng.uniform(0, 1, (2000, 2))
-        tree = RTree.bulk_load_str(pts, max_entries=8)
-        assert tree.height >= 3
-        assert sorted(tree.search((0, 0), (1.01, 1.01))) == list(range(2000))
 
 
 class TestStrPlacement:
