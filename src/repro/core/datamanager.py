@@ -18,10 +18,13 @@ Implementation note: all per-cell state lives in grid-shaped numpy arrays,
 and every window query is served by :class:`~repro.core.kernels.DataKernels`:
 the count-like ones — ``window_count``, ``unread_objects``, ``is_read``
 and ``count`` aggregates — as O(2^d) summed-area-table lookups, a stale
-table being refilled in place first (see its refill policy); real-valued ``sum``/``avg``
-and the ``min``/``max`` extrema stay on O(window) slice reductions so
-every value is bitwise identical to the naive reference in
-``tests/naive_oracle.py`` (see kernels.py for the exactness contract).
+table being refilled in place first (see its refill policy).  Real-valued
+``sum``/``avg`` are O(window) sums in numpy's own pairwise order, added in
+Python over a flat view of the ``eff_sum`` grid for small boxes, and the
+``min``/``max`` extrema stay on numpy slice reductions, so every value is
+bitwise identical to the naive reference in ``tests/naive_oracle.py``
+(see kernels.py for the exactness contract).  The grids are only ever
+written in place, which keeps the kernels' flat views current.
 """
 
 from __future__ import annotations

@@ -29,15 +29,22 @@ possible:
 * Real-valued grids (the per-objective ``eff_sum``) would lose that
   guarantee through a SAT: corner differences round differently from
   numpy's pairwise slice summation, and cancellation noise on empty
-  boxes breaks exact utility ties.  Their *batched* fixed-shape
-  reductions therefore use contiguity-preserving sliding-window copies
-  instead: numpy applies the same pairwise summation to an n-element
-  contiguous row as to an n-element slice copy, which keeps every batch
-  value bitwise equal to the scalar path (guarded by
-  ``_SLIDING_MAX_CELLS`` for degenerate huge shapes).  ``min``/``max``
-  are order-insensitive, so their sliding reductions are trivially
-  exact; single-window ``min``/``max``/``sum``/``avg`` queries keep the
-  existing slice path behind this same API.
+  boxes breaks exact utility ties.  A real-valued window sum is instead
+  *numpy's pairwise sum of the box's cells in row-major order*, which
+  is what ``eff_sum[key][box].sum()`` computes for a box of up to
+  ``_SLIDING_MAX_CELLS`` cells.  The scalar path
+  (:meth:`DataKernels.window_sum`) reproduces it in Python over a flat
+  memoryview of the grid: :func:`box_offsets` lists the cells in
+  row-major order and :func:`pairwise_sum` adds them in numpy's order,
+  so no numpy call is made per window.  The batch path
+  (:func:`sliding_reduce`) copies each placement's cells into one
+  contiguous row, which numpy sums in the same order.  Both hand a box
+  over ``_SLIDING_MAX_CELLS`` cells to numpy's slice sum, and the scalar
+  path does so above ``_SCALAR_SUM_MAX_CELLS`` cells, where numpy's C
+  loop is the faster of two equal answers.  ``min``/``max`` are
+  order-insensitive, so their sliding reductions are trivially exact;
+  single-window ``min``/``max`` keep numpy's slice reduction, which
+  propagates NaN.
 
 The one real-valued SAT user is the SQL baseline
 (``repro.dbms.executor``), whose reference is a per-window
@@ -54,6 +61,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import reduce
+from operator import add, itemgetter, mul, sub
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -65,7 +74,14 @@ from .window import Window
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .datamanager import DataManager
 
-__all__ = ["SummedAreaTable", "DataKernels", "placement_bounds", "sliding_reduce"]
+__all__ = [
+    "SummedAreaTable",
+    "DataKernels",
+    "box_offsets",
+    "pairwise_sum",
+    "placement_bounds",
+    "sliding_reduce",
+]
 
 # Above this many cells per window the sliding-window batch falls back to
 # per-placement slice reductions: numpy's buffered reduction may chunk
@@ -75,6 +91,54 @@ _SLIDING_MAX_CELLS = 4096
 
 # Cap on the temporary copy made by one sliding-window chunk (floats).
 _SLIDING_CHUNK_ELEMS = 1 << 22
+
+# Above this many cells a scalar window sum goes to numpy: past it one C
+# reduction beats the Python accumulators (both give the same bits).
+_SCALAR_SUM_MAX_CELLS = 16
+
+
+def pairwise_sum(cells: Sequence[float]) -> float:
+    """numpy's float64 sum of at most 128 ``cells``, bit for bit.
+
+    numpy's ``pairwise_sum`` adds fewer than 8 values one after the
+    other; from 8 up to 128 it keeps eight accumulators over cells ``j,
+    j + 8, ...`` (the whole multiples of 8), combines them as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and adds the
+    remainder in order.  The reduction then adds that to ``add``'s
+    identity ``+0.0``.  Starting the short sum from ``-0.0`` is exact for
+    every first value, so only the final ``0.0 +`` turns an all-``-0.0``
+    sum into ``+0.0``, as numpy's does.
+    """
+    n = len(cells)
+    if n < 8:
+        return 0.0 + reduce(add, cells, -0.0)
+    r0, r1, r2, r3, r4, r5, r6, r7 = cells[:8]
+    m = n - n % 8
+    if m > 8:
+        for i in range(8, m, 8):
+            a0, a1, a2, a3, a4, a5, a6, a7 = cells[i : i + 8]
+            r0 += a0
+            r1 += a1
+            r2 += a2
+            r3 += a3
+            r4 += a4
+            r5 += a5
+            r6 += a6
+            r7 += a7
+    return 0.0 + reduce(add, cells[m:], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+
+
+def box_offsets(lengths: Sequence[int], strides: Sequence[int]) -> list[int]:
+    """Flat offsets of a box's cells from its first cell, row-major.
+
+    The one row walk of 1-, 2- and n-d boxes: ``strides`` are the grid's
+    C-order element strides, so the offsets list the cells in the order
+    numpy's slice sum visits them.
+    """
+    offsets = [0]
+    for length, stride in zip(lengths, strides):
+        offsets = [o + k for o in offsets for k in range(0, length * stride, stride)]
+    return offsets
 
 
 class SummedAreaTable:
@@ -228,10 +292,18 @@ class DataKernels:
 
     Count-like queries (``window_count``, ``unread_objects``,
     ``read_cells``, ``is_read`` and the ``count`` aggregate) are served
-    from summed-area tables; ``sum``/``avg`` single-window queries keep
-    the exact slice path, and ``min``/``max`` always use it (prefix sums
-    cannot serve extrema).  ``placement_*`` methods evaluate *every*
-    start-window placement of a fixed shape at once.
+    from summed-area tables; ``sum``/``avg`` single-window queries by
+    :meth:`window_sum`, and ``min``/``max`` by numpy slice reductions
+    (prefix sums cannot serve extrema).  ``placement_*`` methods
+    evaluate *every* start-window placement of a fixed shape at once.
+
+    **Exactness.**  A real-valued window sum is numpy's pairwise sum of
+    the box's cells in row-major order, bit for bit: the scalar path
+    computes it in Python over a flat view of the C-contiguous float64
+    grid, the batch path through contiguous copies, and both hand boxes
+    over ``_SLIDING_MAX_CELLS`` cells to numpy (the scalar path those
+    over ``_SCALAR_SUM_MAX_CELLS``).  The module docstring has the
+    argument.
 
     **Refill policy.**  The ``true_count`` table is static and built
     once.  The mutable tables (``unread_count``, ``read_mask``) go stale
@@ -254,6 +326,20 @@ class DataKernels:
         self._read_sat = SummedAreaTable(data.read_mask)
         self._stamp = data.version
         self.rebuilds = 0
+        # Real-valued window sums read each ``eff_sum`` grid through a flat
+        # memoryview.  The Data Manager only ever writes those grids in
+        # place, so the views stay current; a grid that is not C-contiguous
+        # float64 gets no view and keeps numpy's slice sum.
+        self._sum_views = {
+            key: memoryview(grid.reshape(-1))
+            for key, grid in data.eff_sum.items()
+            if grid.dtype == np.float64 and grid.flags.c_contiguous
+        }
+        shape = data.true_count.shape
+        self._strides = tuple(math.prod(shape[d + 1 :]) for d in range(len(shape)))
+        # Per box shape: an itemgetter of its cells from the box's first
+        # cell, or None above _SCALAR_SUM_MAX_CELLS.
+        self._box_cells: dict[tuple[int, ...], itemgetter | None] = {}
 
     # -- cache maintenance -------------------------------------------------
 
@@ -315,24 +401,25 @@ class DataKernels:
     def reduce(self, objective: ContentObjective, window: Window) -> float:
         """Estimated objective value — the Data Manager's ``_reduce``.
 
-        ``count`` is served by the SAT; ``sum``/``avg`` take the slice
-        path for the real-valued grid (with the SAT count for ``avg``'s
-        denominator); ``min``/``max`` take the slice path entirely.
+        ``count`` is served by the SAT; ``sum``/``avg`` by
+        :meth:`window_sum` over the real-valued grid (with the SAT count
+        for ``avg``'s denominator); ``min``/``max`` take the slice path,
+        which propagates NaN.
         """
         data = self._data
         agg = objective.aggregate.name
         lo, hi = window.lo, window.hi
         if agg == "count":
             return self._count_sat.box_sum(lo, hi)
-        key = objective.key
-        box = tuple(map(slice, lo, hi))
         if agg == "sum":
-            return float(data.eff_sum[key][box].sum())
+            return self.window_sum(objective.key, lo, hi)
         if agg == "avg":
             count = self._count_sat.box_sum(lo, hi)
             if count <= 0:
                 return math.nan
-            return float(data.eff_sum[key][box].sum() / count)
+            return self.window_sum(objective.key, lo, hi) / count
+        box = tuple(map(slice, lo, hi))
+        key = objective.key
         if agg == "min":
             value = float(data.eff_min[key][box].min())
             return value if math.isfinite(value) else math.nan
@@ -340,6 +427,32 @@ class DataKernels:
             value = float(data.eff_max[key][box].max())
             return value if math.isfinite(value) else math.nan
         raise ValueError(f"unsupported aggregate {agg!r}")  # pragma: no cover
+
+    def window_sum(self, key: str, lo: Sequence[int], hi: Sequence[int]) -> float:
+        """``float(eff_sum[key][box].sum())`` for the box ``[lo, hi)``, bit
+        for bit, without a numpy call up to ``_SCALAR_SUM_MAX_CELLS``.
+
+        The box's cells are read from the grid's flat view in row-major
+        order (:func:`box_offsets`, one itemgetter per box shape) and
+        added in numpy's order (:func:`pairwise_sum`).
+        """
+        lengths = tuple(map(sub, hi, lo))
+        try:
+            cells = self._box_cells[lengths]
+        except KeyError:
+            cells = self._box_cells[lengths] = self._cell_getter(lengths)
+        flat = self._sum_views.get(key)
+        if cells is None or flat is None:
+            return float(self._data.eff_sum[key][tuple(map(slice, lo, hi))].sum())
+        return pairwise_sum(cells(flat[sum(map(mul, lo, self._strides)) :]))
+
+    def _cell_getter(self, lengths: tuple[int, ...]) -> itemgetter | None:
+        cells = math.prod(lengths)
+        if cells > _SCALAR_SUM_MAX_CELLS:
+            return None
+        if cells == 1:  # a sequence, like every other box's cells
+            return itemgetter(slice(0, 1))
+        return itemgetter(*box_offsets(lengths, self._strides))
 
     # -- batch queries over all placements of a fixed shape ----------------
 
@@ -429,24 +542,24 @@ class DataKernels:
 
         Unlike ``placement_reduce`` the rows may have *different* shapes
         (a popped window's 2d neighbors, a frontier slice), so the
-        real-valued grids use per-row slice reductions — the literal
-        scalar computation, hence bitwise-identical — while count-like
-        quantities come out of the SAT in one shot.
+        real-valued grids use per-row scalar reductions — :meth:`window_sum`
+        and the extrema's slices, hence bitwise-identical — while
+        count-like quantities come out of the SAT in one shot.
         """
         data = self._data
         agg = objective.aggregate.name
         if agg == "count":
             return self._count_sat.box_sums(lows, his)
         key = objective.key
-        if agg == "sum":
-            arr = data.eff_sum[key]
-            return np.array([float(arr[box].sum()) for box in self._boxes(lows, his)])
-        if agg == "avg":
-            counts = self._count_sat.box_sums(lows, his)
-            arr = data.eff_sum[key]
+        if agg in ("sum", "avg"):
+            window_sum = self.window_sum
             sums = np.array(
-                [float(arr[box].sum()) for box in self._boxes(lows, his)]
+                [window_sum(key, lo, hi) for lo, hi in zip(lows.tolist(), his.tolist())],
+                dtype=np.float64,
             )
+            if agg == "sum":
+                return sums
+            counts = self._count_sat.box_sums(lows, his)
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(counts > 0, sums / counts, math.nan)
         if agg == "min":

@@ -78,7 +78,15 @@ _BULK_MERGE_MIN = 32
 
 
 class SpillableQueue:
-    """Max-priority queue over windows with bucketed spilling."""
+    """Max-priority queue over windows with bucketed spilling.
+
+    The sorted block's head key ``(neg_u, neg_b, seq)`` is held as a
+    Python tuple (``_blk_head``, ``None`` once the block is used up):
+    :meth:`pop` and :meth:`peek_priority` compare it with the pending
+    heap's top without reading numpy scalars.  Whatever moves
+    ``_blk_pos`` or rebuilds the block — a pop, a merge, a spill, a
+    promotion, a clear or a restore — refreshes it.
+    """
 
     def __init__(self, head_capacity: int = 1_000_000, num_buckets: int = 16) -> None:
         if head_capacity < 2:
@@ -95,6 +103,7 @@ class SpillableQueue:
         self._blk_hi = np.empty((0, 0), dtype=np.int64)
         self._blk_ver = np.empty(0, dtype=np.int64)
         self._blk_pos = 0
+        self._blk_head: tuple | None = None  # (neg_u, neg_b, seq) of row _blk_pos
         # Pending heap of (neg_u, neg_b, seq, lo, hi, version) tuples; seqs
         # are unique, so comparisons never reach the bounds.
         self._pending: list[tuple] = []
@@ -298,6 +307,7 @@ class SpillableQueue:
         self._blk_hi = m_hi[order]
         self._blk_ver = m_ver[order]
         self._blk_pos = 0
+        self._refresh_head()
 
     def _clear_block(self) -> None:
         self._blk_nu = np.empty(0, dtype=np.float64)
@@ -307,9 +317,19 @@ class SpillableQueue:
         self._blk_hi = np.empty((0, 0), dtype=np.int64)
         self._blk_ver = np.empty(0, dtype=np.int64)
         self._blk_pos = 0
+        self._blk_head = None
 
-    def _block_key(self, i: int) -> tuple:
-        return (self._blk_nu.item(i), self._blk_nb.item(i), self._blk_seq.item(i))
+    def _refresh_head(self) -> None:
+        """Re-read the block head's key after ``_blk_pos`` or the block moved."""
+        i = self._blk_pos
+        if i < self._blk_seq.size:
+            self._blk_head = (
+                self._blk_nu.item(i),
+                self._blk_nb.item(i),
+                self._blk_seq.item(i),
+            )
+        else:
+            self._blk_head = None
 
     def pop(self) -> QueueEntry | None:
         """Remove and return the highest-priority entry, or ``None``."""
@@ -317,19 +337,17 @@ class SpillableQueue:
             self._promote()
             if self._head_len() == 0:
                 return None
-        i = self._blk_pos
-        have_block = i < self._blk_seq.size
-        if self._pending and (
-            not have_block or self._pending[0][:3] < self._block_key(i)
-        ):
-            nu, nb, _, lo, hi, version = heapq.heappop(self._pending)
+        head = self._blk_head
+        pending = self._pending
+        if pending and (head is None or pending[0][:3] < head):
+            nu, nb, _, lo, hi, version = heapq.heappop(pending)
             return ((-nu, -nb), Window.unchecked(tuple(lo), tuple(hi)), version)
+        i = self._blk_pos
         self._blk_pos = i + 1
-        lo = tuple(self._blk_lo[i].tolist())
-        hi = tuple(self._blk_hi[i].tolist())
+        self._refresh_head()
         return (
-            (-self._blk_nu.item(i), -self._blk_nb.item(i)),
-            Window.unchecked(lo, hi),
+            (-head[0], -head[1]),
+            Window.unchecked(tuple(self._blk_lo[i].tolist()), tuple(self._blk_hi[i].tolist())),
             self._blk_ver.item(i),
         )
 
@@ -339,14 +357,12 @@ class SpillableQueue:
             self._promote()
             if self._head_len() == 0:
                 return None
-        i = self._blk_pos
-        have_block = i < self._blk_seq.size
-        if self._pending and (
-            not have_block or self._pending[0][:3] < self._block_key(i)
-        ):
-            top = self._pending[0]
+        head = self._blk_head
+        pending = self._pending
+        if pending and (head is None or pending[0][:3] < head):
+            top = pending[0]
             return (-top[0], -top[1])
-        return (-self._blk_nu.item(i), -self._blk_nb.item(i))
+        return (-head[0], -head[1])
 
     def peek_bounds(self, k: int) -> list[tuple[Priority, tuple, tuple, int]]:
         """Up to ``k`` head entries as ``(priority, lo, hi, version)``.
@@ -496,6 +512,7 @@ class SpillableQueue:
             self._blk_hi = np.empty((0, 0), dtype=np.int64)
         self._blk_ver = np.asarray(block["version"], dtype=np.int64).reshape(n)
         self._blk_pos = 0
+        self._refresh_head()
         # A verbatim heap capture is already a valid heap layout.
         self._pending = [
             (
@@ -576,7 +593,7 @@ class SpillableQueue:
         self._blk_lo = self._blk_lo[:keep].copy()
         self._blk_hi = self._blk_hi[:keep].copy()
         self._blk_ver = self._blk_ver[:keep].copy()
-        self._blk_pos = 0
+        self._blk_pos = 0  # the head is still row 0, so _blk_head holds
         self._spill_events += 1
 
     def _promote(self) -> None:
@@ -597,6 +614,7 @@ class SpillableQueue:
             self._blk_hi = np.array([e[2] for e in ordered], dtype=np.int64).reshape(n, -1)
             self._blk_ver = np.array([e[3] for e in ordered], dtype=np.int64)
             self._blk_pos = 0
+            self._refresh_head()
             self._spilled -= n
             bucket.clear()
             self._threshold = (idx / self._num_buckets, -math.inf)

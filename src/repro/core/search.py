@@ -56,7 +56,7 @@ from .pqueue import SpillableQueue
 from .query import ResultWindow, SWQuery
 from .trace import EventKind, SearchTrace
 from .utility import UtilityModel
-from .window import Window, neighbor_bounds
+from .window import Window
 
 __all__ = ["SearchConfig", "SearchStats", "SearchRun", "SteppingCore", "HeuristicSearch"]
 
@@ -404,19 +404,11 @@ class SteppingCore:
         m_lo, m_hi = self.grid.key_multipliers
         return sum(map(mul, lo, m_lo)) + sum(map(mul, hi, m_hi))
 
-    def _push_bounds(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> None:
-        """Score and enqueue the window ``[lo, hi)`` unless already generated."""
-        key = self._key_of_bounds(lo, hi)
-        if key in self._generated:
-            return
-        self._generated.add(key)
-        self._push_unregistered(Window.unchecked(lo, hi))
-
     def _push_unregistered(self, window: Window) -> None:
         """Score and enqueue without consulting the dedup set.
 
-        For neighbours :meth:`_push_bounds` has just registered, and for
-        seeds, which never register: a neighbour exceeds the minimal
+        For neighbours :meth:`_generate_neighbors` has just registered, and
+        for seeds, which never register: a neighbour exceeds the minimal
         shape in some dimension, so its key cannot collide with a seed's,
         and an adopted slab is disjoint from every slab its adopter seeded.
         """
@@ -426,21 +418,63 @@ class SteppingCore:
             self._mc_generated.value += 1.0
 
     def _generate_neighbors(self, window: Window) -> None:
-        """GetNeighbors() with max-shape and anti-monotone pruning."""
+        """GetNeighbors() with max-shape and anti-monotone pruning.
+
+        Walks the candidates of :func:`~repro.core.window.neighbor_bounds`
+        in its order and under its caps, but dedups on keys first:
+        ``Window.key`` is affine in the bounds, so growing dimension ``d``
+        left or right moves the parent's key by ``-m_lo[d]`` or
+        ``+m_hi[d]``.  Only a candidate not generated before gets bounds
+        and a :class:`Window`.
+        """
         if self._prune_conditions and self._violates_anti_monotone(window):
             self.stats.pruned_extensions += 1
             return
-        bounds, capped = neighbor_bounds(
-            window.lo, window.hi, self.grid.shape, self._max_lengths, self._max_card
-        )
-        self.stats.capped_extensions += capped
+        lo, hi = window.lo, window.hi
+        shape = self.grid.shape
+        max_lengths = self._max_lengths
+        max_card = self._max_card
+        card = window.cardinality if max_card is not None else 0
+        m_lo, m_hi = self.grid.key_multipliers
+        key = self._key_of_bounds(lo, hi)
+        generated = self._generated
+        push = self._push_unregistered
         # Explored windows are anchored in our slab, and only growing left
         # in the first dimension — always the first candidate — moves the
-        # anchor: that one alone can land in another worker's slab.
-        if bounds and bounds[0][0][0] < self.anchor_lo:
-            del bounds[0]
-        for lo, hi in bounds:
-            self._push_bounds(lo, hi)
+        # anchor: the first candidate goes if it starts left of anchor_lo,
+        # which takes a window starting at or before anchor_lo.
+        anchor_lo = self.anchor_lo
+        check_first = lo[0] <= anchor_lo
+        capped = 0
+        for d, (l, h) in enumerate(zip(lo, hi)):
+            left = l > 0
+            right = h < shape[d]
+            if not (left or right):
+                continue
+            length = h - l
+            if length >= max_lengths[d] or (
+                max_card is not None and card // length * (length + 1) > max_card
+            ):
+                capped += left + right
+                continue
+            if check_first:
+                check_first = False
+                if lo[0] - (left and d == 0) < anchor_lo:
+                    if left:
+                        left = False
+                    else:
+                        right = False
+            if left:
+                k = key - m_lo[d]
+                if k not in generated:
+                    generated.add(k)
+                    push(Window.unchecked(lo[:d] + (l - 1,) + lo[d + 1 :], hi))
+            if right:
+                k = key + m_hi[d]
+                if k not in generated:
+                    generated.add(k)
+                    push(Window.unchecked(lo, hi[:d] + (h + 1,) + hi[d + 1 :]))
+        self.stats.capped_extensions += capped
 
     def _violates_anti_monotone(self, window: Window) -> bool:
         if not self.data.is_read(window):

@@ -12,8 +12,10 @@ oracle those promises are tested against:
   (shape conditions evaluated afresh, one ``DataManager.estimate`` per
   objective, the cost through ``DataManager.unread_objects``), seeding
   scores one :class:`Window` per start placement in an
-  ``itertools.product`` loop, and the periodic refresh re-scores each
-  stale frontier entry through ``_utility``;
+  ``itertools.product`` loop, the periodic refresh re-scores each
+  stale frontier entry through ``_utility``, and neighbour generation
+  builds every candidate's bounds (``neighbor_bounds``) and packs its
+  key before deduplicating;
 * :class:`NaiveEngine` — an :class:`SWEngine` whose queries run on both;
 * :func:`naive_enumerate_windows_filtered` — the SQL baseline's window
   enumerator as one ``itertools.product`` loop over every placement,
@@ -40,6 +42,7 @@ from repro.core.query import ResultWindow, SWQuery
 from repro.core.search import HeuristicSearch
 from repro.core.trace import EventKind
 from repro.core.utility import UtilityModel
+from repro.core.window import neighbor_bounds
 from repro.dbms.executor import CellGrids, _shapes
 
 __all__ = [
@@ -157,6 +160,27 @@ class NaiveSearch(HeuristicSearch):
             objective_values=objective_values,
             time=self.data.clock.now - self._start_time,
         )
+
+    def _generate_neighbors(self, window: Window) -> None:
+        if self._prune_conditions and self._violates_anti_monotone(window):
+            self.stats.pruned_extensions += 1
+            return
+        bounds, capped = neighbor_bounds(
+            window.lo, window.hi, self.grid.shape, self._max_lengths, self._max_card
+        )
+        self.stats.capped_extensions += capped
+        if bounds and bounds[0][0][0] < self.anchor_lo:
+            del bounds[0]
+        for lo, hi in bounds:
+            self._push_bounds(lo, hi)
+
+    def _push_bounds(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> None:
+        """Score and enqueue the window ``[lo, hi)`` unless already generated."""
+        key = self._key_of_bounds(lo, hi)
+        if key in self._generated:
+            return
+        self._generated.add(key)
+        self._push_unregistered(Window.unchecked(lo, hi))
 
     def _batch_seed(self, lo: int, hi: int, mins: tuple[int, ...]) -> None:
         shape = self.grid.shape

@@ -7,7 +7,8 @@ contract on randomized grids in 1-4 dimensions, through the Data Manager
 (including cache invalidation on reads and installs, and the in-place
 refill of a stale summed-area table), through the batch
 ``placement_*`` path (noise model included), and end-to-end on a full
-search run.
+search run.  Real-valued window sums are checked against numpy's own
+slice sum by ``float.hex``, on values chosen to expose summation order.
 """
 
 from __future__ import annotations
@@ -31,7 +32,14 @@ from repro.core.conditions import (
 from repro.core.datamanager import DataManager
 from repro.core.query import SWQuery
 from repro.core.search import HeuristicSearch
-from repro.core.kernels import DataKernels, SummedAreaTable, sliding_reduce
+from repro.core.kernels import (
+    _SCALAR_SUM_MAX_CELLS,
+    _SLIDING_MAX_CELLS,
+    DataKernels,
+    SummedAreaTable,
+    pairwise_sum,
+    sliding_reduce,
+)
 from repro.sampling import NoiseModel, StratifiedSampler
 from repro.storage import Database, HeapTable, TableSchema
 from repro.workloads import make_database
@@ -588,6 +596,128 @@ def test_scoring_pass_matches_oracle_under_mutations(data):
             assert float_bits(model.utility(window)) == want[0]
         else:
             assert check_bits(search, window) == check_bits(naive, window)
+
+
+# -- real-valued window sums in numpy's order --------------------------------
+
+
+#: Per dimensionality, a grid holding boxes on both sides of the 4096-cell
+#: guard (the whole grid is above it).
+BOX_SUM_SHAPES = {1: (4400,), 2: (66, 66), 3: (17, 17, 17)}
+SUM_OBJECTIVES = [ContentObjective.of("sum", col("v")), ContentObjective.of("avg", col("v"))]
+_BOX_SUM_INPUTS: dict = {}
+
+
+def box_sum_managers(shape):
+    """``(kernel manager, naive manager)`` over one grid, built once; each
+    example overwrites their ``eff_sum`` grid in place."""
+    if shape not in _BOX_SUM_INPUTS:
+        rng = np.random.default_rng(11 * math.prod(shape))
+        n = 3000
+        columns = {f"x{d}": rng.uniform(0, size, n) for d, size in enumerate(shape)}
+        columns["v"] = rng.normal(25.0, 5.0, n)
+        schema = TableSchema(list(columns), [f"x{d}" for d in range(len(shape))])
+        db = Database()
+        db.register(HeapTable("pts", schema, columns, tuples_per_block=64))
+        grid = Grid(Rect.from_bounds([(0.0, float(s)) for s in shape]), (1.0,) * len(shape))
+        sample = StratifiedSampler(0.3, seed=21).sample(db.table("pts"), grid)
+        _BOX_SUM_INPUTS[shape] = tuple(
+            cls(db, "pts", grid, SUM_OBJECTIVES, sample)
+            for cls in (DataManager, NaiveDataManager)
+        )
+    return _BOX_SUM_INPUTS[shape]
+
+
+#: Values that expose summation order: -0.0, +0.0, subnormals, NaN, ±inf.
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1e-315, math.nan, math.inf, -math.inf]
+
+
+def order_sensitive_values(rng, shape, mix):
+    """float64 grid values of one of four mixes."""
+    signs = rng.choice([-1.0, 1.0], shape)
+    if mix == "negative zeros":
+        return np.full(shape, -0.0)
+    if mix == "moderate":  # the ledger's range
+        return signs * 10.0 ** rng.uniform(-3, 8, shape)
+    values = signs * 10.0 ** rng.uniform(-300, 300, shape)
+    specials = SPECIAL_VALUES if mix == "special" else SPECIAL_VALUES[:6]
+    picks = rng.integers(0, 2 * len(specials), shape)
+    chosen = picks < len(specials)
+    values[chosen] = np.asarray(specials)[picks[chosen]]
+    return values
+
+
+@st.composite
+def sum_boxes(draw, shape):
+    """``(lo, hi)``: small boxes around the scalar path's cell limit, any
+    box, or the whole grid (above the 4096-cell guard)."""
+    size = draw(st.sampled_from(["small", "any", "whole"]))
+    if size == "whole":
+        return (0,) * len(shape), tuple(shape)
+    cap = {1: 20, 2: 5, 3: 3}[len(shape)] if size == "small" else max(shape)
+    lo, hi = [], []
+    for extent in shape:
+        length = draw(st.integers(1, min(cap, extent)))
+        low = draw(st.integers(0, extent - length))
+        lo.append(low)
+        hi.append(low + length)
+    return tuple(lo), tuple(hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+@np.errstate(invalid="ignore", over="ignore")
+def test_window_sums_are_numpy_slice_sums(data):
+    """``DataKernels.window_sum`` equals ``float(arr[box].sum())`` by
+    ``float.hex`` on 1-3-d grids, and ``reduce`` / ``reduce_bounds`` for
+    ``sum`` and ``avg`` equal the oracle's slice reductions."""
+    shape = BOX_SUM_SHAPES[data.draw(st.integers(1, 3))]
+    dm, naive = box_sum_managers(shape)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mix = data.draw(st.sampled_from(["moderate", "wide", "special", "negative zeros"]))
+    key = SUM_OBJECTIVES[0].key
+    values = order_sensitive_values(rng, shape, mix)
+    # In place, as the Data Manager itself writes them: the kernels' flat
+    # views must see every write.
+    dm.eff_sum[key][...] = values
+    naive.eff_sum[key][...] = values
+    kern = dm.kernels
+    rows = data.draw(st.lists(sum_boxes(shape), min_size=1, max_size=4))
+    for lo, hi in rows:
+        box = tuple(map(slice, lo, hi))
+        got = kern.window_sum(key, lo, hi)
+        assert got.hex() == float(values[box].sum()).hex()
+        lengths = tuple(h - l for l, h in zip(lo, hi))
+        cells = math.prod(lengths)
+        # Above the scalar path's limit — so above the 4096-cell guard
+        # too, as every whole grid is — numpy's own slice sum answers.
+        assert (kern._box_cells[lengths] is None) == (cells > _SCALAR_SUM_MAX_CELLS)
+        assert lengths != shape or cells > _SLIDING_MAX_CELLS
+        window = Window(lo, hi)
+        for objective in SUM_OBJECTIVES:
+            assert float_bits(kern.reduce(objective, window)) == float_bits(
+                naive._reduce(objective, window)
+            )
+    lows = np.array([lo for lo, _ in rows], dtype=np.int64)
+    his = np.array([hi for _, hi in rows], dtype=np.int64)
+    for objective in SUM_OBJECTIVES:
+        got = [float_bits(v) for v in kern.reduce_bounds(objective, lows, his).tolist()]
+        want = [float_bits(naive._reduce(objective, Window(lo, hi))) for lo, hi in rows]
+        assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.floats(width=64) | st.sampled_from(SPECIAL_VALUES), min_size=0, max_size=128
+    )
+)
+@np.errstate(invalid="ignore", over="ignore")
+def test_pairwise_sum_is_numpy_add_reduce(values):
+    """Up to 128 values — one block of numpy's pairwise sum — in any mix."""
+    want = float(np.array(values, dtype=np.float64).sum()).hex()
+    assert pairwise_sum(values).hex() == want
+    assert pairwise_sum(tuple(values)).hex() == want
 
 
 # -- end-to-end run parity ---------------------------------------------------

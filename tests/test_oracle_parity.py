@@ -1,10 +1,12 @@
 """Kernel search vs the naive oracle: byte-identical runs.
 
 Every estimate of the search goes through the summed-area-table kernels,
-seeding scores all start placements in one batch, and the periodic
-refresh re-scores the frontier as packed arrays.  Each run here repeats
-on :class:`~tests.naive_oracle.NaiveEngine` — slice reductions, one
-``Window`` per seed, one ``_utility`` per stale entry — and must match it
+seeding scores all start placements in one batch, the periodic refresh
+re-scores the frontier as packed arrays, and neighbour generation dedups
+on key arithmetic before building bounds.  Each run here repeats on
+:class:`~tests.naive_oracle.NaiveEngine` — slice reductions, one
+``Window`` per seed, one ``_utility`` per stale entry, bounds and a
+packed key per neighbour candidate — and must match it
 in results, simulated times, ``SearchStats``, trace events and metrics.
 The cases cover every synthetic spread, and the configurations whose
 frontier used to fall back to the oracle form: a noise model, STATIC
@@ -20,6 +22,7 @@ import pytest
 
 from repro.core import SearchConfig, SWEngine
 from repro.core.kernels import DataKernels, SummedAreaTable
+from repro.core.search import SteppingCore
 from repro.core.trace import EventKind, SearchTrace
 from repro.obs import MetricsRegistry
 from repro.sampling import NoiseModel
@@ -70,6 +73,10 @@ def test_naive_engine_runs_the_oracle(tiny_dataset, tiny_query, tiny_db):
     with contextlib.ExitStack() as stack:
         for owner, name in KERNEL_QUERIES:
             stack.enter_context(mock.patch.object(owner, name, property(forbidden)))
+        # Nor does it walk neighbours by key arithmetic.
+        stack.enter_context(
+            mock.patch.object(SteppingCore, "_generate_neighbors", forbidden)
+        )
         naive = NaiveEngine(make_database(tiny_dataset, "cluster"), tiny_dataset.name)
         run = naive.execute(tiny_query).run
     kernel = SWEngine(make_database(tiny_dataset, "cluster"), tiny_dataset.name)

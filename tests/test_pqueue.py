@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SpillableQueue, Window
+from repro.core.pqueue import _BULK_MERGE_MIN
 
 from .naive_oracle import drain_entries
 
@@ -368,3 +371,99 @@ class TestHeadCapacityBoundaries:
         twin = SpillableQueue(head_capacity=8, num_buckets=4)
         twin.restore_state(q.state())
         assert self._pop_all(twin) == self._pop_all(q)
+
+
+class RecomputingQueue(SpillableQueue):
+    """The frontier comparing heads the old way: the block head's key is
+    re-read from the arrays on every pop and peek."""
+
+    def _block_key(self, i: int) -> tuple:
+        return (self._blk_nu.item(i), self._blk_nb.item(i), self._blk_seq.item(i))
+
+    def _pending_wins(self) -> bool:
+        i = self._blk_pos
+        return bool(self._pending) and (
+            i >= self._blk_seq.size or self._pending[0][:3] < self._block_key(i)
+        )
+
+    def pop(self):
+        if self._head_len() == 0:
+            self._promote()
+            if self._head_len() == 0:
+                return None
+        if self._pending_wins():
+            nu, nb, _, lo, hi, version = heapq.heappop(self._pending)
+            return ((-nu, -nb), Window.unchecked(tuple(lo), tuple(hi)), version)
+        i = self._blk_pos
+        self._blk_pos = i + 1
+        return (
+            (-self._blk_nu.item(i), -self._blk_nb.item(i)),
+            Window.unchecked(tuple(self._blk_lo[i].tolist()), tuple(self._blk_hi[i].tolist())),
+            self._blk_ver.item(i),
+        )
+
+    def peek_priority(self):
+        if self._head_len() == 0:
+            self._promote()
+            if self._head_len() == 0:
+                return None
+        if self._pending_wins():
+            return (-self._pending[0][0], -self._pending[0][1])
+        i = self._blk_pos
+        return (-self._blk_nu.item(i), -self._blk_nb.item(i))
+
+
+#: Priorities come from four values, so ties — broken by seq — abound.
+TIED = [0.0, 0.25, 0.5, 1.0]
+FRONTIER_OPS = st.sampled_from(
+    ["push", "push", "small batch", "large batch", "pop", "pop", "peek", "drain", "round trip"]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.sampled_from([2, 8, 1_000_000]),
+    ops=st.lists(st.tuples(FRONTIER_OPS, st.integers(0, 2**31 - 1)), max_size=40),
+)
+def test_cached_head_key_pops_like_recomputed_keys(capacity, ops):
+    """Interleaved pushes, bulk merges below and above ``_BULK_MERGE_MIN``,
+    pops, peeks, drains and checkpoint round trips: every pop and peek of
+    the queue keeping its head key equals one that re-reads it."""
+    queues = [SpillableQueue(capacity, num_buckets=4), RecomputingQueue(capacity, num_buckets=4)]
+    made = 0
+    for op, seed in ops:
+        rng = np.random.default_rng(seed)
+        if op == "push":
+            priority = tuple(float(v) for v in rng.choice(TIED, 2))
+            for q in queues:
+                q.push(priority, w(made), int(seed % 3))
+            made += 1
+        elif op in ("small batch", "large batch"):
+            n = int(rng.integers(1, _BULK_MERGE_MIN)) if op == "small batch" else (
+                _BULK_MERGE_MIN + int(rng.integers(0, 40))
+            )
+            utilities = rng.choice(TIED, n)
+            benefits = rng.choice(TIED, n)
+            lows = np.stack([np.arange(made, made + n), np.zeros(n, dtype=np.int64)], axis=1)
+            for q in queues:
+                q.push_many_arrays(utilities, benefits, lows, lows + 1, int(seed % 3))
+            made += n
+        elif op == "pop":
+            assert queues[0].pop() == queues[1].pop()
+        elif op == "peek":
+            assert queues[0].peek_priority() == queues[1].peek_priority()
+        elif op == "drain":
+            drained = [q.drain_arrays() for q in queues]
+            for mine, theirs in zip(*drained):
+                assert mine.tolist() == theirs.tolist()
+        else:
+            states = [q.state() for q in queues]
+            queues = [SpillableQueue(), RecomputingQueue()]
+            for q, state in zip(queues, states):
+                q.restore_state(state)
+        assert len(queues[0]) == len(queues[1])
+    while True:
+        entry = queues[0].pop()
+        assert entry == queues[1].pop()
+        if entry is None:
+            break

@@ -384,10 +384,12 @@ class TestWindowKeys:
 
     def test_push_window_dedups(self, search):
         window = Window((0, 0), (2, 2))
-        search._push_bounds(window.lo, window.hi)
+        search._generate_neighbors(window)
         generated = search.stats.generated
         size = len(search.queue)
-        search._push_bounds(window.lo, window.hi)
+        assert generated > 0
+        # Walking the same window again finds every neighbour's key taken.
+        search._generate_neighbors(window)
         assert search.stats.generated == generated
         assert len(search.queue) == size
 
@@ -400,12 +402,14 @@ class TestWindowKeys:
         mins = search._min_lengths
         seed_key = search._key_of_bounds((0, 0), tuple(mins))
         assert seed_key not in search._generated
-        # Non-seed windows still dedup through _push_bounds.
-        grown = (mins[0] + 1,) + tuple(mins[1:])
-        search._push_bounds((0, 0), grown)
+        # A seed's neighbours still dedup through _generate_neighbors.
+        seed = Window((0, 0), tuple(mins))
+        search._generate_neighbors(seed)
         generated = search.stats.generated
         size = len(search.queue)
-        search._push_bounds((0, 0), grown)
+        grown = search._key_of_bounds((0, 0), (mins[0] + 1,) + tuple(mins[1:]))
+        assert grown in search._generated
+        search._generate_neighbors(seed)
         assert search.stats.generated == generated
         assert len(search.queue) == size
 
