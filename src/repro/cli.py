@@ -743,7 +743,7 @@ def _cmd_serve_network(args, out) -> int:
     ).validate()
     recorder = None if args.record is None else RunRecorder(config)
 
-    async def run() -> None:
+    async def run() -> BaseException | None:
         server = ExplorationServer(config, recorder=recorder)
         bound_host, bound_port = await server.start()
         out(
@@ -758,14 +758,19 @@ def _cmd_serve_network(args, out) -> int:
             await server.serve_until_stopped()
         finally:
             await server.stop()
+        return server.failure
 
+    failure = None
     try:
-        asyncio.run(run())
+        failure = asyncio.run(run())
     except KeyboardInterrupt:
         out("interrupted")
     if recorder is not None:
         recorder.save(args.record)
         out(f"journal written to {args.record}")
+    if failure is not None:
+        print(f"error: server stopped: {type(failure).__name__}: {failure}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -30,6 +30,7 @@ written in place, which keeps the kernels' flat views current.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,6 +46,14 @@ from .kernels import DataKernels
 from .window import Window
 
 __all__ = ["DataManager"]
+
+
+@lru_cache(maxsize=16)
+def _flat_index(shape: tuple[int, ...]) -> np.ndarray:
+    """Row-major flat cell ids shaped like the grid (read-only, shared)."""
+    index = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
+    index.flags.writeable = False
+    return index
 
 
 class DataManager:
@@ -136,12 +145,20 @@ class DataManager:
     def attach_cache(self, cache, table_sig, grid_sig) -> None:
         """Bind a shared cross-query semantic cache (``None`` detaches).
 
-        ``cache`` is duck-typed (see ``repro.serve.SemanticCache``): it
-        must offer ``consult(table_sig, grid_sig, flat_ids, require)``
-        returning ``{flat_id: payload}`` and ``publish(table_sig,
-        grid_sig, items)``.  Once attached, :meth:`read_window` consults
-        the cache for unread cells before charging DBMS I/O and promotes
-        every freshly read cell back into it.
+        ``cache`` is duck-typed (see ``repro.serve.SemanticCache``); cells
+        cross it as arrays of row-major flat ids:
+
+        * ``consult(table_sig, grid_sig, flat_ids, require=keys,
+          window=window)`` returns ``(hit_ids, {key: (sums, mins,
+          maxs)})`` — the requested cells it holds for every key in
+          ``require``, values aligned with ``hit_ids``;
+        * ``publish(table_sig, grid_sig, ids, counts, per_key)`` takes
+          distinct ids, their object counts and ``{key: (sums, mins,
+          maxs)}`` aligned with them.
+
+        Once attached, :meth:`read_window` consults the cache for unread
+        cells before charging DBMS I/O and promotes every freshly read
+        (non-degraded) cell back into it.
         """
         self._cache = cache
         self._cache_table_sig = table_sig
@@ -255,8 +272,11 @@ class DataManager:
         DBMS is asked for ("objective function values for non-cached cells
         belonging to the window in a single query").
         """
-        box = self.box(window)
-        unread = ~self.read_mask[box]
+        return self._bounding_box(window, ~self.read_mask[self.box(window)])
+
+    @staticmethod
+    def _bounding_box(window: Window, unread: np.ndarray) -> Window | None:
+        """Bounding window of the true cells of ``unread`` (shaped like ``window``)."""
         if not unread.any():
             return None
         coords = np.nonzero(unread)
@@ -272,16 +292,18 @@ class DataManager:
         Returns the :class:`~repro.storage.database.CellScan`, or ``None``
         when the window was fully cached (no DBMS call).
         """
+        box = self.box(window)
+        unread = ~self.read_mask[box]
         if self._cache is not None:
-            self._consult_cache(window)
+            self._consult_cache(window, box, unread)
         m = self.metrics
         if m is not None:
             requested = window.cardinality
-            misses = int((~self.read_mask[self.box(window)]).sum())
+            misses = int(np.count_nonzero(unread))
             m.inc("dm.cell_requests", float(requested))
             m.inc("dm.cache_hit_cells", float(requested - misses))
             m.inc("dm.cache_miss_cells", float(misses))
-        target = self.unread_box(window)
+        target = self._bounding_box(window, unread)
         if target is None:
             return None
         rect = target.rect(self.grid)
@@ -304,36 +326,35 @@ class DataManager:
             self._promote_to_cache(target)
         return scan
 
-    def _consult_cache(self, window: Window) -> None:
+    def _consult_cache(self, window: Window, box: tuple, unread: np.ndarray) -> None:
         """Install shared-cache cells into this query's cache (lookaside).
 
         Runs before the DBMS read so cached cells shrink (or eliminate)
-        the unread bounding box and are accounted as cache hits.  Cells
-        are consulted in row-major order and installed without metrics —
-        they are cache traffic, not peer shipments — with a single
-        version bump for the whole batch.
+        the unread bounding box and are accounted as cache hits: hits
+        are cleared from ``unread`` (the window's unread mask) in place.
+        Cells are consulted in row-major order and installed without
+        metrics — they are cache traffic, not peer shipments — with a
+        single version bump for the whole batch.
         """
-        box = self.box(window)
-        unread = ~self.read_mask[box]
-        if not unread.any():
+        flat_ids = _flat_index(self.grid.shape)[box][unread]
+        if not flat_ids.size:
             return
-        flat_ids = [
-            self.grid.flat_id(tuple(int(o) + l for o, l in zip(offsets, window.lo)))
-            for offsets in zip(*np.nonzero(unread))
-        ]
-        found = self._cache.consult(
+        hit_ids, values = self._cache.consult(
             self._cache_table_sig,
             self._cache_grid_sig,
             flat_ids,
             require=tuple(self._objectives),
             window=window,
         )
-        if not found:
+        if not hit_ids.size:
             return
-        for flat_id in flat_ids:
-            payload = found.get(flat_id)
-            if payload is not None:
-                self._install_payload(self.grid.index_of_flat(flat_id), payload)
+        self._scatter(hit_ids, values)
+        if hit_ids.size == flat_ids.size:
+            unread[...] = False
+        else:
+            # Both id lists ascend, so hits find their mask position by search.
+            positions = np.flatnonzero(unread)[np.searchsorted(flat_ids, hit_ids)]
+            unread.reshape(-1)[positions] = False
         self.version += 1
 
     def _promote_to_cache(self, target: Window) -> None:
@@ -342,16 +363,42 @@ class DataManager:
         Degraded cells are withheld — their aggregates lost tuples to
         quarantined pages and must not leak into other sessions.
         """
-        items = []
-        for idx in target.iter_cells():
-            flat_id = self.grid.flat_id(idx)
-            if flat_id in self.degraded_cells:
+        box = self.box(target)
+        ids = _flat_index(self.grid.shape)[box].ravel()
+        counts = self.true_count[box].ravel()
+        per_key = {
+            key: (self.eff_sum[key][box].ravel(), self.eff_min[key][box].ravel(),
+                  self.eff_max[key][box].ravel())
+            for key in self._objectives
+        }
+        if self.degraded_cells:
+            keep = ~np.isin(ids, np.fromiter(self.degraded_cells, dtype=np.int64))
+            if not keep.any():
+                return
+            ids, counts = ids[keep], counts[keep]
+            per_key = {key: tuple(a[keep] for a in v) for key, v in per_key.items()}
+        self._cache.publish(
+            self._cache_table_sig, self._cache_grid_sig, ids, counts, per_key
+        )
+
+    def _scatter(self, flat_ids: np.ndarray, per_key: Mapping) -> None:
+        """Mark cells ``flat_ids`` read with exact ``per_key`` summaries.
+
+        ``per_key`` maps objective keys to ``(sums, mins, maxs)`` aligned
+        with ``flat_ids``; an objective it lacks keeps its current
+        arrays.  One fancy store per array through its flat view — the
+        one write path of scans and cache hits.
+        """
+        self.read_mask.reshape(-1)[flat_ids] = True
+        self.unread_count.reshape(-1)[flat_ids] = 0.0
+        for key in self._objectives:
+            entry = per_key.get(key)
+            if entry is None:
                 continue
-            items.append((flat_id, self.cell_payload(idx)))
-        if items:
-            self._cache.publish(
-                self._cache_table_sig, self._cache_grid_sig, items
-            )
+            sums, mins, maxs = entry
+            self.eff_sum[key].reshape(-1)[flat_ids] = sums
+            self.eff_min[key].reshape(-1)[flat_ids] = mins
+            self.eff_max[key].reshape(-1)[flat_ids] = maxs
 
     def _apply_scan(self, target: Window, arrays: tuple) -> None:
         box = self.box(target)
@@ -362,9 +409,8 @@ class DataManager:
             self.eff_sum[key][box] = 0.0
             self.eff_min[key][box] = np.inf
             self.eff_max[key][box] = -np.inf
-        # ... then scatter the cells that actually contained tuples, one
-        # fancy assignment per objective, guarding against cells the scan
-        # returned outside the target.
+        # ... then scatter the cells that actually contained tuples,
+        # guarding against cells the scan returned outside the target.
         unique_cells, _counts, per_key = arrays
         if not unique_cells.size:
             return
@@ -372,19 +418,10 @@ class DataManager:
         inside = np.ones(unique_cells.size, dtype=bool)
         for d in range(len(idx)):
             inside &= (idx[d] >= target.lo[d]) & (idx[d] < target.hi[d])
-        keep = None if inside.all() else inside
-        if keep is not None:
-            idx = tuple(i[keep] for i in idx)
-        for key in self._objectives:
-            entry = per_key.get(key)
-            if entry is None:
-                continue
-            sums, mins, maxs = entry
-            if keep is not None:
-                sums, mins, maxs = sums[keep], mins[keep], maxs[keep]
-            self.eff_sum[key][idx] = sums
-            self.eff_min[key][idx] = mins
-            self.eff_max[key][idx] = maxs
+        if not inside.all():
+            unique_cells = unique_cells[inside]
+            per_key = {key: tuple(a[inside] for a in v) for key, v in per_key.items()}
+        self._scatter(unique_cells, per_key)
 
     # -- distributed support -------------------------------------------------------------
 

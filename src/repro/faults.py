@@ -156,7 +156,8 @@ class Degradation:
 
     Attached to the report instead of raising: results that *were* found
     are still returned and this record names the holes.  ``layer`` is
-    ``distributed`` | ``storage`` | ``backend``; ``lost`` maps what was
+    ``distributed`` | ``storage`` | ``backend`` | ``serve`` (an error
+    that ended one served session, §17); ``lost`` maps what was
     lost to its extent (worker ids, anchor slabs, quarantined blocks,
     counts of failed operations), empty entries included so the keys of
     a layer never vary.

@@ -23,13 +23,22 @@ keyed by content, so there is no coherence protocol and no invalidation.
 (The one table *rebind*, distributed anchor adoption, happens on worker
 Data Managers, which never attach a cache.)  Eviction is LRU over cell
 entries under a cell budget, skipping pinned ``(table, grid)`` bindings.
+
+Cells cross the cache as arrays.  Each binding is one dense record over
+its grid's flat cell ids (:class:`_Binding`): a recency stamp per cell
+(``0`` = absent), the cell's object count, and per objective key a
+presence mask plus the sum, min and max.  One tick, shared by every
+binding, issues the stamps, so LRU order across bindings is stamp order
+(DESIGN.md §12; ``tests/test_serve_cache_oracle.py`` checks the record
+against a cache of one payload dict per cell).
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from ..core.aggregates import CellStats
 from ..core.grid import Grid
@@ -76,8 +85,6 @@ def physical_signature(table) -> str:
 
 
 def _sorted_bytes(column):
-    import numpy as np
-
     return np.ascontiguousarray(np.sort(column))
 
 
@@ -86,6 +93,55 @@ def grid_signature(grid: Grid) -> str:
     h = hashlib.sha1()
     h.update(repr(grid.key).encode())
     return "g:" + h.hexdigest()
+
+
+class _Binding:
+    """The dense cell record of one ``(table_sig, grid_sig)`` binding.
+
+    Arrays are indexed by flat cell id and hold one spare slot past the
+    largest id published so far; that slot is never written, so clipped
+    reads of ids beyond the record see an absent cell.
+    """
+
+    __slots__ = ("stamps", "counts", "keys", "resident")
+
+    def __init__(self, cells: int) -> None:
+        self.stamps = np.zeros(cells + 1, dtype=np.int64)
+        self.counts = np.zeros(cells + 1)
+        # key -> (present, sums, mins, maxs)
+        self.keys: dict[str, tuple[np.ndarray, ...]] = {}
+        self.resident = 0
+
+    def fit(self, top: int) -> None:
+        """Grow the arrays so flat id ``top`` has a slot (the spare one stays last)."""
+        if top < self.stamps.size - 1:
+            return
+
+        def grown(arr):
+            out = np.zeros(top + 2, dtype=arr.dtype)
+            out[: arr.size - 1] = arr[:-1]
+            return out
+
+        self.stamps = grown(self.stamps)
+        self.counts = grown(self.counts)
+        self.keys = {k: tuple(grown(a) for a in v) for k, v in self.keys.items()}
+
+    def key_arrays(self, key: str) -> tuple[np.ndarray, ...]:
+        """``(present, sums, mins, maxs)`` for ``key``, made on first use."""
+        arrays = self.keys.get(key)
+        if arrays is None:
+            size = self.stamps.size
+            arrays = self.keys[key] = (np.zeros(size, dtype=bool),) + tuple(
+                np.zeros(size) for _ in range(3)
+            )
+        return arrays
+
+    def drop(self, ids: np.ndarray) -> None:
+        """Forget the cells ``ids`` (stamp and every key's presence)."""
+        self.stamps[ids] = 0
+        for present, *_values in self.keys.values():
+            present[ids] = False
+        self.resident -= ids.size
 
 
 class SemanticCache:
@@ -110,8 +166,10 @@ class SemanticCache:
         self.budget_cells = budget_cells
         self.metrics = metrics
         self.trace = trace
-        # (table_sig, grid_sig, flat_id) -> payload, in LRU order.
-        self._cells: OrderedDict[tuple, Mapping[str, CellStats]] = OrderedDict()
+        # (table_sig, grid_sig) -> dense cell record.
+        self._bindings: dict[tuple[str, str], _Binding] = {}
+        self._tick = 0
+        self._resident = 0
         self._pinned: set[tuple[str, str]] = set()
         # (physical_sig, key tuple) -> CellSample.
         self._samples: dict[tuple, object] = {}
@@ -128,7 +186,7 @@ class SemanticCache:
             self.trace = trace
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return self._resident
 
     # -- signatures --------------------------------------------------------------
 
@@ -149,100 +207,156 @@ class SemanticCache:
 
     # -- cell entries ------------------------------------------------------------
 
+    def _stamp(self, n: int) -> np.ndarray:
+        """``n`` fresh recency stamps, oldest first."""
+        tick = self._tick
+        self._tick = tick + n
+        return np.arange(tick + 1, tick + 1 + n)
+
     def consult(
         self,
         table_sig: str,
         grid_sig: str,
-        flat_ids: Sequence[int],
+        flat_ids: np.ndarray,
         require: Sequence[str] = (),
         window: Window | None = None,
-    ) -> dict[int, Mapping[str, CellStats]]:
-        """Exact summaries for the requested cells, where known.
+    ) -> tuple[np.ndarray, dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+        """Exact summaries for the requested (distinct) cells, where known.
 
-        Only entries carrying *every* objective in ``require`` count as
-        hits — a payload published by a query with different objectives
-        must not be installed as if the missing objectives were empty.
-        Hits refresh LRU recency; a consult with at least one hit is one
-        CACHE_SHARE trace event.
+        Returns ``(hit_ids, {key: (sums, mins, maxs)})`` for every key in
+        ``require``, aligned with ``hit_ids`` in request order.  Only
+        entries carrying *every* objective in ``require`` count as hits
+        — a payload published by a query with different objectives must
+        not be installed as if the missing objectives were empty.  Hits
+        refresh LRU recency in request order; a consult with at least
+        one hit is one CACHE_SHARE trace event.
         """
-        found: dict[int, Mapping[str, CellStats]] = {}
-        cells = self._cells
-        for flat_id in flat_ids:
-            key = (table_sig, grid_sig, flat_id)
-            payload = cells.get(key)
-            if payload is not None and all(k in payload for k in require):
-                cells.move_to_end(key)
-                found[flat_id] = payload
+        ids = np.asarray(flat_ids, dtype=np.int64)
+        requested = ids.size
+        hit_ids = ids[:0]
+        values: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        record = self._bindings.get((table_sig, grid_sig))
+        if record is not None and requested:
+            hit = record.stamps.take(ids, mode="clip") != 0
+            for key in require:
+                arrays = record.keys.get(key)
+                if arrays is None:
+                    hit[:] = False
+                    break
+                hit &= arrays[0].take(ids, mode="clip")
+            hits = int(np.count_nonzero(hit))
+            if hits:
+                hit_ids = ids if hits == requested else ids[hit]
+                record.stamps[hit_ids] = self._stamp(hits)
+                for key in require:
+                    _present, sums, mins, maxs = record.keys[key]
+                    values[key] = (sums[hit_ids], mins[hit_ids], maxs[hit_ids])
+        found = hit_ids.size
         m = self.metrics
         if m is not None:
-            m.inc("serve.cache.lookup_cells", float(len(flat_ids)))
-            m.inc("serve.cache.hit_cells", float(len(found)))
-            m.inc("serve.cache.miss_cells", float(len(flat_ids) - len(found)))
+            m.inc("serve.cache.lookup_cells", float(requested))
+            m.inc("serve.cache.hit_cells", float(found))
+            m.inc("serve.cache.miss_cells", float(requested - found))
         if found and self.trace is not None:
             self._events += 1
             self.trace.record(
                 EventKind.CACHE_SHARE,
                 float(self._events),
                 window,
-                cells=len(found),
-                requested=len(flat_ids),
+                cells=found,
+                requested=requested,
                 table=table_sig[:10],
             )
-        return found
+        return hit_ids, values
 
     def publish(
         self,
         table_sig: str,
         grid_sig: str,
-        items: Sequence[tuple[int, Mapping[str, CellStats]]],
+        ids: np.ndarray,
+        counts: np.ndarray,
+        per_key: Mapping[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
     ) -> None:
         """Promote freshly read cells into the shared store.
 
-        Re-publishing a known cell refreshes its recency and payload
-        (values are exact, so any publisher's payload for the same cell
-        and objectives agrees); new cells may trigger LRU eviction.
+        ``ids`` are distinct flat cell ids; ``counts`` their object
+        counts and ``per_key`` maps objective keys to aligned
+        ``(sums, mins, maxs)``.  Re-publishing a known cell refreshes
+        its recency and merges its objectives (values are exact, so any
+        publisher's summary for the same cell and objective agrees); new
+        cells may trigger LRU eviction.  Recency follows ``ids`` order.
         """
-        cells = self._cells
-        inserted = refreshed = 0
-        for flat_id, payload in items:
-            key = (table_sig, grid_sig, flat_id)
-            if key in cells:
-                existing = dict(cells[key])
-                existing.update(payload)
-                cells[key] = existing
-                cells.move_to_end(key)
-                refreshed += 1
+        ids = np.asarray(ids, dtype=np.int64)
+        inserted = 0
+        if ids.size:
+            record = self._bindings.get((table_sig, grid_sig))
+            if record is None:
+                record = self._bindings[(table_sig, grid_sig)] = _Binding(int(ids.max()) + 1)
             else:
-                cells[key] = dict(payload)
-                inserted += 1
+                record.fit(int(ids.max()))
+            inserted = int(np.count_nonzero(record.stamps[ids] == 0))
+            record.stamps[ids] = self._stamp(ids.size)
+            record.counts[ids] = counts
+            for key, (sums, mins, maxs) in per_key.items():
+                present, key_sums, key_mins, key_maxs = record.key_arrays(key)
+                present[ids] = True
+                key_sums[ids] = sums
+                key_mins[ids] = mins
+                key_maxs[ids] = maxs
+            record.resident += inserted
+            self._resident += inserted
         evicted = self._evict_to_budget()
         m = self.metrics
         if m is not None:
-            m.inc("serve.cache.promoted_cells", float(inserted + refreshed))
+            m.inc("serve.cache.promoted_cells", float(ids.size))
             m.inc("serve.cache.inserted_cells", float(inserted))
-            m.inc("serve.cache.refreshed_cells", float(refreshed))
+            m.inc("serve.cache.refreshed_cells", float(ids.size - inserted))
             if evicted:
                 m.inc("serve.cache.evicted_cells", float(evicted))
-            m.gauge("serve.cache.resident_cells").set(float(len(cells)))
+            m.gauge("serve.cache.resident_cells").set(float(self._resident))
 
     def _evict_to_budget(self) -> int:
-        evicted = 0
-        cells = self._cells
-        if len(cells) <= self.budget_cells:
+        """Drop the oldest unpinned cells until the budget holds (or none are left)."""
+        excess = self._resident - self.budget_cells
+        if excess <= 0:
             return 0
-        if not self._pinned:
-            while len(cells) > self.budget_cells:
-                cells.popitem(last=False)
-                evicted += 1
-            return evicted
-        for key in list(cells):
-            if len(cells) <= self.budget_cells:
-                break
-            if (key[0], key[1]) in self._pinned:
-                continue
-            del cells[key]
-            evicted += 1
+        candidates = []
+        for key, record in self._bindings.items():
+            if key not in self._pinned:
+                cells = np.flatnonzero(record.stamps)
+                candidates.append((key, record, cells, record.stamps[cells]))
+        ages = np.concatenate([c[3] for c in candidates]) if candidates else ()
+        if not len(ages):
+            return 0
+        # Stamps are unique, so the excess oldest are those at or below
+        # the excess-th smallest stamp.
+        cutoff = np.partition(ages, excess - 1)[excess - 1] if excess < len(ages) else ages.max()
+        evicted = 0
+        for key, record, cells, stamps in candidates:
+            victims = cells[stamps <= cutoff]
+            if victims.size:
+                record.drop(victims)
+                evicted += victims.size
+                if not record.resident:
+                    del self._bindings[key]
+        self._resident -= evicted
         return evicted
+
+    def entry(self, table_sig: str, grid_sig: str, flat_id: int) -> dict[str, CellStats] | None:
+        """One resident cell as ``{key: CellStats}``, or ``None`` (introspection).
+
+        Does not touch recency.  ``count`` of every summary is the cell's
+        object count, as the Data Manager's per-cell payloads carry it.
+        """
+        record = self._bindings.get((table_sig, grid_sig))
+        if record is None or flat_id >= record.stamps.size - 1 or not record.stamps[flat_id]:
+            return None
+        count = int(record.counts[flat_id])
+        return {
+            key: CellStats(count, float(sums[flat_id]), float(mins[flat_id]), float(maxs[flat_id]))
+            for key, (present, sums, mins, maxs) in sorted(record.keys.items())
+            if present[flat_id]
+        }
 
     # -- pinning -----------------------------------------------------------------
 
@@ -256,9 +370,7 @@ class SemanticCache:
         evicted = self._evict_to_budget()
         if evicted and self.metrics is not None:
             self.metrics.inc("serve.cache.evicted_cells", float(evicted))
-            self.metrics.gauge("serve.cache.resident_cells").set(
-                float(len(self._cells))
-            )
+            self.metrics.gauge("serve.cache.resident_cells").set(float(self._resident))
 
     # -- sample store ---------------------------------------------------------------
 
@@ -287,7 +399,7 @@ class SemanticCache:
     def stats(self) -> dict[str, int]:
         """Resident entry counts and budget, for reports."""
         return {
-            "resident_cells": len(self._cells),
+            "resident_cells": self._resident,
             "budget_cells": self.budget_cells,
             "pinned_bindings": len(self._pinned),
             "samples": len(self._samples),

@@ -25,6 +25,7 @@ from ..core.query import ResultWindow, SWQuery
 from ..core.search import SearchConfig
 from ..core.trace import EventKind, SearchTrace
 from ..core.window import Window
+from ..errors import ReproError
 from ..storage.buffer import PoolGroup
 from ..workloads.base import make_database
 from .cache import SemanticCache, grid_signature, table_signature
@@ -321,7 +322,13 @@ class SessionManager:
         steps, blocks = session.drain_usage()
         self.ledger.charge(session.tenant, steps, blocks)
         self.ledger.note_finished(session.tenant)
-        session.database.close()
+        try:
+            session.database.close()
+        except ReproError:
+            # A store that failed the session's slice may fail its flush
+            # too; the session is already aborted with the first error.
+            if not session.degradations:
+                raise
         session.state = SessionState.DONE
         self._inc("serve.sessions_completed")
         self._event(

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 
+from ..errors import ReproError
 from .quota import QuotaLedger
 from .session import ExplorationSession
 
@@ -240,7 +241,11 @@ class QueryScheduler:
 
     Each :meth:`tick` gives one policy-chosen live session one slice of
     ``slice_steps`` search steps, then parks it (mode ``"live"`` or
-    ``"checkpoint"``) if other sessions are runnable.  The manager owns
+    ``"checkpoint"``) if other sessions are runnable.  A
+    :class:`~repro.errors.ReproError` out of the slice ends that session
+    (slice outcome ``"aborted"``, see
+    :meth:`~repro.serve.session.ExplorationSession.abort`); any other
+    exception is a bug and propagates.  The manager owns
     admission, slot accounting and observability; the scheduler owns
     only the picking loop.
     """
@@ -278,7 +283,12 @@ class QueryScheduler:
             manager.preempt_to_queue(victim, entrant, self.policy)
             live = manager.live_sessions()
         session = self.policy.pick(live)
-        outcome = session.slice(self.slice_steps)
+        try:
+            outcome = session.slice(self.slice_steps)
+        except ReproError as error:
+            # One session's failing store ends that session, not the loop.
+            session.abort(error)
+            outcome = "aborted"
         self.last_slice = (session.name, outcome)
         manager.note_slice(session, outcome)
         if outcome == "yield":

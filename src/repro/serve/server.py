@@ -34,6 +34,8 @@ journal captures.
 from __future__ import annotations
 
 import asyncio
+import sys
+import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -465,6 +467,10 @@ class ExplorationServer:
         self._work = asyncio.Event()
         self._stopped = asyncio.Event()
         self._stopping = False
+        # The exception that stopped the pump, if one did (a bug: a
+        # session's own ReproError only ends that session).
+        self.failure: BaseException | None = None
+        self._stop_task: asyncio.Task | None = None
 
     @property
     def address(self) -> tuple[str, int]:
@@ -517,10 +523,14 @@ class ExplorationServer:
 
     async def _pump(self) -> None:
         while not self._stopping:
-            decision = self.core.tick()
+            try:
+                decision = self.core.tick()
+            except Exception as exc:
+                self._fail(exc)
+                return
             if decision is not None:
                 name, outcome = decision
-                if outcome in ("done", "interrupted"):
+                if outcome in ("done", "interrupted", "aborted"):
                     started = self._submitted_at.get(name)
                     if started is not None:
                         self.latencies[name] = self.clock.now - started
@@ -536,6 +546,19 @@ class ExplorationServer:
                 await asyncio.wait_for(self._work.wait(), timeout=0.1)
             except asyncio.TimeoutError:
                 pass
+
+    def _fail(self, exc: Exception) -> None:
+        """Stop the whole server, loudly, on an exception out of a tick.
+
+        The traceback goes to stderr, every later request gets a
+        ``server_error`` response, and the server shuts down as if sent
+        ``shutdown`` — never a pump that died while ``status`` still
+        answers ``live``.
+        """
+        self.failure = exc
+        print("repro serve: scheduler pump failed; stopping", file=sys.stderr)
+        traceback.print_exception(exc, file=sys.stderr)
+        self._stop_task = asyncio.get_running_loop().create_task(self.stop())
 
     # -- protocol ----------------------------------------------------------------
 
@@ -578,6 +601,9 @@ class ExplorationServer:
             return error_response(request_id, code, text), False
         if op == "close":
             return ok_response(request_id, bye=True), True
+        if self.failure is not None:
+            message = f"server stopped: {type(self.failure).__name__}: {self.failure}"
+            return error_response(request_id, "server_error", message), True
         if op == "shutdown":
             asyncio.get_running_loop().create_task(self.stop())
             return ok_response(request_id, stopping=True), True

@@ -23,6 +23,8 @@ from enum import Enum
 from ..core.engine import SWEngine
 from ..core.query import ResultWindow, SWQuery
 from ..core.search import SearchConfig
+from ..errors import ReproError
+from ..faults import Degradation, outcome_of
 
 __all__ = ["SessionState", "ExplorationSession"]
 
@@ -92,6 +94,8 @@ class ExplorationSession:
         self.tenant = tenant
         # Set on THROTTLED stubs; None for admitted sessions.
         self.throttle_reason: str | None = None
+        # What the session could not deliver: the error that aborted it.
+        self.degradations: tuple[Degradation, ...] = ()
 
         self.search = engine.prepare(query, config, trace=trace, metrics=registry)
         self.run = self.search.new_run()
@@ -126,6 +130,19 @@ class ExplorationSession:
             SessionState.REJECTED,
             SessionState.THROTTLED,
         )
+
+    @property
+    def outcome(self) -> str | None:
+        """``complete`` or ``aborted`` once an admitted session has ended.
+
+        The one outcome rule (:func:`~repro.faults.outcome_of`): a run
+        the session stopped — a budget, a lifecycle limit, an error its
+        slice raised (:meth:`abort`) — is ``aborted``.  ``None`` while
+        the session runs and for rejected/throttled stubs.
+        """
+        if self.run is None or self.state is not SessionState.DONE:
+            return None
+        return outcome_of(False, self.run.interrupt_reason, self.degradations)
 
     def results_since(self, index: int) -> list[ResultWindow]:
         """Results discovered at or after ``index`` (incremental consumption).
@@ -167,6 +184,10 @@ class ExplorationSession:
         * ``"done"`` — the search exhausted its frontier;
         * ``"interrupted"`` — a lifecycle limit (deadline, cancel, ...)
           or a session budget fired; the run record carries the reason.
+
+        A :class:`~repro.errors.ReproError` raised by the search
+        propagates; the scheduler turns it into :meth:`abort` (slice
+        outcome ``"aborted"``).
         """
         if max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -194,6 +215,19 @@ class ExplorationSession:
                 self.state = SessionState.DONE
                 return "interrupted"
         return "yield"
+
+    def abort(self, error: ReproError) -> None:
+        """End the session on an error one of its slices raised.
+
+        The run keeps the results found so far and stops with reason
+        ``error:<class>``; a ``serve`` :class:`~repro.faults.Degradation`
+        carries the error's message.  The scheduler calls this so one
+        session's failing store ends that session only.
+        """
+        self.degradations = (
+            Degradation("serve", f"{type(error).__name__}: {error}"),
+        )
+        self._interrupt(f"error:{type(error).__name__}")
 
     def _budget_exceeded(self) -> str | None:
         if self.step_budget is not None and self.steps_taken >= self.step_budget:

@@ -7,11 +7,21 @@ again.  :class:`BufferPool` reproduces this with plain LRU replacement —
 close enough to PostgreSQL's clock-sweep for the block-count statistics
 that drive Table 2.  :class:`PoolGroup` sums the pools of many served
 sessions for reporting; it never resizes them.
+
+Recency is one ``int64`` stamp per disk block (``0`` = not resident),
+issued from a counter that only grows, so LRU order is stamp order and
+an access is a handful of array operations over the requested ids: a hit
+mask, fresh stamps for the hits (in id order), one disk read for the
+misses, fresh stamps for them, and the eviction of the oldest
+unprotected stamps.  That is exactly the sequential policy — insert each
+miss, then evict the least-recently-used unprotected block while the
+pool is over capacity — with the same victims, counters and
+:meth:`~BufferPool.state` order (``tests/test_buffer_oracle.py`` checks
+it against that loop over an ``OrderedDict``).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Iterable
 
 import numpy as np
@@ -27,7 +37,7 @@ class BufferPool:
 
     The pool holds block *ids* only — block payloads live in the in-memory
     table arrays; what matters for the simulation is which accesses hit
-    the disk.
+    the disk.  Block ids must lie on the disk (``[0, num_blocks)``).
     """
 
     def __init__(self, capacity: int, disk: SimulatedDisk) -> None:
@@ -35,7 +45,10 @@ class BufferPool:
             raise ValueError(f"buffer pool capacity must be positive, got {capacity}")
         self._capacity = capacity
         self._disk = disk
-        self._blocks: OrderedDict[int, None] = OrderedDict()
+        # Recency stamp per disk block; 0 = not resident.
+        self._stamps = np.zeros(disk.num_blocks, dtype=np.int64)
+        self._tick = 0
+        self._size = 0
         self._protected: set[int] = set()
         self._hits = 0
         self._misses = 0
@@ -50,7 +63,7 @@ class BufferPool:
     @property
     def size(self) -> int:
         """Number of currently cached blocks."""
-        return len(self._blocks)
+        return self._size
 
     @property
     def hits(self) -> int:
@@ -64,7 +77,7 @@ class BufferPool:
 
     def contains(self, block_id: int) -> bool:
         """Whether a block is cached (does not touch recency)."""
-        return block_id in self._blocks
+        return 0 <= block_id < self._stamps.size and bool(self._stamps[block_id])
 
     def protect(self, block_id: int) -> None:
         """Pin a block: eviction will never drop it (quarantine/repair)."""
@@ -82,9 +95,10 @@ class BufferPool:
         """Discard one cached block (quarantined pages must not serve hits)."""
         block_id = int(block_id)
         self._protected.discard(block_id)
-        present = block_id in self._blocks
+        present = self.contains(block_id)
         if present:
-            del self._blocks[block_id]
+            self._stamps[block_id] = 0
+            self._size -= 1
         return present
 
     def resize(self, capacity: int) -> int:
@@ -97,65 +111,98 @@ class BufferPool:
         if capacity <= 0:
             raise ValueError(f"buffer pool capacity must be positive, got {capacity}")
         self._capacity = capacity
-        evicted = 0
-        while len(self._blocks) > capacity and self._evict_one():
-            evicted += 1
+        evicted = self._evict_oldest(self._size - capacity)
         if evicted and self.metrics is not None:
             self.metrics.inc("buffer.evictions", float(evicted))
         return evicted
 
-    def _evict_one(self) -> bool:
-        """Drop the least-recently-used unprotected block; False if none."""
+    def _evict_oldest(self, count: int) -> int:
+        """Drop up to ``count`` least-recently-used unprotected blocks."""
+        if count <= 0:
+            return 0
+        stamps = self._stamps
+        resident = np.flatnonzero(stamps)
+        if self._protected:
+            pinned = np.fromiter(self._protected, dtype=np.int64, count=len(self._protected))
+            resident = resident[~np.isin(resident, pinned)]
+        if count < resident.size:
+            ages = stamps[resident]
+            resident = resident[np.argpartition(ages, count - 1)[:count]]
+        stamps[resident] = 0
+        self._size -= resident.size
+        return resident.size
+
+    def _evictions_on_insert(self, misses: np.ndarray) -> int:
+        """How many blocks inserting ``misses`` one at a time evicts.
+
+        Each insert that leaves the pool over capacity evicts one
+        least-recently-used unprotected block, if any is resident (the
+        new block included).  Without pins that is every insert past
+        capacity; with pins the sequential count is replayed on ints.
+        """
+        free = max(0, self._capacity - self._size)
         if not self._protected:
-            self._blocks.popitem(last=False)
-            return True
-        for block in self._blocks:
-            if block not in self._protected:
-                del self._blocks[block]
-                return True
-        return False
+            return max(0, misses.size - free)
+        pinned = self._protected
+        size = self._size
+        # Unprotected residents present before the first insert.
+        unpinned = size - sum(1 for b in pinned if self.contains(b))
+        evicted = 0
+        for block in misses.tolist():
+            size += 1
+            if block not in pinned:
+                unpinned += 1
+            if size > self._capacity and unpinned:
+                unpinned -= 1
+                size -= 1
+                evicted += 1
+        return evicted
 
     def access(self, block_ids: Iterable[int] | np.ndarray) -> float:
         """Ensure all blocks are resident; returns elapsed disk seconds.
 
-        Misses are fetched from disk in one request (sorted), then
-        inserted with LRU eviction.  Hits are refreshed.
+        Hits are refreshed in id order; misses are fetched from disk in
+        one request (sorted), then inserted with LRU eviction.
         """
         ids = np.asarray(list(block_ids) if not isinstance(block_ids, np.ndarray) else block_ids, dtype=np.int64)
         if ids.size == 0:
             return 0.0
         if ids.size > 1 and np.any(np.diff(ids) <= 0):
             ids = np.unique(ids)
-        cached = self._blocks
-        ids_list = ids.tolist()
-        missing = [b for b in ids_list if b not in cached]
-        miss_count = len(missing)
-        hit_count = ids.size - miss_count
+        stamps = self._stamps
+        if ids[0] < 0 or ids[-1] >= stamps.size:
+            raise ValueError(
+                f"block ids out of range [0, {stamps.size}): {ids[0]}..{ids[-1]}"
+            )
+        hit = stamps[ids] != 0
+        hit_count = int(np.count_nonzero(hit))
+        miss_count = ids.size - hit_count
         self._hits += hit_count
         self._misses += miss_count
-        # Refresh recency of hits.
+        tick = self._tick
         if hit_count:
-            move = cached.move_to_end
-            for b in ids_list:
-                if b in cached:
-                    move(b)
+            refreshed = ids if not miss_count else ids[hit]
+            stamps[refreshed] = np.arange(tick + 1, tick + 1 + hit_count)
+            tick = self._tick = tick + hit_count
         elapsed = 0.0
         evicted = 0
         corrupt: CorruptBlockError | None = None
-        if missing:
+        if miss_count:
+            missing = ids if not hit_count else ids[~hit]
             try:
-                elapsed = self._disk.read(np.asarray(missing, dtype=np.int64))
+                elapsed = self._disk.read(missing)
             except CorruptBlockError as err:
                 # Unrepairable blocks are quarantined by the integrity
                 # layer and must not be cached; the surviving blocks of
                 # the request were read (and repaired) normally.
                 corrupt = err
-                bad = set(err.block_ids)
-                missing = [b for b in missing if b not in bad]
-            for b in missing:
-                cached[b] = None
-                if len(cached) > self._capacity and self._evict_one():
-                    evicted += 1
+                missing = missing[~np.isin(missing, np.asarray(err.block_ids, dtype=np.int64))]
+            if missing.size:
+                evicted = self._evictions_on_insert(missing)
+                stamps[missing] = np.arange(tick + 1, tick + 1 + missing.size)
+                self._tick = tick + missing.size
+                self._size += missing.size
+                self._evict_oldest(evicted)
         m = self.metrics
         if m is not None:
             # miss_count includes unrepairable blocks: they did go to disk,
@@ -171,17 +218,23 @@ class BufferPool:
 
     def reset(self) -> None:
         """Drop every cached block and clear hit/miss counters."""
-        self._blocks.clear()
+        self._stamps[:] = 0
+        self._size = 0
         self._protected.clear()
         self._hits = 0
         self._misses = 0
 
     # -- checkpoint support ------------------------------------------------------
 
+    def _lru_order(self) -> np.ndarray:
+        """Resident block ids, least recently used first."""
+        resident = np.flatnonzero(self._stamps)
+        return resident[np.argsort(self._stamps[resident])]
+
     def state(self) -> dict:
         """Exact pool state (LRU order preserved) for a checkpoint."""
         return {
-            "blocks": list(self._blocks),
+            "blocks": self._lru_order().tolist(),
             "protected": sorted(self._protected),
             "hits": self._hits,
             "misses": self._misses,
@@ -190,8 +243,12 @@ class BufferPool:
 
     def restore_state(self, state: dict) -> None:
         """Restore a :meth:`state` capture onto this pool."""
+        blocks = np.asarray([int(b) for b in state["blocks"]], dtype=np.int64)
         self._capacity = int(state["capacity"])
-        self._blocks = OrderedDict((int(b), None) for b in state["blocks"])
+        self._stamps[:] = 0
+        self._stamps[blocks] = np.arange(1, blocks.size + 1)
+        self._tick = blocks.size
+        self._size = blocks.size
         self._protected = {int(b) for b in state["protected"]}
         self._hits = int(state["hits"])
         self._misses = int(state["misses"])

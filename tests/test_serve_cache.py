@@ -95,26 +95,60 @@ class TestSignatures:
         assert len(hashed) - grid_hashes == 3
 
 
+def _values(*values):
+    """``(sums, mins, maxs)`` arrays for cells whose one value is ``values[i]``."""
+    arr = np.asarray(values, dtype=float)
+    return arr, arr.copy(), arr.copy()
+
+
+def _publish(cache, table_sig, grid_sig, ids, keys=("k",)):
+    """Publish cells ``ids`` whose every key's value is the cell's id."""
+    ids = np.asarray(ids, dtype=np.int64)
+    cache.publish(
+        table_sig, grid_sig, ids, np.ones(ids.size),
+        {key: _values(*ids.tolist()) for key in keys},
+    )
+
+
+def _hits(cache, table_sig, grid_sig, ids, require=("k",)):
+    hit_ids, _values = cache.consult(
+        table_sig, grid_sig, np.asarray(ids, dtype=np.int64), require=require
+    )
+    return hit_ids.tolist()
+
+
 class TestConsultAndPublish:
     def test_require_filters_incomplete_payloads(self):
         cache = SemanticCache()
-        cache.publish("t:x", "g:y", [(0, {"avg(a)": "s0"}), (1, {"avg(a)": "s1", "avg(b)": "s2"})])
-        hits = cache.consult("t:x", "g:y", [0, 1, 2], require=("avg(a)", "avg(b)"))
-        assert set(hits) == {1}
-        assert cache.consult("t:x", "g:y", [0, 1], require=("avg(a)",)).keys() == {0, 1}
+        cache.publish("t:x", "g:y", np.array([0]), np.ones(1), {"avg(a)": _values(0.5)})
+        cache.publish(
+            "t:x", "g:y", np.array([1]), np.ones(1),
+            {"avg(a)": _values(1.5), "avg(b)": _values(2.5)},
+        )
+        hits, values = cache.consult(
+            "t:x", "g:y", np.array([0, 1, 2]), require=("avg(a)", "avg(b)")
+        )
+        assert hits.tolist() == [1]
+        assert values["avg(b)"][0].tolist() == [2.5]
+        assert _hits(cache, "t:x", "g:y", [0, 1], require=("avg(a)",)) == [0, 1]
 
     def test_refresh_merges_objectives(self):
         cache = SemanticCache()
-        cache.publish("t:x", "g:y", [(0, {"avg(a)": "s0"})])
-        cache.publish("t:x", "g:y", [(0, {"avg(b)": "s1"})])
-        hits = cache.consult("t:x", "g:y", [0], require=("avg(a)", "avg(b)"))
-        assert hits[0] == {"avg(a)": "s0", "avg(b)": "s1"}
+        cache.publish("t:x", "g:y", np.array([0]), np.ones(1), {"avg(a)": _values(0.5)})
+        cache.publish("t:x", "g:y", np.array([0]), np.ones(1), {"avg(b)": _values(1.5)})
+        hits, values = cache.consult(
+            "t:x", "g:y", np.array([0]), require=("avg(a)", "avg(b)")
+        )
+        assert hits.tolist() == [0]
+        assert {k: v[0].tolist() for k, v in values.items()} == {
+            "avg(a)": [0.5], "avg(b)": [1.5]
+        }
 
     def test_counters(self):
         registry = MetricsRegistry()
         cache = SemanticCache(metrics=registry)
-        cache.publish("t:x", "g:y", [(i, {"k": i}) for i in range(3)])
-        cache.consult("t:x", "g:y", [0, 1, 5], require=("k",))
+        _publish(cache, "t:x", "g:y", range(3))
+        cache.consult("t:x", "g:y", np.array([0, 1, 5]), require=("k",))
         counters = registry.snapshot()["counters"]
         assert counters["serve.cache.inserted_cells"] == 3
         assert counters["serve.cache.lookup_cells"] == 3
@@ -125,20 +159,20 @@ class TestConsultAndPublish:
 class TestEviction:
     def test_lru_eviction_under_budget(self):
         cache = SemanticCache(budget_cells=3)
-        cache.publish("t:x", "g:y", [(i, {"k": i}) for i in range(3)])
-        cache.consult("t:x", "g:y", [0], require=("k",))  # 0 becomes MRU
-        cache.publish("t:x", "g:y", [(9, {"k": 9})])
+        _publish(cache, "t:x", "g:y", range(3))
+        _hits(cache, "t:x", "g:y", [0])  # 0 becomes MRU
+        _publish(cache, "t:x", "g:y", [9])
         assert len(cache) == 3
-        assert set(cache.consult("t:x", "g:y", [0, 1, 2, 9])) == {0, 2, 9}
+        assert _hits(cache, "t:x", "g:y", [0, 1, 2, 9]) == [0, 2, 9]
 
     def test_pin_blocks_eviction_until_unpin(self):
         cache = SemanticCache(budget_cells=2)
         cache.pin("t:x", "g:y")
-        cache.publish("t:x", "g:y", [(i, {"k": i}) for i in range(4)])
+        _publish(cache, "t:x", "g:y", range(4))
         assert len(cache) == 4  # pinned bindings may exceed the budget
-        cache.publish("t:z", "g:y", [(0, {"k": 0})])
-        assert set(cache.consult("t:x", "g:y", [0, 1, 2, 3])) == {0, 1, 2, 3}
-        assert cache.consult("t:z", "g:y", [0]) == {}  # unpinned entry evicted
+        _publish(cache, "t:z", "g:y", [0])
+        assert _hits(cache, "t:x", "g:y", [0, 1, 2, 3]) == [0, 1, 2, 3]
+        assert _hits(cache, "t:z", "g:y", [0], require=()) == []  # unpinned entry evicted
         cache.unpin("t:x", "g:y")
         assert len(cache) == 2
 
@@ -147,37 +181,37 @@ class TestEviction:
         cache = SemanticCache(budget_cells=4)
         cache.pin("t:a", "g:1")
         cache.pin("t:b", "g:1")
-        cache.publish("t:a", "g:1", [(i, {"k": i}) for i in range(3)])
-        cache.publish("t:b", "g:1", [(i, {"k": i}) for i in range(3)])
-        cache.publish("t:c", "g:1", [(i, {"k": i}) for i in range(2)])
+        _publish(cache, "t:a", "g:1", range(3))
+        _publish(cache, "t:b", "g:1", range(3))
+        _publish(cache, "t:c", "g:1", range(2))
         # Both pinned bindings survive intact; the unpinned one is the
         # only eviction candidate and the pins already exceed the budget.
-        assert set(cache.consult("t:a", "g:1", [0, 1, 2])) == {0, 1, 2}
-        assert set(cache.consult("t:b", "g:1", [0, 1, 2])) == {0, 1, 2}
-        assert cache.consult("t:c", "g:1", [0, 1]) == {}
+        assert _hits(cache, "t:a", "g:1", [0, 1, 2]) == [0, 1, 2]
+        assert _hits(cache, "t:b", "g:1", [0, 1, 2]) == [0, 1, 2]
+        assert _hits(cache, "t:c", "g:1", [0, 1]) == []
 
     def test_partial_unpin_evicts_only_released_binding(self):
         cache = SemanticCache(budget_cells=3)
         cache.pin("t:a", "g:1")
         cache.pin("t:b", "g:1")
-        cache.publish("t:a", "g:1", [(i, {"k": i}) for i in range(3)])
-        cache.publish("t:b", "g:1", [(i, {"k": i}) for i in range(3)])
+        _publish(cache, "t:a", "g:1", range(3))
+        _publish(cache, "t:b", "g:1", range(3))
         assert len(cache) == 6
         cache.unpin("t:a", "g:1")
         # Back to budget by shedding t:a cells only; t:b stays pinned.
         assert len(cache) == 3
-        assert set(cache.consult("t:b", "g:1", [0, 1, 2])) == {0, 1, 2}
+        assert _hits(cache, "t:b", "g:1", [0, 1, 2]) == [0, 1, 2]
         cache.unpin("t:b", "g:1")
         assert len(cache) == 3  # already within budget: unpin is a no-op
 
     def test_evicted_cells_counter_on_publish_and_unpin(self):
         registry = MetricsRegistry()
         cache = SemanticCache(budget_cells=2, metrics=registry)
-        cache.publish("t:x", "g:y", [(i, {"k": i}) for i in range(5)])
+        _publish(cache, "t:x", "g:y", range(5))
         counters = registry.snapshot()["counters"]
         assert counters["serve.cache.evicted_cells"] == 3
         cache.pin("t:x", "g:z")
-        cache.publish("t:x", "g:z", [(i, {"k": i}) for i in range(4)])
+        _publish(cache, "t:x", "g:z", range(4))
         # The publish sheds the two unpinned g:y survivors; the four
         # pinned g:z cells ride over budget until the unpin releases them.
         counters = registry.snapshot()["counters"]
