@@ -6,9 +6,12 @@ scan), every possible window is generated by combining adjacent cells
 (step 2, the recursive CTEs) and filtered against the conditions (step 3).
 
 The combination step scores every placement of one window shape in a
-single array pass: ``count``/``sum`` come from the kernels' summed-area
-tables (``SummedAreaTable.placement_sums``, 2^n shifted slices of the
-prefix array), ``min``/``max`` from ``sliding_reduce`` over the
+single array pass: ``count`` comes from the kernels' summed-area table
+(``SummedAreaTable.placement_sums``, 2^n shifted slices of the prefix
+array; integer counts are exact there), ``sum`` and ``avg``'s sum from
+``sliding_reduce`` over the cells' sums — numpy's slice sum of the
+window's cells, the one definition of a real window sum the search uses
+too (DESIGN.md §8) — and ``min``/``max`` from ``sliding_reduce`` over the
 ±inf-filled cell grids.  Only qualifying placements become windows.
 
 The enumeration respects the shape bounds implied by the conditions, as a
@@ -113,7 +116,6 @@ def enumerate_windows_filtered(
         max_card = None
 
     count_sat = SummedAreaTable(cells.counts)
-    sum_sats = {k: SummedAreaTable(v) for k, v in cells.sums.items()}
 
     results: list[ResultWindow] = []
     enumerated = 0
@@ -128,9 +130,7 @@ def enumerate_windows_filtered(
         for cond in conditions.content_conditions:
             name = repr(cond.objective)
             if name not in values:
-                values[name] = _placement_values(
-                    cond.objective, shape, cells, count_sat, sum_sats
-                )
+                values[name] = _placement_values(cond.objective, shape, cells, count_sat)
             mask &= cond.op.test(values[name], cond.value)
         for lo in zip(*(axis.tolist() for axis in np.nonzero(mask))):
             window = Window(lo, tuple(l + s for l, s in zip(lo, shape)))
@@ -166,7 +166,6 @@ def _placement_values(
     shape: tuple[int, ...],
     cells: CellGrids,
     count_sat: SummedAreaTable,
-    sum_sats: Mapping[str, SummedAreaTable],
 ) -> np.ndarray:
     """Exact objective values of every placement of ``shape``."""
     agg = objective.aggregate.name
@@ -174,11 +173,13 @@ def _placement_values(
     if agg == "count":
         return count_sat.placement_sums(shape)
     if agg == "sum":
-        return sum_sats[key].placement_sums(shape)
+        return sliding_reduce(cells.sums[key], shape, "sum")
     if agg == "avg":
         count = count_sat.placement_sums(shape)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(count > 0, sum_sats[key].placement_sums(shape) / count, math.nan)
+            return np.where(
+                count > 0, sliding_reduce(cells.sums[key], shape, "sum") / count, math.nan
+            )
     if agg in ("min", "max"):
         grids = cells.mins if agg == "min" else cells.maxs
         value = sliding_reduce(grids[key], shape, agg)

@@ -63,7 +63,7 @@ from ..errors import CheckpointError, ConfigError, ProtocolError, SimulationLimi
 from ..obs.metrics import MetricsRegistry
 from ..sampling.stratified import StratifiedSampler
 from ..storage.database import Database
-from ..storage.placement import Placement, cell_flat_ids, order_rows
+from ..storage.placement import Placement, cluster_by_cell, order_rows
 from ..storage.table import HeapTable
 from ..workloads.base import Dataset
 from ..faults import Degradation, outcome_of
@@ -332,9 +332,10 @@ def run_distributed(
     full_table = HeapTable(
         dataset.name, dataset.schema, dataset.columns, config.tuples_per_block
     )
+    # Every row's cell, once: the sampler and the worker tables share it.
+    row_cells = full_table.cell_ids(grid)
     sampler = StratifiedSampler(config.sample_fraction, seed=config.sample_seed)
-    sample = sampler.sample(full_table, grid, metrics=metrics)
-    row_cells = cell_flat_ids(full_table.coordinates(), grid)
+    sample = sampler.sample(full_table, grid, metrics=metrics, cells=row_cells)
 
     max_len0 = query.conditions.max_lengths(grid.shape)[0]
     plan = plan_partitions(
@@ -901,8 +902,10 @@ def _local_table(
 ) -> tuple[HeapTable, int]:
     """Build a worker-local heap table for dim-0 cell range ``[lo, hi)``.
 
-    ``row_cells`` is ``cell_flat_ids`` of the full table's rows, computed
-    once per run.  Returns ``(table, row_count)``.  A range containing no
+    ``row_cells`` is ``full_table.cell_ids(grid)``, computed once per
+    run; a cluster-placed worker table sorts its slice of it, so its cell
+    directory comes without placing from coordinates again.  Returns
+    ``(table, row_count)``.  A range containing no
     rows yields a one-row *stub* table (heap tables cannot be empty) whose
     single row lives outside the range — callers pre-mark the range as
     read-and-empty so the stub is never actually scanned for it.
@@ -912,14 +915,19 @@ def _local_table(
     n_rows = int(rows.size)
     if n_rows == 0:
         rows = np.array([0])
-    local_coords = full_table.coordinates()[rows]
-    perm = order_rows(config.placement, local_coords, grid=grid, axis_dim=0, seed=seed)
+    directory = None
+    if Placement(config.placement) is Placement.CLUSTER:
+        perm, directory = cluster_by_cell(row_cells[rows], grid)
+    else:
+        local_coords = full_table.coordinates()[rows]
+        perm = order_rows(config.placement, local_coords, grid=grid, axis_dim=0, seed=seed)
     columns = {c: full_table.column(c)[rows][perm] for c in full_table.schema.columns}
     table = HeapTable(
         name if name is not None else full_table.name,
         full_table.schema,
         columns,
         config.tuples_per_block,
+        cell_directory=directory,
     )
     return table, n_rows
 
@@ -953,7 +961,7 @@ def _build_worker(
     grid = query.grid
     lo, hi = plan.data_range(worker_id)
     if row_cells is None:
-        row_cells = cell_flat_ids(full_table.coordinates(), grid)
+        row_cells = full_table.cell_ids(grid)
     table, n_rows = _local_table(
         full_table, grid, row_cells, lo, hi, config, seed=7 + worker_id
     )

@@ -65,6 +65,11 @@ def build_objective_grids(
     ``metrics`` (optional observability registry) counts grid builds and
     the sampled tuples scanned to produce them; estimation setup is
     offline, so no simulated time is involved.
+
+    A stratified sample's ``cells`` ascend by construction (it is
+    ``np.repeat(arange(cells), quotas)``), so its rows are grouped by
+    cell as they stand; only a uniform sample, whose cells follow row
+    order, is sorted by cell first.
     """
     if metrics is not None:
         metrics.inc("sample.objective_grids")
@@ -92,13 +97,14 @@ def build_objective_grids(
         ).astype(float)
         sums = np.bincount(sample.cells, weights=values, minlength=m)
         if values.size:
-            # Segmented extrema via sort + reduceat: identical values to
-            # np.minimum.at/np.maximum.at (min/max are order-insensitive)
-            # but one vectorized pass instead of an unbuffered per-element
-            # scatter, which is the slow path of ufunc.at.
-            order = np.argsort(sample.cells, kind="stable")
-            sorted_cells = sample.cells[order]
-            sorted_values = values[order]
+            # Segmented extrema via reduceat over rows grouped by cell:
+            # identical values to np.minimum.at/np.maximum.at (min/max
+            # are order-insensitive) but one vectorized pass instead of an
+            # unbuffered per-element scatter, the slow path of ufunc.at.
+            sorted_cells, sorted_values = sample.cells, values
+            if (sorted_cells[1:] < sorted_cells[:-1]).any():
+                order = np.argsort(sorted_cells, kind="stable")
+                sorted_cells, sorted_values = sorted_cells[order], values[order]
             starts = np.concatenate(
                 ([0], np.flatnonzero(np.diff(sorted_cells)) + 1)
             )

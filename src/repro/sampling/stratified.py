@@ -12,6 +12,15 @@ water-filling), and :class:`CellSample` is the resulting per-(table, grid)
 artifact: sampled row ids, their cells, and per-cell true/sampled counts.
 Sampling happens *offline* in the paper's protocol, so building a sample
 advances no simulated time and reads the table arrays directly.
+
+Each row's cell comes from the table handle's
+:meth:`~repro.storage.pages.BlockLayout.cell_ids`: a table that the
+sampling grid cluster-placed answers from its cell directory, reading no
+coordinate; any other table computes the ids from its coordinates.  The
+stratified draw then orders the in-area rows by ``(cell, random key)``
+with one sort of the composite ``cell + key`` (:func:`cell_key_order`),
+exact whenever the composites are distinct, and falls back to the
+two-key ``lexsort`` when two of them tie.
 """
 
 from __future__ import annotations
@@ -21,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.grid import Grid
-from ..storage.placement import cell_flat_ids
 from ..storage.table import HeapTable
 
-__all__ = ["CellSample", "StratifiedSampler", "uniform_sample"]
+__all__ = ["CellSample", "StratifiedSampler", "cell_key_order", "uniform_sample"]
 
 
 @dataclass(frozen=True)
@@ -36,7 +44,8 @@ class CellSample:
     rows:
         Physical row indices of sampled tuples (into the table arrays).
     cells:
-        Flat cell id of each sampled tuple (aligned with ``rows``).
+        Flat cell id of each sampled tuple (aligned with ``rows``);
+        ascending in a stratified sample, in row order in a uniform one.
     cell_true_counts:
         Exact tuple count per cell, shape ``grid.shape`` — known because
         the stratified ratios are stored with the sample.
@@ -79,32 +88,24 @@ class StratifiedSampler:
         self.fraction = fraction
         self.seed = seed
 
-    def sample(self, table: HeapTable, grid: Grid, metrics=None) -> CellSample:
+    def sample(
+        self, table: HeapTable, grid: Grid, metrics=None, cells: np.ndarray | None = None
+    ) -> CellSample:
         """Draw the stratified sample for ``table`` under ``grid``.
 
         ``metrics`` (optional) records sample-construction counters;
         building is an offline step, so no simulated time is charged
-        either way.
+        either way.  ``cells`` is ``table.cell_ids(grid)`` when the
+        caller already holds it.
         """
-        rows_inside, cells_inside, true_counts = _rows_by_cell(table, grid)
+        rows_inside, cells_inside, true_counts = _rows_by_cell(table, grid, cells)
         budget = max(1, int(round(self.fraction * rows_inside.size)))
         quotas = allocate_budget(true_counts, budget)
 
-        # Random tie-break key, then sort by (cell, key): the first quota[c]
-        # rows of each cell's run form its SRS.  The sort is the two stable
-        # passes of ``lexsort((keys, cells))``: any sort orders distinct
-        # keys alike, so the first pass only needs a stable kind when two
-        # keys tie; the cell pass is stable and, on ids that fit 16 bits,
-        # a radix sort.
+        # Random tie-break key, then order by (cell, key): the first
+        # quota[c] rows of each cell's run form its SRS.
         keys = np.random.default_rng(self.seed).random(rows_inside.size)
-        by_key = np.argsort(keys)
-        sorted_keys = keys[by_key]
-        if (sorted_keys[1:] == sorted_keys[:-1]).any():
-            by_key = np.argsort(keys, kind="stable")
-        cell_keys = cells_inside
-        if grid.num_cells <= np.iinfo(np.int16).max:
-            cell_keys = cell_keys.astype(np.int16)
-        by_cell = np.argsort(cell_keys[by_key], kind="stable")
+        order = cell_key_order(cells_inside, keys)
 
         # Cell c's run starts after all smaller cells' rows; its picks are
         # the first quotas[c] positions of that run.
@@ -113,7 +114,7 @@ class StratifiedSampler:
         pick = np.arange(int(quotas.sum())) + np.repeat(starts - before, quotas)
 
         out = CellSample(
-            rows=rows_inside[by_key[by_cell[pick]]],
+            rows=rows_inside[order[pick]],
             cells=np.repeat(np.arange(grid.num_cells, dtype=np.int64), quotas),
             cell_true_counts=true_counts.reshape(grid.shape),
             cell_sample_counts=quotas.reshape(grid.shape),
@@ -123,13 +124,37 @@ class StratifiedSampler:
         return out
 
 
-def _rows_by_cell(table: HeapTable, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cell_key_order(cells: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.lexsort((keys, cells))``: positions by cell, then key, then position.
+
+    ``cells`` are non-negative integer ids and ``keys`` lie in ``[0, 1)``,
+    so ``cell + key`` orders pairs exactly as ``(cell, key)`` does before
+    rounding, and rounding to float64 is monotone: it can merge two
+    composites but never swap them.  When every rounded composite is
+    distinct, one sort of them is therefore the lexsort order.  Any tie —
+    equal keys in one cell, ``1 - 2**-53`` at the end of cell ``c``
+    rounding onto ``0.0`` in cell ``c + 1``, or large ids leaving keys
+    fewer bits — falls back to the two-key lexsort, which orders ties by
+    position.
+    """
+    composite = cells + keys
+    order = np.argsort(composite)
+    ranked = composite[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        return np.lexsort((keys, cells))
+    return order
+
+
+def _rows_by_cell(
+    table: HeapTable, grid: Grid, cells: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows inside the grid's area, their flat cell ids, and per-cell counts.
 
     Tuples outside the search area cannot belong to any window, so both
-    samplers exclude them from the budget and the sample.
+    samplers exclude them from the budget and the sample.  ``cells``,
+    when given, is ``table.cell_ids(grid)``.
     """
-    flat = cell_flat_ids(table.coordinates(), grid)
+    flat = table.cell_ids(grid) if cells is None else cells
     inside = flat >= 0
     cells_inside = flat[inside]
     true_counts = np.bincount(cells_inside, minlength=grid.num_cells).astype(np.int64)

@@ -36,6 +36,7 @@ against a cache of one payload dict per cell).
 from __future__ import annotations
 
 import hashlib
+import weakref
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -173,9 +174,12 @@ class SemanticCache:
         self._pinned: set[tuple[str, str]] = set()
         # (physical_sig, key tuple) -> CellSample.
         self._samples: dict[tuple, object] = {}
-        # (signature function, id(table)) -> (signature, table); holding
-        # the table keeps its id from being reused while the memo lives.
+        # (signature function, source) -> (signature, holder); holding
+        # the table or dataset keeps its id from being reused while the
+        # memo lives.  A table's source is (id(dataset), placement,
+        # tuples_per_block) once note_source named it, else id(table).
         self._signatures: dict[tuple, tuple[str, object]] = {}
+        self._sources: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._events = 0
 
     def attach_observability(self, metrics=None, trace=None) -> None:
@@ -198,11 +202,24 @@ class SemanticCache:
         """
         return self._signature(table_signature, table), grid_signature(grid)
 
+    def note_source(self, table, dataset, placement: str) -> None:
+        """Record that ``table`` is ``dataset`` placed by ``placement``.
+
+        Every table built from one dataset object by one placement and
+        block size holds the same rows in the same order, so they share
+        one hash of each signature kind: a served session's fresh table
+        costs no re-hash of a dataset an earlier session already hashed.
+        The dataset must not change while the cache lives.
+        """
+        self._sources[table] = ((id(dataset), placement, table.tuples_per_block), dataset)
+
     def _signature(self, kind, table) -> str:
-        """``kind(table)``, hashed once per table *object* (heap tables are immutable)."""
-        memo = self._signatures.get((kind, id(table)))
+        """``kind(table)``, hashed once per source (see :meth:`note_source`),
+        else once per table *object* (heap tables are immutable)."""
+        source, holder = self._sources.get(table, (id(table), table))
+        memo = self._signatures.get((kind, source))
         if memo is None:
-            memo = self._signatures[(kind, id(table))] = (kind(table), table)
+            memo = self._signatures[(kind, source)] = (kind(table), holder)
         return memo[0]
 
     # -- cell entries ------------------------------------------------------------

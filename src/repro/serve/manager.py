@@ -156,6 +156,9 @@ class SessionManager:
             tenant, step_budget, block_budget
         )
         database = make_database(dataset, placement)
+        if self.cache is not None:
+            # Before the session prepares: its sample lookup hashes too.
+            self.cache.note_source(database.table(dataset.name), dataset, placement)
         engine = SWEngine(
             database,
             dataset.name,

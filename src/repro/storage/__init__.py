@@ -34,6 +34,7 @@ from .resilience import (
     ResilientTable,
 )
 from .placement import (
+    CellDirectory,
     Placement,
     axis_order,
     cell_flat_ids,
@@ -76,6 +77,7 @@ __all__ = [
     "Placement",
     "axis_order",
     "cell_flat_ids",
+    "CellDirectory",
     "cluster_order",
     "hilbert_order",
     "index_order",

@@ -48,7 +48,10 @@ Its identity, shape and block layout come from
 * ``gather(name, rows)`` — one column for given row ids, aligned with
   ``rows`` (the sampler's objective grids, block verification);
 * ``coordinates()`` — the ``(num_rows, ndim)`` coordinate matrix
-  (sample construction, the distributed partitioner);
+  (the distributed partitioner, tables without a cell directory);
+* ``cell_ids(grid, rows, coords)`` — each row's flat grid cell, from
+  the cluster placement's cell directory when ``grid`` placed the table,
+  else from coordinates (both samplers, the per-cell ``GROUP BY``);
 * ``scan_region(lows, highs, columns)`` — every read the
   :class:`~repro.storage.database.Database` makes: the bitmap index
   scan fused with the matching tuples' coordinates and the requested

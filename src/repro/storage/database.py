@@ -31,7 +31,6 @@ from .buffer import BufferPool
 from .disk import SimulatedDisk
 from .integrity import BlockIntegrity, StorageFaultPlan
 from .resilience import BackendFaultPlan, ResilienceConfig, ResilientBackend
-from .placement import cell_flat_ids
 from .table import HeapTable
 
 if TYPE_CHECKING:
@@ -400,20 +399,20 @@ class Database:
         scan = table.scan_region(lows, highs, columns)
         integ = self._integrity.get(table_name)
         lost: list[int] = []
-        lost_coords: list[np.ndarray] = []
+        lost_rows: list[tuple[np.ndarray, np.ndarray]] = []
         if integ is not None and integ.quarantined:
             # Already-quarantined pages (earlier scans or scrub) are gone.
-            scan, dropped, coords_dropped = _strip_blocks(table, scan, integ.quarantined)
+            scan, dropped, rows_dropped = _strip_blocks(table, scan, integ.quarantined)
             lost.extend(int(b) for b in dropped)
-            lost_coords.append(coords_dropped)
+            lost_rows.append(rows_dropped)
         try:
             self._buffers[table_name].access(scan[0])
         except CorruptBlockError as err:
-            scan, dropped, coords_dropped = _strip_blocks(table, scan, err.block_ids)
+            scan, dropped, rows_dropped = _strip_blocks(table, scan, err.block_ids)
             lost.extend(int(b) for b in dropped)
-            lost_coords.append(coords_dropped)
+            lost_rows.append(rows_dropped)
         blocks = scan[0]
-        degraded = _degraded_cells(integ, grid, lost_coords)
+        degraded = _degraded_cells(integ, table, grid, lost_rows)
 
         # The executor still inspects every tuple on the fetched pages.
         tuples_scanned = int(blocks.size) * table.tuples_per_block
@@ -423,7 +422,7 @@ class Database:
             self.metrics.inc("db.tuples_scanned", float(tuples_scanned))
             self.metrics.inc(f"db.backend_reads.{self.backend.name}")
 
-        arrays = _aggregate_rows(grid, scan[2], dict(zip(columns, scan[3])), objectives)
+        arrays = _aggregate_rows(table, grid, scan, columns, objectives)
         self._install_cell_summaries(table_name, grid, arrays[0])
         return CellScan(
             cells_arrays=arrays,
@@ -463,15 +462,15 @@ class Database:
         scan = table.scan_region(grid.area.lower, grid.area.upper, columns)
         integ = self._integrity.get(table_name)
         lost_blocks: tuple[int, ...] = ()
-        lost_coords: list[np.ndarray] = []
+        lost_rows: list[tuple[np.ndarray, np.ndarray]] = []
         if integ is not None and integ.quarantined:
             # The sequential read touched every block: all quarantined
             # pages are lost, whether or not they hold in-area tuples.
             lost_blocks = tuple(sorted(integ.quarantined))
-            scan, _dropped, coords_dropped = _strip_blocks(table, scan, integ.quarantined)
-            lost_coords.append(coords_dropped)
-        degraded = _degraded_cells(integ, grid, lost_coords)
-        arrays = _aggregate_rows(grid, scan[2], dict(zip(columns, scan[3])), objectives)
+            scan, _dropped, rows_dropped = _strip_blocks(table, scan, integ.quarantined)
+            lost_rows.append(rows_dropped)
+        degraded = _degraded_cells(integ, table, grid, lost_rows)
+        arrays = _aggregate_rows(table, grid, scan, columns, objectives)
         return CellScan(
             cells_arrays=arrays,
             tuples_scanned=table.num_rows,
@@ -511,45 +510,58 @@ def _objective_columns(objectives: Sequence[ContentObjective]) -> tuple[str, ...
 
 
 def _aggregate_rows(
+    table: HeapTable,
     grid: Grid,
-    coords: np.ndarray,
-    columns: Mapping[str, np.ndarray],
+    scan: tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]],
+    columns: Sequence[str],
     objectives: Sequence[ContentObjective],
 ) -> tuple[np.ndarray, np.ndarray, dict[str, tuple]]:
     """Group scanned tuples by grid cell and reduce each objective per cell.
 
-    ``coords`` and ``columns`` (``{name: values}``, every column the
-    objectives read) are a region scan's, aligned row by row in
-    ascending row order.  Returns ``(unique_cells, counts, per_key)``,
-    the columnar form :class:`CellScan` carries.
+    ``scan`` is a region scan of ``table`` — ``(block_ids, rows,
+    coordinates, values)`` in ascending row order, ``values`` aligned
+    with ``columns`` (every column the objectives read).  Each row's cell
+    comes from :meth:`~repro.storage.pages.BlockLayout.cell_ids`: the
+    table's cell directory when ``grid`` placed it, else the scanned
+    coordinates.  Returns ``(unique_cells, counts, per_key)``, the
+    columnar form :class:`CellScan` carries.
     """
+    _blocks, rows, coords, scanned = scan
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), {})
-    if not len(coords):
+    if not len(rows):
         return empty
-    flat = cell_flat_ids(coords, grid)
+    flat = table.cell_ids(grid, rows, coords)
+    values_of = dict(zip(columns, scanned))
     valid = flat >= 0
     if not valid.all():
         flat = flat[valid]
-        columns = {name: values[valid] for name, values in columns.items()}
+        values_of = {name: values[valid] for name, values in values_of.items()}
     if flat.size == 0:
         return empty
 
-    # Group rows by cell with one stable argsort; segment reductions
-    # via ``reduceat`` then replace the per-row ``ufunc.at`` scatter
-    # (an interpreted loop) for min/max, which are order-insensitive.
-    # Sums stay on ``bincount``: its strictly sequential input-order
-    # accumulation is the float contract the golden traces pin, and
-    # ``add.reduceat`` sums pairwise.
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
+    # Group rows by cell; segment reductions via ``reduceat`` then
+    # replace the per-row ``ufunc.at`` scatter (an interpreted loop) for
+    # min/max, which are order-insensitive.  Sums stay on ``bincount``:
+    # its strictly sequential input-order accumulation is the float
+    # contract the golden traces pin, and ``add.reduceat`` sums pairwise.
+    # A cluster-placed table's rows arrive grouped by cell already, and
+    # then the stable sort is the identity and is skipped.
+    if (flat[1:] >= flat[:-1]).all():
+        order = None
+        sorted_flat = flat
+    else:
+        order = np.argsort(flat, kind="stable")
+        sorted_flat = flat[order]
     boundary = np.empty(sorted_flat.size, dtype=bool)
     boundary[0] = True
     np.not_equal(sorted_flat[1:], sorted_flat[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary)
     unique_cells = sorted_flat[starts]
     counts = np.diff(np.append(starts, sorted_flat.size))
-    inverse = np.empty(sorted_flat.size, dtype=np.int64)
-    inverse[order] = np.cumsum(boundary) - 1
+    inverse = np.cumsum(boundary) - 1
+    if order is not None:
+        group, inverse = inverse, np.empty_like(inverse)
+        inverse[order] = group
 
     per_objective: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for objective in objectives:
@@ -559,10 +571,10 @@ def _aggregate_rows(
         if key in per_objective:
             continue
         values = np.broadcast_to(
-            objective.expr.evaluate(columns), flat.shape  # type: ignore[union-attr]
+            objective.expr.evaluate(values_of), flat.shape  # type: ignore[union-attr]
         ).astype(float)
         sums = np.bincount(inverse, weights=values, minlength=unique_cells.size)
-        values_sorted = values[order]
+        values_sorted = values if order is None else values[order]
         mins = np.minimum.reduceat(values_sorted, starts)
         maxs = np.maximum.reduceat(values_sorted, starts)
         per_objective[key] = (sums, mins, maxs)
@@ -574,39 +586,43 @@ def _strip_blocks(
     table: HeapTable,
     scan: tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]],
     bad: Sequence[int] | set,
-) -> tuple[tuple, np.ndarray, np.ndarray]:
+) -> tuple[tuple, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Drop quarantined blocks (and their rows) from one region scan.
 
     ``scan`` is a ``scan_region`` result.  Returns ``(kept_scan,
-    dropped_blocks, dropped_coords)`` — one row mask filters rows,
-    coordinates and values alike, so they stay aligned; the dropped
-    coordinates are those of the matching tuples this scan can no
-    longer deliver.
+    dropped_blocks, (dropped_rows, dropped_coords))`` — one row mask
+    filters rows, coordinates and values alike, so they stay aligned;
+    the dropped rows are the matching tuples this scan can no longer
+    deliver.
     """
     blocks, rows, coords, values = scan
     bad_arr = np.fromiter((int(b) for b in bad), dtype=np.int64, count=len(bad))
     drop_mask = np.isin(blocks, bad_arr)
     dropped = blocks[drop_mask]
     if dropped.size == 0:
-        return scan, dropped, coords[:0]
+        return scan, dropped, (rows[:0], coords[:0])
     row_drop = np.isin(rows // table.tuples_per_block, dropped)
     keep = ~row_drop
     kept = (blocks[~drop_mask], rows[keep], coords[keep], tuple(v[keep] for v in values))
-    return kept, dropped, coords[row_drop]
+    return kept, dropped, (rows[row_drop], coords[row_drop])
 
 
 def _degraded_cells(
-    integ: BlockIntegrity | None, grid: Grid, lost_coords: Sequence[np.ndarray]
+    integ: BlockIntegrity | None,
+    table: HeapTable,
+    grid: Grid,
+    lost: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[int, ...]:
     """Grid cells that lost tuples to stripped pages, recorded on ``integ``.
 
-    ``lost_coords`` holds the dropped coordinates of each strip a scan
-    made; a scan that stripped nothing degrades nothing.
+    ``lost`` holds the dropped ``(rows, coordinates)`` of each strip a
+    scan made; a scan that stripped nothing degrades nothing.
     """
-    coords = np.concatenate(lost_coords) if lost_coords else ()
-    if integ is None or not len(coords):
+    if integ is None or not any(len(rows) for rows, _coords in lost):
         return ()
-    flat = cell_flat_ids(coords, grid)
+    rows = np.concatenate([rows for rows, _coords in lost])
+    coords = np.concatenate([coords for _rows, coords in lost])
+    flat = table.cell_ids(grid, rows, coords)
     degraded = tuple(int(c) for c in np.unique(flat[flat >= 0]))
     integ.record_degraded_cells(degraded)
     return degraded

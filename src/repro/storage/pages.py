@@ -5,9 +5,11 @@ of ``tuples_per_block`` rows (PostgreSQL's 8 KB pages hold a comparable
 number of the paper's tuples).  :class:`BlockLayout` is the one place that
 decides which rows live in which block; every table handle — the
 simulator's :class:`~repro.storage.table.HeapTable`, the SQLite handle
-and the resilience wrapper — inherits it.  :func:`coalesce_runs` groups
-block id sets into contiguous *runs*, the unit at which the simulated
-disk charges seeks and the SQLite backend issues range reads.
+and the resilience wrapper — inherits it, and with it the one answer to
+"which grid cell is this row in" (:meth:`BlockLayout.cell_ids`).
+:func:`coalesce_runs` groups block id sets into contiguous *runs*, the
+unit at which the simulated disk charges seeks and the SQLite backend
+issues range reads.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 import numpy as np
+
+from .placement import CellDirectory, cell_flat_ids
 
 __all__ = ["BlockLayout", "coalesce_runs"]
 
@@ -24,18 +28,52 @@ class BlockLayout:
 
     ``num_rows`` rows in physical order, ``tuples_per_block`` to a block;
     the last block may be short.  ``schema`` is the table's
-    :class:`~repro.storage.table.TableSchema`.
+    :class:`~repro.storage.table.TableSchema`.  ``cell_directory`` is the
+    cluster placement's :class:`~repro.storage.placement.CellDirectory`
+    of these rows, or ``None`` for any other placement.
     """
 
-    def __init__(self, name: str, schema, tuples_per_block: int, num_rows: int) -> None:
+    def __init__(
+        self,
+        name: str,
+        schema,
+        tuples_per_block: int,
+        num_rows: int,
+        cell_directory: CellDirectory | None = None,
+    ) -> None:
         if tuples_per_block <= 0:
             raise ValueError(f"tuples_per_block must be positive, got {tuples_per_block}")
+        if cell_directory is not None and cell_directory.num_rows != num_rows:
+            raise ValueError(
+                f"cell directory covers {cell_directory.num_rows} rows, table has {num_rows}"
+            )
         self.name = name
         self.schema = schema
         self.tuples_per_block = tuples_per_block
         self.num_rows = num_rows
         self.num_blocks = -(-num_rows // tuples_per_block)
         self.ndim = len(schema.coordinate_columns)
+        self.cell_directory = cell_directory
+
+    def cell_ids(
+        self, grid, rows: np.ndarray | None = None, coords: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Flat cell id under ``grid`` of each of ``rows`` (all rows when ``None``).
+
+        Rows outside the grid's area get ``-1``.  A table placed by this
+        grid answers from its cell directory without reading a
+        coordinate; otherwise the ids are computed from ``coords``, the
+        rows' coordinates when the caller already holds them, else read
+        through the handle (``coordinates`` / ``coordinates_of``).
+        """
+        directory = self.cell_directory
+        if directory is not None and directory.grid_key == grid.key:
+            return directory.cell_ids(rows)
+        if rows is not None and not len(rows):
+            return np.empty(0, dtype=np.int64)
+        if coords is None:
+            coords = self.coordinates() if rows is None else self.coordinates_of(rows)
+        return cell_flat_ids(coords, grid)
 
     def block_rows(self, block_id: int) -> slice:
         """Physical row slice stored in the given block."""

@@ -17,11 +17,20 @@ Two ablations outside the paper: ``random`` (a uniform permutation) and
 Each function returns a permutation of row indices; the
 :class:`~repro.storage.table.HeapTable` builder applies it to produce the
 physical order.
+
+The cluster placement computes every row's grid cell to sort by it, so
+it also returns what the sort leaves behind: the table's
+:class:`CellDirectory`, one row count per cell of the placement grid
+(DESIGN.md §15).  A table holding one answers "which cell is this row
+in" under that grid from O(cells) integers instead of from float
+coordinates; every other placement, and every other grid, computes
+:func:`cell_flat_ids` from the coordinates.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -36,6 +45,9 @@ __all__ = [
     "index_order",
     "hilbert_order",
     "cluster_order",
+    "cluster_placement",
+    "cluster_by_cell",
+    "CellDirectory",
     "order_rows",
 ]
 
@@ -126,10 +138,73 @@ def cluster_order(coords: np.ndarray, grid: Grid) -> np.ndarray:
     search area" together on disk; we use grid cells as the regions, in
     row-major order.
     """
+    return cluster_placement(coords, grid)[0]
+
+
+def cluster_placement(coords: np.ndarray, grid: Grid) -> tuple[np.ndarray, "CellDirectory"]:
+    """:func:`cluster_order` and the cell directory of the table it places."""
     coords = _as_coords(coords)
     if coords.shape[1] != grid.ndim:
         raise ValueError("coordinate dimensionality does not match the grid")
-    return np.argsort(cell_flat_ids(coords, grid), kind="stable")
+    return cluster_by_cell(cell_flat_ids(coords, grid), grid)
+
+
+def cluster_by_cell(cells: np.ndarray, grid: Grid) -> tuple[np.ndarray, "CellDirectory"]:
+    """Cluster rows whose flat cell ids (``-1`` outside the area) are known.
+
+    Returns the stable sort of ``cells`` — rows outside the area first,
+    then cell 0's rows, cell 1's, ... each run in input order — and the
+    :class:`CellDirectory` of the rows in that order.
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    # One count per cell, with the outside rows' -1 shifted into slot 0.
+    counts = np.bincount(cells + 1, minlength=grid.num_cells + 1)
+    directory = CellDirectory(grid.key, int(counts[0]), counts[1:])
+    return np.argsort(cells, kind="stable"), directory
+
+
+@dataclass(frozen=True, eq=False)
+class CellDirectory:
+    """Where each grid cell's rows sit in a cluster-placed table.
+
+    The cluster placement stores rows outside the grid's area first, then
+    each cell's rows contiguously in flat-id order.  So ``first`` (the
+    first in-area row) and ``counts`` (rows per cell) fix every row's
+    cell: row ``r`` lies in cell ``c`` exactly when ``ends[c - 1] <= r <
+    ends[c]``, with ``ends = first + cumsum(counts)``.  ``grid_key`` is
+    the placement grid's :attr:`~repro.core.grid.Grid.key`; a grid with
+    the same key computes the same cells from the coordinates, because
+    :func:`cell_flat_ids` reads nothing but the key's geometry.  The
+    directory holds O(cells) integers and no per-row array.
+    """
+
+    grid_key: tuple
+    first: int
+    counts: np.ndarray
+    ends: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        ends = self.first + np.cumsum(self.counts, dtype=np.int64)
+        object.__setattr__(self, "ends", ends)
+        self.counts.setflags(write=False)
+        ends.setflags(write=False)
+
+    @property
+    def num_rows(self) -> int:
+        """Rows of the table this directory describes."""
+        return int(self.ends[-1])
+
+    def cell_ids(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Flat cell id of each of ``rows`` (all rows when ``None``); ``-1`` outside."""
+        if rows is None:
+            out = np.empty(self.num_rows, dtype=np.int64)
+            out[: self.first] = -1
+            out[self.first :] = np.repeat(np.arange(self.counts.size, dtype=np.int64), self.counts)
+            return out
+        rows = np.asarray(rows, dtype=np.int64)
+        out = np.searchsorted(self.ends, rows, side="right")
+        out[rows < self.first] = -1
+        return out
 
 
 def random_order(num_rows: int, seed: int = 13) -> np.ndarray:

@@ -525,7 +525,9 @@ class ResilientBackend(StorageBackend):
             c: np.asarray(handle.column(c), dtype=float)
             for c in handle.schema.columns
         }
-        return HeapTable(name, handle.schema, columns, handle.tuples_per_block)
+        return HeapTable(
+            name, handle.schema, columns, handle.tuples_per_block, handle.cell_directory
+        )
 
     def handle(self, name: str):
         if name in self._wrapped:
@@ -604,7 +606,13 @@ class ResilientTable(BlockLayout):
     """
 
     def __init__(self, backend: ResilientBackend, primary, mirror) -> None:
-        super().__init__(mirror.name, mirror.schema, mirror.tuples_per_block, mirror.num_rows)
+        super().__init__(
+            mirror.name,
+            mirror.schema,
+            mirror.tuples_per_block,
+            mirror.num_rows,
+            mirror.cell_directory,
+        )
         self._rb = backend
         self._primary = primary
         self._mirror = mirror
@@ -634,6 +642,18 @@ class ResilientTable(BlockLayout):
     def coordinates(self) -> np.ndarray:
         """``(num_rows, ndim)`` coordinate matrix in physical order."""
         return self._read("coordinates", "coordinates")
+
+    def cell_ids(self, grid, rows=None, coords=None) -> np.ndarray:
+        """Cell ids as the handle contract defines them; only a read is guarded.
+
+        The cell directory and caller-held coordinates answer with no
+        store access, so they cost no attempt; computing the ids from
+        stored coordinates is one guarded read of the primary.
+        """
+        directory = self.cell_directory
+        if coords is not None or (directory is not None and directory.grid_key == grid.key):
+            return super().cell_ids(grid, rows, coords)
+        return self._read("cell_ids", "cell_ids", grid, rows)
 
     def block_mbrs(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-block MBRs."""

@@ -134,7 +134,10 @@ class SQLiteTable(BlockLayout):
     metadata (schema, block size, row count) is catalog state cached at
     bind time, the block MBRs are read on first use; every row access —
     column draws, row gathers, a region scan's heap reads — executes SQL
-    against the store.
+    against the store.  A handle bound from a cluster-placed table keeps
+    that table's cell directory (it is O(cells) and never stored), so
+    :meth:`cell_ids` under the placement grid reads nothing; a handle
+    reopened from the catalog computes the ids from coordinates.
     """
 
     def __init__(
@@ -144,8 +147,9 @@ class SQLiteTable(BlockLayout):
         schema: TableSchema,
         tuples_per_block: int,
         num_rows: int,
+        cell_directory=None,
     ) -> None:
-        super().__init__(name, schema, tuples_per_block, num_rows)
+        super().__init__(name, schema, tuples_per_block, num_rows, cell_directory)
         self._conn = conn
         # Payload column of each schema column, and of the coordinates.
         self._index = {c: i for i, c in enumerate(schema.columns)}
@@ -423,7 +427,12 @@ class SQLiteBackend(StorageBackend):
                 ),
             )
         handle = SQLiteTable(
-            self._conn, name, table.schema, table.tuples_per_block, table.num_rows
+            self._conn,
+            name,
+            table.schema,
+            table.tuples_per_block,
+            table.num_rows,
+            table.cell_directory,
         )
         self._handles[name] = handle
         return handle

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .pages import BlockLayout
+from .placement import CellDirectory
 
 __all__ = ["TableSchema", "HeapTable", "block_bounds", "intersecting_blocks"]
 
@@ -102,6 +103,9 @@ class HeapTable(BlockLayout):
     tuples_per_block:
         Rows per block; determines the block count and thus all simulated
         I/O.
+    cell_directory:
+        The cluster placement's cell directory of these rows (see
+        :meth:`~repro.storage.pages.BlockLayout.cell_ids`), or ``None``.
     """
 
     def __init__(
@@ -110,6 +114,7 @@ class HeapTable(BlockLayout):
         schema: TableSchema,
         columns: Mapping[str, np.ndarray],
         tuples_per_block: int = 64,
+        cell_directory: CellDirectory | None = None,
     ) -> None:
         missing = [c for c in schema.columns if c not in columns]
         if missing:
@@ -121,7 +126,7 @@ class HeapTable(BlockLayout):
         if num_rows == 0:
             raise ValueError("a heap table cannot be empty")
 
-        super().__init__(name, schema, tuples_per_block, num_rows)
+        super().__init__(name, schema, tuples_per_block, num_rows, cell_directory)
         self._data = {c: np.ascontiguousarray(columns[c], dtype=float) for c in schema.columns}
         self._coords = np.column_stack(
             [self._data[c] for c in schema.coordinate_columns]

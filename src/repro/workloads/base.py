@@ -19,7 +19,7 @@ from ..core.grid import Grid
 from ..core.window import Window
 from ..costs import CostModel, DEFAULT_COST_MODEL
 from ..storage.database import Database
-from ..storage.placement import Placement, order_rows
+from ..storage.placement import Placement, cluster_placement, order_rows
 from ..storage.table import HeapTable, TableSchema
 
 __all__ = ["Dataset", "make_table", "make_database"]
@@ -71,16 +71,25 @@ def make_table(
     axis_dim: int = 0,
     seed: int = 7,
 ) -> HeapTable:
-    """Apply a physical placement and build the heap table."""
-    perm = order_rows(
-        placement,
-        dataset.coordinates(),
-        grid=dataset.grid,
-        axis_dim=axis_dim,
-        seed=seed,
-    )
+    """Apply a physical placement and build the heap table.
+
+    A cluster-placed table keeps the placement's cell directory, so it
+    knows every row's cell under ``dataset.grid``.
+    """
+    coords = dataset.coordinates()
+    directory = None
+    if Placement(placement) is Placement.CLUSTER:
+        perm, directory = cluster_placement(coords, dataset.grid)
+    else:
+        perm = order_rows(placement, coords, grid=dataset.grid, axis_dim=axis_dim, seed=seed)
     ordered = {name: values[perm] for name, values in dataset.columns.items()}
-    return HeapTable(dataset.name, dataset.schema, ordered, tuples_per_block=tuples_per_block)
+    return HeapTable(
+        dataset.name,
+        dataset.schema,
+        ordered,
+        tuples_per_block=tuples_per_block,
+        cell_directory=directory,
+    )
 
 
 def make_database(

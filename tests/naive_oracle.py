@@ -19,16 +19,22 @@ oracle those promises are tested against:
 * :class:`NaiveEngine` — an :class:`SWEngine` whose queries run on both;
 * :func:`naive_enumerate_windows_filtered` — the SQL baseline's window
   enumerator as one ``itertools.product`` loop over every placement,
-  with its own zero-padded prefix sums and one 2^n-corner box sum per
-  candidate window (``repro.dbms.executor`` scores each shape's
-  placements in one array pass and must match it bit for bit).
+  counting with its own zero-padded prefix sums (one 2^n-corner box sum
+  per candidate window) and summing values as numpy's slice sum of the
+  window's cells (``repro.dbms.executor`` scores each shape's
+  placements in one array pass and must match it bit for bit);
+* :func:`naive_stratified_sample` — the stratified sampler with every
+  row's cell computed from its coordinates and the rows ordered by two
+  sorts, random key then cell (``StratifiedSampler.sample`` reads cells
+  from the table's cell directory and sorts once, and must draw the
+  same sample byte for byte).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 from unittest import mock
 
 import numpy as np
@@ -44,6 +50,8 @@ from repro.core.trace import EventKind
 from repro.core.utility import UtilityModel
 from repro.core.window import neighbor_bounds
 from repro.dbms.executor import CellGrids, _shapes
+from repro.sampling.stratified import CellSample, allocate_budget
+from repro.storage.placement import cell_flat_ids
 
 __all__ = [
     "NaiveDataManager",
@@ -52,6 +60,7 @@ __all__ = [
     "drain_entries",
     "naive_benefit",
     "naive_enumerate_windows_filtered",
+    "naive_stratified_sample",
     "push_entries",
     "run_fingerprint",
 ]
@@ -261,7 +270,6 @@ def naive_enumerate_windows_filtered(
         max_card = None
 
     count_prefix = _prefix(cells.counts)
-    sum_prefix = {k: _prefix(v) for k, v in cells.sums.items()}
 
     results: list[ResultWindow] = []
     enumerated = 0
@@ -275,7 +283,7 @@ def naive_enumerate_windows_filtered(
             window = Window(lo, hi)
             if not conditions.shape_satisfied(window):
                 continue
-            values = _window_values(window, cells, count_prefix, sum_prefix, content)
+            values = _window_values(window, cells, count_prefix, content)
             if values is None:
                 continue
             results.append(
@@ -298,7 +306,6 @@ def _window_values(
     window: Window,
     cells: CellGrids,
     count_prefix: np.ndarray,
-    sum_prefix: Mapping[str, np.ndarray],
     conditions: Sequence[ContentCondition],
 ) -> dict[str, float] | None:
     """Exact objective values if all content conditions pass, else None."""
@@ -310,9 +317,10 @@ def _window_values(
         if agg == "count":
             value = count
         elif agg == "sum":
-            value = _box_sum(sum_prefix[key], window)
+            value = float(cells.sums[key][_cell_box(window)].sum())
         elif agg == "avg":
-            value = _box_sum(sum_prefix[key], window) / count if count > 0 else math.nan
+            total = float(cells.sums[key][_cell_box(window)].sum())
+            value = total / count if count > 0 else math.nan
         elif agg == "min":
             value = float(cells.mins[key][_cell_box(window)].min())
             value = value if math.isfinite(value) else math.nan
@@ -348,3 +356,33 @@ def _box_sum(prefix: np.ndarray, window: Window) -> float:
         sign = (-1) ** (ndim - sum(corner))
         total += sign * prefix[idx]
     return float(total)
+
+
+def naive_stratified_sample(table, grid, fraction: float, seed: int) -> CellSample:
+    """``StratifiedSampler(fraction, seed).sample(table, grid)``, two-pass.
+
+    Every row's cell from ``cell_flat_ids`` of the table's coordinates;
+    the in-area rows sorted by their random key (stably only when two
+    keys tie), then stably by cell, so ties order by position.
+    """
+    flat = cell_flat_ids(table.coordinates(), grid)
+    inside = flat >= 0
+    rows_inside, cells_inside = np.nonzero(inside)[0], flat[inside]
+    true_counts = np.bincount(cells_inside, minlength=grid.num_cells).astype(np.int64)
+    budget = max(1, int(round(fraction * rows_inside.size)))
+    quotas = allocate_budget(true_counts, budget)
+    keys = np.random.default_rng(seed).random(rows_inside.size)
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        by_key = np.argsort(keys, kind="stable")
+    by_cell = np.argsort(cells_inside[by_key], kind="stable")
+    starts = np.cumsum(true_counts) - true_counts
+    before = np.cumsum(quotas) - quotas
+    pick = np.arange(int(quotas.sum())) + np.repeat(starts - before, quotas)
+    return CellSample(
+        rows=rows_inside[by_key[by_cell[pick]]],
+        cells=np.repeat(np.arange(grid.num_cells, dtype=np.int64), quotas),
+        cell_true_counts=true_counts.reshape(grid.shape),
+        cell_sample_counts=quotas.reshape(grid.shape),
+    )

@@ -16,6 +16,8 @@ accounting-identity fuzz case.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -120,3 +122,62 @@ def test_search_matches_baseline(params):
     )
     assert {r.window for r in dist.results} == expected
     _audited(dist_registry, "distributed")
+
+
+def _threshold_query(op: ComparisonOp, value: float) -> SWQuery:
+    grid = _DATASET.grid
+    avg_value = ContentObjective.of("avg", col("value"))
+    return SWQuery.build(
+        dimensions=("x", "y"),
+        area=[(grid.area[0].lo, grid.area[0].hi), (grid.area[1].lo, grid.area[1].hi)],
+        steps=grid.steps,
+        conditions=[
+            ShapeCondition(ShapeObjective(ShapeKind.CARDINALITY), ComparisonOp.LT, 4),
+            ContentCondition(avg_value, op, value),
+        ],
+    )
+
+
+def _reported_averages() -> list[float]:
+    """Window averages the search itself reports, in report order."""
+    query = _threshold_query(ComparisonOp.GT, -1e300)
+    report = SWEngine(_fresh_db(), _DATASET.name, sample_fraction=0.1).execute(
+        query, SearchConfig(alpha=1.0)
+    )
+    return [value for r in report.results for value in r.objective_values.values()]
+
+
+_REPORTED = _reported_averages()
+
+
+@given(
+    index=st.integers(min_value=0, max_value=len(_REPORTED) - 1),
+    nudge=st.sampled_from([-1, 0, 1]),
+    op=st.sampled_from([ComparisonOp.GT, ComparisonOp.GE, ComparisonOp.LT, ComparisonOp.LE]),
+)
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_thresholds_on_reported_values_agree(index, nudge, op):
+    """A threshold placed on a value the search reports, or one ulp beside
+    it, splits windows alike in the baseline, the search and a 2-worker
+    run: all three sum a window as numpy's slice sum of its cells."""
+    value = _REPORTED[index]
+    if nudge:
+        value = math.nextafter(value, math.copysign(math.inf, nudge))
+    query = _threshold_query(op, value)
+
+    expected = {r.window for r in run_sql_baseline(_fresh_db(), _DATASET.name, query).results}
+    engine = SWEngine(_fresh_db(), _DATASET.name, sample_fraction=0.1)
+    serial = {r.window for r in engine.execute(query, SearchConfig(alpha=1.0)).results}
+    dist = run_distributed(
+        _DATASET,
+        query,
+        DistributedConfig(
+            num_workers=2,
+            overlap="no_overlap",
+            placement="cluster",
+            search=SearchConfig(alpha=1.0),
+            sample_fraction=0.1,
+        ),
+    )
+    assert serial == expected
+    assert {r.window for r in dist.results} == expected

@@ -143,7 +143,9 @@ def test_second_query_on_a_sqlite_file_pulls_nothing(dataset, tmp_path, monkeypa
     query = _query(dataset)
     with make_database(dataset, "cluster", backend=f"sqlite:{tmp_path / 'c.db'}") as database:
         SWEngine(database, dataset.name).prepare(query, CONFIG)
-        assert pulls["coordinates"] >= 1 and pulls["gather"] >= 1
+        # The cluster-placed table's cell directory draws the sample
+        # without a coordinate pull; the objective grids still gather.
+        assert pulls["gather"] >= 1
         pulls.update(coordinates=0, gather=0)
         SWEngine(database, dataset.name).prepare(query, CONFIG)
     assert pulls == {"coordinates": 0, "gather": 0}

@@ -94,6 +94,30 @@ class TestSignatures:
         assert cache.sample_lookup(twin, key) == "sample"
         assert len(hashed) - grid_hashes == 3
 
+    def test_sessions_on_one_dataset_hash_it_once(self, dataset, monkeypatch):
+        from repro.serve import SessionManager
+        from repro.serve import cache as cache_module
+
+        hashed = {"table": 0, "physical": 0}
+        for kind, name in (("table", "table_signature"), ("physical", "physical_signature")):
+            real = getattr(cache_module, name)
+
+            def counted(table, _kind=kind, _real=real):
+                hashed[_kind] += 1
+                return _real(table)
+
+            monkeypatch.setattr(cache_module, name, counted)
+        manager = SessionManager(max_live=2, queue_limit=8, cache=SemanticCache())
+        query = synthetic_query(dataset)
+        sessions = [manager.submit(f"s{i}", dataset, query) for i in range(5)]
+        # Five fresh tables, one dataset: one hash of each kind.
+        assert len({id(s.engine.database.table(dataset.name)) for s in sessions}) == 5
+        assert hashed == {"table": 1, "physical": 1}
+        assert len({s.binding for s in sessions}) == 1
+        # Another placement of the same rows is another heap file.
+        manager.submit("shuffled", dataset, query, placement="random")
+        assert hashed == {"table": 2, "physical": 2}
+
 
 def _values(*values):
     """``(sums, mins, maxs)`` arrays for cells whose one value is ``values[i]``."""

@@ -268,7 +268,7 @@ class TestStratifiedKernel:
         _assert_same_sample(sample, _lexsort_sample(table, unit_grid, 0.5, 17))
 
     def test_grid_too_large_for_16_bit_cell_ids(self):
-        # 200 x 200 cells: ids run past 32 767, so the cell pass sorts them unnarrowed.
+        # 200 x 200 cells: ids run past 32 767, where 16-bit ids would wrap.
         grid = Grid(Rect.from_bounds([(0.0, 10.0), (0.0, 10.0)]), (0.05, 0.05))
         assert grid.num_cells > np.iinfo(np.int16).max
         table = _scattered_table(3000, seed=6, low=0.0, high=10.0)
@@ -280,7 +280,7 @@ class TestStratifiedKernel:
         class RepeatingKeys:
             def random(self, size):
                 # Six distinct keys: every cell's run is full of ties, which
-                # only a stable first pass breaks by row position.
+                # only the lexsort fallback breaks by row position.
                 return (np.arange(size) * 7 % 6) / 6.0
 
         table = _scattered_table(2000, seed=8)

@@ -43,7 +43,8 @@ cost of a search that runs to exhaustion — this one does::
 ``--ledger sqlite_firstk`` does one round of that workload (seed 5: six
 catalogs bulk-loaded into fresh SQLite files, three ten-result peeks
 each) three times over: un-profiled with the backend's parts timed —
-bulk load, the sample (and inside it the full ``coordinates()`` pull) and
+bulk load, the sample (and inside it the full ``coordinates()`` pull,
+which a cluster-placed table's cell directory makes zero) and
 the objective grids drawn over SQL, ``scan_region``, ``install_cells``
 (RAM), ``flush_installs`` (one transaction), the rest being the
 search core, the ``coordinates()`` pull in ms per query on a line of
