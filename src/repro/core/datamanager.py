@@ -130,7 +130,7 @@ class DataManager:
 
         self._kernels: DataKernels | None = None
         # Optional observability (repro.obs); see attach_metrics.
-        self.metrics = None
+        self.attach_metrics(None)
         # Optional cross-query semantic cache (repro.serve); see attach_cache.
         self._cache = None
         self._cache_table_sig = None
@@ -141,6 +141,8 @@ class DataManager:
         self.metrics = registry
         if registry is not None and registry.clock is None:
             registry.clock = self._db.clock
+        # read_window's span, built once and re-entered per read.
+        self._span_read = None if registry is None else registry.span("read", self._db.clock)
 
     def attach_cache(self, cache, table_sig, grid_sig) -> None:
         """Bind a shared cross-query semantic cache (``None`` detaches).
@@ -307,7 +309,7 @@ class DataManager:
         if target is None:
             return None
         rect = target.rect(self.grid)
-        with m.span("read", self._db.clock) if m is not None else nullcontext():
+        with self._span_read if m is not None else nullcontext():
             scan = self._db.range_cell_aggregates(
                 self._table_name, self.grid, rect.lower, rect.upper,
                 list(self._objectives.values()),

@@ -33,6 +33,12 @@ class Grid:
         The search area ``S`` as an n-dimensional :class:`Rect`.
     steps:
         One positive step per dimension (the paper's ``(s_1, ..., s_n)``).
+
+    Cell edges are computed once per dimension, on first use, with
+    :meth:`cell_interval`'s own float expressions; every cell interval,
+    window rectangle (a result's ``bounds``) and read region
+    (:meth:`box_rect`) is a lookup in that table, bit-equal to the
+    arithmetic it replaces.
     """
 
     area: Rect
@@ -67,6 +73,7 @@ class Grid:
             m_lo.insert(0, radix)
             radix *= size
         object.__setattr__(self, "_key_multipliers", (tuple(m_lo), tuple(m_hi)))
+        object.__setattr__(self, "_edges", None)
 
     # -- basic shape -------------------------------------------------------
 
@@ -102,6 +109,24 @@ class Grid:
 
     # -- cell addressing ---------------------------------------------------
 
+    @property
+    def _cell_edges(self) -> tuple[tuple[tuple, tuple], ...]:
+        """Per dimension, ``(lows, highs)``: every cell's interval bounds.
+
+        Cell ``i`` starts at ``L + i * s`` and ends one step later,
+        clipped to the area's upper bound ``U``.  Built at first use.
+        """
+        edges = self._edges  # type: ignore[attr-defined]
+        if edges is None:
+            edges = []
+            for area_iv, step, size in zip(self.area.intervals, self.steps, self.shape):
+                lows = tuple(area_iv.lo + index * step for index in range(size))
+                highs = tuple(min(lo + step, area_iv.hi) for lo in lows)
+                edges.append((lows, highs))
+            edges = tuple(edges)
+            object.__setattr__(self, "_edges", edges)
+        return edges
+
     def cell_interval(self, dim: int, index: int) -> Interval:
         """The sub-interval covered by cell ``index`` along ``dim``.
 
@@ -110,10 +135,8 @@ class Grid:
         step.
         """
         self._check_index(dim, index)
-        area_iv = self.area[dim]
-        lo = area_iv.lo + index * self.steps[dim]
-        hi = min(lo + self.steps[dim], area_iv.hi)
-        return Interval(lo, hi)
+        lows, highs = self._cell_edges[dim]
+        return Interval(lows[index], highs[index])
 
     def cell_rect(self, index: Sequence[int]) -> Rect:
         """Coordinate-space rectangle of the cell at integer index vector."""
@@ -170,15 +193,14 @@ class Grid:
         if len(lo) != self.ndim or len(hi) != self.ndim:
             raise ValueError("box bounds must match grid dimensionality")
         intervals = []
-        for dim in range(self.ndim):
-            if not (0 <= lo[dim] < hi[dim] <= self.shape[dim]):
+        for dim, (l, h, size, (lows, highs)) in enumerate(
+            zip(lo, hi, self.shape, self._cell_edges)
+        ):
+            if not 0 <= l < h <= size:
                 raise ValueError(
-                    f"box [{lo[dim]}, {hi[dim]}) invalid for dimension {dim} "
-                    f"of size {self.shape[dim]}"
+                    f"box [{l}, {h}) invalid for dimension {dim} of size {size}"
                 )
-            low_iv = self.cell_interval(dim, lo[dim])
-            high_iv = self.cell_interval(dim, hi[dim] - 1)
-            intervals.append(Interval(low_iv.lo, high_iv.hi))
+            intervals.append(Interval(lows[l], highs[h - 1]))
         return Rect(tuple(intervals))
 
     def _check_index(self, dim: int, index: int) -> None:

@@ -60,6 +60,45 @@ from .window import Window
 
 __all__ = ["SearchConfig", "SearchStats", "SearchRun", "SteppingCore", "HeuristicSearch"]
 
+#: What :meth:`SteppingCore._span` enters when no registry is attached.
+_NO_SPAN = nullcontext()
+
+
+class _Instruments:
+    """A search's counters and profiling spans, bound once to its registry.
+
+    The search holds them as one attribute: CPython keeps an instance's
+    attributes in a shared-key dict only up to 30 of them, and past that
+    every ``self.x`` of the step gets slower — one attribute per counter
+    put a search with a registry past it.
+    """
+
+    __slots__ = (
+        "estimates", "generated", "explored", "results", "reads",
+        "cold_reads", "prefetch_reads", "cells_window", "cells_prefetch",
+        "expand", "seed", "prefetch", "estimate", "recover",
+    )
+
+    def __init__(self, registry) -> None:
+        counter = registry.counter
+        self.estimates = counter("search.estimates")
+        self.generated = counter("search.windows_generated")
+        self.explored = counter("search.windows_explored")
+        self.results = counter("search.results")
+        self.reads = counter("search.reads")
+        self.cold_reads = counter("search.cold_reads")
+        self.prefetch_reads = counter("search.prefetch_reads")
+        self.cells_window = counter("search.cells_requested_window")
+        self.cells_prefetch = counter("search.cells_requested_prefetch")
+        # One profiling span per seam, re-entered ever after
+        # (repro.obs.span); ``expand`` is entered per window.
+        span = registry.span
+        self.expand = span("expand")
+        self.seed = span("seed")
+        self.prefetch = span("prefetch")
+        self.estimate = span("estimate")
+        self.recover = span("recover")
+
 
 @dataclass
 class SearchConfig:
@@ -256,23 +295,14 @@ class SteppingCore:
 
         # Observability (repro.obs) — opt-in like the trace.  The registry
         # is attached to the Data Manager and prefetch state so the
-        # cross-layer accounting identities hold, and Counter objects are
-        # cached so the steady-state cost per event is one float add.
+        # cross-layer accounting identities hold, and counters and spans
+        # are bound once so the steady-state cost per event is a float add.
         self.metrics = metrics
+        self._obs = None
         if metrics is not None:
             data.attach_metrics(metrics)
             self.prefetch_state.metrics = metrics
-            self._mc_estimates = metrics.counter("search.estimates")
-            self._mc_generated = metrics.counter("search.windows_generated")
-            self._mc_explored = metrics.counter("search.windows_explored")
-            self._mc_results = metrics.counter("search.results")
-            self._mc_reads = metrics.counter("search.reads")
-            self._mc_cold = metrics.counter("search.cold_reads")
-            self._mc_prefetched = metrics.counter("search.prefetch_reads")
-            self._mc_cells_window = metrics.counter("search.cells_requested_window")
-            self._mc_cells_prefetch = metrics.counter("search.cells_requested_prefetch")
-        else:
-            self._mc_estimates = None
+            self._obs = _Instruments(metrics)
 
         shape = self.grid.shape
         self._min_lengths = query.conditions.min_lengths(shape)
@@ -295,8 +325,8 @@ class SteppingCore:
         self._start_time = 0.0  # time origin of result and trace stamps
 
     def _span(self, name: str):
-        """A ``repro.obs`` profiling scope, or nothing without a registry."""
-        return self.metrics.span(name) if self.metrics is not None else nullcontext()
+        """This seam's ``repro.obs`` profiling span, or nothing without a registry."""
+        return getattr(self._obs, name) if self._obs is not None else _NO_SPAN
 
     # -- hooks ----------------------------------------------------------------------------
 
@@ -325,8 +355,8 @@ class SteppingCore:
     def _utility(self, window: Window) -> tuple[float, float]:
         """(utility, benefit) queue priority — benefit breaks exact ties."""
         self.stats.estimates += 1
-        if self._mc_estimates is not None:
-            self._mc_estimates.value += 1.0
+        if self._obs is not None:
+            self._obs.estimates.value += 1.0
         model = self.utility_model
         benefit, cost_term = model.score(window)
         if self._modify_benefit is not None:
@@ -367,8 +397,8 @@ class SteppingCore:
         self.queue.push_many_arrays(utilities, benefits, lows, his, self.data.version)
         n = len(utilities)
         self.stats.generated += n
-        if self._mc_estimates is not None:
-            self._mc_generated.value += float(n)
+        if self._obs is not None:
+            self._obs.generated.value += float(n)
 
     def _score_rows(
         self,
@@ -394,8 +424,8 @@ class SteppingCore:
         benefits, cost_terms = profile()
         n = len(benefits)
         self.stats.estimates += n
-        if self._mc_estimates is not None:
-            self._mc_estimates.value += float(n)
+        if self._obs is not None:
+            self._obs.estimates.value += float(n)
         modified = modifier(benefits)
         return self.utility_model.combine(modified, cost_terms), modified
 
@@ -414,8 +444,8 @@ class SteppingCore:
         """
         self.queue.push(self._utility(window), window, self.data.version)
         self.stats.generated += 1
-        if self._mc_estimates is not None:
-            self._mc_generated.value += 1.0
+        if self._obs is not None:
+            self._obs.generated.value += 1.0
 
     def _generate_neighbors(self, window: Window) -> None:
         """GetNeighbors() with max-shape and anti-monotone pruning.
@@ -496,8 +526,8 @@ class SteppingCore:
         return Window.unchecked((lo0,) + window.lo[1:], (hi0,) + window.hi[1:])
 
     def _explore(self, window: Window, jumped: bool = False) -> ResultWindow | None:
-        if self.metrics is not None:  # not _span: this runs once per window
-            with self.metrics.span("expand"):
+        if self._obs is not None:
+            with self._obs.expand:
                 return self._explore_impl(window, jumped)
         return self._explore_impl(window, jumped)
 
@@ -506,9 +536,9 @@ class SteppingCore:
         clock = data.clock
         clock.advance(self.cost_model.sw_window_s())
         self.stats.explored += 1
-        metrics = self.metrics
-        if metrics is not None:
-            self._mc_explored.value += 1.0
+        obs = self._obs
+        if obs is not None:
+            obs.explored.value += 1.0
 
         all_local = self.data_lo <= window.lo[0] and window.hi[0] <= self.data_hi
         local = window if all_local else self._clip_to_data(window)
@@ -521,9 +551,9 @@ class SteppingCore:
             if region.lo[0] < self.data_lo or region.hi[0] > self.data_hi:
                 region = self._clip_to_data(region)
             prefetched = region.cardinality - local.cardinality
-            if metrics is not None:
-                self._mc_cells_window.value += float(local.cardinality)
-                self._mc_cells_prefetch.value += float(prefetched)
+            if obs is not None:
+                obs.cells_window.value += float(local.cardinality)
+                obs.cells_prefetch.value += float(prefetched)
             scan = data.read_window(region)
             self.stats.prefetched_cells += prefetched
             # A request that touched no heap pages (empty region under a
@@ -531,12 +561,12 @@ class SteppingCore:
             if scan is not None and scan.blocks_touched > 0:
                 self.stats.reads += 1
                 did_read = True
-                if metrics is not None:
-                    self._mc_reads.value += 1.0
+                if obs is not None:
+                    obs.reads.value += 1.0
                     if region == local:
-                        self._mc_cold.value += 1.0
+                        obs.cold_reads.value += 1.0
                     else:
-                        self._mc_prefetched.value += 1.0
+                        obs.prefetch_reads.value += 1.0
             self._after_local_read()
 
         # A parked window's validation is deferred; its read counts as
@@ -547,8 +577,8 @@ class SteppingCore:
             result = None
         if result is not None:
             self._results.append(result)
-            if metrics is not None:
-                self._mc_results.value += 1.0
+            if obs is not None:
+                obs.results.value += 1.0
             if self.trace is not None:
                 tags = self._trace_tags(EventKind.RESULT)
                 self.trace.record(EventKind.RESULT, result.time, window, **tags)

@@ -152,22 +152,24 @@ class Window:
         """Extension by ``amount`` cells along ``dim`` in ``direction``.
 
         The result is not clipped to any grid; callers that need bounds
-        checking should use :meth:`neighbor`.
+        checking should use :meth:`neighbor`.  It is built with
+        :meth:`unchecked`: growing a valid window only lowers a ``lo`` or
+        raises a ``hi``, so the result is valid too.
         """
         if amount < 1:
             raise ValueError(f"extension amount must be >= 1, got {amount}")
-        lo, hi = list(self.lo), list(self.hi)
+        lo, hi = self.lo, self.hi
         if direction is Direction.LEFT:
-            lo[dim] -= amount
-        else:
-            hi[dim] += amount
-        return Window(tuple(lo), tuple(hi))
+            return Window.unchecked(lo[:dim] + (lo[dim] - amount,) + lo[dim + 1 :], hi)
+        return Window.unchecked(lo, hi[:dim] + (hi[dim] + amount,) + hi[dim + 1 :])
 
     def neighbor(self, grid: Grid, dim: int, direction: Direction) -> "Window | None":
         """The one-step neighbor along ``dim``/``direction`` within ``grid``.
 
         Returns ``None`` when the window already touches the grid boundary
-        in that direction.
+        in that direction; otherwise it is :meth:`extend` by one cell,
+        which skips re-validation (prefetching calls this once per
+        candidate slab).
         """
         if direction is Direction.LEFT:
             if self.lo[dim] == 0:

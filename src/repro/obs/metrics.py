@@ -150,6 +150,9 @@ class MetricsRegistry:
         # must share one clock, which holds by construction: a registry
         # is bound to the engine/worker whose clock it observes.
         self._span_stack: list = []
+        # Open spans per phase name: a span entered while its count is
+        # positive is reentrant (one dict update instead of a stack scan).
+        self._open_spans: dict[str, int] = {}
 
     # -- instruments -----------------------------------------------------------
 
@@ -189,7 +192,10 @@ class MetricsRegistry:
     def span(self, name: str, clock=None):
         """A profiling scope charging simulated time to phase ``name``.
 
-        See :class:`~repro.obs.span.Span` for the nesting semantics.
+        See :class:`~repro.obs.span.Span` for the nesting semantics.  The
+        span is reusable: a seam entered per window or per read builds it
+        once (with the clock it will observe) and enters the same object
+        every time, so a hot path pays no construction per entry.
         """
         from .span import Span  # local import breaks the module cycle
 

@@ -226,12 +226,17 @@ def cell_flat_ids(coords: np.ndarray, grid: Grid) -> np.ndarray:
         values = np.ascontiguousarray(coords[:, dim])
         inside &= values >= lo
         inside &= values < hi
-        scaled = values - lo
-        scaled /= grid.steps[dim]
-        idx = scaled.astype(np.int64)
-        np.clip(idx, 0, grid.shape[dim] - 1, out=idx)
+        # Only rows outside the area (set to -1 below) can overflow to
+        # +-inf here; an in-area value scales to at most the cell count.
+        with np.errstate(over="ignore"):
+            scaled = values - lo
+            scaled /= grid.steps[dim]
+        # Clamp before the cast: NaN, +-inf and far values would
+        # overflow ``int64``.  ``fmin``/``fmax`` take NaN to the bound.
+        np.fmin(scaled, grid.shape[dim] - 1, out=scaled)
+        np.fmax(scaled, 0.0, out=scaled)
         flat *= grid.shape[dim]
-        flat += idx
+        flat += scaled.astype(np.int64)
     flat[~inside] = -1
     return flat
 

@@ -148,8 +148,8 @@ class NaiveSearch(HeuristicSearch):
 
     def _utility(self, window: Window) -> tuple[float, float]:
         self.stats.estimates += 1
-        if self._mc_estimates is not None:
-            self._mc_estimates.value += 1.0
+        if self._obs is not None:
+            self._obs.estimates.value += 1.0
         model = self.utility_model
         benefit = naive_benefit(model, window)
         if self._modify_benefit is not None:

@@ -13,6 +13,8 @@ sampler kept in ``tests/naive_oracle.py``.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,55 @@ def test_adversarial_ends_of_cells():
     assert np.array_equal(table.cell_ids(grid), expected)
     assert table.cell_directory.first == 5  # 3.0, just under 0, +-inf, NaN
     assert table.cell_directory.counts.tolist() == [3, 1, 2]
+
+
+def _cast_then_mask_ids(coords: np.ndarray, grid: Grid) -> np.ndarray:
+    """``cell_flat_ids`` as first written: every row is cast to ``int64``,
+    NaN and far values included, and out-of-area rows are masked after."""
+    coords = np.asarray(coords, dtype=float).reshape(len(coords), -1)
+    flat = np.zeros(coords.shape[0], dtype=np.int64)
+    inside = np.ones(coords.shape[0], dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for dim in range(grid.ndim):
+            values = coords[:, dim]
+            inside &= (values >= grid.area[dim].lo) & (values < grid.area[dim].hi)
+            idx = ((values - grid.area[dim].lo) / grid.steps[dim]).astype(np.int64)
+            flat = flat * grid.shape[dim] + np.clip(idx, 0, grid.shape[dim] - 1)
+    flat[~inside] = -1
+    return flat
+
+
+def test_non_finite_coordinates_place_scan_and_sample_without_warnings():
+    # Dimension 1 clips its last cell; values sit on edges, off the area,
+    # at +-inf, at +-1e300, at +-1.7e308 (whose scaled value overflows) and
+    # at NaN, in every pairing of the two axes.
+    grid = Grid(Rect.from_bounds([(0.0, 3.0), (-1.0, 1.0)]), (1.0, 0.3))
+    values = [np.nan, np.inf, -np.inf, 1e300, -1e300, 1.7e308, -1.7e308, 0.0, 1.0,
+              np.nextafter(3.0, 0.0), 3.0, -1.0, -0.4, 0.8, np.nextafter(1.0, 0.0), 2.5]
+    coords = np.array([(a, b) for a in values for b in values])
+    objectives = [ContentObjective.of("sum", col("v"))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ids = cell_flat_ids(coords, grid)
+        # Two rows, one NaN: the smallest table that warned.
+        pair = cell_flat_ids(np.array([[0.5, 0.0], [np.nan, 0.0]]), grid)
+        table = _cluster_table(coords, grid)
+        database = Database(clock=SimClock())
+        database.register(table)
+        scans = [
+            database.range_cell_aggregates("t", grid, (0.5, -0.7), (2.5, 0.9), objectives),
+            database.full_scan_cell_aggregates("t", grid, objectives),
+        ]
+        sample = StratifiedSampler(0.5, 3).sample(table, grid)
+        finer = Grid(grid.area, (0.5, 0.1))
+        fallback = table.cell_ids(finer)
+    assert np.array_equal(ids, _cast_then_mask_ids(coords, grid))
+    assert pair.tolist() == [3, -1]
+    assert np.array_equal(table.cell_ids(grid), _cast_then_mask_ids(table.coordinates(), grid))
+    assert np.array_equal(fallback, _cast_then_mask_ids(table.coordinates(), finer))
+    expected = naive_stratified_sample(table, grid, 0.5, 3)
+    assert np.array_equal(sample.rows, expected.rows)
+    assert all(scan.cells_arrays[0].size for scan in scans)
 
 
 def test_directory_must_cover_the_table():

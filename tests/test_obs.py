@@ -185,7 +185,7 @@ class TestPayNothing:
         engine = SWEngine(db, tiny_dataset.name, sample_fraction=0.1)
         search = engine.prepare(tiny_query, SearchConfig())
         assert search.metrics is None
-        assert search._mc_estimates is None
+        assert search._obs is None
 
 
 # --- the auditor ----------------------------------------------------------------
