@@ -209,7 +209,7 @@ class DataManager:
 
     def is_read(self, window: Window) -> bool:
         """Whether every cell of the window is cached."""
-        return self.kernels.is_read(window)
+        return self.kernels.fully_read(window.lo, window.hi)
 
     # -- counts and cost inputs -----------------------------------------------------
 
@@ -249,18 +249,10 @@ class DataManager:
         condition holds and ``None`` at the first one that fails.  The
         window is checked for unread cells once and each distinct
         objective is reduced once — an interval predicate (``avg(v) > a
-        AND avg(v) < b``) shares one reduction.
+        AND avg(v) < b``) shares one reduction.  The pass is compiled
+        once per list (``DataKernels.validator``).
         """
-        if not self.is_read(window):
-            raise ValueError(f"window {window!r} has unread cells; read it first")
-        values: dict[str, float] = {}
-        for cond, label in conditions:
-            value = values.get(label)
-            if value is None:
-                value = values[label] = self._reduce(cond.objective, window)
-            if not cond.evaluate_value(value):
-                return None
-        return values
+        return self.kernels.validator(conditions)(window)
 
     def _reduce(self, objective: ContentObjective, window: Window) -> float:
         return self.kernels.reduce(objective, window)
@@ -487,7 +479,7 @@ class DataManager:
         handing out views or references here would be an aliasing
         hazard.  ``true_count`` and the initial sample grids are pure
         functions of the dataset and sample seed, so only the mutable
-        overlays are captured.  The kernels rebuild lazily after restore.
+        overlays are captured.
         """
         return {
             "read_mask": self.read_mask.copy(),
@@ -518,7 +510,10 @@ class DataManager:
         self.cells_read = int(state["cells_read"])
         self._retired_blocks_read = int(state["retired_blocks_read"])
         self.degraded_cells = {int(c) for c in state["degraded_cells"]}
-        self._kernels = None  # rebuilt lazily against the restored arrays
+        # Every grid was written in place, so the kernel set and its
+        # compiled readers stay valid; only its tables must refill.
+        if self._kernels is not None:
+            self._kernels.invalidate()
 
     def is_cell_read(self, index: Sequence[int]) -> bool:
         """Whether a single cell is cached (used for remote requests)."""

@@ -61,9 +61,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, itemgetter, mul, sub
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -95,6 +95,9 @@ _SLIDING_CHUNK_ELEMS = 1 << 22
 # Above this many cells a scalar window sum goes to numpy: past it one C
 # reduction beats the Python accumulators (both give the same bits).
 _SCALAR_SUM_MAX_CELLS = 16
+
+#: A compiled per-window reader: the value of the box ``[lo, hi)``.
+Reader = Callable[[Sequence[int], Sequence[int]], float]
 
 
 def pairwise_sum(cells: Sequence[float]) -> float:
@@ -141,6 +144,23 @@ def box_offsets(lengths: Sequence[int], strides: Sequence[int]) -> list[int]:
     return offsets
 
 
+@lru_cache(maxsize=1024)
+def _cell_getter(lengths: tuple[int, ...], strides: tuple[int, ...]) -> itemgetter | None:
+    """An itemgetter of a box's cells from its first cell, or ``None``
+    above ``_SCALAR_SUM_MAX_CELLS``.
+
+    A pure function of the box shape and the grid's strides, so every
+    kernel set over one grid shape shares it — each served session builds
+    its own kernel set over the same grid.
+    """
+    cells = math.prod(lengths)
+    if cells > _SCALAR_SUM_MAX_CELLS:
+        return None
+    if cells == 1:  # a sequence, like every other box's cells
+        return itemgetter(slice(0, 1))
+    return itemgetter(*box_offsets(lengths, strides))
+
+
 class SummedAreaTable:
     """An n-dimensional integral image over one grid-shaped array.
 
@@ -159,19 +179,15 @@ class SummedAreaTable:
         self.shape = values.shape
         self.ndim = values.ndim
         self.table = np.zeros(tuple(s + 1 for s in values.shape), dtype=np.float64)
-        # Corner reads return Python floats: 1-d and 2-d ones index a flat
-        # memoryview of the table (no numpy call per corner), higher ranks
-        # call ``item``.  The table is only ever refilled in place, so both
-        # stay valid.
-        self._item = self.table.item
-        self._flat = memoryview(self.table.reshape(-1))
-        self._width = self.table.shape[-1]
         # (sign, hi-selector) per corner of the inclusion-exclusion, dim 0
         # most significant: real-valued sums depend on this order.
         self._corners = [
             ((-1) ** (self.ndim - sum(corner)), corner)
             for corner in itertools.product((0, 1), repeat=self.ndim)
         ]
+        #: The compiled box sum ``(lo, hi) -> float`` that :meth:`box_sum`
+        #: and every kernel reader call.
+        self.reader = self._compile_reader()
         self.refill(values)
 
     def refill(self, values: np.ndarray) -> None:
@@ -186,22 +202,42 @@ class SummedAreaTable:
         for axis in range(self.ndim):
             np.cumsum(table, axis=axis, out=table)
 
+    def _compile_reader(self) -> Reader:
+        """The box sum of this table's rank, as one closure.
+
+        Corner reads return Python floats: 1-d and 2-d ones index a flat
+        memoryview of the table (no numpy call per corner) with the 2-d
+        corner arithmetic inline, higher ranks call ``item`` per corner.
+        The table is only ever refilled in place, so both stay valid.
+        """
+        flat = memoryview(self.table.reshape(-1))
+        if self.ndim == 2:
+            width = self.table.shape[1]
+
+            def box_sum_2d(lo: Sequence[int], hi: Sequence[int]) -> float:
+                l0, l1 = lo
+                h0, h1 = hi
+                top = h0 * width
+                bottom = l0 * width
+                return flat[top + h1] - flat[bottom + h1] - flat[top + l1] + flat[bottom + l1]
+
+            return box_sum_2d
+        if self.ndim == 1:
+            return lambda lo, hi: flat[hi[0]] - flat[lo[0]]
+        item = self.table.item
+        corners = self._corners
+
+        def box_sum_nd(lo: Sequence[int], hi: Sequence[int]) -> float:
+            total = 0.0
+            for sign, corner in corners:
+                total += sign * item(tuple(h if c else l for l, h, c in zip(lo, hi, corner)))
+            return total
+
+        return box_sum_nd
+
     def box_sum(self, lo: Sequence[int], hi: Sequence[int]) -> float:
         """Sum over the half-open box ``[lo, hi)`` — O(2^d) lookups."""
-        flat = self._flat
-        if self.ndim == 2:
-            l0, l1 = lo
-            h0, h1 = hi
-            top = h0 * self._width
-            bottom = l0 * self._width
-            return flat[top + h1] - flat[bottom + h1] - flat[top + l1] + flat[bottom + l1]
-        if self.ndim == 1:
-            return flat[hi[0]] - flat[lo[0]]
-        total = 0.0
-        item = self._item
-        for sign, corner in self._corners:
-            total += sign * item(tuple(h if c else l for l, h, c in zip(lo, hi, corner)))
-        return total
+        return self.reader(lo, hi)
 
     def box_sums(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`box_sum` over ``(P, d)`` bound arrays."""
@@ -297,6 +333,15 @@ class DataKernels:
     (prefix sums cannot serve extrema).  ``placement_*`` methods
     evaluate *every* start-window placement of a fixed shape at once.
 
+    **Compiled readers.**  What a query fixes — the aggregate of each
+    objective, its grids and flat views, the grid's rank — is resolved
+    once per kernel set, into closures ``(lo, hi) -> value``:
+    :attr:`unread` and :attr:`fully_read` (the count queries that read
+    the mutable tables, each refilling them first if stale),
+    :meth:`reader` per objective and :meth:`validator` per list of
+    conditions.  :meth:`reduce`, :meth:`is_read`, :meth:`window_sum`
+    and ``UtilityModel.score`` are views over them.
+
     **Exactness.**  A real-valued window sum is numpy's pairwise sum of
     the box's cells in row-major order, bit for bit: the scalar path
     computes it in Python over a flat view of the C-contiguous float64
@@ -316,6 +361,12 @@ class DataKernels:
     count queries per bump than the grid's break-even, about 11 and 89
     (DESIGN.md §8 has the figures, and the fine-grid cost).
     ``rebuilds`` counts the refills.
+
+    **Lifetime.**  A kernel set lives as long as its Data Manager, which
+    writes every grid in place: its tables, flat views and compiled
+    readers stay valid through any read, install or checkpoint restore.
+    A restore rewinds ``DataManager.version`` to the capture's, which the
+    tables may already carry, so it calls :meth:`invalidate` instead.
     """
 
     def __init__(self, data: "DataManager") -> None:
@@ -326,20 +377,17 @@ class DataKernels:
         self._read_sat = SummedAreaTable(data.read_mask)
         self._stamp = data.version
         self.rebuilds = 0
-        # Real-valued window sums read each ``eff_sum`` grid through a flat
-        # memoryview.  The Data Manager only ever writes those grids in
-        # place, so the views stay current; a grid that is not C-contiguous
-        # float64 gets no view and keeps numpy's slice sum.
-        self._sum_views = {
-            key: memoryview(grid.reshape(-1))
-            for key, grid in data.eff_sum.items()
-            if grid.dtype == np.float64 and grid.flags.c_contiguous
-        }
         shape = data.true_count.shape
         self._strides = tuple(math.prod(shape[d + 1 :]) for d in range(len(shape)))
-        # Per box shape: an itemgetter of its cells from the box's first
-        # cell, or None above _SCALAR_SUM_MAX_CELLS.
+        # Per box shape: its cells' itemgetter (module-level cache), or None
+        # above _SCALAR_SUM_MAX_CELLS.  Keyed by the shape alone, before the
+        # shared cache's (shape, strides) key.
         self._box_cells: dict[tuple[int, ...], itemgetter | None] = {}
+        # Compiled readers per (aggregate, key), and the last validation
+        # pass with the condition list it was built for.
+        self._readers: dict[tuple[str, str], Reader] = {}
+        self._validation: tuple = (None, None)
+        self.unread, self.fully_read = self._compile_count_reads()
 
     # -- cache maintenance -------------------------------------------------
 
@@ -352,13 +400,10 @@ class DataKernels:
         self._stamp = data.version
         self.rebuilds += 1
 
-    def fresh_tables(self) -> tuple[SummedAreaTable, SummedAreaTable]:
-        """``(unread, read)`` tables, refilled first if stale — the one
-        freshness check of a per-window scoring pass, which then reads
-        both without asking again."""
-        if self._stamp != self._data.version:
-            self._refresh()
-        return self._unread_sat, self._read_sat
+    def invalidate(self) -> None:
+        """Mark the mutable tables stale whatever the version; the next
+        query refills them in place (a checkpoint restore calls this)."""
+        self._stamp = None
 
     @property
     def count_table(self) -> SummedAreaTable:
@@ -377,56 +422,201 @@ class DataKernels:
         self._refresh()
         return self._read_sat
 
+    # -- compiled readers --------------------------------------------------
+
+    def _compile_count_reads(self) -> tuple[Reader, Callable[..., bool]]:
+        """``(unread, fully_read)``: the window's unread objects and whether
+        every cell of it is cached, each refilling stale tables first."""
+        data = self._data
+        refresh = self._refresh
+        if self._read_sat.ndim == 2:  # the corner arithmetic inline
+            unread_flat = memoryview(self._unread_sat.table.reshape(-1))
+            read_flat = memoryview(self._read_sat.table.reshape(-1))
+            width = self._read_sat.table.shape[1]
+
+            def unread(lo: Sequence[int], hi: Sequence[int]) -> float:
+                if self._stamp != data.version:
+                    refresh()
+                l0, l1 = lo
+                h0, h1 = hi
+                top = h0 * width
+                bottom = l0 * width
+                return (
+                    unread_flat[top + h1] - unread_flat[bottom + h1]
+                    - unread_flat[top + l1] + unread_flat[bottom + l1]
+                )
+
+            def fully_read(lo: Sequence[int], hi: Sequence[int]) -> bool:
+                if self._stamp != data.version:
+                    refresh()
+                l0, l1 = lo
+                h0, h1 = hi
+                top = h0 * width
+                bottom = l0 * width
+                return (
+                    read_flat[top + h1] - read_flat[bottom + h1]
+                    - read_flat[top + l1] + read_flat[bottom + l1]
+                ) == (h0 - l0) * (h1 - l1)
+
+            return unread, fully_read
+        unread_box = self._unread_sat.reader
+        read_box = self._read_sat.reader
+
+        def unread(lo: Sequence[int], hi: Sequence[int]) -> float:
+            if self._stamp != data.version:
+                refresh()
+            return unread_box(lo, hi)
+
+        def fully_read(lo: Sequence[int], hi: Sequence[int]) -> bool:
+            if self._stamp != data.version:
+                refresh()
+            return read_box(lo, hi) == math.prod(map(sub, hi, lo))
+
+        return unread, fully_read
+
+    def reader(self, objective: ContentObjective) -> Reader:
+        """The compiled window reader of ``objective``: ``(lo, hi) ->`` the
+        Data Manager's estimate before noise, built once per kernel set.
+
+        ``count`` is served by the SAT; ``sum``/``avg`` by numpy's pairwise
+        sum over the real-valued grid (with the SAT count for ``avg``'s
+        denominator); ``min``/``max`` take the slice path, which
+        propagates NaN.
+        """
+        return self._reader(objective.aggregate.name, objective.key)
+
+    def _reader(self, agg: str, key: str) -> Reader:
+        read = self._readers.get((agg, key))
+        if read is None:
+            read = self._readers[agg, key] = self._compile_reader(agg, key)
+        return read
+
+    def _compile_reader(self, agg: str, key: str) -> Reader:
+        if agg == "count":
+            return self._count_sat.reader
+        if agg in ("sum", "avg"):
+            return self._compile_window_sum(key, average=agg == "avg")
+        if agg not in ("min", "max"):
+            raise ValueError(f"unsupported aggregate {agg!r}")  # pragma: no cover
+        data = self._data
+        grid = (data.eff_min if agg == "min" else data.eff_max)[key]
+        extremum = np.ndarray.min if agg == "min" else np.ndarray.max
+        isfinite = math.isfinite
+
+        def read_extremum(lo: Sequence[int], hi: Sequence[int]) -> float:
+            value = float(extremum(grid[tuple(map(slice, lo, hi))]))
+            return value if isfinite(value) else math.nan
+
+        return read_extremum
+
+    def _compile_window_sum(self, key: str, average: bool) -> Reader:
+        """``eff_sum[key]``'s window sum — over the SAT count if ``average``.
+
+        The Data Manager only ever writes its grids in place, so a flat
+        view of the grid stays current; a grid that is not C-contiguous
+        float64 gets no view and keeps numpy's slice sum.  A 2-d box's
+        shape and first-cell offset are plain arithmetic on its bounds.
+        """
+        grid = self._data.eff_sum[key]
+        count = self._count_sat.reader
+        nan = math.nan
+
+        def slice_sum(lo: Sequence[int], hi: Sequence[int]) -> float:
+            return float(grid[tuple(map(slice, lo, hi))].sum())
+
+        flat = None
+        if grid.dtype == np.float64 and grid.flags.c_contiguous:
+            flat = memoryview(grid.reshape(-1))
+        strides = self._strides
+        two_d = len(strides) == 2
+        row = strides[0]
+        box_cells = self._box_cells
+
+        def window_sum(lo: Sequence[int], hi: Sequence[int]) -> float:
+            if average:
+                n = count(lo, hi)
+                if n <= 0:
+                    return nan
+            if two_d:
+                l0, l1 = lo
+                h0, h1 = hi
+                lengths = (h0 - l0, h1 - l1)
+            else:
+                lengths = tuple(map(sub, hi, lo))
+            try:
+                cells = box_cells[lengths]
+            except KeyError:
+                cells = box_cells[lengths] = _cell_getter(lengths, strides)
+            if cells is None or flat is None:
+                total = slice_sum(lo, hi)
+            else:
+                start = l0 * row + l1 if two_d else sum(map(mul, lo, strides))
+                total = pairwise_sum(cells(flat[start:]))
+            return total / n if average else total
+
+        return window_sum
+
+    def validator(self, conditions) -> Callable[[Window], dict[str, float] | None]:
+        """The compiled validation pass of ``conditions`` — the Data
+        Manager's ``exact_values``, as ``window -> {label: value} | None``.
+
+        ``conditions`` are ``(condition, label)`` pairs; the pass is
+        rebuilt only when a different list arrives, as a search validates
+        every window against its one list.  A list must not change after
+        it was first validated.
+        """
+        built, validate = self._validation
+        if built is not conditions:
+            validate = self._compile_validation(conditions)
+            self._validation = (conditions, validate)
+        return validate
+
+    def _compile_validation(self, conditions) -> Callable:
+        fully_read = self.fully_read
+        steps = [
+            (label, self.reader(cond.objective), cond.op.test, cond.value)
+            for cond, label in conditions
+        ]
+
+        def validate(window: Window) -> dict[str, float] | None:
+            lo = window.lo
+            hi = window.hi
+            if not fully_read(lo, hi):
+                raise ValueError(f"window {window!r} has unread cells; read it first")
+            values: dict[str, float] = {}
+            for label, read, test, threshold in steps:
+                value = values.get(label)
+                if value is None:
+                    value = values[label] = read(lo, hi)
+                if not test(value, threshold):
+                    return None
+            return values
+
+        return validate
+
     # -- scalar queries ----------------------------------------------------
 
     def window_count(self, window: Window) -> float:
         """Exact object count of the window (== naive slice sum)."""
-        return self._count_sat.box_sum(window.lo, window.hi)
+        return self._count_sat.reader(window.lo, window.hi)
 
     def unread_objects(self, window: Window) -> float:
         """Objects in the window's non-cached cells (== naive slice sum)."""
-        self._refresh()
-        return self._unread_sat.box_sum(window.lo, window.hi)
+        return self.unread(window.lo, window.hi)
 
     def read_cells(self, window: Window) -> int:
         """Number of cached cells inside the window."""
         self._refresh()
-        return int(self._read_sat.box_sum(window.lo, window.hi))
+        return int(self._read_sat.reader(window.lo, window.hi))
 
     def is_read(self, window: Window) -> bool:
         """Whether every cell of the window is cached."""
-        self._refresh()
-        return self._read_sat.box_sum(window.lo, window.hi) == window.cardinality
+        return self.fully_read(window.lo, window.hi)
 
     def reduce(self, objective: ContentObjective, window: Window) -> float:
-        """Estimated objective value — the Data Manager's ``_reduce``.
-
-        ``count`` is served by the SAT; ``sum``/``avg`` by
-        :meth:`window_sum` over the real-valued grid (with the SAT count
-        for ``avg``'s denominator); ``min``/``max`` take the slice path,
-        which propagates NaN.
-        """
-        data = self._data
-        agg = objective.aggregate.name
-        lo, hi = window.lo, window.hi
-        if agg == "count":
-            return self._count_sat.box_sum(lo, hi)
-        if agg == "sum":
-            return self.window_sum(objective.key, lo, hi)
-        if agg == "avg":
-            count = self._count_sat.box_sum(lo, hi)
-            if count <= 0:
-                return math.nan
-            return self.window_sum(objective.key, lo, hi) / count
-        box = tuple(map(slice, lo, hi))
-        key = objective.key
-        if agg == "min":
-            value = float(data.eff_min[key][box].min())
-            return value if math.isfinite(value) else math.nan
-        if agg == "max":
-            value = float(data.eff_max[key][box].max())
-            return value if math.isfinite(value) else math.nan
-        raise ValueError(f"unsupported aggregate {agg!r}")  # pragma: no cover
+        """Estimated objective value — the Data Manager's ``_reduce``,
+        through the objective's compiled :meth:`reader`."""
+        return self.reader(objective)(window.lo, window.hi)
 
     def window_sum(self, key: str, lo: Sequence[int], hi: Sequence[int]) -> float:
         """``float(eff_sum[key][box].sum())`` for the box ``[lo, hi)``, bit
@@ -436,23 +626,7 @@ class DataKernels:
         order (:func:`box_offsets`, one itemgetter per box shape) and
         added in numpy's order (:func:`pairwise_sum`).
         """
-        lengths = tuple(map(sub, hi, lo))
-        try:
-            cells = self._box_cells[lengths]
-        except KeyError:
-            cells = self._box_cells[lengths] = self._cell_getter(lengths)
-        flat = self._sum_views.get(key)
-        if cells is None or flat is None:
-            return float(self._data.eff_sum[key][tuple(map(slice, lo, hi))].sum())
-        return pairwise_sum(cells(flat[sum(map(mul, lo, self._strides)) :]))
-
-    def _cell_getter(self, lengths: tuple[int, ...]) -> itemgetter | None:
-        cells = math.prod(lengths)
-        if cells > _SCALAR_SUM_MAX_CELLS:
-            return None
-        if cells == 1:  # a sequence, like every other box's cells
-            return itemgetter(slice(0, 1))
-        return itemgetter(*box_offsets(lengths, self._strides))
+        return self._reader("sum", key)(lo, hi)
 
     # -- batch queries over all placements of a fixed shape ----------------
 
@@ -520,10 +694,6 @@ class DataKernels:
 
     # -- batch queries over arbitrary (mixed-shape) bound arrays -----------
 
-    def _boxes(self, lows: np.ndarray, his: np.ndarray):
-        for lo, hi in zip(lows.tolist(), his.tolist()):
-            yield tuple(slice(l, h) for l, h in zip(lo, hi))
-
     def unread_bounds(self, lows: np.ndarray, his: np.ndarray) -> np.ndarray:
         """Batch :meth:`unread_objects` over ``(P, d)`` bound arrays."""
         self._refresh()
@@ -542,36 +712,13 @@ class DataKernels:
 
         Unlike ``placement_reduce`` the rows may have *different* shapes
         (a popped window's 2d neighbors, a frontier slice), so the
-        real-valued grids use per-row scalar reductions — :meth:`window_sum`
-        and the extrema's slices, hence bitwise-identical — while
-        count-like quantities come out of the SAT in one shot.
+        real-valued aggregates call the objective's compiled
+        :meth:`reader` per row — hence bitwise-identical — while counts
+        come out of the SAT in one shot.
         """
-        data = self._data
-        agg = objective.aggregate.name
-        if agg == "count":
+        if objective.aggregate.name == "count":
             return self._count_sat.box_sums(lows, his)
-        key = objective.key
-        if agg in ("sum", "avg"):
-            window_sum = self.window_sum
-            sums = np.array(
-                [window_sum(key, lo, hi) for lo, hi in zip(lows.tolist(), his.tolist())],
-                dtype=np.float64,
-            )
-            if agg == "sum":
-                return sums
-            counts = self._count_sat.box_sums(lows, his)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(counts > 0, sums / counts, math.nan)
-        if agg == "min":
-            arr = data.eff_min[key]
-            values = np.array(
-                [float(arr[box].min()) for box in self._boxes(lows, his)]
-            )
-            return np.where(np.isfinite(values), values, math.nan)
-        if agg == "max":
-            arr = data.eff_max[key]
-            values = np.array(
-                [float(arr[box].max()) for box in self._boxes(lows, his)]
-            )
-            return np.where(np.isfinite(values), values, math.nan)
-        raise ValueError(f"unsupported aggregate {agg!r}")  # pragma: no cover
+        read = self.reader(objective)
+        return np.array(
+            [read(lo, hi) for lo, hi in zip(lows.tolist(), his.tolist())], dtype=np.float64
+        )

@@ -358,7 +358,7 @@ class SteppingCore:
         if self._obs is not None:
             self._obs.estimates.value += 1.0
         model = self.utility_model
-        benefit, cost_term = model.score(window)
+        benefit, cost_term = model.scorer(window)
         if self._modify_benefit is not None:
             benefit = self._modify_benefit(window, benefit)
         return (model.combine(benefit, cost_term), benefit)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from operator import sub
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,8 +39,9 @@ __all__ = ["UtilityModel"]
 class UtilityModel:
     """Computes benefits, costs and utilities against a Data Manager.
 
-    :meth:`score` is the per-window pass the search runs; :meth:`benefit`,
-    :meth:`utility` and :meth:`utility_with_benefit` are views of it.
+    :meth:`score` is the per-window pass the search runs, compiled once
+    per query (:attr:`scorer`); :meth:`benefit`, :meth:`utility` and
+    :meth:`utility_with_benefit` are views of it.
     """
 
     def __init__(self, conditions: ConditionSet, data: DataManager, s: float = 0.5) -> None:
@@ -85,6 +86,10 @@ class UtilityModel:
         # shape conditions hold, and its cell count.  A search meets at
         # most one entry per shape the grid admits.
         self._shapes: dict[tuple[int, ...], tuple[float, bool, int]] = {}
+        #: The compiled per-window pass ``window -> (B_w, 1 - min(C_w/k, 1))``
+        #: that :meth:`score` views.  Built at its first call, as the
+        #: kernel set it reads is built lazily too.
+        self.scorer: Callable[[Window], tuple[float, float]] = self._first_score
 
     @property
     def k(self) -> float:
@@ -94,40 +99,72 @@ class UtilityModel:
     # -- the per-window pass --------------------------------------------------
 
     def score(self, window: Window) -> tuple[float, float]:
-        """``(B_w, 1 - min(C_w / k, 1))`` of one window, in one pass.
+        """``(B_w, 1 - min(C_w / k, 1))`` of one window, in one pass."""
+        return self.scorer(window)
 
-        Shape-only terms come from the per-shape memo; the kernels'
-        version stamp is checked once, after which the unread and read
-        tables are read directly and each objective is reduced once
-        (``DataKernels.reduce``).  Every value is bitwise the composition
-        of :meth:`cost`, ``DataManager.estimate`` and the per-condition
+    def _first_score(self, window: Window) -> tuple[float, float]:
+        self.scorer = self._compile_score()
+        return self.scorer(window)
+
+    def _compile_score(self) -> Callable[[Window], tuple[float, float]]:
+        """The scoring pass over this model's kernel set, as one closure.
+
+        Fixed at build: the kernels' compiled readers (one per objective,
+        ``DataKernels.reader``), whether noise applies, the condition
+        tests with their thresholds and ``eps``, and the cost constants.
+        Per window, the shape-only terms come from the per-shape memo,
+        the unread count refills stale tables first, and each objective
+        is reduced once.  Every value is bitwise the composition of
+        :meth:`cost`, ``DataManager.estimate`` and the per-condition
         benefits that ``tests/naive_oracle.py`` keeps.
         """
-        lo = window.lo
-        hi = window.hi
-        benefit, _, cardinality = self.shape_terms(window)
         data = self.data
         kern = data.kernels
-        unread, read = kern.fresh_tables()
-        cost = unread.box_sum(lo, hi) * self._m / self._n
-        cost_term = 1.0 - min(cost / self._k, 1.0)
-        if benefit == 0.0:
-            return 0.0, cost_term
-        noise = data.noise
-        if noise is not None and read.box_sum(lo, hi) == cardinality:
-            noise = None  # a fully read window's estimate is exact
-        for objective, conditions in self._groups:
-            estimate = kern.reduce(objective, window)
-            if noise is not None:
-                estimate = noise.perturb(lo, hi, estimate)
-            if math.isnan(estimate):
+        unread = kern.unread
+        fully_read = kern.fully_read
+        perturb = None if data.noise is None else data.noise.perturb
+        m, n, k = self._m, self._n, self._k
+        shapes = self._shapes
+        new_shape = self._new_shape
+        groups = [
+            (kern.reader(objective), [(cond.op.test, cond.value, eps) for cond, eps in conditions])
+            for objective, conditions in self._groups
+        ]
+        isnan = math.isnan
+        two_d = data.grid.ndim == 2
+
+        def score(window: Window) -> tuple[float, float]:
+            lo = window.lo
+            hi = window.hi
+            if two_d:
+                l0, l1 = lo
+                h0, h1 = hi
+                lengths = (h0 - l0, h1 - l1)
+            else:
+                lengths = tuple(map(sub, hi, lo))
+            terms = shapes.get(lengths)
+            if terms is None:
+                terms = new_shape(lengths)
+            benefit = terms[0]
+            cost_term = 1.0 - min(unread(lo, hi) * m / n / k, 1.0)
+            if benefit == 0.0:
                 return 0.0, cost_term
-            for cond, eps in conditions:
-                if not cond.op.test(estimate, cond.value):
-                    benefit = min(benefit, max(0.0, 1.0 - abs(estimate - cond.value) / eps))
-                    if benefit == 0.0:
-                        return 0.0, cost_term
-        return benefit, cost_term
+            # A fully read window's estimate is exact: no noise.
+            noisy = perturb is not None and not fully_read(lo, hi)
+            for read, tests in groups:
+                estimate = read(lo, hi)
+                if noisy:
+                    estimate = perturb(lo, hi, estimate)
+                if isnan(estimate):
+                    return 0.0, cost_term
+                for test, value, eps in tests:
+                    if not test(estimate, value):
+                        benefit = min(benefit, max(0.0, 1.0 - abs(estimate - value) / eps))
+                        if benefit == 0.0:
+                            return 0.0, cost_term
+            return benefit, cost_term
+
+        return score
 
     def shape_terms(self, window: Window) -> tuple[float, bool, int]:
         """``(shape benefit, shape conditions hold, cardinality)`` of the
@@ -135,12 +172,16 @@ class UtilityModel:
         lengths = tuple(map(sub, window.hi, window.lo))
         terms = self._shapes.get(lengths)
         if terms is None:
-            origin = Window.unchecked((0,) * len(lengths), lengths)
-            terms = self._shapes[lengths] = (
-                self._shape_benefit(origin),
-                self.conditions.shape_satisfied(origin),
-                math.prod(lengths),
-            )
+            terms = self._new_shape(lengths)
+        return terms
+
+    def _new_shape(self, lengths: tuple[int, ...]) -> tuple[float, bool, int]:
+        origin = Window.unchecked((0,) * len(lengths), lengths)
+        terms = self._shapes[lengths] = (
+            self._shape_benefit(origin),
+            self.conditions.shape_satisfied(origin),
+            math.prod(lengths),
+        )
         return terms
 
     def combine(self, benefit, cost_term):

@@ -78,6 +78,18 @@ class NaiveDataManager(DataManager):
     def unread_objects(self, window: Window) -> float:
         return float(self.unread_count[self.box(window)].sum())
 
+    def exact_values(self, conditions, window: Window) -> dict[str, float] | None:
+        if not self.is_read(window):
+            raise ValueError(f"window {window!r} has unread cells; read it first")
+        values: dict[str, float] = {}
+        for cond, label in conditions:
+            value = values.get(label)
+            if value is None:
+                value = values[label] = self._reduce(cond.objective, window)
+            if not cond.evaluate_value(value):
+                return None
+        return values
+
     def _reduce(self, objective: ContentObjective, window: Window) -> float:
         box = self.box(window)
         agg = objective.aggregate.name

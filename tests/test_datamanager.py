@@ -116,17 +116,25 @@ class TestEstimatesAndExactness:
             (ContentCondition(avg_v, ComparisonOp.LT, avg + 1.0), repr(avg_v)),
         ]
         calls = {"is_read": 0, "reduce": []}
-        is_read, reduce = dm.is_read, dm._reduce
+        # The validation pass is compiled from the kernels' readers on its
+        # first call: count what it calls per window.
+        kern = dm.kernels
+        fully_read, reader = kern.fully_read, kern.reader
 
-        def counting_is_read(window):
+        def counting_is_read(lo, hi):
             calls["is_read"] += 1
-            return is_read(window)
+            return fully_read(lo, hi)
 
-        def counting_reduce(objective, window):
-            calls["reduce"].append(repr(objective))
-            return reduce(objective, window)
+        def counting_reader(objective):
+            read = reader(objective)
 
-        dm.is_read, dm._reduce = counting_is_read, counting_reduce
+            def counting_reduce(lo, hi):
+                calls["reduce"].append(repr(objective))
+                return read(lo, hi)
+
+            return counting_reduce
+
+        kern.fully_read, kern.reader = counting_is_read, counting_reader
         values = dm.exact_values(interval, w)
         # Declaration order, one entry and one reduction per distinct objective.
         assert list(values.items()) == [(repr(avg_v), avg), (repr(count), n)]

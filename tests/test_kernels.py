@@ -421,17 +421,19 @@ OPS = ("read", "install", "empty", "capture", "restore", *QUERY_OPS)
 @given(data=st.data())
 def test_count_queries_match_oracle_under_mutations(data):
     """Interleaved mutations and count queries in 1-4 dims: every answer
-    equals the oracle's, refills never outnumber version bumps, a count
-    query leaves the tables fresh, and a refilled table is byte-equal to
-    a fresh build."""
+    equals the oracle's, refills never outnumber stale stretches (version
+    bumps and restores), a count query leaves the tables fresh, a refilled
+    table is byte-equal to a fresh build, and the kernel set outlives
+    every restore."""
     shape = data.draw(st.sampled_from(MUTATION_SHAPES[data.draw(st.integers(1, 4))]))
     db, grid, sample = mutation_inputs(shape)
     naive = NaiveDataManager(db, "pts", grid, MUTATION_OBJECTIVES, sample)
     dm = DataManager(db, "pts", grid, MUTATION_OBJECTIVES, sample)
     source = NaiveDataManager(db, "pts", grid, MUTATION_OBJECTIVES, sample)
     captured = None
-    kern, born = dm.kernels, dm.version
+    kern, stale_stretches = dm.kernels, 0
     for op in data.draw(st.lists(st.sampled_from(OPS), min_size=1, max_size=40)):
+        version = dm.version
         if op in ("read", "empty"):
             window = Window(*data.draw(boxes(shape)))
             for m in (naive, dm):
@@ -469,9 +471,12 @@ def test_count_queries_match_oracle_under_mutations(data):
             else:
                 got = dm.kernels.fully_read_bounds(lows, his).tolist()
                 assert got == [naive.is_read(w) for w in windows]
-        if dm.kernels is not kern:  # a restore drops the kernel set
-            kern, born = dm.kernels, dm.version
-        assert kern.rebuilds <= dm.version - born
+        assert dm.kernels is kern
+        if op == "restore" and captured is not None:
+            stale_stretches += 1  # a restore rewinds the version: one refill
+        else:
+            stale_stretches += dm.version - version
+        assert kern.rebuilds <= stale_stretches
         if op in QUERY_OPS:
             assert kern._stamp == dm.version
         if kern._stamp == dm.version:

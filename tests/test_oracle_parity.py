@@ -63,7 +63,7 @@ def test_naive_engine_runs_the_oracle(tiny_dataset, tiny_query, tiny_db):
     assert not isinstance(search.data, NaiveDataManager)
     # The oracle scores without the kernels, or parity would compare
     # them with themselves: a naive run survives every kernel query raising.
-    assert {"fresh_tables", "reduce", "unread_objects", "placement_estimates"} <= {
+    assert {"reader", "validator", "reduce", "unread_objects", "placement_estimates"} <= {
         name for _, name in KERNEL_QUERIES
     }
 

@@ -58,8 +58,9 @@ matching, payload bytes per query), then under cProfile::
 
 ``--ledger serial_full|sqlite_firstk`` and ``--distributed N`` also print
 ``DataKernels``' table traffic per search query, from an un-profiled
-pass: count queries (``unread_objects`` / ``read_cells`` / ``is_read``
-calls, one per ``fresh_tables`` call of a window's scoring pass, and
+pass: count queries (calls of the compiled ``unread`` / ``fully_read``
+readers, which ``unread_objects``, ``is_read`` and every scoring and
+validation pass go through, ``read_cells`` calls, and
 ``unread_bounds`` / ``fully_read_bounds`` rows), summed-area
 table refills, and count queries per refill.
 
@@ -132,12 +133,9 @@ def _span_rows(counters: dict) -> list[list[str]]:
     return rows
 
 
-#: ``DataKernels`` count queries; a ``*_bounds`` call is one query per row,
-#: and ``fresh_tables`` one per scoring pass (its cost lookup).
-_COUNT_QUERIES = (
-    "unread_objects", "read_cells", "is_read", "fresh_tables", "unread_bounds",
-    "fully_read_bounds",
-)
+#: ``DataKernels`` count queries beside the compiled ``unread`` /
+#: ``fully_read`` readers; a ``*_bounds`` call is one query per row.
+_COUNT_QUERIES = ("read_cells", "unread_bounds", "fully_read_bounds")
 
 
 def _count_refills(work) -> dict[str, int]:
@@ -149,7 +147,10 @@ def _count_refills(work) -> dict[str, int]:
     from repro.core.kernels import DataKernels
 
     seen = dict.fromkeys(("queries", "refills"), 0)
-    originals = {name: vars(DataKernels)[name] for name in (*_COUNT_QUERIES, "_refresh")}
+    originals = {
+        name: vars(DataKernels)[name]
+        for name in (*_COUNT_QUERIES, "_refresh", "_compile_count_reads")
+    }
 
     def counted(original, rows):
         def query(self, *args):
@@ -158,6 +159,16 @@ def _count_refills(work) -> dict[str, int]:
 
         return query
 
+    def counted_reader(read):
+        def query(lo, hi):
+            seen["queries"] += 1
+            return read(lo, hi)
+
+        return query
+
+    def compile_count_reads(self):
+        return tuple(map(counted_reader, originals["_compile_count_reads"](self)))
+
     def refresh(self):
         seen["refills"] += self._stamp != self._data.version
         return originals["_refresh"](self)
@@ -165,6 +176,7 @@ def _count_refills(work) -> dict[str, int]:
     for name in _COUNT_QUERIES:
         setattr(DataKernels, name, counted(originals[name], name.endswith("_bounds")))
     DataKernels._refresh = refresh
+    DataKernels._compile_count_reads = compile_count_reads
     try:
         work()
     finally:
