@@ -190,11 +190,14 @@ class SWEngine:
         """The precomputed sample for this query's grid.
 
         Samples are built offline in the paper's protocol, so this charges
-        no simulated time; they are stored per stored table, in the
-        Database (:meth:`~repro.storage.database.Database.sample`), so
-        every engine over one database shares them.  Sample construction
-        counters land in ``metrics`` (defaulting to the database's
-        registry) only when the sample is actually built.
+        no simulated time.  They are drawn once per placed dataset and
+        kept in its source's store, so every engine over every database
+        on that dataset shares them; the database records which it took
+        (:meth:`~repro.storage.database.Database.sample`).  Sample
+        construction counters land in ``metrics`` (defaulting to the
+        database's registry) when this database first takes the sample
+        from that store, drawn or stored alike; a sample found in an
+        attached semantic cache records none.
         """
         return self.database.sample(
             self.table_name,

@@ -609,7 +609,7 @@ class SteppingCore:
 
     def _check_window(self, window: Window) -> ResultWindow | None:
         """UpdateResult(): exact validation of every condition."""
-        if not self.utility_model.shape_terms(window)[1]:
+        if not self.utility_model.shape_holds(window):
             return None
         objective_values = self.data.exact_values(self._cond_labels, window)
         if objective_values is None:

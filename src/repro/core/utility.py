@@ -86,6 +86,9 @@ class UtilityModel:
         # shape conditions hold, and its cell count.  A search meets at
         # most one entry per shape the grid admits.
         self._shapes: dict[tuple[int, ...], tuple[float, bool, int]] = {}
+        #: ``window -> whether its shape conditions hold``: the validation
+        #: pass's shape test, a 2-d window's shape read from its bounds.
+        self.shape_holds: Callable[[Window], bool] = self._compile_shape_holds()
         #: The compiled per-window pass ``window -> (B_w, 1 - min(C_w/k, 1))``
         #: that :meth:`score` views.  Built at its first call, as the
         #: kernel set it reads is built lazily too.
@@ -165,6 +168,22 @@ class UtilityModel:
             return benefit, cost_term
 
         return score
+
+    def _compile_shape_holds(self) -> Callable[[Window], bool]:
+        shapes = self._shapes
+        new_shape = self._new_shape
+        if self.data.grid.ndim != 2:
+            return lambda window: self.shape_terms(window)[1]
+
+        def holds(window: Window) -> bool:
+            l0, l1 = window.lo
+            h0, h1 = window.hi
+            terms = shapes.get((h0 - l0, h1 - l1))
+            if terms is None:
+                terms = new_shape((h0 - l0, h1 - l1))
+            return terms[1]
+
+        return holds
 
     def shape_terms(self, window: Window) -> tuple[float, bool, int]:
         """``(shape benefit, shape conditions hold, cardinality)`` of the

@@ -72,8 +72,7 @@ def build_objective_grids(
     order, is sorted by cell first.
     """
     if metrics is not None:
-        metrics.inc("sample.objective_grids")
-        metrics.inc("sample.grid_rows_scanned", float(sample.size))
+        _record_grid_metrics(metrics, sample)
     m = grid.num_cells
     shape = grid.shape
     scaled_sum = np.zeros(m, dtype=float)
@@ -124,6 +123,12 @@ def build_objective_grids(
         value_min=value_min,
         value_max=value_max,
     )
+
+
+def _record_grid_metrics(metrics, sample: CellSample) -> None:
+    """Charge one objective-grid build over ``sample`` to a registry."""
+    metrics.inc("sample.objective_grids")
+    metrics.inc("sample.grid_rows_scanned", float(sample.size))
 
 
 def default_eps(condition: ContentCondition, grids: ObjectiveGrids, total_count: float) -> float:

@@ -174,12 +174,9 @@ class SemanticCache:
         self._pinned: set[tuple[str, str]] = set()
         # (physical_sig, key tuple) -> CellSample.
         self._samples: dict[tuple, object] = {}
-        # (signature function, source) -> (signature, holder); holding
-        # the table or dataset keeps its id from being reused while the
-        # memo lives.  A table's source is (id(dataset), placement,
-        # tuples_per_block) once note_source named it, else id(table).
-        self._signatures: dict[tuple, tuple[str, object]] = {}
-        self._sources: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        # A table's source (else the table) -> {signature function:
+        # signature}; weak, so the memo keeps no table or source alive.
+        self._signatures: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._events = 0
 
     def attach_observability(self, metrics=None, trace=None) -> None:
@@ -202,25 +199,24 @@ class SemanticCache:
         """
         return self._signature(table_signature, table), grid_signature(grid)
 
-    def note_source(self, table, dataset, placement: str) -> None:
-        """Record that ``table`` is ``dataset`` placed by ``placement``.
-
-        Every table built from one dataset object by one placement and
-        block size holds the same rows in the same order, so they share
-        one hash of each signature kind: a served session's fresh table
-        costs no re-hash of a dataset an earlier session already hashed.
-        The dataset must not change while the cache lives.
-        """
-        self._sources[table] = ((id(dataset), placement, table.tuples_per_block), dataset)
-
     def _signature(self, kind, table) -> str:
-        """``kind(table)``, hashed once per source (see :meth:`note_source`),
-        else once per table *object* (heap tables are immutable)."""
-        source, holder = self._sources.get(table, (id(table), table))
-        memo = self._signatures.get((kind, source))
+        """``kind(table)``, hashed once per source.
+
+        Every table placed from one dataset object by one placement and
+        block size carries the same ``source`` and holds the same rows in
+        the same order, so a served session's fresh table costs no
+        re-hash of a dataset an earlier session already hashed.  A table
+        without a source is hashed once per table *object* (heap tables
+        are immutable).
+        """
+        owner = table.source if table.source is not None else table
+        memo = self._signatures.get(owner)
         if memo is None:
-            memo = self._signatures[(kind, source)] = (kind(table), holder)
-        return memo[0]
+            memo = self._signatures[owner] = {}
+        signature = memo.get(kind)
+        if signature is None:
+            signature = memo[kind] = kind(table)
+        return signature
 
     # -- cell entries ------------------------------------------------------------
 

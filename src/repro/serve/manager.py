@@ -156,9 +156,6 @@ class SessionManager:
             tenant, step_budget, block_budget
         )
         database = make_database(dataset, placement)
-        if self.cache is not None:
-            # Before the session prepares: its sample lookup hashes too.
-            self.cache.note_source(database.table(dataset.name), dataset, placement)
         engine = SWEngine(
             database,
             dataset.name,
@@ -213,6 +210,7 @@ class SessionManager:
         session.state = state
         session.run = None
         session.throttle_reason = reason
+        session.degradations = ()
         return session
 
     def _make_live(self, session: ExplorationSession) -> None:

@@ -346,12 +346,23 @@ class ServeCore:
         """Whether any admitted session still needs scheduler slices."""
         return bool(self.manager.live_sessions() or self.manager.waiting_sessions())
 
+    @staticmethod
+    def _outcome(session) -> dict:
+        """The session's ``outcome`` and its ``degradations``, verbatim."""
+        return {
+            "outcome": session.outcome,
+            "degradations": [
+                {"layer": d.layer, "reason": d.reason} for d in session.degradations
+            ],
+        }
+
     def status(self, name: str) -> dict:
         session = self._session(name)
         payload = {
             "session": name,
             "state": session.state.value,
             "tenant": session.tenant,
+            **self._outcome(session),
         }
         if session.run is None:
             payload["reason"] = session.throttle_reason
@@ -369,7 +380,7 @@ class ServeCore:
         session = self._session(name)
         if session.run is None:
             return {"session": name, "state": session.state.value, "results": [],
-                    "since": since, "next": since, "total": 0}
+                    "since": since, "next": since, "total": 0, **self._outcome(session)}
         shape = session.query.grid.shape
         page = [
             {
@@ -390,6 +401,7 @@ class ServeCore:
             "since": since,
             "next": total,
             "total": total,
+            **self._outcome(session),
         }
 
     def stats(self) -> dict:

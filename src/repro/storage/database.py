@@ -35,6 +35,7 @@ from .table import HeapTable
 
 if TYPE_CHECKING:
     from ..sampling.estimators import ObjectiveGrids
+    from ..sampling.source import TableSource
     from ..sampling.stratified import CellSample
 
 __all__ = ["CellScan", "Database"]
@@ -96,12 +97,12 @@ COUNT_KEY = "__count__"
 class Database:
     """A catalog of heap tables, each with its own disk and buffer pool.
 
-    The catalog also owns the offline estimation inputs of its tables: a
-    sample per (table, sampler, grid geometry, fraction, seed) and the
-    objective grids per (sample, objective), each built on first use and
-    shared by every engine over this database (:meth:`sample`,
-    :meth:`objective_grids`).  A table name is bound once, so a stored
-    input never outlives the data it was drawn from.
+    The offline estimation inputs of its tables — a sample per (table,
+    sampler, grid geometry, fraction, seed) and the objective grids per
+    (sample, objective) — live in the store of each table handle's
+    :class:`~repro.sampling.source.TableSource`, shared by every database
+    over one placed dataset; the catalog keeps the record of which inputs
+    its own engines have taken (:meth:`sample`, :meth:`objective_grids`).
 
     Parameters
     ----------
@@ -148,11 +149,14 @@ class Database:
         # Optional integrity layer (see attach_integrity).
         self._integrity: dict[str, BlockIntegrity] = {}
         self._integrity_plan: StorageFaultPlan | None = None
-        # Offline estimation inputs (see sample / objective_grids).
+        # The offline inputs this database has taken (see sample /
+        # objective_grids): (table name, sampler key) -> sample, and
+        # id(sample) -> (sample, {objective: grids}); holding the sample
+        # keeps its id from being reused while the entry lives.
         self._samples: dict[tuple, CellSample] = {}
-        # id(sample) -> (sample, {objective: grids}); holding the
-        # sample keeps its id from being reused while the entry lives.
         self._grids: dict[int, tuple[CellSample, dict[tuple, ObjectiveGrids]]] = {}
+        # The store of a table whose handle carries no source, by name.
+        self._private: dict[str, TableSource] = {}
 
     # -- catalog ----------------------------------------------------------------
 
@@ -302,15 +306,18 @@ class Database:
         shared=None,
         metrics=None,
     ) -> CellSample:
-        """The precomputed sample of a table under a grid, built on first use.
+        """The precomputed sample of a table under a grid.
 
         Sampling is offline in the paper's protocol, so this charges no
-        simulated time.  A stored sample is returned as is (counted as
-        ``sample.cache_hits``); otherwise ``shared`` — a cross-session
-        store offering ``sample_lookup`` / ``sample_publish``, such as
-        ``repro.serve.SemanticCache`` — is consulted, and only then is
-        the sample drawn, its construction counters landing in
-        ``metrics`` (defaulting to this database's registry).
+        simulated time.  A sample this database took before is returned
+        as is (counted as ``sample.cache_hits``).  Otherwise ``shared`` —
+        a cross-session store offering ``sample_lookup`` /
+        ``sample_publish``, such as ``repro.serve.SemanticCache`` — is
+        consulted, then the store of the table's source (:meth:`inputs`),
+        which draws the sample on its first use.  A stored sample records
+        the construction counters its draw did, in ``metrics``
+        (defaulting to this database's registry), and is published to
+        ``shared`` as a drawn one would be.
         """
         if metrics is None:
             metrics = self.metrics
@@ -320,19 +327,11 @@ class Database:
             if metrics is not None:
                 metrics.inc("sample.cache_hits")
             return sample
-        # Imported here: the sampling package reads tables through storage.
-        from ..sampling.stratified import StratifiedSampler, uniform_sample
-
         table = self.table(table_name)
         if shared is not None:
             sample = shared.sample_lookup(table, key)
         if sample is None:
-            if sampler == "uniform":
-                sample = uniform_sample(table, grid, fraction, seed=seed, metrics=metrics)
-            else:
-                sample = StratifiedSampler(fraction, seed=seed).sample(
-                    table, grid, metrics=metrics
-                )
+            sample = self.inputs(table).sample(table, grid, key, metrics)
             if shared is not None:
                 shared.sample_publish(table, key, sample)
         self._samples[table_name, key] = sample
@@ -345,22 +344,40 @@ class Database:
         sample: CellSample,
         objective: ContentObjective,
     ) -> ObjectiveGrids:
-        """One objective's sample grids over ``sample``, built on first use.
+        """One objective's sample grids over ``sample``.
 
         ``table`` is the table the sample's rows index into.  Grids
         depend on the objective's expression and on whether its
-        aggregate reads values, so those two key them.
+        aggregate reads values, so those two key them; the store of the
+        table's source builds them on their first use.
         """
-        _, built = self._grids.setdefault(id(sample), (sample, {}))
+        _, taken = self._grids.setdefault(id(sample), (sample, {}))
         key = (objective.key, objective.aggregate.needs_values)
-        grids = built.get(key)
+        grids = taken.get(key)
         if grids is None:
-            from ..sampling.estimators import build_objective_grids
-
-            grids = built[key] = build_objective_grids(
-                table, grid, sample, objective, metrics=self.metrics
+            grids = taken[key] = self.inputs(table).objective_grids(
+                table, grid, sample, objective, self.metrics
             )
         return grids
+
+    def inputs(self, table) -> TableSource:
+        """The store of offline inputs that serves ``table``.
+
+        A placed table's handle carries its source (``table.source``),
+        shared by every database over the same placed dataset; a handle
+        without one — a reopened SQLite table, a resilient wrapper, whose
+        every read is a fault-plan operation, or a hand-built table —
+        gets a store private to this database.
+        """
+        source = table.source
+        if source is None:
+            source = self._private.get(table.name)
+            if source is None:
+                # Imported here: the sampling package reads tables through storage.
+                from ..sampling.source import TableSource
+
+                source = self._private[table.name] = TableSource()
+        return source
 
     # -- lifetime -------------------------------------------------------------------
 

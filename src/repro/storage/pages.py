@@ -30,7 +30,10 @@ class BlockLayout:
     the last block may be short.  ``schema`` is the table's
     :class:`~repro.storage.table.TableSchema`.  ``cell_directory`` is the
     cluster placement's :class:`~repro.storage.placement.CellDirectory`
-    of these rows, or ``None`` for any other placement.
+    of these rows, or ``None`` for any other placement.  ``source`` is
+    the :class:`~repro.sampling.source.TableSource` the rows were placed
+    from, whose store of samples and objective grids every handle on
+    those rows shares, or ``None`` when the rows' origin is unknown.
     """
 
     def __init__(
@@ -40,6 +43,7 @@ class BlockLayout:
         tuples_per_block: int,
         num_rows: int,
         cell_directory: CellDirectory | None = None,
+        source=None,
     ) -> None:
         if tuples_per_block <= 0:
             raise ValueError(f"tuples_per_block must be positive, got {tuples_per_block}")
@@ -54,6 +58,7 @@ class BlockLayout:
         self.num_blocks = -(-num_rows // tuples_per_block)
         self.ndim = len(schema.coordinate_columns)
         self.cell_directory = cell_directory
+        self.source = source
 
     def cell_ids(
         self, grid, rows: np.ndarray | None = None, coords: np.ndarray | None = None

@@ -136,8 +136,10 @@ class SQLiteTable(BlockLayout):
     column draws, row gathers, a region scan's heap reads — executes SQL
     against the store.  A handle bound from a cluster-placed table keeps
     that table's cell directory (it is O(cells) and never stored), so
-    :meth:`cell_ids` under the placement grid reads nothing; a handle
-    reopened from the catalog computes the ids from coordinates.
+    :meth:`cell_ids` under the placement grid reads nothing, and its
+    source, so its samples and objective grids come from the placed
+    dataset's store; a handle reopened from the catalog computes the ids
+    from coordinates and draws its inputs through SQL.
     """
 
     def __init__(
@@ -148,8 +150,9 @@ class SQLiteTable(BlockLayout):
         tuples_per_block: int,
         num_rows: int,
         cell_directory=None,
+        source=None,
     ) -> None:
-        super().__init__(name, schema, tuples_per_block, num_rows, cell_directory)
+        super().__init__(name, schema, tuples_per_block, num_rows, cell_directory, source)
         self._conn = conn
         # Payload column of each schema column, and of the coordinates.
         self._index = {c: i for i, c in enumerate(schema.columns)}
@@ -433,6 +436,7 @@ class SQLiteBackend(StorageBackend):
             table.tuples_per_block,
             table.num_rows,
             table.cell_directory,
+            table.source,
         )
         self._handles[name] = handle
         return handle

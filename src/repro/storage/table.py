@@ -106,6 +106,9 @@ class HeapTable(BlockLayout):
     cell_directory:
         The cluster placement's cell directory of these rows (see
         :meth:`~repro.storage.pages.BlockLayout.cell_ids`), or ``None``.
+    source:
+        The :class:`~repro.sampling.source.TableSource` these rows were
+        placed from (``repro.workloads.make_table`` sets it), or ``None``.
     """
 
     def __init__(
@@ -115,6 +118,7 @@ class HeapTable(BlockLayout):
         columns: Mapping[str, np.ndarray],
         tuples_per_block: int = 64,
         cell_directory: CellDirectory | None = None,
+        source=None,
     ) -> None:
         missing = [c for c in schema.columns if c not in columns]
         if missing:
@@ -126,7 +130,7 @@ class HeapTable(BlockLayout):
         if num_rows == 0:
             raise ValueError("a heap table cannot be empty")
 
-        super().__init__(name, schema, tuples_per_block, num_rows, cell_directory)
+        super().__init__(name, schema, tuples_per_block, num_rows, cell_directory, source)
         self._data = {c: np.ascontiguousarray(columns[c], dtype=float) for c in schema.columns}
         self._coords = np.column_stack(
             [self._data[c] for c in schema.coordinate_columns]

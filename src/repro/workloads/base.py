@@ -10,6 +10,7 @@ PostgreSQL table.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from ..clock import SimClock
 from ..core.grid import Grid
 from ..core.window import Window
 from ..costs import CostModel, DEFAULT_COST_MODEL
+from ..sampling.source import TableSource
 from ..storage.database import Database
 from ..storage.placement import Placement, cluster_placement, order_rows
 from ..storage.table import HeapTable, TableSchema
@@ -64,6 +66,24 @@ class Dataset:
         return np.column_stack([self.columns[c] for c in self.schema.coordinate_columns])
 
 
+# id(dataset) -> {(placement, tuples_per_block, axis_dim, seed): source}.
+# Kept beside the datasets rather than on them, so that a copy of a
+# dataset is a new source; an entry leaves when its dataset is freed.
+_SOURCES: dict[int, dict[tuple, TableSource]] = {}
+
+
+def _source(dataset: Dataset, *key) -> TableSource:
+    """The one source of ``dataset`` placed under ``key``."""
+    sources = _SOURCES.get(id(dataset))
+    if sources is None:
+        sources = _SOURCES[id(dataset)] = {}
+        weakref.finalize(dataset, _SOURCES.pop, id(dataset), None).atexit = False
+    source = sources.get(key)
+    if source is None:
+        source = sources[key] = TableSource()
+    return source
+
+
 def make_table(
     dataset: Dataset,
     placement: Placement | str = Placement.CLUSTER,
@@ -74,11 +94,18 @@ def make_table(
     """Apply a physical placement and build the heap table.
 
     A cluster-placed table keeps the placement's cell directory, so it
-    knows every row's cell under ``dataset.grid``.
+    knows every row's cell under ``dataset.grid``.  Every table records
+    its source — this dataset object under this placement, block size,
+    ``axis_dim`` and ``seed`` — whose store of samples and objective
+    grids lives while the dataset, or a table placed from it, does
+    (``repro.sampling.source``).  A dataset must not change once it has
+    been placed.
     """
+    placement = Placement(placement)
+    source = _source(dataset, placement, tuples_per_block, axis_dim, seed)
     coords = dataset.coordinates()
     directory = None
-    if Placement(placement) is Placement.CLUSTER:
+    if placement is Placement.CLUSTER:
         perm, directory = cluster_placement(coords, dataset.grid)
     else:
         perm = order_rows(placement, coords, grid=dataset.grid, axis_dim=axis_dim, seed=seed)
@@ -89,6 +116,7 @@ def make_table(
         ordered,
         tuples_per_block=tuples_per_block,
         cell_directory=directory,
+        source=source,
     )
 
 

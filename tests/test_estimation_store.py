@@ -1,15 +1,20 @@
-"""The Database's store of offline estimation inputs.
+"""The store of offline estimation inputs, as one Database sees it.
 
-A :class:`~repro.storage.database.Database` builds the sample of a stored
-table (per sampler, grid geometry, fraction and seed) and the objective
-grids over it (per objective) once, and every engine over that database
-reads the same objects.  A stored input is exactly what a rebuild would
-compute, so a run over a shared database must be byte-identical to the
-same run where every engine builds its own inputs — which is what the
-oracle database below does, by forgetting its store after each query.
+The sample of a stored table (per sampler, grid geometry, fraction and
+seed) and the objective grids over it (per objective) are built once per
+placed dataset, and every engine over a database on it reads the same
+objects.  A stored input is exactly what a rebuild would compute, so a
+run over a shared database must be byte-identical to the same run where
+every engine builds its own inputs — which is what the oracle database
+below does: it is placed from a copy of the dataset (another source) and
+forgets its database's record and its source's store after each query.
+Tests that count constructions place a fresh copy, as a store outlives
+the databases that filled it.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -62,10 +67,19 @@ def _query(dataset, area: float = 1.0, step: float = 1.0, objectives=(AVG,)):
     )
 
 
-def _forget(database) -> None:
+@pytest.fixture()
+def fresh(dataset):
+    """A copy of the dataset: a new source, whose store is empty."""
+    return dataclasses.replace(dataset)
+
+
+def _forget(database, name) -> None:
     """Drop the stored inputs: the next engine builds its own, as before the store."""
     database._samples.clear()
     database._grids.clear()
+    store = database.inputs(database.table(name))
+    store.samples.clear()
+    store.grids.clear()
 
 
 @pytest.fixture()
@@ -94,17 +108,19 @@ def _run(database, dataset, query, **engine_kwargs):
     return engine, (run_fingerprint(report.run), database.clock.now)
 
 
-def test_engines_over_one_database_share_sample_and_grids(dataset, builds):
+def test_engines_over_one_database_share_sample_and_grids(fresh, builds):
+    dataset = fresh
     query = _query(dataset, objectives=(AVG, OTHER))
     with make_database(dataset, "cluster") as shared:
         first, got_a = _run(shared, dataset, query)
         second, got_b = _run(shared, dataset, query)
         assert second.sample_for(query) is first.sample_for(query)
         assert builds == {"samples": 1, "grids": 2}  # one per objective
-    with make_database(dataset, "cluster") as oracle:
-        _, want_a = _run(oracle, dataset, query)
-        _forget(oracle)
-        _, want_b = _run(oracle, dataset, query)
+    copy = dataclasses.replace(dataset)
+    with make_database(copy, "cluster") as oracle:
+        _, want_a = _run(oracle, copy, query)
+        _forget(oracle, copy.name)
+        _, want_b = _run(oracle, copy, query)
     assert (got_a, got_b) == (want_a, want_b)
 
 
@@ -119,7 +135,8 @@ def test_engines_over_one_database_share_sample_and_grids(dataset, builds):
     ],
     ids=lambda change: next(iter(change)),
 )
-def test_each_key_builds_its_own_sample(dataset, builds, change):
+def test_each_key_builds_its_own_sample(fresh, builds, change):
+    dataset = fresh
     change = dict(change)
     geometry = {k: change.pop(k) for k in ("area", "step") if k in change}
     with make_database(dataset, "cluster") as database:
@@ -130,7 +147,8 @@ def test_each_key_builds_its_own_sample(dataset, builds, change):
     assert builds["samples"] == 2
 
 
-def test_second_query_on_a_sqlite_file_pulls_nothing(dataset, tmp_path, monkeypatch):
+def test_second_query_on_a_sqlite_file_pulls_nothing(fresh, tmp_path, monkeypatch):
+    dataset = fresh
     pulls = {"coordinates": 0, "gather": 0}
     for name in pulls:
         original = getattr(SQLiteTable, name)
@@ -180,16 +198,19 @@ _keys = st.fixed_dictionaries(
 @given(keys=st.lists(_keys, min_size=2, max_size=4))
 @settings(max_examples=12, deadline=None)
 def test_interleaved_queries_match_rebuilding_oracle(dataset, keys):
-    with make_database(dataset, "cluster") as shared, make_database(dataset, "cluster") as oracle:
+    # Copies made here, not by the function-scoped ``fresh`` fixture,
+    # which Hypothesis would share across examples.
+    copy = dataclasses.replace(dataset)
+    with make_database(dataset, "cluster") as shared, make_database(copy, "cluster") as oracle:
         for key in keys:
             key = dict(key)
             query = _query(dataset, key.pop("area"), key.pop("step"), key.pop("objectives"))
             engine, got = _run(shared, dataset, query, **key)
-            _, want = _run(oracle, dataset, query, **key)
-            _forget(oracle)
+            _, want = _run(oracle, copy, query, **key)
+            _forget(oracle, copy.name)
             assert got == want
-            with make_database(dataset, "cluster") as fresh:
-                rebuilt = SWEngine(fresh, dataset.name, **key).sample_for(query)
+            with make_database(dataclasses.replace(dataset), "cluster") as other:
+                rebuilt = SWEngine(other, dataset.name, **key).sample_for(query)
             stored = engine.sample_for(query)
             for field in ("rows", "cells", "cell_true_counts", "cell_sample_counts"):
                 assert np.array_equal(getattr(stored, field), getattr(rebuilt, field))

@@ -103,6 +103,11 @@ def test_failing_session_aborts_and_the_others_run_as_if_alone(failing_store):
     status = core.status(FAILING)
     assert status["state"] == "done" and status["interrupted"] is True
     assert status["interrupt_reason"] == "error:BackendError"
+    # The outcome and its reason are on the wire, verbatim.
+    wire = {"layer": "serve", "reason": degradation.reason}
+    assert (status["outcome"], status["degradations"]) == ("aborted", [wire])
+    page = core.results(FAILING)
+    assert (page["outcome"], page["degradations"]) == ("aborted", [wire])
 
     stats = core.stats()
     assert stats["counters"]["serve.sessions_completed"] == 3
@@ -144,6 +149,7 @@ async def _serve_three(server: ExplorationServer) -> dict:
                 s["session"]: await client.wait(s["session"], poll_s=0.01, timeout_s=60.0)
                 for s in SUBMITS
             }
+            statuses["page"] = await client.results(FAILING)
             statuses["stats"] = await client.stats()
             return statuses
     finally:
@@ -154,9 +160,15 @@ def test_socket_server_survives_a_failing_session(failing_store):
     server = ExplorationServer(_config())
     statuses = asyncio.run(asyncio.wait_for(_serve_three(server), timeout=120))
     assert statuses[FAILING]["interrupt_reason"] == "error:BackendError"
+    for payload in (statuses[FAILING], statuses["page"]):
+        assert payload["outcome"] == "aborted"
+        (degradation,) = payload["degradations"]
+        assert degradation["layer"] == "serve"
+        assert "BackendError" in degradation["reason"] and "locked" in degradation["reason"]
     for name in ("s0", "s2"):
         assert statuses[name]["state"] == "done"
         assert statuses[name]["interrupt_reason"] is None
+        assert (statuses[name]["outcome"], statuses[name]["degradations"]) == ("complete", [])
     assert statuses["stats"]["counters"]["serve.sessions_completed"] == 3
     assert server.failure is None
 

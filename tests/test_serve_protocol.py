@@ -177,13 +177,19 @@ class TestServeCore:
         core = _core()
         response = core.submit(_spec("s1"))
         assert response["outcome"] == "live"
+        # A session's outcome is unknown until it ends.
+        assert (core.status("s1")["outcome"], core.results("s1")["outcome"]) == (None, None)
         while core.pending():
             assert core.tick() is not None
         assert core.tick() is None
         status = core.status("s1")
         assert status["state"] == "done"
+        # Its step budget stopped it: aborted, with nothing degraded.
+        assert status["interrupt_reason"] == "step_budget"
+        assert (status["outcome"], status["degradations"]) == ("aborted", [])
         page = core.results("s1")
         assert page["total"] == page["next"] == len(page["results"])
+        assert (page["outcome"], page["degradations"]) == ("aborted", [])
         assert all({"key", "lo", "hi", "bounds", "objectives", "time"} <= set(r)
                    for r in page["results"])
 
@@ -258,6 +264,8 @@ class TestServeCore:
         response = core.submit(_spec("s2"))
         assert response["outcome"] == "rejected"
         assert core.status("s2")["state"] == "rejected"
+        for payload in (core.status("s2"), core.results("s2")):
+            assert (payload["outcome"], payload["degradations"]) == (None, [])
 
     def test_fingerprints_of_identical_runs_are_byte_identical(self):
         from repro.serve import fingerprint_bytes

@@ -48,8 +48,9 @@ which a cluster-placed table's cell directory makes zero) and
 the objective grids drawn over SQL, ``scan_region``, ``install_cells``
 (RAM), ``flush_installs`` (one transaction), the rest being the
 search core, the ``coordinates()`` pull in ms per query on a line of
-its own, and samples and objective grids built against those the
-Database's store already held (store hits) — then with every SQL
+its own, and samples and objective grids built against those already
+held (store hits: a Database's own record or the placed dataset's
+store) — then with every SQL
 statement counted (statements and commits per query) and every region
 scan's reads (block-range statements per scan, blocks fetched vs blocks
 matching, payload bytes per query), then under cProfile::
@@ -308,7 +309,7 @@ _SQLITE_PARTS = (
 )
 
 
-#: What asks the Database's store for a sample or a grid, counted beside
+#: What asks a Database for a sample or a grid, counted beside
 #: ``_SQLITE_PARTS``: an ask that built nothing was a store hit.
 _STORE_ASKS = (
     ("sample asks", "repro.core.engine", "SWEngine", "sample_for"),
