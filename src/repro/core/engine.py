@@ -97,7 +97,8 @@ class StreamingExecution:
         self._hits0 = buffer.hits
         self._misses0 = buffer.misses
         self._backend0 = engine.backend_baseline()
-        self._begun = False
+        # The search's own loop, begun at the first next().
+        self._results = search.iter_results(self.run)
         self._closed = False
         self._finished = False
 
@@ -107,16 +108,11 @@ class StreamingExecution:
     def __next__(self) -> ResultWindow:
         if self._closed:
             raise StopIteration
-        if not self._begun:
-            self.search.begin()
-            self._begun = True
-        while True:
-            status, result = self.search.step(self.run)
-            if status == "result":
-                return result
-            if status in ("done", "interrupted"):
-                self._closed = self._finished = True
-                raise StopIteration
+        try:
+            return next(self._results)
+        except StopIteration:
+            self._closed = self._finished = True
+            raise
 
     def cancel(self) -> None:
         """Request cooperative cancellation of the underlying search."""

@@ -364,6 +364,40 @@ class SpillableQueue:
             return (-top[0], -top[1])
         return (-head[0], -head[1])
 
+    @property
+    def next_seq(self) -> int:
+        """The insertion stamp the next head push takes."""
+        return self._next_seq
+
+    def take_head(self) -> list[tuple]:
+        """Pop the whole in-memory head at once, in no particular order.
+
+        Entries come back as ``(neg_u, neg_b, seq, lo, hi, version)``
+        tuples, and the queue is left as popping each of them leaves it:
+        the block used up, the pending heap empty.  The search's tail
+        replay (``repro.core.tail``) takes its frontier through this.
+        """
+        p = self._blk_pos
+        entries = list(
+            zip(
+                self._blk_nu[p:].tolist(),
+                self._blk_nb[p:].tolist(),
+                self._blk_seq[p:].tolist(),
+                map(tuple, self._blk_lo[p:].tolist()),
+                map(tuple, self._blk_hi[p:].tolist()),
+                self._blk_ver[p:].tolist(),
+            )
+        )
+        entries.extend(self._pending)
+        self._blk_pos = self._blk_seq.size
+        self._blk_head = None
+        self._pending = []
+        return entries
+
+    def skip_seqs(self, n: int) -> None:
+        """Spend ``n`` insertion stamps, as ``n`` head pushes would."""
+        self._next_seq += n
+
     def peek_bounds(self, k: int) -> list[tuple[Priority, tuple, tuple, int]]:
         """Up to ``k`` head entries as ``(priority, lo, hi, version)``.
 

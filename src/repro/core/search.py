@@ -54,6 +54,7 @@ from .kernels import placement_bounds
 from .prefetch import PrefetchState, PrefetchStrategy, prefetch_extend
 from .pqueue import SpillableQueue
 from .query import ResultWindow, SWQuery
+from .tail import QUIET_EXPLORATIONS, nothing_left, replay_tail
 from .trace import EventKind, SearchTrace
 from .utility import UtilityModel
 from .window import Window
@@ -365,7 +366,11 @@ class SteppingCore:
 
     def _still_best(self, window: Window, version: int) -> bool:
         """The lazy utility update: a popped stale entry is re-estimated and,
-        if it no longer beats the queue's best, re-inserted (``False``)."""
+        if it no longer beats the queue's best, re-inserted (``False``).
+
+        :func:`~repro.core.tail.replay_tail` mirrors this test (re-insert
+        only when strictly worse than the head); change both together.
+        """
         if not self.config.lazy_updates or version >= self.data.version:
             return True
         utility = self._utility(window)
@@ -456,6 +461,12 @@ class SteppingCore:
         left or right moves the parent's key by ``-m_lo[d]`` or
         ``+m_hi[d]``.  Only a candidate not generated before gets bounds
         and a :class:`Window`.
+
+        :func:`~repro.core.tail.replay_tail` mirrors this walk — the
+        ``capped_extensions`` count, the key arithmetic and the left-then-
+        right dedup order — for serial runs with ``anchor_lo == 0``, and
+        takes the caps as they bound the enumerated space (a neighbour is
+        capped iff its shape leaves it); change them together.
         """
         if self._prune_conditions and self._violates_anti_monotone(window):
             self.stats.pruned_extensions += 1
@@ -814,7 +825,9 @@ class HeuristicSearch(SteppingCore):
             self._start_time = self.data.clock.now
             self._seed_start_windows()
 
-    def step(self, run: SearchRun | None = None) -> tuple[str, ResultWindow | None]:
+    def step(
+        self, run: SearchRun | None = None, ask_tail: bool = False
+    ) -> tuple[str, ResultWindow | None]:
         """Advance the search by at most one exploration.
 
         The cooperative scheduling quantum: pops (re-estimating and
@@ -836,7 +849,16 @@ class HeuristicSearch(SteppingCore):
         deterministically.  ``run``, when given, receives interruption
         flags and the completion time exactly as :meth:`iter_results`
         would set them.
+
+        ``ask_tail`` is :meth:`iter_results`' alone: the step first asks
+        whether the rest of the run is the no-result tail
+        (:meth:`_tail_is_replayable`) and, if so, replays it
+        (:func:`~repro.core.tail.replay_tail`) and is the terminal step.
+        Run inside a step, the proof and the replay are where a profiler
+        of ``step`` looks for the stepping they stand in for.
         """
+        if ask_tail and self._tail_is_replayable():
+            replay_tail(self)
         clock = self.data.clock
         use_jumps = self.config.diversification in (
             Diversification.UTILITY_JUMPS,
@@ -891,14 +913,72 @@ class HeuristicSearch(SteppingCore):
             return ("step", None)
 
     def iter_results(self, run: SearchRun | None = None) -> Iterator[ResultWindow]:
-        """Generator form: yields results online as they are discovered."""
+        """Generator form: yields results online as they are discovered.
+
+        The one loop that drives a search to its end: :meth:`run` and
+        ``StreamingExecution`` iterate it.  Once every cell is exact and
+        the run has explored :data:`~repro.core.tail.QUIET_EXPLORATIONS`
+        windows since its last result (or its start), its next step asks
+        once whether the rest of the run can find nothing (``ask_tail``
+        of :meth:`step`); if so, that step replays the no-result tail
+        over exact priorities instead of stepping it, and ends the run.
+        """
         self.begin()
+        data, stats = self.data, self.stats
+        version = data.version
+        all_read = ask = False
+        # The explored count from which to ask; None once asked.
+        ask_at = stats.explored + QUIET_EXPLORATIONS
         while True:
-            status, result = self.step(run)
+            status, result = self.step(run, ask)
             if status == "result":
+                if ask_at is not None:
+                    ask_at = stats.explored + QUIET_EXPLORATIONS
                 yield result
-            elif status in ("done", "interrupted"):
-                break
+            elif status != "step":
+                return
+            if not all_read:
+                if data.version == version:
+                    continue
+                version = data.version
+                all_read = bool(data.read_mask.all())
+            ask = all_read and ask_at is not None and stats.explored >= ask_at
+            if ask:
+                ask_at = None
+
+    def _tail_is_replayable(self) -> bool:
+        """Whether the rest of this run is the no-result tail and may be
+        replayed rather than stepped (DESIGN.md §13, "The no-result tail").
+
+        Runs that keep stepping: a trace or a registry is attached (the
+        trace records every pop, and the per-window ``expand`` span
+        charges wall-clock float differences a replay cannot reproduce);
+        a lifecycle limit is set or a cancel is pending; diversification,
+        noise, anti-monotone pruning or a scrubber is on; the frontier
+        has ever spilled; the anchor or data range is not the serial
+        tier's whole grid (the replay's neighbour walk models no other).
+        Otherwise
+        :func:`~repro.core.tail.nothing_left` decides on the exact cells.
+        """
+        config = self.config
+        if (
+            self.anchor_lo != 0
+            or self.data_lo != 0
+            or self.data_hi != self.grid.shape[0]
+            or self.trace is not None
+            or self.metrics is not None
+            or self._cancelled
+            or config.time_limit_s is not None
+            or config.deadline_s is not None
+            or config.step_limit is not None
+            or config.diversification is not Diversification.NONE
+            or self.data.noise is not None
+            or self._prune_conditions
+            or self._scrubber is not None
+            or self.queue.spill_events
+        ):
+            return False
+        return nothing_left(self)
 
     def progress(self) -> dict[str, float]:
         """A snapshot of how far the search has come.

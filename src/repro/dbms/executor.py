@@ -37,7 +37,12 @@ from ..core.query import ResultWindow, SWQuery
 from ..core.window import Window
 from ..storage.database import COUNT_KEY
 
-__all__ = ["CellGrids", "materialize_cells", "enumerate_windows_filtered"]
+__all__ = [
+    "CellGrids",
+    "materialize_cells",
+    "enumerate_windows_filtered",
+    "qualifying_masks",
+]
 
 
 @dataclass(frozen=True)
@@ -105,33 +110,12 @@ def enumerate_windows_filtered(
     grid (the naive CTE), relying purely on the final filter.
     """
     grid = query.grid
-    conditions = query.conditions
-    if pushdown:
-        max_lengths = conditions.max_lengths(grid.shape)
-        min_lengths = conditions.min_lengths(grid.shape)
-        max_card = conditions.max_cardinality(grid.shape)
-    else:
-        max_lengths = grid.shape
-        min_lengths = (1,) * grid.ndim
-        max_card = None
-
-    count_sat = SummedAreaTable(cells.counts)
-
     results: list[ResultWindow] = []
     enumerated = 0
-    for shape in _shapes(grid.shape, min_lengths, max_lengths, max_card):
-        positions = tuple(s - l + 1 for s, l in zip(grid.shape, shape))
-        enumerated += math.prod(positions)
-        # Shape conditions read only the lengths: one check per shape.
-        if not conditions.shape_satisfied(Window((0,) * grid.ndim, shape)):
+    for shape, placements, mask, values in qualifying_masks(query, cells, pushdown):
+        enumerated += placements
+        if mask is None:
             continue
-        values: dict[str, np.ndarray] = {}
-        mask = np.ones(positions, dtype=bool)
-        for cond in conditions.content_conditions:
-            name = repr(cond.objective)
-            if name not in values:
-                values[name] = _placement_values(cond.objective, shape, cells, count_sat)
-            mask &= cond.op.test(values[name], cond.value)
         for lo in zip(*(axis.tolist() for axis in np.nonzero(mask))):
             window = Window(lo, tuple(l + s for l, s in zip(lo, shape)))
             results.append(
@@ -143,6 +127,46 @@ def enumerate_windows_filtered(
                 )
             )
     return results, enumerated
+
+
+def qualifying_masks(
+    query: SWQuery, cells: CellGrids, pushdown: bool = True
+) -> Iterator[tuple[tuple[int, ...], int, np.ndarray | None, dict[str, np.ndarray]]]:
+    """Per shape of the enumerated space, in shape-major order:
+    ``(shape, placements, mask, values)``.
+
+    ``mask`` flags the placements (by ``lo``) that satisfy every
+    condition, or is ``None`` when the shape conditions fail;
+    ``values`` holds the exact objective values of every placement,
+    keyed by ``repr(objective)``.  A caller that stops early scores no
+    further shape.
+    """
+    grid = query.grid
+    conditions = query.conditions
+    if pushdown:
+        max_lengths = conditions.max_lengths(grid.shape)
+        min_lengths = conditions.min_lengths(grid.shape)
+        max_card = conditions.max_cardinality(grid.shape)
+    else:
+        max_lengths = grid.shape
+        min_lengths = (1,) * grid.ndim
+        max_card = None
+
+    count_sat = SummedAreaTable(cells.counts)
+    for shape in _shapes(grid.shape, min_lengths, max_lengths, max_card):
+        positions = tuple(s - l + 1 for s, l in zip(grid.shape, shape))
+        # Shape conditions read only the lengths: one check per shape.
+        if not conditions.shape_satisfied(Window((0,) * grid.ndim, shape)):
+            yield shape, math.prod(positions), None, {}
+            continue
+        values: dict[str, np.ndarray] = {}
+        mask = np.ones(positions, dtype=bool)
+        for cond in conditions.content_conditions:
+            name = repr(cond.objective)
+            if name not in values:
+                values[name] = _placement_values(cond.objective, shape, cells, count_sat)
+            mask &= cond.op.test(values[name], cond.value)
+        yield shape, math.prod(positions), mask, values
 
 
 def _shapes(

@@ -13,9 +13,10 @@ oracle those promises are tested against:
   objective, the cost through ``DataManager.unread_objects``), seeding
   scores one :class:`Window` per start placement in an
   ``itertools.product`` loop, the periodic refresh re-scores each
-  stale frontier entry through ``_utility``, and neighbour generation
+  stale frontier entry through ``_utility``, neighbour generation
   builds every candidate's bounds (``neighbor_bounds``) and packs its
-  key before deduplicating;
+  key before deduplicating, and the run steps through its no-result
+  tail instead of replaying it (``repro.core.tail``);
 * :class:`NaiveEngine` — an :class:`SWEngine` whose queries run on both;
 * :func:`naive_enumerate_windows_filtered` — the SQL baseline's window
   enumerator as one ``itertools.product`` loop over every placement,
@@ -156,7 +157,11 @@ def push_entries(queue, entries) -> None:
 
 
 class NaiveSearch(HeuristicSearch):
-    """Algorithm 1 with per-window scoring, seeding and refresh."""
+    """Algorithm 1 with per-window scoring, seeding and refresh, stepped
+    to the end: it never replays the no-result tail."""
+
+    def _tail_is_replayable(self) -> bool:
+        return False
 
     def _utility(self, window: Window) -> tuple[float, float]:
         self.stats.estimates += 1

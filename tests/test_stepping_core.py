@@ -84,9 +84,15 @@ def test_serial_is_the_one_worker_case():
             sample_table=full_table,
         )
 
+    # The serial side is driven through step() until done, the loop the
+    # worker mirrors; run() may replay the no-result tail instead, which
+    # explores without calling _explore (compared below).
     search = HeuristicSearch(query, data_manager(), config)
     serial_explored = _explored(search)
-    run = search.run()
+    run = search.new_run()
+    search.begin()
+    while search.step(run)[0] != "done":
+        pass
 
     worker = Worker(
         0,
@@ -109,9 +115,18 @@ def test_serial_is_the_one_worker_case():
     assert dataclasses.asdict(worker.stats) == dataclasses.asdict(search.stats)
     assert worker.now == run.completion_time_s
     assert not worker._waiting and not worker.lost_windows
+
+    fresh = HeuristicSearch(query, data_manager(), config)
+    whole = fresh.run()
+    assert [(r.window, r.objective_values, r.time) for r in whole.results] == [
+        (r.window, r.objective_values, r.time) for r in run.results
+    ]
+    assert dataclasses.asdict(whole.stats) == dataclasses.asdict(search.stats)
+    assert whole.completion_time_s == run.completion_time_s
+    assert fresh.data.clock.now == search.data.clock.now
     # CPython keeps up to 30 instance attributes in its shared-key layout;
     # the 31st makes every ``self.x`` of the serial step slower (~10 %).
-    assert len(vars(search)) <= 30
+    assert len(vars(search)) <= 30 and len(vars(fresh)) <= 30
 
 
 @functools.cache
